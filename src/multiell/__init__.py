@@ -8,7 +8,8 @@ angle spread, with orientation sweeps for both link ends.
 """
 
 from .antenna import AntennaPattern, PatternKind, power_gain, sample_aod, sigma_from_hpbw
-from .engine import PathSample, PathSet, ScenarioConfig, SourceKind, run_realization
+from .engine import (PathSample, PathSet, ScenarioConfig, SourceKind, reweight,
+                     run_realization)
 from .errors import (BadBinWidth, ConfigError, DegenerateEllipse, EmptyProfile,
                      InvalidDs, InvalidGeometry, InvalidHpbw, KappaOutOfRange,
                      MultiellError, NoPower, ParseError, UnsortedDelays)
@@ -25,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaPattern", "PatternKind", "power_gain", "sample_aod", "sigma_from_hpbw",
-    "PathSample", "PathSet", "ScenarioConfig", "SourceKind", "run_realization",
+    "PathSample", "PathSet", "ScenarioConfig", "SourceKind", "reweight", "run_realization",
     "BadBinWidth", "ConfigError", "DegenerateEllipse", "EmptyProfile", "InvalidDs",
     "InvalidGeometry", "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower",
     "ParseError", "UnsortedDelays",

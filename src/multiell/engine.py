@@ -96,10 +96,10 @@ class ScenarioConfig:
     frequency_label: str = ""
 
     def validate(self) -> None:
-        if self.txrx_distance_m <= 0.0:
-            raise ConfigError(f"txrx_distance_m must be > 0, got {self.txrx_distance_m}")
-        if self.ds_s <= 0.0:
-            raise ConfigError(f"ds_s must be > 0, got {self.ds_s}")
+        if not (self.txrx_distance_m > 0.0 and math.isfinite(self.txrx_distance_m)):
+            raise ConfigError(f"txrx_distance_m must be finite and > 0, got {self.txrx_distance_m}")
+        if not (self.ds_s > 0.0 and math.isfinite(self.ds_s)):
+            raise ConfigError(f"ds_s must be finite and > 0, got {self.ds_s}")
         if self.paths_per_cluster < 1:
             raise ConfigError(f"paths_per_cluster must be >= 1, got {self.paths_per_cluster}")
         if not 0 <= int(self.seed) < _MAX_SEED:
@@ -136,7 +136,7 @@ def run_realization(config: ScenarioConfig,
     configured. Local scattering adds ``paths_per_cluster`` von Mises paths.
     Under a finite Rice factor one direct path at 0 degrees takes K/(K+1) of
     the total. Pre-weighting powers always sum to one; the receive pattern
-    then scales each path.
+    then scales each path (:func:`reweight`).
 
     ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
     pass an unused generator for reproducibility when providing one.
@@ -201,5 +201,13 @@ def run_realization(config: ScenarioConfig,
         kind = np.append(kind, np.int8(SourceKind.LOS))
         index = np.append(index, np.int32(-1))
 
-    weighted = raw * power_gain(config.rx_pattern, aoa)
-    return PathSet(aoa, raw, weighted, kind, index)
+    return reweight(PathSet(aoa, raw, raw, kind, index), config.rx_pattern)
+
+
+def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
+    """The same paths with ``power_lin`` recomputed from ``raw_power_lin``
+    under another receive pattern. The angle, raw-power, source and index
+    arrays are shared with ``paths``; nothing in ``paths`` is modified."""
+    weighted = paths.raw_power_lin * power_gain(rx_pattern, paths.aoa_deg)
+    return PathSet(paths.aoa_deg, paths.raw_power_lin, weighted,
+                   paths.source_kind, paths.cluster_index)

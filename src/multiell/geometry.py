@@ -33,13 +33,26 @@ def wrap_degrees(angle_deg):
     """Wrap angles into (-180, 180]. Accepts scalars or arrays.
 
     Values already inside the interval pass through unchanged, so angles far
-    below the 180-degree rounding scale keep full precision.
+    below the 180-degree rounding scale keep full precision. Others map to
+    ``(a + 180) % 360 - 180``, with -180 sent to 180. An array result is
+    always a new array.
     """
     a = np.asarray(angle_deg, dtype=float)
     out_of_range = (a <= -180.0) | (a > 180.0)
-    wrapped = (a + 180.0) % 360.0 - 180.0
-    wrapped = np.where(wrapped == -180.0, 180.0, wrapped)
-    result = np.where(out_of_range, wrapped, a)
+    if not out_of_range.any():
+        result = a.copy()
+    else:
+        t = np.asarray(a + 180.0)  # a 0-d sum comes back as a scalar; t is written in place
+        if t.min() >= -360.0 and t.max() < 720.0:
+            # Same bits as t % 360 here: fmod is exact on this range and
+            # numpy's sign fix-up is this one addition of 360.
+            np.add(t, 360.0, out=t, where=t < 0.0)
+            np.subtract(t, 360.0, out=t, where=t >= 360.0)
+        else:
+            t %= 360.0
+        t -= 180.0
+        t[t == -180.0] = 180.0
+        result = np.where(out_of_range, t, a)
     return float(result) if np.isscalar(angle_deg) or a.ndim == 0 else result
 
 

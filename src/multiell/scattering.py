@@ -29,8 +29,10 @@ class VonMisesParams:
     power_share: float | None = None
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
+        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
+            raise ConfigError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not math.isfinite(self.mu_deg):
+            raise ConfigError(f"mu_deg must be finite, got {self.mu_deg}")
         if self.power_share is not None and not 0.0 <= self.power_share <= 1.0:
             raise ConfigError(f"power_share must be in [0, 1], got {self.power_share}")
         object.__setattr__(self, "mu_deg", wrap_degrees(self.mu_deg))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PathSet, ScenarioConfig, run_realization
+from .engine import PathSet, ScenarioConfig, reweight, run_realization
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -106,6 +106,10 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     ``trials`` independent realizations are run; rows are emitted
     angle-major, trial-minor. Aggregates report the mean and sample standard
     deviation (0 for a single trial) per angle.
+
+    Each trial's stream is shared by every angle, and only the receive
+    weighting depends on the receive boresight, so an rx sweep builds each
+    trial's paths once and reweights them per angle.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -113,19 +117,27 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     if not angles:
         raise ConfigError("angles must be non-empty")
 
+    if axis is SweepAxis.TX_ORIENTATION:
+        configs = [config.with_orientations(alpha_t_deg=a) for a in angles]
+    else:
+        configs = [config.with_orientations(alpha_r_deg=a) for a in angles]
+    spreads = np.empty((len(angles), trials))
+    for trial in range(trials):
+        if axis is SweepAxis.TX_ORIENTATION:
+            for j, cfg in enumerate(configs):
+                paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
+                spreads[j, trial] = angular_spread(paths)
+        else:
+            paths = run_realization(configs[0], _point_rng(config.seed, axis, trial))
+            spreads[0, trial] = angular_spread(paths)
+            for j, cfg in enumerate(configs[1:], start=1):
+                spreads[j, trial] = angular_spread(reweight(paths, cfg.rx_pattern))
+
     rows: list[tuple[float, float, int, float]] = []
     aggregate: list[tuple[float, float, float]] = []
-    for angle in angles:
-        if axis is SweepAxis.TX_ORIENTATION:
-            cfg = config.with_orientations(alpha_t_deg=angle)
-        else:
-            cfg = config.with_orientations(alpha_r_deg=angle)
-        spreads = np.empty(trials)
-        for trial in range(trials):
-            paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
-            spreads[trial] = angular_spread(paths)
-            rows.append((cfg.tx_pattern.boresight_deg, cfg.rx_pattern.boresight_deg,
-                         trial, float(spreads[trial])))
-        std = float(spreads.std(ddof=1)) if trials > 1 else 0.0
-        aggregate.append((angle, float(spreads.mean()), std))
+    for angle, cfg, row in zip(angles, configs, spreads):
+        rows.extend((cfg.tx_pattern.boresight_deg, cfg.rx_pattern.boresight_deg,
+                     trial, float(row[trial])) for trial in range(trials))
+        std = float(row.std(ddof=1)) if trials > 1 else 0.0
+        aggregate.append((angle, float(row.mean()), std))
     return SweepResult(axis=axis, rows=rows, aggregate=aggregate)

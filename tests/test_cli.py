@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import multiell
 from multiell.cli import main
 
 SINGLE_FAR_TAP = "# name: far\n1.0 0.0\n"
@@ -185,3 +191,32 @@ class TestPasCommand:
         assert main(["pas", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["pas", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNonFiniteInputs:
+    PAS = ["pas", "--preset", "fig2-C-omni"]
+
+    def test_nan_kappa_exits_1_without_hanging(self, tmp_path):
+        # the von Mises rejection loop never accepts a NaN, so this once hung
+        src = str(Path(multiell.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiell.cli", *self.PAS,
+             "--set", "local_scattering.kappa=nan", "--out", str(tmp_path / "pas.csv")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "kappa" in proc.stderr
+
+    def test_nan_delay_spread_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "pas.csv"
+        assert main([*self.PAS, "--set", "scenario.ds_s=nan", "--out", str(out)]) == 1
+        assert "ds_s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_distance_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "pas.csv"
+        assert main([*self.PAS, "--set", "scenario.txrx_distance_m=inf",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "txrx_distance_m" in err and "eccentricity" not in err

@@ -198,6 +198,10 @@ class TestValidation:
             replace(good, paths_per_cluster=0),
             replace(good, seed=-1),
             replace(good, seed=2**64),
+            replace(good, txrx_distance_m=math.nan),
+            replace(good, txrx_distance_m=math.inf),
+            replace(good, ds_s=math.nan),
+            replace(good, ds_s=math.inf),
         ):
             with pytest.raises(ConfigError):
                 run_realization(bad)

@@ -211,3 +211,57 @@ class TestWrapDegrees:
     def test_array(self):
         out = wrap_degrees(np.array([0.0, 359.0, -181.0]))
         assert out.tolist() == [0.0, -1.0, 179.0]
+
+
+def wrap_oracle(angle_deg):
+    """(a + 180) % 360 - 180 with -180 sent to 180; in-range values pass through."""
+    a = np.asarray(angle_deg, dtype=float)
+    out_of_range = (a <= -180.0) | (a > 180.0)
+    with np.errstate(invalid="ignore"):
+        wrapped = (a + 180.0) % 360.0 - 180.0
+    wrapped = np.where(wrapped == -180.0, 180.0, wrapped)
+    return np.where(out_of_range, wrapped, a)
+
+
+def wrap_bits(angle_deg):
+    with np.errstate(invalid="ignore"):
+        return np.asarray(wrap_degrees(angle_deg), dtype=float).view(np.int64)
+
+
+_EDGES = np.array([0.0, 180.0, 360.0, 540.0])
+WRAP_EDGES = np.concatenate([
+    _EDGES, -_EDGES,
+    np.nextafter(_EDGES, np.inf), np.nextafter(_EDGES, -np.inf),
+    np.nextafter(-_EDGES, np.inf), np.nextafter(-_EDGES, -np.inf),
+    [1e300, -1e300, np.inf, -np.inf, np.nan],
+])
+
+
+class TestWrapDegreesOracle:
+    @given(st.lists(st.one_of(st.floats(), st.floats(min_value=-900.0, max_value=900.0)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_oracle(self, values):
+        a = np.array(values, dtype=float)
+        assert np.array_equal(wrap_bits(a), wrap_oracle(a).view(np.int64))
+        for x in values:
+            assert np.array_equal(wrap_bits(x), wrap_oracle(x).view(np.int64)), x
+
+    def test_edges_bitwise_equal_to_oracle(self):
+        assert np.array_equal(wrap_bits(WRAP_EDGES), wrap_oracle(WRAP_EDGES).view(np.int64))
+        for x in WRAP_EDGES:
+            assert np.array_equal(wrap_bits(float(x)), wrap_oracle(x).view(np.int64)), x
+        assert math.copysign(1.0, wrap_degrees(-0.0)) == -1.0
+
+    def test_scalar_and_zero_d_return_float(self):
+        for x in (10.0, 400.0, np.float64(-190.0), np.array(5.0), np.array(-540.0), 7):
+            assert type(wrap_degrees(x)) is float
+
+    @pytest.mark.parametrize("values", [[10.0, -20.0], [10.0, 400.0], [1e300, 0.0]])
+    def test_result_never_aliases_input(self, values):
+        a = np.array(values)
+        before = a.copy()
+        out = wrap_degrees(a)
+        assert not np.shares_memory(out, a)
+        out[...] = 1.0
+        assert np.array_equal(a, before)

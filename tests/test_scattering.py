@@ -66,6 +66,12 @@ class TestVonMisesPdf:
         with pytest.raises(ConfigError):
             VonMisesParams(kappa=-1.0)
 
+    @pytest.mark.parametrize("field", ["kappa", "mu_deg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            VonMisesParams(**{field: value})
+
 
 class TestSampleVonMises:
     def test_uniform_windows_at_kappa_zero(self, rng):

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from multiell.antenna import AntennaPattern
+from multiell.engine import reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, NoPower
 from multiell.presets import scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
-from multiell.stats import SweepAxis, angular_spread, estimate_pas, sweep_as
+from multiell.stats import SweepAxis, _point_rng, angular_spread, estimate_pas, sweep_as
 
 from conftest import make_pathset
 
@@ -169,3 +173,59 @@ class TestSweepAs:
         cfg = scenario("A", "same", alpha_t_deg=0.0, alpha_r_deg=0.0, seed=8)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=3)
         assert result.aggregate[0][1] == pytest.approx(1.5, abs=1.5)
+
+
+def reference_sweep(config, axis, angles_deg, trials):
+    """One full realization per (angle, trial), each from that trial's stream."""
+    rows, aggregate = [], []
+    for angle in angles_deg:
+        angle = float(angle)
+        if axis is SweepAxis.TX_ORIENTATION:
+            cfg = config.with_orientations(alpha_t_deg=angle)
+        else:
+            cfg = config.with_orientations(alpha_r_deg=angle)
+        spreads = np.empty(trials)
+        for trial in range(trials):
+            paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
+            spreads[trial] = angular_spread(paths)
+            rows.append((cfg.tx_pattern.boresight_deg, cfg.rx_pattern.boresight_deg,
+                         trial, float(spreads[trial])))
+        std = float(spreads.std(ddof=1)) if trials > 1 else 0.0
+        aggregate.append((angle, float(spreads.mean()), std))
+    return rows, aggregate
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+PATH_ARRAYS = ("aoa_deg", "raw_power_lin", "power_lin", "source_kind", "cluster_index")
+
+
+class TestSweepEquivalence:
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    @pytest.mark.parametrize("rx", ["same", "omni"])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_matches_per_point_realizations(self, axis, rx, trials):
+        cfg = scenario("A", rx, alpha_t_deg=150.0, alpha_r_deg=20.0, seed=11,
+                       paths_per_cluster=40)
+        angles = [-180.0, 0.0, 180.0, 400.0, 0.0]
+        result = sweep_as(cfg, axis, angles, trials=trials)
+        rows, aggregate = reference_sweep(cfg, axis, angles, trials)
+        assert result.rows == rows
+        assert result.aggregate == aggregate
+
+    @pytest.mark.parametrize("rx_b", [AntennaPattern.gaussian(12.0, boresight_deg=-75.0),
+                                      AntennaPattern.omni()])
+    def test_reweight_equals_realization(self, rx_b):
+        cfg_a = scenario("A", "same", alpha_t_deg=40.0, alpha_r_deg=30.0, seed=3,
+                         paths_per_cluster=200, rice_factor_db=3.0)
+        cfg_b = replace(cfg_a, rx_pattern=rx_b)
+        paths_a = run_realization(cfg_a)
+        before = {name: getattr(paths_a, name).copy() for name in PATH_ARRAYS}
+        got = reweight(paths_a, cfg_b.rx_pattern)
+        expected = run_realization(cfg_b)
+        for name in PATH_ARRAYS:
+            assert same_bits(getattr(got, name), getattr(expected, name)), name
+            assert same_bits(getattr(paths_a, name), before[name]), name
