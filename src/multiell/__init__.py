@@ -8,8 +8,7 @@ angle spread, with orientation sweeps for both link ends.
 """
 
 from .antenna import AntennaPattern, PatternKind, power_gain, sample_aod, sigma_from_hpbw
-from .engine import (PathSample, PathSet, ScenarioConfig, SourceKind, reweight,
-                     run_realization)
+from .engine import PathSet, ScenarioConfig, SourceKind, reweight, run_realization
 from .errors import (BadBinWidth, ConfigError, DegenerateEllipse, EmptyProfile,
                      InvalidDs, InvalidGeometry, InvalidHpbw, KappaOutOfRange,
                      MultiellError, NoPower, ParseError, UnsortedDelays)
@@ -18,7 +17,7 @@ from .geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
                        ellipse_from_delay, reflection_point, wrap_degrees)
 from .pdp import (BUILTIN_NLOS, NormalizedPdp, ScaledPdp, builtin_nlos_profile,
                   load_pdp, loads_pdp, resolve_pdp, scale_pdp)
-from .scattering import VonMisesParams, bessel_i0, sample_von_mises, von_mises_pdf
+from .scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 from .stats import (AngularSpectrum, SweepAxis, SweepResult, angular_spread,
                     estimate_pas, sweep_as)
 
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaPattern", "PatternKind", "power_gain", "sample_aod", "sigma_from_hpbw",
-    "PathSample", "PathSet", "ScenarioConfig", "SourceKind", "reweight", "run_realization",
+    "PathSet", "ScenarioConfig", "SourceKind", "reweight", "run_realization",
     "BadBinWidth", "ConfigError", "DegenerateEllipse", "EmptyProfile", "InvalidDs",
     "InvalidGeometry", "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower",
     "ParseError", "UnsortedDelays",
@@ -35,7 +34,7 @@ __all__ = [
     "wrap_degrees",
     "BUILTIN_NLOS", "NormalizedPdp", "ScaledPdp", "builtin_nlos_profile", "load_pdp",
     "loads_pdp", "resolve_pdp", "scale_pdp",
-    "VonMisesParams", "bessel_i0", "sample_von_mises", "von_mises_pdf",
+    "VonMisesParams", "sample_von_mises", "von_mises_pdf",
     "AngularSpectrum", "SweepAxis", "SweepResult", "angular_spread", "estimate_pas",
     "sweep_as",
     "__version__",

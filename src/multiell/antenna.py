@@ -39,6 +39,8 @@ class AntennaPattern:
                 raise ConfigError("Gaussian pattern requires hpbw_deg")
             if not 0.0 < self.hpbw_deg < 360.0:
                 raise InvalidHpbw(f"hpbw_deg must be in (0, 360), got {self.hpbw_deg}")
+        if not math.isfinite(self.boresight_deg):
+            raise ConfigError(f"boresight_deg must be finite, got {self.boresight_deg}")
         object.__setattr__(self, "boresight_deg", wrap_degrees(self.boresight_deg))
 
     @staticmethod

@@ -4,19 +4,23 @@ as CSV, plus a listing of the bundled presets.
 Scenario sources are a flat key-value config file (``section.key = value``)
 or a named preset; ``--set key=value`` overrides individual entries and the
 fully resolved mapping is echoed as a comment header in every output file,
-so results are self-describing and reproducible byte for byte.
+so results are self-describing and reproducible byte for byte. Keys outside
+the schema are rejected rather than echoed.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .antenna import AntennaPattern
+from .antenna import AntennaPattern, PatternKind
 from .engine import ScenarioConfig, run_realization
-from .errors import MultiellError
+from .errors import BadBinWidth, ConfigError, MultiellError
 from .pdp import BUILTIN_NLOS, resolve_pdp
 from .presets import DS_BY_BAND, ANTENNAS, antenna_pattern, fig_presets
 from .scattering import VonMisesParams
@@ -30,6 +34,8 @@ _AXIS_BY_NAME = {"tx": SweepAxis.TX_ORIENTATION, "rx": SweepAxis.RX_ORIENTATION}
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
+    if isinstance(x, enum.Enum):
+        return x.value
     return str(x)
 
 
@@ -48,78 +54,131 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
     return mapping
 
 
-def _pattern_to_mapping(prefix: str, p: AntennaPattern, out: dict[str, str]) -> None:
-    out[f"{prefix}.kind"] = p.kind.value
-    out[f"{prefix}.gain_dbi"] = _fmt(p.gain_dbi)
-    if p.hpbw_deg is not None:
-        out[f"{prefix}.hpbw_deg"] = _fmt(p.hpbw_deg)
-    out[f"{prefix}.boresight_deg"] = _fmt(p.boresight_deg)
+@dataclass(frozen=True)
+class _Field:
+    """How one config value is read from and written as text. ``none`` is the
+    word that stands for ``None``; a ``None`` value without one is omitted."""
+
+    parse: Callable[[str], object]
+    none: str | None = None
+
+    def read(self, text: str):
+        if self.none is not None and text.lower() == self.none.lower():
+            return None
+        return self.parse(text)
+
+    def write(self, value) -> str:
+        return self.none if value is None else _fmt(value)
+
+
+_PATTERN_FIELDS = {
+    "kind": _Field(lambda text: PatternKind(text.lower())),
+    "gain_dbi": _Field(float),
+    "hpbw_deg": _Field(float),
+    "boresight_deg": _Field(float),
+}
+
+# section -> field -> text form. Each key is "section.field" and names a field
+# of ScenarioConfig, the tx/rx AntennaPattern or VonMisesParams; an absent key
+# takes that dataclass's default.
+_SCHEMA: dict[str, dict[str, _Field]] = {
+    "scenario": {
+        "txrx_distance_m": _Field(float),
+        "ds_s": _Field(float),
+        "frequency_label": _Field(str),
+        "paths_per_cluster": _Field(int),
+        "rice_factor_db": _Field(float, none="NLOS"),
+        "seed": _Field(int),
+    },
+    "tx": _PATTERN_FIELDS,
+    "rx": _PATTERN_FIELDS,
+    "local_scattering": {
+        "mu_deg": _Field(float),
+        "kappa": _Field(float),
+        "power_share": _Field(float, none="auto"),
+    },
+}
+
+# Flags that set one config key each; the header echoes the result.
+_FLAG_KEYS = {
+    "seed": "scenario.seed",
+    "sweep": "sweep.axis",
+    "from_deg": "sweep.from_deg",
+    "to_deg": "sweep.to_deg",
+    "step_deg": "sweep.step_deg",
+    "trials": "sweep.trials",
+    "bin_width": "pas.bin_width_deg",
+}
+
+_KNOWN_KEYS = frozenset(
+    {f"{section}.{name}" for section, fields in _SCHEMA.items() for name in fields}
+    | {"pdp.source", "tx.preset", "rx.preset"} | set(_FLAG_KEYS.values()))
+
+
+def _value(m: dict[str, str], key: str, parse, default=None):
+    """``m[key]`` parsed, or ``default`` when absent; a value that does not
+    parse raises ConfigError naming its key."""
+    if key not in m:
+        return default
+    try:
+        return parse(m[key])
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse {m[key]!r}") from None
+
+
+def _section(m: dict[str, str], section: str) -> dict:
+    """Parsed values of the keys ``m`` gives for one schema section."""
+    values = {}
+    for name, field in _SCHEMA[section].items():
+        key = f"{section}.{name}"
+        if key in m:
+            values[name] = _value(m, key, field.read)
+    return values
 
 
 def config_to_mapping(cfg: ScenarioConfig, pdp_source: str = BUILTIN_NLOS) -> dict[str, str]:
-    out: dict[str, str] = {}
-    out["scenario.txrx_distance_m"] = _fmt(cfg.txrx_distance_m)
-    out["scenario.ds_s"] = _fmt(cfg.ds_s)
-    out["scenario.frequency_label"] = cfg.frequency_label
-    out["scenario.paths_per_cluster"] = str(cfg.paths_per_cluster)
-    out["scenario.rice_factor_db"] = ("NLOS" if cfg.rice_factor_db is None
-                                      else _fmt(cfg.rice_factor_db))
-    out["scenario.seed"] = str(cfg.seed)
-    out["pdp.source"] = pdp_source
-    _pattern_to_mapping("tx", cfg.tx_pattern, out)
-    _pattern_to_mapping("rx", cfg.rx_pattern, out)
-    ls = cfg.local_scattering
-    out["local_scattering.mu_deg"] = _fmt(ls.mu_deg)
-    out["local_scattering.kappa"] = _fmt(ls.kappa)
-    out["local_scattering.power_share"] = ("auto" if ls.power_share is None
-                                           else _fmt(ls.power_share))
+    parts = {"scenario": cfg, "tx": cfg.tx_pattern, "rx": cfg.rx_pattern,
+             "local_scattering": cfg.local_scattering}
+    out = {"pdp.source": pdp_source}
+    for section, fields in _SCHEMA.items():
+        for name, field in fields.items():
+            value = getattr(parts[section], name)
+            if value is not None or field.none is not None:
+                out[f"{section}.{name}"] = field.write(value)
     return out
 
 
-def _pattern_from_mapping(prefix: str, m: dict[str, str]) -> AntennaPattern:
-    preset = m.get(f"{prefix}.preset")
+def _pattern(m: dict[str, str], end: str) -> AntennaPattern:
+    fields = _section(m, end)
+    preset = m.get(f"{end}.preset")
     if preset is not None:
         if preset not in ANTENNAS:
-            raise MultiellError(f"unknown antenna preset {preset!r}")
-        return antenna_pattern(preset, float(m.get(f"{prefix}.boresight_deg", "0")))
-    kind = m.get(f"{prefix}.kind", "omni").lower()
-    gain = float(m.get(f"{prefix}.gain_dbi", "0"))
-    boresight = float(m.get(f"{prefix}.boresight_deg", "0"))
-    if kind == "omni":
-        return AntennaPattern.omni(gain_dbi=gain)
-    if kind == "gaussian":
-        hpbw = m.get(f"{prefix}.hpbw_deg")
-        if hpbw is None:
-            raise MultiellError(f"{prefix}.kind = gaussian requires {prefix}.hpbw_deg")
-        return AntennaPattern.gaussian(float(hpbw), boresight_deg=boresight, gain_dbi=gain)
-    raise MultiellError(f"unknown {prefix}.kind {kind!r}")
+            raise ConfigError(f"unknown antenna preset {preset!r}")
+        return antenna_pattern(preset, fields.get("boresight_deg", 0.0))
+    kind = fields.pop("kind", PatternKind.OMNI)
+    if kind is PatternKind.OMNI:
+        # an omni pattern has no beam to shape or point
+        fields.pop("hpbw_deg", None)
+        fields.pop("boresight_deg", None)
+    return AntennaPattern(kind, **fields)
 
 
 def mapping_to_config(m: dict[str, str]) -> ScenarioConfig:
-    rice_raw = m.get("scenario.rice_factor_db", "NLOS")
-    rice = None if rice_raw.upper() == "NLOS" else float(rice_raw)
-    share_raw = m.get("local_scattering.power_share", "auto")
-    share = None if share_raw.lower() == "auto" else float(share_raw)
-    band = m.get("scenario.frequency_label", "")
-    ds_default = DS_BY_BAND.get(band)
-    ds_raw = m.get("scenario.ds_s")
-    if ds_raw is None and ds_default is None:
-        raise MultiellError("scenario.ds_s is required")
+    unknown = sorted(set(m) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    scenario = _section(m, "scenario")
+    if "ds_s" not in scenario:
+        band = scenario.get("frequency_label", "")
+        if band not in DS_BY_BAND:
+            raise ConfigError("scenario.ds_s is required")
+        scenario["ds_s"] = DS_BY_BAND[band]
     return ScenarioConfig(
         pdp=resolve_pdp(m.get("pdp.source", BUILTIN_NLOS)),
-        ds_s=float(ds_raw) if ds_raw is not None else ds_default,
-        tx_pattern=_pattern_from_mapping("tx", m),
-        rx_pattern=_pattern_from_mapping("rx", m),
-        txrx_distance_m=float(m.get("scenario.txrx_distance_m", "200")),
-        paths_per_cluster=int(m.get("scenario.paths_per_cluster", "500")),
-        local_scattering=VonMisesParams(
-            mu_deg=float(m.get("local_scattering.mu_deg", "0")),
-            kappa=float(m.get("local_scattering.kappa", "3")),
-            power_share=share,
-        ),
-        rice_factor_db=rice,
-        seed=int(m.get("scenario.seed", "0")),
-        frequency_label=band,
+        tx_pattern=_pattern(m, "tx"),
+        rx_pattern=_pattern(m, "rx"),
+        local_scattering=VonMisesParams(**_section(m, "local_scattering")),
+        **scenario,
     )
 
 
@@ -157,23 +216,11 @@ def _resolve_mapping(args) -> dict[str, str]:
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
 
-    # Specific flags override the mapping; the header echoes the result.
-    if args.seed is not None:
-        mapping["scenario.seed"] = str(args.seed)
-    elif "scenario.seed" not in mapping and os.environ.get(ENV_SEED):
+    for dest, key in _FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            mapping[key] = _fmt(getattr(args, dest))
+    if "scenario.seed" not in mapping and os.environ.get(ENV_SEED):
         mapping["scenario.seed"] = os.environ[ENV_SEED]
-    if getattr(args, "sweep", None):
-        mapping["sweep.axis"] = args.sweep
-    if getattr(args, "from_deg", None) is not None:
-        mapping["sweep.from_deg"] = _fmt(args.from_deg)
-    if getattr(args, "to_deg", None) is not None:
-        mapping["sweep.to_deg"] = _fmt(args.to_deg)
-    if getattr(args, "step_deg", None) is not None:
-        mapping["sweep.step_deg"] = _fmt(args.step_deg)
-    if getattr(args, "trials", None) is not None:
-        mapping["sweep.trials"] = str(args.trials)
-    if getattr(args, "bin_width", None) is not None:
-        mapping["pas.bin_width_deg"] = _fmt(args.bin_width)
     return mapping
 
 
@@ -184,12 +231,11 @@ def _header_lines(mapping: dict[str, str]) -> list[str]:
 
 
 def _angle_list(mapping: dict[str, str]) -> list[float]:
-    try:
-        start = float(mapping["sweep.from_deg"])
-        stop = float(mapping["sweep.to_deg"])
-        step = float(mapping["sweep.step_deg"])
-    except KeyError as missing:
-        raise FlagError(f"sweep range incomplete: missing {missing}") from None
+    keys = ("sweep.from_deg", "sweep.to_deg", "sweep.step_deg")
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise FlagError(f"sweep range incomplete: missing {missing[0]!r}")
+    start, stop, step = (_value(mapping, key, float) for key in keys)
     if step <= 0.0 or stop < start:
         raise FlagError(f"invalid sweep range [{start}, {stop}] step {step}")
     count = int(round((stop - start) / step)) + 1
@@ -204,7 +250,7 @@ def cmd_sweep(args) -> int:
     if axis_name not in _AXIS_BY_NAME:
         raise FlagError("--sweep tx|rx (or sweep.axis in the config) is required")
     angles = _angle_list(mapping)
-    trials = int(mapping.get("sweep.trials", "10"))
+    trials = _value(mapping, "sweep.trials", int, 10)
     config = mapping_to_config(mapping)
     result = sweep_as(config, _AXIS_BY_NAME[axis_name], angles, trials=trials)
 
@@ -222,11 +268,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_pas(args) -> int:
     mapping = _resolve_mapping(args)
-    bin_width = float(mapping.get("pas.bin_width_deg", "1"))
-    n_bins = 360.0 / bin_width if bin_width > 0 else -1.0
-    if bin_width <= 0.0 or abs(n_bins - round(n_bins)) > 1e-9:
-        raise FlagError(f"bin width {bin_width} must be positive and divide 360 evenly")
     config = mapping_to_config(mapping)
+    bin_width = _value(mapping, "pas.bin_width_deg", float, 1.0)
     spectrum = estimate_pas(run_realization(config), bin_width_deg=bin_width)
 
     lines = ["# multiell pas"] + _header_lines(mapping)
@@ -292,7 +335,7 @@ def main(argv=None) -> int:
     handler = {"sweep": cmd_sweep, "pas": cmd_pas, "presets": cmd_presets}[args.command]
     try:
         return handler(args)
-    except FlagError as exc:
+    except (FlagError, BadBinWidth) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MultiellError, OSError, ValueError) as exc:

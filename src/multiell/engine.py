@@ -33,18 +33,9 @@ class SourceKind(enum.IntEnum):
     LOS = 2
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One propagation path: arrival azimuth, weighted linear power, origin."""
-
-    aoa_deg: float
-    power_lin: float
-    source: SourceKind
-    cluster_index: int = -1  # 1-based for CLUSTER paths, -1 otherwise
-
-
 class PathSet:
-    """Array-backed sequence of :class:`PathSample`.
+    """Propagation paths as parallel arrays: arrival azimuth, powers, source
+    kind and 1-based cluster index (-1 for non-cluster paths).
 
     ``power_lin`` holds powers after receive-pattern weighting;
     ``raw_power_lin`` holds the pre-weighting powers, which sum to one.
@@ -59,21 +50,6 @@ class PathSet:
 
     def __len__(self) -> int:
         return self.aoa_deg.size
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return PathSet(self.aoa_deg[idx], self.raw_power_lin[idx],
-                           self.power_lin[idx], self.source_kind[idx],
-                           self.cluster_index[idx])
-        return PathSample(
-            aoa_deg=float(self.aoa_deg[idx]),
-            power_lin=float(self.power_lin[idx]),
-            source=SourceKind(int(self.source_kind[idx])),
-            cluster_index=int(self.cluster_index[idx]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @property
     def raw_power_sum(self) -> float:

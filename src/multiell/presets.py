@@ -100,8 +100,7 @@ def fig_presets() -> dict[str, SweepPreset]:
 
     fig1/fig2: spread vs Tx orientation at fixed Rx (60 then 6 GHz);
     fig4/fig5: spread vs Rx orientation with the Tx turned away (180 deg);
-    fig3/fig6 alias the corresponding comparison curves; fig7/fig8 show a
-    single off-axis fixed orientation (90 deg) for antenna A.
+    fig7/fig8 show a single off-axis fixed orientation (90 deg) for antenna A.
     """
     tx_axis, rx_axis = SweepAxis.TX_ORIENTATION, SweepAxis.RX_ORIENTATION
     p: dict[str, SweepPreset] = {}
@@ -119,13 +118,6 @@ def fig_presets() -> dict[str, SweepPreset]:
         p[f"{fig}-{name}-omni"] = _sweep(
             f"AS vs rx orientation, antenna {name} tx at 180 deg, omni rx",
             scenario(name, "omni", alpha_t_deg=180.0), rx_axis)
-    for name in "ABCD":
-        fig = "fig1" if name in "AB" else "fig2"
-        p[f"fig3-{name}"] = _sweep(
-            f"comparison alias of {fig}-{name}", p[f"{fig}-{name}"].config, tx_axis)
-        fig = "fig4" if name in "AB" else "fig5"
-        p[f"fig6-{name}"] = _sweep(
-            f"comparison alias of {fig}-{name}", p[f"{fig}-{name}"].config, rx_axis)
     p["fig7-A"] = _sweep("AS vs tx orientation, antenna A both ends, rx at 90 deg",
                          scenario("A", "same", alpha_r_deg=90.0), tx_axis)
     p["fig8-A"] = _sweep("AS vs rx orientation, antenna A both ends, tx at 90 deg",

@@ -41,32 +41,26 @@ class SweepResult:
     aggregate: list[tuple[float, float, float]]  # (angle, mean_as_deg, std_as_deg)
 
 
-def _angles_weights(paths):
-    if isinstance(paths, PathSet):
-        return paths.aoa_deg, paths.power_lin
-    samples = list(paths)
-    if not samples:
-        raise NoPower("no paths")
-    return (np.array([p.aoa_deg for p in samples]),
-            np.array([p.power_lin for p in samples]))
+def _total_power(paths: PathSet) -> float:
+    total = paths.power_lin.sum()
+    if not total > 0.0:  # NaN fails this too
+        raise NoPower(f"total path power is {total}")
+    return total
 
 
-def angular_spread(paths) -> float:
+def angular_spread(paths: PathSet) -> float:
     """rms angle spread in degrees: the square root of the power-weighted
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
     of the definition)."""
-    phi, w = _angles_weights(paths)
-    total = w.sum()
-    if phi.size == 0 or total <= 0.0:
-        raise NoPower("all path weights are zero")
-    w = w / total
+    phi = paths.aoa_deg
+    w = paths.power_lin / _total_power(paths)
     mean = float((w * phi).sum())
     second = float((w * phi * phi).sum())
     return float(np.sqrt(max(second - mean * mean, 0.0)))
 
 
-def estimate_pas(paths, bin_width_deg: float = 1.0) -> AngularSpectrum:
+def estimate_pas(paths: PathSet, bin_width_deg: float = 1.0) -> AngularSpectrum:
     """Power-weighted histogram of arrival angles, normalized to unit mass.
 
     ``bin_width_deg`` must divide 360 evenly.
@@ -78,13 +72,9 @@ def estimate_pas(paths, bin_width_deg: float = 1.0) -> AngularSpectrum:
         raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")
     n_bins = int(round(n_bins))
 
-    phi, w = _angles_weights(paths)
-    total = w.sum()
-    if phi.size == 0 or total <= 0.0:
-        raise NoPower("all path weights are zero")
-
+    total = _total_power(paths)
     edges = -180.0 + bin_width_deg * np.arange(n_bins + 1)
-    counts, _ = np.histogram(phi, bins=edges, weights=w)
+    counts, _ = np.histogram(paths.aoa_deg, bins=edges, weights=paths.power_lin)
     density = counts / (total * bin_width_deg)
     centers = edges[:-1] + bin_width_deg / 2.0
     return AngularSpectrum(bin_centers_deg=centers, density_per_deg=density,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,15 +6,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiell
-from multiell.cli import main
+from multiell.antenna import AntennaPattern
+from multiell.cli import config_to_mapping, main, mapping_to_config
+from multiell.engine import ScenarioConfig
+from multiell.pdp import builtin_nlos_profile
+from multiell.presets import fig_presets
+from multiell.scattering import VonMisesParams
 
 SINGLE_FAR_TAP = "# name: far\n1.0 0.0\n"
 
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def run_cli_process(*args, timeout=60):
+    """Run the CLI in a child interpreter, so a hang fails the test instead of
+    stalling the suite."""
+    src = str(Path(multiell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "multiell.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def write_config(tmp_path, pdp_text=SINGLE_FAR_TAP, **overrides):
@@ -198,13 +215,16 @@ class TestNonFiniteInputs:
 
     def test_nan_kappa_exits_1_without_hanging(self, tmp_path):
         # the von Mises rejection loop never accepts a NaN, so this once hung
-        src = str(Path(multiell.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "multiell.cli", *self.PAS,
-             "--set", "local_scattering.kappa=nan", "--out", str(tmp_path / "pas.csv")],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = run_cli_process(*self.PAS, "--set", "local_scattering.kappa=nan",
+                               "--out", str(tmp_path / "pas.csv"))
+        assert proc.returncode == 1
+        assert "kappa" in proc.stderr
+
+    def test_huge_kappa_exits_1_without_hanging(self, tmp_path):
+        # 4 kappa^2 overflows, the Best-Fisher constants turn NaN and the
+        # rejection loop never accepts, so this once hung too
+        proc = run_cli_process(*self.PAS, "--set", "local_scattering.kappa=1e200",
+                               "--out", str(tmp_path / "pas.csv"))
         assert proc.returncode == 1
         assert "kappa" in proc.stderr
 
@@ -220,3 +240,102 @@ class TestNonFiniteInputs:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "txrx_distance_m" in err and "eccentricity" not in err
+
+    def test_nan_boresight_pas_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", "rx.boresight_deg=nan",
+                     "--out", str(out)]) == 1
+        assert "boresight_deg" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_boresight_sweep_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "fig4-A", "--from", "0", "--to", "2",
+                     "--step", "1", "--trials", "1", "--set", "tx.boresight_deg=nan",
+                     "--out", str(out)]) == 1
+        assert "boresight_deg" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigKeys:
+    def test_unknown_keys_exit_1_naming_each(self, tmp_path, capsys):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig1-A", "--set", "local_scatering.kappa=50",
+                     "--set", "rx.bore_sight=3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "local_scatering.kappa" in err and "rx.bore_sight" in err
+        assert not out.exists()
+
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig1-A", "--set", "scenario.ds_s=abc",
+                     "--out", str(out)]) == 1
+        assert "scenario.ds_s: cannot parse 'abc'" in capsys.readouterr().err
+
+
+def assert_round_trip(cfg):
+    mapping = config_to_mapping(cfg)
+    back = mapping_to_config(mapping)
+    assert back == cfg
+    assert config_to_mapping(back) == mapping
+
+
+def written_exactly(lo, hi):
+    # values that survive the header's 12 significant digits unchanged
+    return st.floats(lo, hi).map(lambda x: float(format(x, ".12g")))
+
+
+PATTERNS = st.one_of(
+    st.builds(AntennaPattern.omni, gain_dbi=written_exactly(-30.0, 40.0)),
+    st.builds(AntennaPattern.gaussian, hpbw_deg=written_exactly(0.5, 359.0),
+              boresight_deg=written_exactly(-179.9, 180.0),
+              gain_dbi=written_exactly(-30.0, 40.0)))
+
+CONFIGS = st.builds(
+    ScenarioConfig,
+    pdp=st.just(builtin_nlos_profile()),
+    ds_s=written_exactly(1e-9, 1e-5),
+    tx_pattern=PATTERNS,
+    rx_pattern=PATTERNS,
+    txrx_distance_m=written_exactly(1.0, 1e4),
+    paths_per_cluster=st.integers(1, 10**6),
+    local_scattering=st.builds(
+        VonMisesParams, mu_deg=written_exactly(-179.9, 180.0),
+        kappa=written_exactly(0.0, 500.0),
+        power_share=st.none() | written_exactly(0.0, 1.0)),
+    rice_factor_db=st.none() | written_exactly(-40.0, 40.0),
+    seed=st.integers(0, 2**64 - 1),
+    frequency_label=st.sampled_from(["", "6GHz", "60GHz", "28GHz"]),
+)
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("name", sorted(fig_presets()))
+    def test_presets(self, name):
+        assert_round_trip(fig_presets()[name].config)
+
+    @given(cfg=CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_configs(self, cfg):
+        assert_round_trip(cfg)
+
+
+class TestPinnedOutputs:
+    # sha256 of these files as written before the config keys moved into one
+    # schema table; any change to the CLI's bytes must show up here
+    SWEEP_SHA256 = "154a506293554a3b41abebf6d0f85a60ccc86a1b78962228ad440f0b75cdd1a2"
+    PAS_SHA256 = "b9147b2b0bb2fe3fc1dc712b835d2dffedfb7e0d7dcc2605c37d4ec1ea91a6fd"
+
+    def test_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "fig4-A", "--from", "0", "--to", "20",
+                     "--step", "10", "--trials", "2", "--seed", "1",
+                     "--set", "scenario.paths_per_cluster=30", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEP_SHA256
+
+    def test_pas_bytes(self, tmp_path):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig2-C-omni", "--bin-width", "10", "--seed", "1",
+                     "--set", "scenario.paths_per_cluster=30",
+                     "--set", "scenario.rice_factor_db=6", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PAS_SHA256

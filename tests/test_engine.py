@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multiell.antenna import AntennaPattern
-from multiell.engine import PathSample, ScenarioConfig, SourceKind, run_realization
+from multiell.engine import ScenarioConfig, SourceKind, run_realization
 from multiell.errors import ConfigError
 from multiell.geometry import SPEED_OF_LIGHT_M_S
 from multiell.pdp import builtin_nlos_profile, loads_pdp
@@ -156,14 +156,6 @@ class TestOrderingAndRouting:
         assert local.sum() == 37  # drawn either way, just carrying no power
         assert np.all(paths.raw_power_lin[local] == 0.0)
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
-
-    def test_getitem_returns_path_samples(self):
-        paths = run_realization(scenario("A", "same", paths_per_cluster=5, seed=1))
-        sample = paths[0]
-        assert isinstance(sample, PathSample)
-        assert sample.source == SourceKind.CLUSTER
-        assert sample.cluster_index == 2
-        assert len(paths[0:7]) == 7
 
 
 class TestPushforward:

@@ -5,20 +5,7 @@ import pytest
 from scipy import special
 
 from multiell.errors import ConfigError, KappaOutOfRange
-from multiell.scattering import (VonMisesParams, bessel_i0, sample_von_mises,
-                                 von_mises_pdf)
-
-
-class TestBesselI0:
-    def test_against_scipy(self):
-        for x in np.concatenate([np.linspace(0.0, 50.0, 101), [75.0, 120.0, 350.0, 500.0]]):
-            mine = bessel_i0(float(x))
-            ref = float(special.i0e(x) * math.exp(min(x, 700)))
-            assert mine == pytest.approx(ref, rel=1e-12)
-
-    def test_overflow_guard(self):
-        with pytest.raises(KappaOutOfRange):
-            bessel_i0(501.0)
+from multiell.scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 
 
 class TestVonMisesPdf:
@@ -57,6 +44,20 @@ class TestVonMisesPdf:
             density = von_mises_pdf(phi, VonMisesParams(kappa=kappa))
             masses.append(np.trapezoid(density, np.radians(phi)))
         assert all(b > a for a, b in zip(masses, masses[1:]))
+
+    @pytest.mark.parametrize("kappa", [0.5, 75.0, 350.0, 500.0])
+    def test_matches_scipy_density(self, kappa):
+        from scipy.stats import vonmises
+        params = VonMisesParams(mu_deg=20.0, kappa=kappa)
+        phi = np.array([20.0, 21.0, 25.0, 60.0, -160.0])
+        expected = vonmises.pdf(np.radians(phi), kappa, loc=math.radians(20.0))
+        assert von_mises_pdf(phi, params) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [600.0, 1e200])
+    def test_constructor_rejects_kappa_above_ceiling(self, kappa):
+        # 600 once sampled but failed in the density; 1e200 hung the sampler
+        with pytest.raises(KappaOutOfRange):
+            VonMisesParams(kappa=kappa)
 
     def test_kappa_guard(self):
         with pytest.raises(KappaOutOfRange):

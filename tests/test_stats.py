@@ -56,11 +56,14 @@ class TestAngularSpread:
         with pytest.raises(NoPower):
             angular_spread(make_pathset([1.0, 2.0], [0.0, 0.0]))
         with pytest.raises(NoPower):
-            angular_spread([])
+            angular_spread(make_pathset([], []))
 
-    def test_accepts_path_sample_iterable(self):
-        paths = list(make_pathset([-30.0, 30.0], [0.5, 0.5]))
-        assert angular_spread(paths) == pytest.approx(30.0, abs=1e-9)
+    def test_nan_power_raises(self):
+        paths = make_pathset([0.0, 10.0], [np.nan, 1.0])
+        with pytest.raises(NoPower):
+            angular_spread(paths)
+        with pytest.raises(NoPower):
+            estimate_pas(paths)
 
 
 class TestEstimatePas:
