@@ -20,12 +20,13 @@ for band in ("60GHz", "6GHz"):
           f"distance {TXRX_DISTANCE_M:.0f} m ===")
     print(f"{'tap':>4} {'delay [ns]':>11} {'power':>7} {'ecc':>7} {'a [m]':>8} "
           f"{'arrival of a 10 deg departure':>30}")
-    for i, (delay, power) in enumerate(scaled.clusters, start=1):
+    taps = zip(scaled.excess_delays_s.tolist(), scaled.powers_lin.tolist())
+    for i, (delay, power) in enumerate(taps, start=1):
         if delay <= DEGENERATE_DELAY_S:
             print(f"{i:>4} {delay * 1e9:>11.1f} {power:>7.3f} "
                   f"{'-':>7} {'-':>8}   degenerate: routed to local scattering")
             continue
-        ell = ellipse_from_delay(delay, TXRX_DISTANCE_M, cluster_index=i)
+        ell = ellipse_from_delay(delay, TXRX_DISTANCE_M)
         arrived = aoa_from_aod(10.0, ell.eccentricity)
         print(f"{i:>4} {delay * 1e9:>11.1f} {power:>7.3f} {ell.eccentricity:>7.4f} "
               f"{ell.semi_major_m:>8.1f} {arrived:>26.3f} deg")

@@ -13,8 +13,7 @@ from .errors import (BadBinWidth, ConfigError, DegenerateEllipse, EmptyProfile,
                      InvalidDs, InvalidGeometry, InvalidHpbw, KappaOutOfRange,
                      MultiellError, NoPower, ParseError, UnsortedDelays)
 from .geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
-                       aoa_from_aod, aod_from_aoa, arrival_bearing,
-                       ellipse_from_delay, reflection_point, wrap_degrees)
+                       aoa_from_aod, ellipse_from_delay, wrap_degrees)
 from .pdp import (BUILTIN_NLOS, NormalizedPdp, ScaledPdp, builtin_nlos_profile,
                   load_pdp, loads_pdp, resolve_pdp, scale_pdp)
 from .scattering import VonMisesParams, sample_von_mises, von_mises_pdf
@@ -30,8 +29,7 @@ __all__ = [
     "InvalidGeometry", "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower",
     "ParseError", "UnsortedDelays",
     "DEGENERATE_DELAY_S", "SPEED_OF_LIGHT_M_S", "Ellipse", "aoa_from_aod",
-    "aod_from_aoa", "arrival_bearing", "ellipse_from_delay", "reflection_point",
-    "wrap_degrees",
+    "ellipse_from_delay", "wrap_degrees",
     "BUILTIN_NLOS", "NormalizedPdp", "ScaledPdp", "builtin_nlos_profile", "load_pdp",
     "loads_pdp", "resolve_pdp", "scale_pdp",
     "VonMisesParams", "sample_von_mises", "von_mises_pdf",

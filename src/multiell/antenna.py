@@ -83,25 +83,23 @@ def power_gain(pattern: AntennaPattern, phi_deg):
     return float(out) if scalar else out
 
 
-def sample_aod(pattern: AntennaPattern, rng: np.random.Generator, size=None):
+def sample_aod(pattern: AntennaPattern, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw departure angles from the pattern-shaped density.
 
     Omni: uniform on (-180, 180]. Gaussian: normal around the boresight with
     deviation sigma_from_hpbw, redrawing any value farther than 180 degrees
     from boresight (rejection keeps the density unimodal; for beams of a few
     tens of degrees the rejected mass is far below 1e-15). Results are
-    wrapped into (-180, 180]. With ``size=None`` a single float is returned.
+    wrapped into (-180, 180].
     """
-    n = 1 if size is None else int(size)
     if pattern.kind is PatternKind.OMNI:
-        draws = rng.random(n) * 360.0 - 180.0
+        draws = rng.random(size) * 360.0 - 180.0
     else:
         sigma = sigma_from_hpbw(pattern.hpbw_deg)
-        draws = rng.normal(pattern.boresight_deg, sigma, n)
+        draws = rng.normal(pattern.boresight_deg, sigma, size)
         while True:
             bad = np.abs(draws - pattern.boresight_deg) > 180.0
             if not bad.any():
                 break
             draws[bad] = rng.normal(pattern.boresight_deg, sigma, int(bad.sum()))
-    draws = wrap_degrees(draws)
-    return float(draws[0]) if size is None else draws
+    return wrap_degrees(draws)

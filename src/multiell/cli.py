@@ -1,11 +1,11 @@
 """Command-line front end: orientation sweeps and angular-spectrum exports
 as CSV, plus a listing of the bundled presets.
 
-Scenario sources are a flat key-value config file (``section.key = value``)
-or a named preset; ``--set key=value`` overrides individual entries and the
-fully resolved mapping is echoed as a comment header in every output file,
-so results are self-describing and reproducible byte for byte. Keys outside
-the schema are rejected rather than echoed.
+Scenario sources are a flat key-value config file (``section.key = value``,
+with ``#`` comments) or a named preset; ``--set key=value`` overrides
+individual entries and the fully resolved mapping is echoed as a comment
+header in every output file, so results are self-describing and reproducible
+byte for byte. Keys outside the schema are rejected rather than echoed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import enum
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from .antenna import AntennaPattern, PatternKind
 from .engine import ScenarioConfig, run_realization
 from .errors import BadBinWidth, ConfigError, MultiellError
 from .pdp import BUILTIN_NLOS, resolve_pdp
-from .presets import DS_BY_BAND, ANTENNAS, antenna_pattern, fig_presets
+from .presets import DS_BY_BAND, ANTENNAS, TXRX_DISTANCE_M, antenna_pattern, fig_presets
 from .scattering import VonMisesParams
 from .stats import SweepAxis, estimate_pas, sweep_as
 
@@ -41,6 +42,11 @@ def _fmt(x) -> str:
 
 # ---------------------------------------------------------------- config ---
 
+# A '#' that opens a value or follows whitespace starts a comment; one inside
+# a word (a file name such as run#2.pdp) does not.
+_INLINE_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -50,7 +56,7 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
         if "=" not in line:
             raise MultiellError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        mapping[key.strip()] = _INLINE_COMMENT.sub("", value).strip()
     return mapping
 
 
@@ -288,7 +294,7 @@ def cmd_presets(_args=None) -> int:
     for band in sorted(DS_BY_BAND):
         out.append(f"  UMa {band} DS {_fmt(DS_BY_BAND[band] * 1e9)} ns")
     out.append("link:")
-    out.append("  Tx-Rx distance 200 m")
+    out.append(f"  Tx-Rx distance {_fmt(TXRX_DISTANCE_M)} m")
     out.append("sweeps:")
     for name, sp in sorted(fig_presets().items()):
         out.append(f"  {name}: {sp.description}")

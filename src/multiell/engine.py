@@ -25,6 +25,9 @@ from .pdp import NormalizedPdp, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
 _MAX_SEED = 2**64
+# 5x the densest benchmark run; with the bundled profile that is 23M paths,
+# 184 MB per float array.
+_MAX_PATHS_PER_CLUSTER = 1_000_000
 
 
 class SourceKind(enum.IntEnum):
@@ -47,9 +50,6 @@ class PathSet:
         self.power_lin = np.asarray(power_lin, dtype=float)
         self.source_kind = np.asarray(source_kind, dtype=np.int8)
         self.cluster_index = np.asarray(cluster_index, dtype=np.int32)
-
-    def __len__(self) -> int:
-        return self.aoa_deg.size
 
     @property
     def raw_power_sum(self) -> float:
@@ -76,8 +76,9 @@ class ScenarioConfig:
             raise ConfigError(f"txrx_distance_m must be finite and > 0, got {self.txrx_distance_m}")
         if not (self.ds_s > 0.0 and math.isfinite(self.ds_s)):
             raise ConfigError(f"ds_s must be finite and > 0, got {self.ds_s}")
-        if self.paths_per_cluster < 1:
-            raise ConfigError(f"paths_per_cluster must be >= 1, got {self.paths_per_cluster}")
+        if not 1 <= self.paths_per_cluster <= _MAX_PATHS_PER_CLUSTER:
+            raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
+                              f" got {self.paths_per_cluster}")
         if not 0 <= int(self.seed) < _MAX_SEED:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.rice_factor_db is not None and math.isnan(self.rice_factor_db):
@@ -140,43 +141,38 @@ def run_realization(config: ScenarioConfig,
 
     streams = rng.spawn(len(delays) + 1)
 
-    aoa_parts, raw_parts, kind_parts, index_parts = [], [], [], []
-    for i in range(len(delays)):
-        if not geometric[i]:
-            continue
-        ellipse = ellipse_from_delay(float(delays[i]), config.txrx_distance_m,
-                                     cluster_index=i + 1)
+    clusters = np.flatnonzero(geometric)
+    aoa_parts, raw_parts = [], []
+    for i in clusters:
+        eccentricity = ellipse_from_delay(float(delays[i]), config.txrx_distance_m).eccentricity
         aod = sample_aod(config.tx_pattern, streams[i], size=n)
-        aoa = aoa_from_aod(aod, ellipse.eccentricity)
         u = streams[i].random(n)
-        raw = u * (float(budgets[i]) / u.sum())
-        aoa_parts.append(aoa)
-        raw_parts.append(raw)
-        kind_parts.append(np.full(n, SourceKind.CLUSTER, dtype=np.int8))
-        index_parts.append(np.full(n, i + 1, dtype=np.int32))
+        aoa_parts.append(aoa_from_aod(aod, eccentricity))
+        raw_parts.append(u * (float(budgets[i]) / u.sum()))
 
     local_rng = streams[-1]
-    aoa_local = np.atleast_1d(sample_von_mises(config.local_scattering, local_rng, size=n))
+    aoa_parts.append(sample_von_mises(config.local_scattering, local_rng, size=n))
     u = local_rng.random(n)
-    raw_local = u * (share / u.sum()) if share > 0.0 else np.zeros(n)
-    aoa_parts.append(aoa_local)
-    raw_parts.append(raw_local)
-    kind_parts.append(np.full(n, SourceKind.LOCAL_SCATTER, dtype=np.int8))
-    index_parts.append(np.full(n, -1, dtype=np.int32))
+    raw_parts.append(u * (share / u.sum()) if share > 0.0 else np.zeros(n))
 
+    # One label per block of n paths: the clusters in profile order (1-based
+    # tap index), then local scattering, then the direct path.
+    kinds = [SourceKind.CLUSTER] * clusters.size + [SourceKind.LOCAL_SCATTER]
+    labels = [*(clusters + 1), -1]
+    counts = [n] * len(labels)
     aoa = np.concatenate(aoa_parts)
     raw = np.concatenate(raw_parts)
-    kind = np.concatenate(kind_parts)
-    index = np.concatenate(index_parts)
 
     if config.rice_factor_db is not None:
         scatter_scale, direct_share = _rice_split(config.rice_factor_db)
-        raw = raw * scatter_scale
         aoa = np.append(aoa, 0.0)
-        raw = np.append(raw, direct_share)
-        kind = np.append(kind, np.int8(SourceKind.LOS))
-        index = np.append(index, np.int32(-1))
+        raw = np.append(raw * scatter_scale, direct_share)
+        kinds.append(SourceKind.LOS)
+        labels.append(-1)
+        counts.append(1)
 
+    kind = np.repeat(np.array(kinds, dtype=np.int8), counts)
+    index = np.repeat(np.array(labels, dtype=np.int32), counts)
     return reweight(PathSet(aoa, raw, raw, kind, index), config.rx_pattern)
 
 

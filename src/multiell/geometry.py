@@ -64,21 +64,14 @@ class Ellipse:
         semi_major_m: semi-major axis a, in meters.
         focal_half_distance_m: half the Tx-Rx distance (D/2), in meters.
         eccentricity: D / (2a), strictly inside (0, 1).
-        cluster_index: 1-based index of the originating cluster.
     """
 
     semi_major_m: float
     focal_half_distance_m: float
     eccentricity: float
-    cluster_index: int = 1
-
-    @property
-    def semi_minor_m(self) -> float:
-        return float(np.sqrt(self.semi_major_m**2 - self.focal_half_distance_m**2))
 
 
-def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float,
-                       cluster_index: int = 1) -> Ellipse:
+def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float) -> Ellipse:
     """Build the ellipse whose total reflection path exceeds the direct path
     by ``excess_delay_s``.
 
@@ -100,26 +93,7 @@ def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float,
         semi_major_m=total_path_m / 2.0,
         focal_half_distance_m=txrx_distance_m / 2.0,
         eccentricity=txrx_distance_m / total_path_m,
-        cluster_index=cluster_index,
     )
-
-
-def _fold_ratio(eccentricity: float) -> float:
-    # Half-angle compression factor of the single-bounce map.
-    return (1.0 - eccentricity) / (1.0 + eccentricity)
-
-
-def _half_angle_map(angle_deg, ratio: float):
-    """Odd map tan(out/2) = ratio * tan(in/2), with |in| = 180 fixed."""
-    phi = np.asarray(angle_deg, dtype=float)
-    scalar = phi.ndim == 0
-    phi = np.atleast_1d(wrap_degrees(phi))
-    mag = np.abs(phi)
-    out = 2.0 * np.degrees(np.arctan(ratio * np.tan(np.radians(mag / 2.0))))
-    out = np.where(mag == 180.0, 180.0, out)
-    # sgn(0) = +1
-    out = np.where(phi < 0.0, -out, out)
-    return float(out[0]) if scalar else out
 
 
 def aoa_from_aod(phi_t_deg, eccentricity):
@@ -132,47 +106,18 @@ def aoa_from_aod(phi_t_deg, eccentricity):
 
     but numerically stable near 0 and 180 degrees. e = 0 reduces to the
     identity; e -> 1 compresses every arrival toward the transmitter
-    direction. Accepts scalar or array ``phi_t_deg``.
+    direction. |aod| = 180 maps to itself. Accepts scalar or array
+    ``phi_t_deg``.
     """
     if not 0.0 <= eccentricity < 1.0:
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
-    return _half_angle_map(phi_t_deg, _fold_ratio(eccentricity))
-
-
-def aod_from_aoa(phi_r_deg, eccentricity):
-    """Inverse of :func:`aoa_from_aod` on the same ellipse (focus symmetry
-    swaps the compression ratio for its reciprocal)."""
-    if not 0.0 <= eccentricity < 1.0:
-        raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
-    return _half_angle_map(phi_r_deg, 1.0 / _fold_ratio(eccentricity))
-
-
-def reflection_point(phi_t_deg: float, ellipse: Ellipse) -> tuple[float, float]:
-    """Intersection of a ray from the Tx focus with the ellipse boundary.
-
-    The ray angle is measured from the +x axis at the Tx focus (-D/2, 0),
-    counterclockwise positive. Every ray from an interior focus meets the
-    boundary exactly once; the focal polar form gives it in closed form.
-    """
-    a = ellipse.semi_major_m
-    e = ellipse.eccentricity
-    f = ellipse.focal_half_distance_m
-    psi = np.radians(wrap_degrees(phi_t_deg))
-    radius = a * (1.0 - e**2) / (1.0 - e * np.cos(psi))
-    return (-f + radius * np.cos(psi), radius * np.sin(psi))
-
-
-def arrival_bearing(point_xy: tuple[float, float], ellipse: Ellipse) -> float:
-    """Angle at the Rx focus toward ``point_xy``, measured from the direction
-    pointing at the Tx (the -x axis), positive on the +y side.
-
-    Pairing this with :func:`reflection_point` reproduces the departure /
-    arrival map geometrically: for a departure angle ``phi``,
-    ``arrival_bearing(reflection_point(180 - phi, ell), ell)`` equals
-    ``aoa_from_aod(phi, ell.eccentricity)`` (the ray convention of
-    ``reflection_point`` is referenced toward the receiver, hence the
-    180-degree re-reference).
-    """
-    x, y = point_xy
-    f = ellipse.focal_half_distance_m
-    return float(np.degrees(np.arctan2(y, -(x - f))))
+    ratio = (1.0 - eccentricity) / (1.0 + eccentricity)
+    phi = np.asarray(phi_t_deg, dtype=float)
+    scalar = phi.ndim == 0
+    phi = np.atleast_1d(wrap_degrees(phi))
+    mag = np.abs(phi)
+    out = 2.0 * np.degrees(np.arctan(ratio * np.tan(np.radians(mag / 2.0))))
+    out = np.where(mag == 180.0, 180.0, out)
+    # sgn(0) = +1
+    out = np.where(phi < 0.0, -out, out)
+    return float(out[0]) if scalar else out

@@ -42,14 +42,6 @@ class ScaledPdp:
 
     excess_delays_s: np.ndarray
     powers_lin: np.ndarray
-    ds_s: float
-
-    @property
-    def clusters(self) -> list[tuple[float, float]]:
-        return list(zip(self.excess_delays_s.tolist(), self.powers_lin.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.excess_delays_s)
 
 
 def loads_pdp(text: str, default_name: str = "pdp") -> NormalizedPdp:
@@ -111,4 +103,4 @@ def scale_pdp(pdp: NormalizedPdp, ds_s: float) -> ScaledPdp:
     delays = np.array([t[0] for t in pdp.taps], dtype=float) * ds_s
     powers = 10.0 ** (np.array([t[1] for t in pdp.taps], dtype=float) / 10.0)
     powers /= powers.sum()
-    return ScaledPdp(excess_delays_s=delays, powers_lin=powers, ds_s=float(ds_s))
+    return ScaledPdp(excess_delays_s=delays, powers_lin=powers)

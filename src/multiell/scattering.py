@@ -51,7 +51,8 @@ def von_mises_pdf(phi_deg, params: VonMisesParams):
     return float(out) if scalar else out
 
 
-def sample_von_mises(params: VonMisesParams, rng: np.random.Generator, size=None):
+def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
+                     size: int) -> np.ndarray:
     """Draw from the von Mises distribution, wrapped to (-180, 180].
 
     Rejection sampling with the wrapped-Cauchy envelope (Best-Fisher):
@@ -61,20 +62,18 @@ def sample_von_mises(params: VonMisesParams, rng: np.random.Generator, size=None
     accepted when c (2 - c) > u2 or log(c / u2) + 1 >= c, signed by a third
     uniform. kappa = 0 degenerates to the uniform circle.
     """
-    n = 1 if size is None else int(size)
     kappa = params.kappa
     if kappa < _KAPPA_UNIFORM:
-        draws = wrap_degrees(rng.random(n) * 360.0 - 180.0)
-        return float(draws[0]) if size is None else draws
+        return wrap_degrees(rng.random(size) * 360.0 - 180.0)
 
     tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
     rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
     b = (1.0 + rho * rho) / (2.0 * rho)
 
-    out = np.empty(n, dtype=float)
+    out = np.empty(size, dtype=float)
     filled = 0
-    while filled < n:
-        m = n - filled
+    while filled < size:
+        m = size - filled
         u1, u2, u3 = rng.random((3, m))
         z = np.cos(math.pi * u1)
         f = (1.0 + b * z) / (b + z)
@@ -86,5 +85,4 @@ def sample_von_mises(params: VonMisesParams, rng: np.random.Generator, size=None
         k = angles.size
         out[filled:filled + k] = angles
         filled += k
-    draws = wrap_degrees(params.mu_deg + np.degrees(out))
-    return float(draws[0]) if size is None else draws
+    return wrap_degrees(params.mu_deg + np.degrees(out))

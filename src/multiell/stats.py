@@ -19,6 +19,9 @@ class SweepAxis(enum.Enum):
 
 _AXIS_CODE = {SweepAxis.TX_ORIENTATION: 1, SweepAxis.RX_ORIENTATION: 2}
 
+# 0.0001-degree bins; the bin edges alone then take 29 MB.
+_MAX_PAS_BINS = 3_600_000
+
 
 @dataclass(frozen=True)
 class AngularSpectrum:
@@ -63,10 +66,12 @@ def angular_spread(paths: PathSet) -> float:
 def estimate_pas(paths: PathSet, bin_width_deg: float = 1.0) -> AngularSpectrum:
     """Power-weighted histogram of arrival angles, normalized to unit mass.
 
-    ``bin_width_deg`` must divide 360 evenly.
+    ``bin_width_deg`` must divide 360 evenly, into at most 3,600,000 bins.
     """
     if bin_width_deg <= 0.0:
         raise BadBinWidth(f"bin width must be > 0, got {bin_width_deg}")
+    if bin_width_deg < 360.0 / _MAX_PAS_BINS:
+        raise BadBinWidth(f"bin width {bin_width_deg} gives more than {_MAX_PAS_BINS} bins")
     n_bins = 360.0 / bin_width_deg
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")

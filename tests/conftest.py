@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import multiell
 from multiell.engine import PathSet, SourceKind
+
+
+def child_env():
+    """Environment for a child interpreter that imports this multiell."""
+    src = str(Path(multiell.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -83,10 +83,6 @@ class TestSampleAod:
                            rng, size=50_000)
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
 
-    def test_scalar_default(self, rng):
-        value = sample_aod(AntennaPattern.omni(), rng)
-        assert isinstance(value, float)
-
     def test_deterministic_under_seed(self):
         p = AntennaPattern.gaussian(12.0, boresight_deg=45.0)
         a = sample_aod(p, np.random.default_rng(7), size=1000)

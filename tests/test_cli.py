@@ -1,5 +1,5 @@
 import hashlib
-import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import multiell
 from multiell.antenna import AntennaPattern
 from multiell.cli import config_to_mapping, main, mapping_to_config
 from multiell.engine import ScenarioConfig
@@ -16,7 +15,10 @@ from multiell.pdp import builtin_nlos_profile
 from multiell.presets import fig_presets
 from multiell.scattering import VonMisesParams
 
+from conftest import child_env
+
 SINGLE_FAR_TAP = "# name: far\n1.0 0.0\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read(path):
@@ -26,11 +28,8 @@ def read(path):
 def run_cli_process(*args, timeout=60):
     """Run the CLI in a child interpreter, so a hang fails the test instead of
     stalling the suite."""
-    src = str(Path(multiell.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "multiell.cli", *args],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+                          env=child_env(), capture_output=True, text=True, timeout=timeout)
 
 
 def write_config(tmp_path, pdp_text=SINGLE_FAR_TAP, **overrides):
@@ -271,6 +270,26 @@ class TestConfigKeys:
         assert main(["pas", "--preset", "fig1-A", "--set", "scenario.ds_s=abc",
                      "--out", str(out)]) == 1
         assert "scenario.ds_s: cannot parse 'abc'" in capsys.readouterr().err
+
+
+class TestConfigComments:
+    def test_readme_example_runs(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(block.group(1), encoding="utf-8")
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--config", str(cfg), "--out", str(out)]) == 0
+        text = read(out)
+        assert "# pdp.source = builtin:nlos3gpp\n" in text
+        assert "# local_scattering.power_share = 0.22\n" in text
+
+    def test_hash_inside_a_word_is_kept(self, tmp_path):
+        pdp = tmp_path / "run#2.pdp"
+        pdp.write_text(SINGLE_FAR_TAP, encoding="utf-8")
+        cfg = write_config(tmp_path, **{"pdp.source": f"{pdp}  # far tap"})
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"# pdp.source = {pdp}\n" in read(out)
 
 
 def assert_round_trip(cfg):

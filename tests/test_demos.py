@@ -1,0 +1,21 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import child_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # tmp_path as the working directory keeps the CSV files some demos write
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=child_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

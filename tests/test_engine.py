@@ -6,8 +6,8 @@ import pytest
 from multiell.antenna import AntennaPattern
 from multiell.engine import ScenarioConfig, SourceKind, run_realization
 from multiell.errors import ConfigError
-from multiell.geometry import SPEED_OF_LIGHT_M_S
-from multiell.pdp import builtin_nlos_profile, loads_pdp
+from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
+from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import scenario
 from multiell.scattering import VonMisesParams
 
@@ -158,6 +158,44 @@ class TestOrderingAndRouting:
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
 
 
+def per_cluster_labels(cfg):
+    """Source kinds and cluster indices built part by part: one block of
+    ``paths_per_cluster`` per geometric tap in profile order, one block of
+    local scattering, then the direct path under a Rice factor."""
+    n = cfg.paths_per_cluster
+    kinds, index = [], []
+    delays = scale_pdp(cfg.pdp, cfg.ds_s).excess_delays_s
+    for i, delay in enumerate(delays, start=1):
+        if delay > DEGENERATE_DELAY_S:
+            kinds.append(np.full(n, SourceKind.CLUSTER, dtype=np.int8))
+            index.append(np.full(n, i, dtype=np.int32))
+    kinds.append(np.full(n, SourceKind.LOCAL_SCATTER, dtype=np.int8))
+    index.append(np.full(n, -1, dtype=np.int32))
+    if cfg.rice_factor_db is not None:
+        kinds.append(np.full(1, SourceKind.LOS, dtype=np.int8))
+        index.append(np.full(1, -1, dtype=np.int32))
+    return np.concatenate(kinds), np.concatenate(index)
+
+
+class TestPathLabels:
+    @pytest.mark.parametrize("cfg", [
+        scenario("A", "same", seed=4, paths_per_cluster=7),
+        scenario("C", "omni", seed=4, paths_per_cluster=7, rice_factor_db=6.0),
+        scenario("A", "omni", seed=4, paths_per_cluster=7,
+                 local_scattering=VonMisesParams(kappa=3.0, power_share=0.4)),
+        ScenarioConfig(pdp=loads_pdp("0.0 0\n0.0 -3\n"), ds_s=1e-7,
+                       tx_pattern=AntennaPattern.omni(), rx_pattern=AntennaPattern.omni(),
+                       paths_per_cluster=7, seed=4),
+    ], ids=["nlos", "rice-6dB", "explicit-share", "zero-delay-only"])
+    def test_kind_and_index_match_per_cluster_parts(self, cfg):
+        paths = run_realization(cfg)
+        kinds, index = per_cluster_labels(cfg)
+        assert paths.source_kind.dtype == np.int8 and paths.cluster_index.dtype == np.int32
+        assert np.array_equal(paths.source_kind, kinds)
+        assert np.array_equal(paths.cluster_index, index)
+        assert paths.aoa_deg.size == kinds.size
+
+
 class TestPushforward:
     def test_single_cluster_matches_uniform_aod_pushforward(self):
         # weighted arrival histogram vs quadrature of the analytic density
@@ -188,6 +226,7 @@ class TestValidation:
             replace(good, txrx_distance_m=0.0),
             replace(good, ds_s=0.0),
             replace(good, paths_per_cluster=0),
+            replace(good, paths_per_cluster=1_000_001),  # raises before any draw
             replace(good, seed=-1),
             replace(good, seed=2**64),
             replace(good, txrx_distance_m=math.nan),
@@ -197,3 +236,7 @@ class TestValidation:
         ):
             with pytest.raises(ConfigError):
                 run_realization(bad)
+
+    def test_path_count_ceiling_is_inclusive(self):
+        from dataclasses import replace
+        replace(scenario("A", "same"), paths_per_cluster=1_000_000).validate()

@@ -6,16 +6,49 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.errors import DegenerateEllipse, InvalidGeometry
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
-                               aoa_from_aod, aod_from_aoa, arrival_bearing,
-                               ellipse_from_delay, reflection_point, wrap_degrees)
+                               aoa_from_aod, ellipse_from_delay, wrap_degrees)
 
 ECC = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 ANGLE = st.floats(min_value=-179.9999, max_value=180.0, allow_nan=False)
 
 
-def ellipse_with(e, a=200.0, index=1):
-    return Ellipse(semi_major_m=a, focal_half_distance_m=a * e, eccentricity=e,
-                   cluster_index=index)
+def ellipse_with(e, a=200.0):
+    return Ellipse(semi_major_m=a, focal_half_distance_m=a * e, eccentricity=e)
+
+
+def aod_from_aoa(phi_r_deg, e):
+    """Inverse of ``aoa_from_aod`` on the same ellipse: focus symmetry swaps
+    the half-angle compression ratio for its reciprocal."""
+    phi = wrap_degrees(phi_r_deg)
+    mag = abs(phi)
+    if mag == 180.0:
+        return 180.0
+    ratio = (1.0 + e) / (1.0 - e)
+    out = 2.0 * math.degrees(math.atan(ratio * math.tan(math.radians(mag / 2.0))))
+    return -out if phi < 0.0 else out
+
+
+def reflection_point(phi_t_deg, ellipse):
+    """Intersection of a ray from the Tx focus with the ellipse boundary.
+
+    The ray angle is measured from the +x axis at the Tx focus (-D/2, 0),
+    counterclockwise positive. Every ray from an interior focus meets the
+    boundary exactly once; the focal polar form gives it in closed form.
+    """
+    a = ellipse.semi_major_m
+    e = ellipse.eccentricity
+    f = ellipse.focal_half_distance_m
+    psi = np.radians(wrap_degrees(phi_t_deg))
+    radius = a * (1.0 - e**2) / (1.0 - e * np.cos(psi))
+    return (-f + radius * np.cos(psi), radius * np.sin(psi))
+
+
+def arrival_bearing(point_xy, ellipse):
+    """Angle at the Rx focus toward ``point_xy``, measured from the direction
+    pointing at the Tx (the -x axis), positive on the +y side."""
+    x, y = point_xy
+    f = ellipse.focal_half_distance_m
+    return float(np.degrees(np.arctan2(y, -(x - f))))
 
 
 def oracle_aoa(phi_t_deg, e, a=200.0):
@@ -173,7 +206,7 @@ class TestReflectionPoint:
             a = rng.uniform(1.0, 1e4)
             ell = ellipse_with(e, a)
             x, y = reflection_point(rng.uniform(-180.0, 180.0), ell)
-            b = ell.semi_minor_m
+            b = math.sqrt(a**2 - ell.focal_half_distance_m**2)
             residual = (x / a) ** 2 + (y / b) ** 2 - 1.0
             assert abs(residual) < 1e-9
 
@@ -265,3 +298,18 @@ class TestWrapDegreesOracle:
         assert not np.shares_memory(out, a)
         out[...] = 1.0
         assert np.array_equal(a, before)
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        import multiell
+        missing = [name for name in multiell.__all__ if not hasattr(multiell, name)]
+        assert missing == []
+
+    def test_test_oracles_are_not_exported(self):
+        import multiell
+        import multiell.geometry
+        for name in ("reflection_point", "arrival_bearing", "aod_from_aoa"):
+            assert name not in multiell.__all__
+            assert not hasattr(multiell, name)
+            assert not hasattr(multiell.geometry, name)

@@ -75,7 +75,7 @@ def test_scale_preserves_count_order_and_mass(rng):
     powers = rng.uniform(-20.0, 0.0, 17)
     text = "\n".join(f"{d} {p}" for d, p in zip(delays, powers))
     scaled = scale_pdp(loads_pdp(text), 100e-9)
-    assert len(scaled) == 17
+    assert scaled.excess_delays_s.size == 17
     assert np.all(np.diff(scaled.excess_delays_s) >= 0.0)
     assert scaled.powers_lin.sum() == pytest.approx(1.0, abs=1e-12)
 

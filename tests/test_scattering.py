@@ -115,9 +115,6 @@ class TestSampleVonMises:
         draws = sample_von_mises(VonMisesParams(mu_deg=179.0, kappa=5.0), rng, size=20_000)
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
 
-    def test_scalar_default(self, rng):
-        assert isinstance(sample_von_mises(VonMisesParams(kappa=1.0), rng), float)
-
     def test_deterministic_under_seed(self):
         params = VonMisesParams(mu_deg=-20.0, kappa=7.0)
         a = sample_von_mises(params, np.random.default_rng(3), size=512)

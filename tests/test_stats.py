@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +114,19 @@ class TestEstimatePas:
         for bad in (7.0, 0.0, -1.0, 360.1):
             with pytest.raises(BadBinWidth):
                 estimate_pas(paths, bin_width_deg=bad)
+
+    def test_bin_count_guard_raises_before_allocating(self):
+        paths = make_pathset([0.0], [1.0])
+        tracemalloc.start()
+        try:
+            for bad in (1e-9, 9e-5, 5e-324):  # 3.6e11, 4e6 and inf bins
+                with pytest.raises(BadBinWidth, match="more than 3600000 bins"):
+                    estimate_pas(paths, bin_width_deg=bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert estimate_pas(paths, bin_width_deg=1e-4).density_per_deg.size == 3_600_000
 
     def test_no_power(self):
         with pytest.raises(NoPower):
