@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidHpbw
-from .geometry import wrap_degrees
+from .errors import ConfigError, InvalidHpbw, MultiellError
+from .geometry import wrap_degrees, wrap_in_place
 
 _HALF_POWER_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # ~2.3548
+
+# Rounds of the departure redraw loop. Even the widest beam rejects under a
+# quarter of each round, so a million paths settle in a few dozen rounds.
+_MAX_REDRAW_ROUNDS = 1000
 
 
 class PatternKind(enum.Enum):
@@ -78,9 +82,49 @@ def power_gain(pattern: AntennaPattern, phi_deg):
         out = np.ones_like(phi, dtype=float)
         return float(out) if scalar else out
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
-    delta = wrap_degrees(phi - pattern.boresight_deg)
-    out = np.exp(-np.square(delta) / (2.0 * sigma**2))
+    out = wrap_in_place(np.asarray(phi - pattern.boresight_deg))
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * sigma**2
+    np.exp(out, out=out)
     return float(out) if scalar else out
+
+
+def beyond_half_turn(draws, boresight_deg: float) -> np.ndarray:
+    """The redraw rule of a Gaussian departure draw: True where a draw lies
+    more than 180 degrees from the boresight it was drawn around."""
+    return np.abs(draws - boresight_deg) > 180.0
+
+
+def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
+                     out: np.ndarray) -> bool:
+    """Fill ``out`` with departure draws taken relative to the boresight, and
+    say whether the redraw rule fired.
+
+    Omni: the departure angles themselves, uniform on [-180, 180). Gaussian:
+    sigma * z with z standard normal, which is what ``rng.normal(boresight,
+    sigma)`` adds to the boresight, bit for bit and from the same stream.
+    A draw that :func:`beyond_half_turn` rejects at the pattern's own
+    boresight is drawn again, for at most ``_MAX_REDRAW_ROUNDS`` rounds.
+    """
+    if pattern.kind is PatternKind.OMNI:
+        rng.random(out=out)
+        out *= 360.0
+        out -= 180.0
+        return False
+    sigma = sigma_from_hpbw(pattern.hpbw_deg)
+    rng.standard_normal(out=out)
+    out *= sigma
+    rounds = 0
+    bad = beyond_half_turn(pattern.boresight_deg + out, pattern.boresight_deg)
+    while bad.any():
+        if rounds == _MAX_REDRAW_ROUNDS:
+            raise MultiellError(f"departure draws still beyond 180 degrees after"
+                                f" {_MAX_REDRAW_ROUNDS} redraw rounds")
+        rounds += 1
+        out[bad] = sigma * rng.standard_normal(int(bad.sum()))
+        bad = beyond_half_turn(pattern.boresight_deg + out, pattern.boresight_deg)
+    return rounds > 0
 
 
 def sample_aod(pattern: AntennaPattern, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -92,14 +136,8 @@ def sample_aod(pattern: AntennaPattern, rng: np.random.Generator, size: int) -> 
     tens of degrees the rejected mass is far below 1e-15). Results are
     wrapped into (-180, 180].
     """
-    if pattern.kind is PatternKind.OMNI:
-        draws = rng.random(size) * 360.0 - 180.0
-    else:
-        sigma = sigma_from_hpbw(pattern.hpbw_deg)
-        draws = rng.normal(pattern.boresight_deg, sigma, size)
-        while True:
-            bad = np.abs(draws - pattern.boresight_deg) > 180.0
-            if not bad.any():
-                break
-            draws[bad] = rng.normal(pattern.boresight_deg, sigma, int(bad.sum()))
-    return wrap_degrees(draws)
+    draws = np.empty(size)
+    draw_aod_offsets(pattern, rng, draws)
+    if pattern.kind is PatternKind.GAUSSIAN:
+        draws += pattern.boresight_deg
+    return wrap_in_place(draws)

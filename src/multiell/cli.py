@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import math
 import os
 import re
 import sys
@@ -30,6 +31,9 @@ from .stats import SweepAxis, estimate_pas, sweep_as
 ENV_SEED = "MULTIELL_SEED"
 
 _AXIS_BY_NAME = {"tx": SweepAxis.TX_ORIENTATION, "rx": SweepAxis.RX_ORIENTATION}
+
+# 277x the one-degree figure sweeps; every angle costs `trials` realizations.
+_MAX_SWEEP_ANGLES = 100_000
 
 
 def _fmt(x) -> str:
@@ -242,10 +246,13 @@ def _angle_list(mapping: dict[str, str]) -> list[float]:
     if missing:
         raise FlagError(f"sweep range incomplete: missing {missing[0]!r}")
     start, stop, step = (_value(mapping, key, float) for key in keys)
-    if step <= 0.0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise FlagError(f"invalid sweep range [{start}, {stop}] step {step}")
-    count = int(round((stop - start) / step)) + 1
-    return [start + k * step for k in range(count)]
+    span = (stop - start) / step  # may be inf, so compared before round()
+    if span > _MAX_SWEEP_ANGLES - 1:
+        raise FlagError(f"sweep range [{start}, {stop}] step {step} asks for about"
+                        f" {span + 1:.6g} angles; the limit is {_MAX_SWEEP_ANGLES}")
+    return [start + k * step for k in range(round(span) + 1)]
 
 
 # ---------------------------------------------------------------- commands ---

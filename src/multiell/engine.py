@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antenna import AntennaPattern, power_gain, sample_aod
+from .antenna import (AntennaPattern, PatternKind, beyond_half_turn, draw_aod_offsets,
+                      power_gain)
 from .errors import ConfigError
 from .geometry import DEGENERATE_DELAY_S, ellipse_from_delay, aoa_from_aod
 from .pdp import NormalizedPdp, scale_pdp
@@ -101,19 +102,42 @@ def _rice_split(rice_factor_db: float) -> tuple[float, float]:
     return 1.0 / (k + 1.0), k / (k + 1.0)
 
 
-def run_realization(config: ScenarioConfig,
-                    rng: np.random.Generator | None = None) -> PathSet:
-    """Generate one set of propagation paths for the scenario.
+@dataclass(frozen=True)
+class Draws:
+    """Every random draw of one realization, kept apart from the transmit
+    boresight so that one set of draws serves many boresights.
 
-    Per non-degenerate cluster i, exactly ``paths_per_cluster`` paths: the
-    departure angle is drawn from the transmit pattern, mapped through the
-    cluster ellipse, and the cluster's power budget is split by rescaled
-    uniform draws. Degenerate clusters (zero-delay taps) contribute their
-    power to the local-scattering budget unless an explicit power share is
-    configured. Local scattering adds ``paths_per_cluster`` von Mises paths.
-    Under a finite Rice factor one direct path at 0 degrees takes K/(K+1) of
-    the total. Pre-weighting powers always sum to one; the receive pattern
-    then scales each path (:func:`reweight`).
+    ``offsets`` holds one row of ``paths_per_cluster`` departure draws per
+    geometric cluster, relative to the boresight for a Gaussian pattern
+    (see :func:`~multiell.antenna.draw_aod_offsets`); ``eccentricities`` has
+    one row per cluster. ``tail_aoa`` holds the arrival angles that follow
+    the clusters: local scattering, then the direct path under a Rice
+    factor. ``raw_power_lin``, ``source_kind`` and ``cluster_index`` cover
+    every path and do not depend on either boresight. ``redrawn`` says
+    whether the redraw rule fired at ``tx_pattern``'s boresight.
+    """
+
+    tx_pattern: AntennaPattern
+    offsets: np.ndarray
+    eccentricities: np.ndarray
+    tail_aoa: np.ndarray
+    raw_power_lin: np.ndarray
+    source_kind: np.ndarray
+    cluster_index: np.ndarray
+    redrawn: bool
+
+
+def draw_realization(config: ScenarioConfig,
+                     rng: np.random.Generator | None = None) -> Draws:
+    """Make every random draw of one realization of ``config``.
+
+    Per non-degenerate cluster i, exactly ``paths_per_cluster`` departure
+    draws from the transmit pattern, then as many uniform draws that split
+    the cluster's power budget. Degenerate clusters (zero-delay taps)
+    contribute their power to the local-scattering budget unless an explicit
+    power share is configured. Local scattering adds ``paths_per_cluster``
+    von Mises paths. Under a finite Rice factor one direct path at 0 degrees
+    takes K/(K+1) of the total. Pre-weighting powers always sum to one.
 
     ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
     pass an unused generator for reproducibility when providing one.
@@ -142,38 +166,97 @@ def run_realization(config: ScenarioConfig,
     streams = rng.spawn(len(delays) + 1)
 
     clusters = np.flatnonzero(geometric)
-    aoa_parts, raw_parts = [], []
-    for i in clusters:
-        eccentricity = ellipse_from_delay(float(delays[i]), config.txrx_distance_m).eccentricity
-        aod = sample_aod(config.tx_pattern, streams[i], size=n)
-        u = streams[i].random(n)
-        aoa_parts.append(aoa_from_aod(aod, eccentricity))
-        raw_parts.append(u * (float(budgets[i]) / u.sum()))
+    direct = config.rice_factor_db is not None
+    raw = np.empty((clusters.size + 1) * n + direct)
+    # One row of n per cluster, then local scattering; the direct path is last.
+    raw_rows = raw[:raw.size - direct].reshape(-1, n)
+    offsets = np.empty((clusters.size, n))
+    eccentricities = np.empty((clusters.size, 1))
+    redrawn = False
+    for row, i in enumerate(clusters):
+        eccentricities[row] = ellipse_from_delay(float(delays[i]),
+                                                 config.txrx_distance_m).eccentricity
+        redrawn |= draw_aod_offsets(config.tx_pattern, streams[i], offsets[row])
+        u = streams[i].random(out=raw_rows[row])
+        u *= float(budgets[i]) / u.sum()
 
     local_rng = streams[-1]
-    aoa_parts.append(sample_von_mises(config.local_scattering, local_rng, size=n))
-    u = local_rng.random(n)
-    raw_parts.append(u * (share / u.sum()) if share > 0.0 else np.zeros(n))
+    tail_aoa = np.empty(n + direct)
+    tail_aoa[:n] = sample_von_mises(config.local_scattering, local_rng, size=n)
+    u = local_rng.random(out=raw_rows[-1])
+    if share > 0.0:
+        u *= share / u.sum()
+    else:
+        u[:] = 0.0
 
     # One label per block of n paths: the clusters in profile order (1-based
     # tap index), then local scattering, then the direct path.
     kinds = [SourceKind.CLUSTER] * clusters.size + [SourceKind.LOCAL_SCATTER]
     labels = [*(clusters + 1), -1]
     counts = [n] * len(labels)
-    aoa = np.concatenate(aoa_parts)
-    raw = np.concatenate(raw_parts)
-
-    if config.rice_factor_db is not None:
+    if direct:
         scatter_scale, direct_share = _rice_split(config.rice_factor_db)
-        aoa = np.append(aoa, 0.0)
-        raw = np.append(raw * scatter_scale, direct_share)
+        raw_rows *= scatter_scale
+        raw[-1] = direct_share
+        tail_aoa[-1] = 0.0
         kinds.append(SourceKind.LOS)
         labels.append(-1)
         counts.append(1)
 
-    kind = np.repeat(np.array(kinds, dtype=np.int8), counts)
-    index = np.repeat(np.array(labels, dtype=np.int32), counts)
-    return reweight(PathSet(aoa, raw, raw, kind, index), config.rx_pattern)
+    return Draws(tx_pattern=config.tx_pattern, offsets=offsets,
+                 eccentricities=eccentricities, tail_aoa=tail_aoa, raw_power_lin=raw,
+                 source_kind=np.repeat(np.array(kinds, dtype=np.int8), counts),
+                 cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts),
+                 redrawn=redrawn)
+
+
+def aim_realization(draws: Draws, tx_pattern: AntennaPattern,
+                    rx_pattern: AntennaPattern) -> PathSet | None:
+    """The paths that ``draws`` give with the transmitter pointed as
+    ``tx_pattern`` is and the receiver as ``rx_pattern``.
+
+    Each departure is the boresight plus its offset, wrapped and mapped
+    through its cluster's ellipse in one pass over all clusters; the
+    receive pattern then scales each path (:func:`reweight`). The raw-power,
+    source and index arrays are those of ``draws``, shared, not copied.
+
+    ``tx_pattern`` must be the drawn pattern up to its boresight. Returns
+    None when the draws do not hold at its boresight: that is, when it is
+    not the drawn boresight and the redraw rule fired during the draw or
+    would reject a departure here. :func:`run_realization` with a fresh
+    stream then gives the paths.
+    """
+    drawn = draws.tx_pattern
+    if tx_pattern.kind is not drawn.kind or tx_pattern.hpbw_deg != drawn.hpbw_deg:
+        raise ConfigError("aim_realization needs the drawn transmit pattern up to its boresight")
+    aoa = np.empty(draws.raw_power_lin.size)
+    departures = aoa[:draws.offsets.size].reshape(draws.offsets.shape)
+    if drawn.kind is PatternKind.OMNI:
+        departures[...] = draws.offsets
+    else:
+        boresight = tx_pattern.boresight_deg
+        np.add(draws.offsets, boresight, out=departures)
+        if boresight != drawn.boresight_deg and (
+                draws.redrawn or beyond_half_turn(departures, boresight).any()):
+            return None
+    aoa_from_aod(departures, draws.eccentricities, out=departures)
+    aoa[draws.offsets.size:] = draws.tail_aoa
+    raw = draws.raw_power_lin
+    return reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
+                    rx_pattern)
+
+
+def run_realization(config: ScenarioConfig,
+                    rng: np.random.Generator | None = None) -> PathSet:
+    """Generate one set of propagation paths for the scenario: the draws of
+    :func:`draw_realization`, aimed at the config's own boresights by
+    :func:`aim_realization`.
+
+    ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
+    pass an unused generator for reproducibility when providing one.
+    """
+    return aim_realization(draw_realization(config, rng), config.tx_pattern,
+                           config.rx_pattern)
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:

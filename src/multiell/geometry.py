@@ -29,20 +29,19 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 DEGENERATE_DELAY_S = 1e-10
 
 
-def wrap_degrees(angle_deg):
-    """Wrap angles into (-180, 180]. Accepts scalars or arrays.
+def wrap_in_place(angles: np.ndarray) -> np.ndarray:
+    """Wrap a float array into (-180, 180] in place and return it. The array
+    must be viewable as 1-D without a copy, as any contiguous array is.
 
-    Values already inside the interval pass through unchanged, so angles far
-    below the 180-degree rounding scale keep full precision. Others map to
-    ``(a + 180) % 360 - 180``, with -180 sent to 180. An array result is
-    always a new array.
+    Values already inside the interval are not touched, so angles far below
+    the 180-degree rounding scale keep full precision. Only the others are
+    read and written, as ``(a + 180) % 360 - 180`` with -180 sent to 180.
     """
-    a = np.asarray(angle_deg, dtype=float)
-    out_of_range = (a <= -180.0) | (a > 180.0)
-    if not out_of_range.any():
-        result = a.copy()
-    else:
-        t = np.asarray(a + 180.0)  # a 0-d sum comes back as a scalar; t is written in place
+    flat = angles.reshape(-1, copy=False)
+    # Integer indices gather and scatter several times faster than the mask.
+    out_of_range = np.flatnonzero((flat <= -180.0) | (flat > 180.0))
+    if out_of_range.size:
+        t = flat[out_of_range] + 180.0
         if t.min() >= -360.0 and t.max() < 720.0:
             # Same bits as t % 360 here: fmod is exact on this range and
             # numpy's sign fix-up is this one addition of 360.
@@ -52,8 +51,15 @@ def wrap_degrees(angle_deg):
             t %= 360.0
         t -= 180.0
         t[t == -180.0] = 180.0
-        result = np.where(out_of_range, t, a)
-    return float(result) if np.isscalar(angle_deg) or a.ndim == 0 else result
+        flat[out_of_range] = t
+    return angles
+
+
+def wrap_degrees(angle_deg):
+    """Wrap angles into (-180, 180], as :func:`wrap_in_place` does, into a new
+    array. Accepts scalars or arrays; a scalar or 0-d input gives a float."""
+    a = wrap_in_place(np.array(angle_deg, dtype=float))
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float) -> Ellipse
     )
 
 
-def aoa_from_aod(phi_t_deg, eccentricity):
+def aoa_from_aod(phi_t_deg, eccentricity, out=None):
     """Arrival angle at the receiver for a departure angle on one ellipse.
 
     Implemented as the half-angle form tan(aoa/2) = r * tan(aod/2) with
@@ -108,16 +114,32 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     identity; e -> 1 compresses every arrival toward the transmitter
     direction. |aod| = 180 maps to itself. Accepts scalar or array
     ``phi_t_deg``.
+
+    ``eccentricity`` is a scalar, or an array that broadcasts against the
+    angles without enlarging them: shape (rows, 1) gives each row of a 2-D
+    angle array its own ellipse. ``out``, an array of the angles' shape
+    (the angle array itself is allowed), receives and returns the result.
     """
-    if not 0.0 <= eccentricity < 1.0:
+    e = np.asarray(eccentricity, dtype=float)
+    if not np.all((e >= 0.0) & (e < 1.0)):
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
-    ratio = (1.0 - eccentricity) / (1.0 + eccentricity)
+    ratio = (1.0 - e) / (1.0 + e)
     phi = np.asarray(phi_t_deg, dtype=float)
-    scalar = phi.ndim == 0
-    phi = np.atleast_1d(wrap_degrees(phi))
-    mag = np.abs(phi)
-    out = 2.0 * np.degrees(np.arctan(ratio * np.tan(np.radians(mag / 2.0))))
-    out = np.where(mag == 180.0, 180.0, out)
-    # sgn(0) = +1
-    out = np.where(phi < 0.0, -out, out)
-    return float(out[0]) if scalar else out
+    if out is None:
+        out = np.array(phi, ndmin=1)
+    elif out is not phi:
+        out[...] = phi
+    wrap_in_place(out)
+    negative = out < 0.0  # sgn(0) = +1
+    np.abs(out, out=out)
+    back = out == 180.0
+    out /= 2.0
+    np.radians(out, out=out)
+    np.tan(out, out=out)
+    out *= ratio
+    np.arctan(out, out=out)
+    np.degrees(out, out=out)
+    out *= 2.0
+    out[back] = 180.0
+    np.negative(out, out=out, where=negative)
+    return float(out[0]) if phi.ndim == 0 else out

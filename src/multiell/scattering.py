@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, KappaOutOfRange
+from .errors import ConfigError, KappaOutOfRange, MultiellError
 from .geometry import wrap_degrees
 
 _KAPPA_MAX = 500.0
 _KAPPA_UNIFORM = 1e-8
+# Rounds of the Best-Fisher loop. Each round accepts at least 65% of the
+# proposals at any kappa, so a million draws settle in a few dozen rounds.
+_MAX_PROPOSAL_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,12 @@ def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
 
     out = np.empty(size, dtype=float)
     filled = 0
+    rounds = 0
     while filled < size:
+        if rounds == _MAX_PROPOSAL_ROUNDS:
+            raise MultiellError(f"von Mises sampler filled {filled} of {size} draws in"
+                                f" {_MAX_PROPOSAL_ROUNDS} rounds")
+        rounds += 1
         m = size - filled
         u1, u2, u3 = rng.random((3, m))
         z = np.cos(math.pi * u1)

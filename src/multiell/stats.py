@@ -4,11 +4,13 @@ and orientation sweeps."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PathSet, ScenarioConfig, reweight, run_realization
+from .engine import (PathSet, ScenarioConfig, aim_realization, draw_realization, reweight,
+                     run_realization)
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -68,8 +70,8 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = 1.0) -> AngularSpectrum:
 
     ``bin_width_deg`` must divide 360 evenly, into at most 3,600,000 bins.
     """
-    if bin_width_deg <= 0.0:
-        raise BadBinWidth(f"bin width must be > 0, got {bin_width_deg}")
+    if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
+        raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
     if bin_width_deg < 360.0 / _MAX_PAS_BINS:
         raise BadBinWidth(f"bin width {bin_width_deg} gives more than {_MAX_PAS_BINS} bins")
     n_bins = 360.0 / bin_width_deg
@@ -102,9 +104,12 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     angle-major, trial-minor. Aggregates report the mean and sample standard
     deviation (0 for a single trial) per angle.
 
-    Each trial's stream is shared by every angle, and only the receive
-    weighting depends on the receive boresight, so an rx sweep builds each
-    trial's paths once and reweights them per angle.
+    Each trial's stream is shared by every angle. Only the receive weighting
+    depends on the receive boresight, so an rx sweep builds each trial's
+    paths once and reweights them per angle. A tx sweep draws each trial
+    once and aims the draws at every transmit angle; where the draws do not
+    hold at an angle (see :func:`~multiell.engine.aim_realization`), that
+    point is run in full from the trial's stream.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -119,8 +124,11 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     spreads = np.empty((len(angles), trials))
     for trial in range(trials):
         if axis is SweepAxis.TX_ORIENTATION:
+            draws = draw_realization(config, _point_rng(config.seed, axis, trial))
             for j, cfg in enumerate(configs):
-                paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
+                paths = aim_realization(draws, cfg.tx_pattern, cfg.rx_pattern)
+                if paths is None:
+                    paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
                 spreads[j, trial] = angular_spread(paths)
         else:
             paths = run_realization(configs[0], _point_rng(config.seed, axis, trial))

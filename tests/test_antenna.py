@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import multiell.antenna
 from multiell.antenna import (AntennaPattern, PatternKind, power_gain,
                               sample_aod, sigma_from_hpbw)
-from multiell.errors import ConfigError, InvalidHpbw
+from multiell.errors import ConfigError, InvalidHpbw, MultiellError
+from multiell.geometry import wrap_degrees
 
 
 class TestSigmaFromHpbw:
@@ -55,6 +57,15 @@ class TestPowerGain:
         gains = power_gain(p, offsets)
         assert np.all(np.diff(gains) <= 0.0)
 
+    @pytest.mark.parametrize("boresight", [37.0, 120.0, 180.0, -179.5])
+    def test_bitwise_equal_to_wrapped_difference_form(self, rng, boresight):
+        pattern = AntennaPattern.gaussian(20.0, boresight_deg=boresight)
+        phi = np.concatenate([rng.uniform(-180.0, 180.0, 20_000), [-180.0, 0.0, 180.0]])
+        sigma = sigma_from_hpbw(20.0)
+        expected = np.exp(-np.square(wrap_degrees(phi - boresight)) / (2.0 * sigma**2))
+        assert power_gain(pattern, phi).tobytes() == expected.tobytes()
+        assert power_gain(pattern, float(phi[0])) == expected[0]
+
     def test_gaussian_requires_hpbw(self):
         with pytest.raises(ConfigError):
             AntennaPattern(PatternKind.GAUSSIAN)
@@ -94,3 +105,26 @@ class TestSampleAod:
         sigma = sigma_from_hpbw(20.0)
         tail = math.erfc(180.0 / sigma / math.sqrt(2.0))
         assert tail < 1e-15
+
+    @pytest.mark.parametrize("pattern", [AntennaPattern.gaussian(9.0, boresight_deg=-170.0),
+                                         AntennaPattern.gaussian(340.0, boresight_deg=60.0),
+                                         AntennaPattern.omni()])
+    def test_bitwise_equal_to_normal_and_redraw_loop(self, pattern):
+        draws = sample_aod(pattern, np.random.default_rng(3), size=5000)
+        rng = np.random.default_rng(3)
+        if pattern.kind is PatternKind.OMNI:
+            expected = rng.random(5000) * 360.0 - 180.0
+        else:
+            sigma = sigma_from_hpbw(pattern.hpbw_deg)
+            expected = rng.normal(pattern.boresight_deg, sigma, 5000)
+            while (bad := np.abs(expected - pattern.boresight_deg) > 180.0).any():
+                expected[bad] = rng.normal(pattern.boresight_deg, sigma, int(bad.sum()))
+        assert draws.tobytes() == wrap_degrees(expected).tobytes()
+
+    def test_redraw_rounds_are_capped(self, monkeypatch):
+        # a 359-degree beam rejects about a quarter of each round, so one
+        # round leaves hundreds of 10,000 draws to redraw
+        monkeypatch.setattr(multiell.antenna, "_MAX_REDRAW_ROUNDS", 1)
+        with pytest.raises(MultiellError, match="after 1 redraw rounds"):
+            sample_aod(AntennaPattern.gaussian(359.0), np.random.default_rng(1), size=10_000)
+        sample_aod(AntennaPattern.gaussian(20.0), np.random.default_rng(1), size=10_000)

@@ -141,6 +141,25 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("bounds", [["--to", "inf"], ["--to", "nan"], ["--from=-inf"],
+                                        ["--step", "inf"], ["--step", "nan"]])
+    def test_non_finite_range_exit_2(self, tmp_path, capsys, bounds):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--preset", "fig4-A", "--from", "0", "--to", "10",
+                     "--step", "1", *bounds, "--out", str(out)]) == 2
+        assert "invalid sweep range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [["--to", "1e9", "--step", "1e-9"],
+                                        ["--from=-1e308", "--to", "1e308"],
+                                        ["--to", "100000"]])
+    def test_angle_count_cap_exit_2(self, tmp_path, capsys, bounds):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--preset", "fig4-A", "--from", "0", "--step", "1", *bounds,
+                     "--out", str(out)]) == 2
+        assert "the limit is 100000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_exit_2(self, tmp_path):
         code = main(["sweep", "--preset", "fig99-Z", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -200,6 +219,13 @@ class TestPasCommand:
         code = main(["pas", "--config", str(cfg), "--bin-width", "7",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("width", ["inf", "nan"])
+    def test_non_finite_bin_width_exit_2(self, tmp_path, width):
+        out = tmp_path / "x.csv"
+        assert main(["pas", "--config", str(write_config(tmp_path)), "--bin-width", width,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -358,3 +384,25 @@ class TestPinnedOutputs:
                      "--set", "scenario.paths_per_cluster=30",
                      "--set", "scenario.rice_factor_db=6", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PAS_SHA256
+
+
+class TestPinnedTxSweeps:
+    # sha256 of these tx sweeps as written when every (angle, trial) point
+    # still ran its own full realization; the 330-degree beam makes the
+    # redraw rule fire, so some points run in full again
+    TX_SWEEP_SHA256 = "69f43595c63212170fbfd9f394dfb09b8c75c7700f9675cefea8dcc75dcbdc16"
+    WIDE_TX_SWEEP_SHA256 = "5d285389d4d7d2ee3dca210fef0f8a4bec1d892e2ac6b78fb7251c651d518dff"
+    GRID = ["--from=-180", "--to", "180", "--step", "45", "--trials", "2",
+            "--set", "scenario.paths_per_cluster=30"]
+
+    def test_tx_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "fig2-D", *self.GRID, "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TX_SWEEP_SHA256
+
+    def test_wide_tx_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "fig1-A-omni", *self.GRID, "--seed", "3",
+                     "--set", "tx.hpbw_deg=330", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.WIDE_TX_SWEEP_SHA256

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from multiell.antenna import AntennaPattern
-from multiell.engine import ScenarioConfig, SourceKind, run_realization
+from multiell.antenna import AntennaPattern, sigma_from_hpbw
+from multiell.engine import (ScenarioConfig, SourceKind, aim_realization, draw_realization,
+                             run_realization)
 from multiell.errors import ConfigError
 from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
@@ -240,3 +242,100 @@ class TestValidation:
     def test_path_count_ceiling_is_inclusive(self):
         from dataclasses import replace
         replace(scenario("A", "same"), paths_per_cluster=1_000_000).validate()
+
+
+def per_cluster_draws(cfg, rng):
+    """The engine's sampling as it ran cluster by cluster before the draw
+    stage: per geometric tap, ``rng.normal`` around the tx boresight with
+    every draw beyond 180 degrees drawn again (omni: ``random(n)`` scaled to
+    [-180, 180)), then ``random(n)`` for the power split. Returns the
+    unwrapped departure angles and the uniforms, one row per cluster, and
+    whether any draw was redrawn."""
+    n = cfg.paths_per_cluster
+    delays = scale_pdp(cfg.pdp, cfg.ds_s).excess_delays_s
+    streams = rng.spawn(len(delays) + 1)
+    tx = cfg.tx_pattern
+    aods, uniforms, redrawn = [], [], False
+    for i in np.flatnonzero(delays > DEGENERATE_DELAY_S):
+        if tx.hpbw_deg is None:
+            draws = streams[i].random(n) * 360.0 - 180.0
+        else:
+            sigma = sigma_from_hpbw(tx.hpbw_deg)
+            draws = streams[i].normal(tx.boresight_deg, sigma, n)
+            while True:
+                bad = np.abs(draws - tx.boresight_deg) > 180.0
+                if not bad.any():
+                    break
+                redrawn = True
+                draws[bad] = streams[i].normal(tx.boresight_deg, sigma, int(bad.sum()))
+        aods.append(draws)
+        uniforms.append(streams[i].random(n))
+    return np.array(aods), np.array(uniforms), redrawn
+
+
+AUTO_SHARE = VonMisesParams(kappa=10.0, power_share=None)  # cluster budgets = tap powers
+
+
+class TestDrawStage:
+    @pytest.mark.parametrize("cfg", [
+        scenario("D", "same", alpha_t_deg=-35.0, seed=6, paths_per_cluster=300,
+                 local_scattering=AUTO_SHARE),
+        replace(scenario("A", "omni", seed=6, paths_per_cluster=300, local_scattering=AUTO_SHARE),
+                tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0)),
+        replace(scenario("A", "omni", seed=6, paths_per_cluster=300, local_scattering=AUTO_SHARE),
+                tx_pattern=AntennaPattern.omni()),
+    ], ids=["narrow-tx", "wide-tx", "omni-tx"])
+    def test_matches_per_cluster_sampler(self, cfg):
+        draws = draw_realization(cfg)
+        aods, uniforms, redrawn = per_cluster_draws(cfg, np.random.default_rng(
+            np.random.SeedSequence(cfg.seed)))
+        shift = 0.0 if cfg.tx_pattern.hpbw_deg is None else cfg.tx_pattern.boresight_deg
+        assert np.array_equal((draws.offsets + shift).view(np.int64), aods.view(np.int64))
+        powers = scale_pdp(cfg.pdp, cfg.ds_s).powers_lin[1:]  # tap 1 is routed away
+        rows = draws.raw_power_lin.reshape(-1, cfg.paths_per_cluster)[:-1]  # last: local
+        for row, u, budget in zip(rows, uniforms, powers, strict=True):
+            assert row.tobytes() == (u * (float(budget) / u.sum())).tobytes()
+        assert draws.redrawn == redrawn
+        assert redrawn == (cfg.tx_pattern.hpbw_deg == 330.0)
+
+
+class TestAimStage:
+    def test_other_boresight_matches_its_own_realization(self):
+        cfg = scenario("C", "same", alpha_t_deg=10.0, alpha_r_deg=-20.0, seed=8,
+                       paths_per_cluster=200, rice_factor_db=3.0)
+        draws = draw_realization(cfg)
+        for alpha_t in (-180.0, -95.5, 0.0, 10.0, 179.0):
+            aimed = cfg.with_orientations(alpha_t_deg=alpha_t)
+            got = aim_realization(draws, aimed.tx_pattern, aimed.rx_pattern)
+            expected = run_realization(aimed)
+            for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind",
+                         "cluster_index"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_redrawn_draws_hold_only_at_their_own_boresight(self):
+        cfg = replace(scenario("A", "omni", seed=6, paths_per_cluster=300),
+                      tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0))
+        draws = draw_realization(cfg)
+        assert draws.redrawn
+        assert aim_realization(draws, cfg.tx_pattern.pointed_at(-60.0), cfg.rx_pattern) is None
+        own = aim_realization(draws, cfg.tx_pattern, cfg.rx_pattern)
+        assert own.aoa_deg.tobytes() == run_realization(cfg).aoa_deg.tobytes()
+
+    def test_rounding_can_reject_at_another_boresight(self):
+        # 100 + 180.00000000000003 rounds to 280, which the redraw rule keeps
+        # at boresight 100; at 0 the same offset lies beyond 180 degrees
+        cfg = scenario("A", "same", alpha_t_deg=100.0, seed=6, paths_per_cluster=20)
+        draws = draw_realization(cfg)
+        offsets = draws.offsets.copy()
+        offsets[3, 7] = np.nextafter(180.0, np.inf)
+        edge = replace(draws, offsets=offsets)
+        assert not edge.redrawn
+        assert aim_realization(edge, cfg.tx_pattern, cfg.rx_pattern) is not None
+        assert aim_realization(edge, cfg.tx_pattern.pointed_at(0.0), cfg.rx_pattern) is None
+
+    def test_rejects_another_transmit_pattern(self):
+        cfg = scenario("A", "same", seed=6, paths_per_cluster=20)
+        draws = draw_realization(cfg)
+        for other in (AntennaPattern.gaussian(12.0), AntennaPattern.omni()):
+            with pytest.raises(ConfigError):
+                aim_realization(draws, other, cfg.rx_pattern)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.errors import DegenerateEllipse, InvalidGeometry
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
-                               aoa_from_aod, ellipse_from_delay, wrap_degrees)
+                               aoa_from_aod, ellipse_from_delay, wrap_degrees, wrap_in_place)
 
 ECC = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 ANGLE = st.floats(min_value=-179.9999, max_value=180.0, allow_nan=False)
@@ -131,6 +131,25 @@ class TestAoaFromAod:
         out = aoa_from_aod(np.array([0.0, 90.0, 180.0]), 0.5)
         assert out.shape == (3,)
         assert out[0] == 0.0 and out[2] == 180.0
+
+    def test_per_row_eccentricities_match_row_by_row(self, rng):
+        phi = np.concatenate([rng.uniform(-400.0, 400.0, (4, 500)),
+                              np.tile([-180.0, -0.0, 0.0, 180.0], (4, 1))], axis=1)
+        e = np.array([[0.0], [0.3], [0.9], [0.999]])
+        expected = np.array([aoa_from_aod(row, float(ei)) for row, ei in zip(phi, e[:, 0])])
+        assert aoa_from_aod(phi, e).tobytes() == expected.tobytes()
+        separate = np.empty_like(phi)
+        assert aoa_from_aod(phi, e, out=separate) is separate
+        assert separate.tobytes() == expected.tobytes()
+        before = phi.copy()
+        out = aoa_from_aod(phi, e, out=phi)
+        assert out is phi and phi.tobytes() == expected.tobytes()
+        assert not np.array_equal(before, phi)
+
+    def test_rejects_any_bad_eccentricity(self):
+        for bad in (np.array([[0.5], [1.0]]), np.array([[-0.1], [0.5]]), np.nan):
+            with pytest.raises(InvalidGeometry):
+                aoa_from_aod(np.zeros((2, 3)), bad)
 
     @given(phi=st.floats(min_value=-179.9999, max_value=179.9999), e=ECC)
     @settings(max_examples=200, deadline=None)
@@ -285,6 +304,16 @@ class TestWrapDegreesOracle:
         for x in WRAP_EDGES:
             assert np.array_equal(wrap_bits(float(x)), wrap_oracle(x).view(np.int64)), x
         assert math.copysign(1.0, wrap_degrees(-0.0)) == -1.0
+
+    @given(st.lists(st.one_of(st.floats(), st.floats(min_value=-900.0, max_value=900.0)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_bitwise_equal_to_oracle(self, values):
+        a = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):
+            out = wrap_in_place(a)
+        assert out is a
+        assert np.array_equal(a.view(np.int64), wrap_oracle(values).view(np.int64))
 
     def test_scalar_and_zero_d_return_float(self):
         for x in (10.0, 400.0, np.float64(-190.0), np.array(5.0), np.array(-540.0), 7):

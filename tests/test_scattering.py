@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from multiell.errors import ConfigError, KappaOutOfRange
+import multiell.scattering
+from multiell.errors import ConfigError, KappaOutOfRange, MultiellError
 from multiell.scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 
 
@@ -120,3 +121,12 @@ class TestSampleVonMises:
         a = sample_von_mises(params, np.random.default_rng(3), size=512)
         b = sample_von_mises(params, np.random.default_rng(3), size=512)
         assert np.array_equal(a, b)
+
+    def test_proposal_rounds_are_capped(self, monkeypatch):
+        # one round accepts about two thirds of 10,000 proposals at kappa 1
+        monkeypatch.setattr(multiell.scattering, "_MAX_PROPOSAL_ROUNDS", 1)
+        with pytest.raises(MultiellError, match="in 1 rounds"):
+            sample_von_mises(VonMisesParams(kappa=1.0), np.random.default_rng(1), size=10_000)
+        monkeypatch.setattr(multiell.scattering, "_MAX_PROPOSAL_ROUNDS", 1000)
+        assert sample_von_mises(VonMisesParams(kappa=1.0), np.random.default_rng(1),
+                                size=10_000).size == 10_000

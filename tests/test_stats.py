@@ -115,6 +115,11 @@ class TestEstimatePas:
             with pytest.raises(BadBinWidth):
                 estimate_pas(paths, bin_width_deg=bad)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bin_width(self, bad):
+        with pytest.raises(BadBinWidth, match="finite"):
+            estimate_pas(make_pathset([0.0], [1.0]), bin_width_deg=bad)
+
     def test_bin_count_guard_raises_before_allocating(self):
         paths = make_pathset([0.0], [1.0])
         tracemalloc.start()
@@ -246,3 +251,25 @@ class TestSweepEquivalence:
         for name in PATH_ARRAYS:
             assert same_bits(getattr(got, name), getattr(expected, name)), name
             assert same_bits(getattr(paths_a, name), before[name]), name
+
+    @pytest.mark.parametrize("axis", list(SweepAxis))
+    @pytest.mark.parametrize("tx", [AntennaPattern.gaussian(330.0, boresight_deg=150.0),
+                                    AntennaPattern.omni()], ids=["wide-tx", "omni-tx"])
+    def test_wide_and_omni_tx(self, tx, axis, monkeypatch):
+        # A 330-degree beam makes the redraw rule fire, so a tx sweep falls
+        # back to full realizations; an omni tx never does.
+        import multiell.stats
+        full_runs = []
+        real = multiell.stats.run_realization
+        monkeypatch.setattr(multiell.stats, "run_realization",
+                            lambda *a: full_runs.append(a) or real(*a))
+        cfg = replace(scenario("A", "same", alpha_r_deg=20.0, seed=11, paths_per_cluster=40),
+                      tx_pattern=tx)
+        angles = [-180.0, -90.0, 0.0, 150.0, 180.0, 400.0]
+        result = sweep_as(cfg, axis, angles, trials=3)
+        monkeypatch.undo()
+        rows, aggregate = reference_sweep(cfg, axis, angles, 3)
+        assert result.rows == rows
+        assert result.aggregate == aggregate
+        if axis is SweepAxis.TX_ORIENTATION:
+            assert (len(full_runs) > 0) == (tx.hpbw_deg is not None)
