@@ -8,13 +8,12 @@ angle spread, with orientation sweeps for both link ends.
 """
 
 from .antenna import AntennaPattern, PatternKind, power_gain, sample_aod, sigma_from_hpbw
-from .engine import (Draws, PathSet, ScenarioConfig, SourceKind, aim_realization,
-                     draw_realization, reweight, run_realization)
+from .engine import PathSet, ScenarioConfig, SourceKind, reweight, run_realization
 from .errors import (BadBinWidth, ConfigError, DegenerateEllipse, EmptyProfile,
                      InvalidDs, InvalidGeometry, InvalidHpbw, KappaOutOfRange,
                      MultiellError, NoPower, ParseError, UnsortedDelays)
 from .geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
-                       aoa_from_aod, ellipse_from_delay, wrap_degrees, wrap_in_place)
+                       aoa_from_aod, ellipse_from_delay, wrap_degrees)
 from .pdp import (BUILTIN_NLOS, NormalizedPdp, ScaledPdp, builtin_nlos_profile,
                   load_pdp, loads_pdp, resolve_pdp, scale_pdp)
 from .scattering import VonMisesParams, sample_von_mises, von_mises_pdf
@@ -25,13 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaPattern", "PatternKind", "power_gain", "sample_aod", "sigma_from_hpbw",
-    "Draws", "PathSet", "ScenarioConfig", "SourceKind", "aim_realization", "draw_realization",
-    "reweight", "run_realization",
+    "PathSet", "ScenarioConfig", "SourceKind", "reweight", "run_realization",
     "BadBinWidth", "ConfigError", "DegenerateEllipse", "EmptyProfile", "InvalidDs",
     "InvalidGeometry", "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower",
     "ParseError", "UnsortedDelays",
     "DEGENERATE_DELAY_S", "SPEED_OF_LIGHT_M_S", "Ellipse", "aoa_from_aod",
-    "ellipse_from_delay", "wrap_degrees", "wrap_in_place",
+    "ellipse_from_delay", "wrap_degrees",
     "BUILTIN_NLOS", "NormalizedPdp", "ScaledPdp", "builtin_nlos_profile", "load_pdp",
     "loads_pdp", "resolve_pdp", "scale_pdp",
     "VonMisesParams", "sample_von_mises", "von_mises_pdf",

@@ -21,7 +21,7 @@ import numpy as np
 from .antenna import (AntennaPattern, PatternKind, beyond_half_turn, draw_aod_offsets,
                       power_gain)
 from .errors import ConfigError
-from .geometry import DEGENERATE_DELAY_S, ellipse_from_delay, aoa_from_aod
+from .geometry import DEGENERATE_DELAY_S, _aoa_in_place, ellipse_from_delay
 from .pdp import NormalizedPdp, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -113,11 +113,13 @@ class Draws:
     one row per cluster. ``tail_aoa`` holds the arrival angles that follow
     the clusters: local scattering, then the direct path under a Rice
     factor. ``raw_power_lin``, ``source_kind`` and ``cluster_index`` cover
-    every path and do not depend on either boresight. ``redrawn`` says
-    whether the redraw rule fired at ``tx_pattern``'s boresight.
+    every path and do not depend on either boresight. ``boresight_deg`` is
+    the transmit boresight the offsets were drawn around (None for an omni
+    transmitter, whose draws are the departures themselves), and
+    ``redrawn`` says whether the redraw rule fired there.
     """
 
-    tx_pattern: AntennaPattern
+    boresight_deg: float | None
     offsets: np.ndarray
     eccentricities: np.ndarray
     tail_aoa: np.ndarray
@@ -203,43 +205,41 @@ def draw_realization(config: ScenarioConfig,
         labels.append(-1)
         counts.append(1)
 
-    return Draws(tx_pattern=config.tx_pattern, offsets=offsets,
+    tx = config.tx_pattern
+    drawn_at = None if tx.kind is PatternKind.OMNI else tx.boresight_deg
+    return Draws(boresight_deg=drawn_at, offsets=offsets,
                  eccentricities=eccentricities, tail_aoa=tail_aoa, raw_power_lin=raw,
                  source_kind=np.repeat(np.array(kinds, dtype=np.int8), counts),
                  cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts),
                  redrawn=redrawn)
 
 
-def aim_realization(draws: Draws, tx_pattern: AntennaPattern,
+def aim_realization(draws: Draws, boresight_deg: float,
                     rx_pattern: AntennaPattern) -> PathSet | None:
-    """The paths that ``draws`` give with the transmitter pointed as
-    ``tx_pattern`` is and the receiver as ``rx_pattern``.
+    """The paths that ``draws`` give with the transmit beam turned to
+    ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
+    omni transmitter ignores it) and the receiver pointed as ``rx_pattern``.
 
     Each departure is the boresight plus its offset, wrapped and mapped
     through its cluster's ellipse in one pass over all clusters; the
     receive pattern then scales each path (:func:`reweight`). The raw-power,
     source and index arrays are those of ``draws``, shared, not copied.
 
-    ``tx_pattern`` must be the drawn pattern up to its boresight. Returns
-    None when the draws do not hold at its boresight: that is, when it is
-    not the drawn boresight and the redraw rule fired during the draw or
-    would reject a departure here. :func:`run_realization` with a fresh
-    stream then gives the paths.
+    Returns None when the draws do not hold at ``boresight_deg``: that is,
+    when it is not the drawn boresight and the redraw rule fired during the
+    draw or would reject a departure here. :func:`run_realization` with a
+    fresh stream then gives the paths.
     """
-    drawn = draws.tx_pattern
-    if tx_pattern.kind is not drawn.kind or tx_pattern.hpbw_deg != drawn.hpbw_deg:
-        raise ConfigError("aim_realization needs the drawn transmit pattern up to its boresight")
     aoa = np.empty(draws.raw_power_lin.size)
     departures = aoa[:draws.offsets.size].reshape(draws.offsets.shape)
-    if drawn.kind is PatternKind.OMNI:
+    if draws.boresight_deg is None:
         departures[...] = draws.offsets
     else:
-        boresight = tx_pattern.boresight_deg
-        np.add(draws.offsets, boresight, out=departures)
-        if boresight != drawn.boresight_deg and (
-                draws.redrawn or beyond_half_turn(departures, boresight).any()):
+        np.add(draws.offsets, boresight_deg, out=departures)
+        if boresight_deg != draws.boresight_deg and (
+                draws.redrawn or beyond_half_turn(departures, boresight_deg).any()):
             return None
-    aoa_from_aod(departures, draws.eccentricities, out=departures)
+    _aoa_in_place(departures, draws.eccentricities)
     aoa[draws.offsets.size:] = draws.tail_aoa
     raw = draws.raw_power_lin
     return reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
@@ -255,7 +255,7 @@ def run_realization(config: ScenarioConfig,
     ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
     pass an unused generator for reproducibility when providing one.
     """
-    return aim_realization(draw_realization(config, rng), config.tx_pattern,
+    return aim_realization(draw_realization(config, rng), config.tx_pattern.boresight_deg,
                            config.rx_pattern)
 
 

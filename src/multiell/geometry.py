@@ -30,14 +30,15 @@ DEGENERATE_DELAY_S = 1e-10
 
 
 def wrap_in_place(angles: np.ndarray) -> np.ndarray:
-    """Wrap a float array into (-180, 180] in place and return it. The array
-    must be viewable as 1-D without a copy, as any contiguous array is.
+    """Wrap a C-contiguous float array into (-180, 180] in place and return it.
 
     Values already inside the interval are not touched, so angles far below
     the 180-degree rounding scale keep full precision. Only the others are
     read and written, as ``(a + 180) % 360 - 180`` with -180 sent to 180.
     """
-    flat = angles.reshape(-1, copy=False)
+    if not angles.flags.c_contiguous:
+        raise ValueError("wrap_in_place needs a C-contiguous array")
+    flat = angles.reshape(-1)  # a view, since the array is contiguous
     # Integer indices gather and scatter several times faster than the mask.
     out_of_range = np.flatnonzero((flat <= -180.0) | (flat > 180.0))
     if out_of_range.size:
@@ -102,7 +103,7 @@ def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float) -> Ellipse
     )
 
 
-def aoa_from_aod(phi_t_deg, eccentricity, out=None):
+def aoa_from_aod(phi_t_deg, eccentricity):
     """Arrival angle at the receiver for a departure angle on one ellipse.
 
     Implemented as the half-angle form tan(aoa/2) = r * tan(aod/2) with
@@ -117,19 +118,20 @@ def aoa_from_aod(phi_t_deg, eccentricity, out=None):
 
     ``eccentricity`` is a scalar, or an array that broadcasts against the
     angles without enlarging them: shape (rows, 1) gives each row of a 2-D
-    angle array its own ellipse. ``out``, an array of the angles' shape
-    (the angle array itself is allowed), receives and returns the result.
+    angle array its own ellipse.
     """
+    phi = np.asarray(phi_t_deg, dtype=float)
+    out = _aoa_in_place(np.array(phi, ndmin=1), eccentricity)
+    return float(out[0]) if phi.ndim == 0 else out
+
+
+def _aoa_in_place(angles: np.ndarray, eccentricity) -> np.ndarray:
+    # aoa_from_aod on a C-contiguous float array, overwriting and returning it.
     e = np.asarray(eccentricity, dtype=float)
     if not np.all((e >= 0.0) & (e < 1.0)):
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
     ratio = (1.0 - e) / (1.0 + e)
-    phi = np.asarray(phi_t_deg, dtype=float)
-    if out is None:
-        out = np.array(phi, ndmin=1)
-    elif out is not phi:
-        out[...] = phi
-    wrap_in_place(out)
+    out = wrap_in_place(angles)
     negative = out < 0.0  # sgn(0) = +1
     np.abs(out, out=out)
     back = out == 180.0
@@ -142,4 +144,4 @@ def aoa_from_aod(phi_t_deg, eccentricity, out=None):
     out *= 2.0
     out[back] = 180.0
     np.negative(out, out=out, where=negative)
-    return float(out[0]) if phi.ndim == 0 else out
+    return out

@@ -126,7 +126,7 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         if axis is SweepAxis.TX_ORIENTATION:
             draws = draw_realization(config, _point_rng(config.seed, axis, trial))
             for j, cfg in enumerate(configs):
-                paths = aim_realization(draws, cfg.tx_pattern, cfg.rx_pattern)
+                paths = aim_realization(draws, cfg.tx_pattern.boresight_deg, cfg.rx_pattern)
                 if paths is None:
                     paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
                 spreads[j, trial] = angular_spread(paths)
