@@ -70,19 +70,23 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
     return hpbw_deg / _HALF_POWER_FACTOR
 
 
-def power_gain(pattern: AntennaPattern, phi_deg):
+def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None):
     """Normalized power gain at azimuth ``phi_deg`` (1 at boresight).
 
     Omni patterns return 1 everywhere. Gaussian patterns use the shortest
-    angular distance to boresight. Accepts scalars or arrays.
+    angular distance to boresight. Accepts scalars or arrays. ``out``, a
+    C-contiguous float array shaped like an array ``phi_deg``, receives the
+    gains in place of a new array.
     """
     phi = np.asarray(phi_deg, dtype=float)
     scalar = phi.ndim == 0
+    if out is None:
+        out = np.empty_like(phi)
     if pattern.kind is PatternKind.OMNI:
-        out = np.ones_like(phi, dtype=float)
+        out.fill(1.0)
         return float(out) if scalar else out
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
-    out = wrap_in_place(np.asarray(phi - pattern.boresight_deg))
+    wrap_in_place(np.subtract(phi, pattern.boresight_deg, out=out))
     np.square(out, out=out)
     np.negative(out, out=out)
     out /= 2.0 * sigma**2
@@ -90,51 +94,42 @@ def power_gain(pattern: AntennaPattern, phi_deg):
     return float(out) if scalar else out
 
 
-def beyond_half_turn(draws, boresight_deg: float) -> np.ndarray:
-    """The redraw rule of a Gaussian departure draw: True where a draw lies
-    more than 180 degrees from the boresight it was drawn around."""
-    return np.abs(draws - boresight_deg) > 180.0
-
-
 def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
-                     out: np.ndarray) -> bool:
-    """Fill ``out`` with departure draws taken relative to the boresight, and
-    say whether the redraw rule fired.
+                     out: np.ndarray) -> None:
+    """Fill ``out`` with departure draws taken relative to the boresight.
 
     Omni: the departure angles themselves, uniform on [-180, 180). Gaussian:
     sigma * z with z standard normal, which is what ``rng.normal(boresight,
     sigma)`` adds to the boresight, bit for bit and from the same stream.
-    A draw that :func:`beyond_half_turn` rejects at the pattern's own
-    boresight is drawn again, for at most ``_MAX_REDRAW_ROUNDS`` rounds.
+    An offset beyond +-180 degrees is drawn again (the normal is truncated
+    to boresight +-180), for at most ``_MAX_REDRAW_ROUNDS`` rounds. The rule
+    reads only the offset, so the draws hold at every boresight.
     """
     if pattern.kind is PatternKind.OMNI:
         rng.random(out=out)
         out *= 360.0
         out -= 180.0
-        return False
+        return
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
     rng.standard_normal(out=out)
     out *= sigma
     rounds = 0
-    bad = beyond_half_turn(pattern.boresight_deg + out, pattern.boresight_deg)
-    while bad.any():
+    while (bad := np.abs(out) > 180.0).any():
         if rounds == _MAX_REDRAW_ROUNDS:
             raise MultiellError(f"departure draws still beyond 180 degrees after"
                                 f" {_MAX_REDRAW_ROUNDS} redraw rounds")
         rounds += 1
         out[bad] = sigma * rng.standard_normal(int(bad.sum()))
-        bad = beyond_half_turn(pattern.boresight_deg + out, pattern.boresight_deg)
-    return rounds > 0
 
 
 def sample_aod(pattern: AntennaPattern, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw departure angles from the pattern-shaped density.
 
     Omni: uniform on (-180, 180]. Gaussian: normal around the boresight with
-    deviation sigma_from_hpbw, redrawing any value farther than 180 degrees
-    from boresight (rejection keeps the density unimodal; for beams of a few
-    tens of degrees the rejected mass is far below 1e-15). Results are
-    wrapped into (-180, 180].
+    deviation sigma_from_hpbw, redrawing any offset beyond 180 degrees (see
+    :func:`draw_aod_offsets`; rejection keeps the density unimodal, and for
+    beams of a few tens of degrees the rejected mass is far below 1e-15).
+    Results are wrapped into (-180, 180].
     """
     draws = np.empty(size)
     draw_aod_offsets(pattern, rng, draws)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antenna import (AntennaPattern, PatternKind, beyond_half_turn, draw_aod_offsets,
-                      power_gain)
+from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
 from .geometry import DEGENERATE_DELAY_S, _aoa_in_place, ellipse_from_delay
 from .pdp import NormalizedPdp, scale_pdp
@@ -77,6 +76,8 @@ class ScenarioConfig:
             raise ConfigError(f"txrx_distance_m must be finite and > 0, got {self.txrx_distance_m}")
         if not (self.ds_s > 0.0 and math.isfinite(self.ds_s)):
             raise ConfigError(f"ds_s must be finite and > 0, got {self.ds_s}")
+        if not math.isfinite(self.ds_s * self.pdp.taps[-1][0]):
+            raise ConfigError(f"ds_s {self.ds_s} makes the last tap's delay overflow")
         if not 1 <= self.paths_per_cluster <= _MAX_PATHS_PER_CLUSTER:
             raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
                               f" got {self.paths_per_cluster}")
@@ -96,9 +97,12 @@ class ScenarioConfig:
 
 def _rice_split(rice_factor_db: float) -> tuple[float, float]:
     # Returns (scatter scale 1/(K+1), direct share K/(K+1)).
-    if math.isinf(rice_factor_db) and rice_factor_db > 0:
+    try:
+        k = 10.0 ** (rice_factor_db / 10.0)
+    except OverflowError:  # above about 3083 dB
+        k = math.inf
+    if math.isinf(k):
         return 0.0, 1.0
-    k = 10.0 ** (rice_factor_db / 10.0)
     return 1.0 / (k + 1.0), k / (k + 1.0)
 
 
@@ -113,20 +117,19 @@ class Draws:
     one row per cluster. ``tail_aoa`` holds the arrival angles that follow
     the clusters: local scattering, then the direct path under a Rice
     factor. ``raw_power_lin``, ``source_kind`` and ``cluster_index`` cover
-    every path and do not depend on either boresight. ``boresight_deg`` is
-    the transmit boresight the offsets were drawn around (None for an omni
-    transmitter, whose draws are the departures themselves), and
-    ``redrawn`` says whether the redraw rule fired there.
+    every path and do not depend on either boresight. ``relative`` says
+    whether the offsets are taken relative to the transmit boresight (False
+    for an omni transmitter, whose draws are the departures themselves).
+    No draw depends on the boresight, so the draws hold at every one.
     """
 
-    boresight_deg: float | None
+    relative: bool
     offsets: np.ndarray
     eccentricities: np.ndarray
     tail_aoa: np.ndarray
     raw_power_lin: np.ndarray
     source_kind: np.ndarray
     cluster_index: np.ndarray
-    redrawn: bool
 
 
 def draw_realization(config: ScenarioConfig,
@@ -174,11 +177,10 @@ def draw_realization(config: ScenarioConfig,
     raw_rows = raw[:raw.size - direct].reshape(-1, n)
     offsets = np.empty((clusters.size, n))
     eccentricities = np.empty((clusters.size, 1))
-    redrawn = False
     for row, i in enumerate(clusters):
         eccentricities[row] = ellipse_from_delay(float(delays[i]),
                                                  config.txrx_distance_m).eccentricity
-        redrawn |= draw_aod_offsets(config.tx_pattern, streams[i], offsets[row])
+        draw_aod_offsets(config.tx_pattern, streams[i], offsets[row])
         u = streams[i].random(out=raw_rows[row])
         u *= float(budgets[i]) / u.sum()
 
@@ -205,17 +207,14 @@ def draw_realization(config: ScenarioConfig,
         labels.append(-1)
         counts.append(1)
 
-    tx = config.tx_pattern
-    drawn_at = None if tx.kind is PatternKind.OMNI else tx.boresight_deg
-    return Draws(boresight_deg=drawn_at, offsets=offsets,
+    return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, offsets=offsets,
                  eccentricities=eccentricities, tail_aoa=tail_aoa, raw_power_lin=raw,
                  source_kind=np.repeat(np.array(kinds, dtype=np.int8), counts),
-                 cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts),
-                 redrawn=redrawn)
+                 cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts))
 
 
 def aim_realization(draws: Draws, boresight_deg: float,
-                    rx_pattern: AntennaPattern) -> PathSet | None:
+                    rx_pattern: AntennaPattern) -> PathSet:
     """The paths that ``draws`` give with the transmit beam turned to
     ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
     omni transmitter ignores it) and the receiver pointed as ``rx_pattern``.
@@ -224,21 +223,15 @@ def aim_realization(draws: Draws, boresight_deg: float,
     through its cluster's ellipse in one pass over all clusters; the
     receive pattern then scales each path (:func:`reweight`). The raw-power,
     source and index arrays are those of ``draws``, shared, not copied.
-
-    Returns None when the draws do not hold at ``boresight_deg``: that is,
-    when it is not the drawn boresight and the redraw rule fired during the
-    draw or would reject a departure here. :func:`run_realization` with a
-    fresh stream then gives the paths.
+    The result equals :func:`run_realization` of the same config turned to
+    ``boresight_deg``, from the same stream, bit for bit.
     """
     aoa = np.empty(draws.raw_power_lin.size)
     departures = aoa[:draws.offsets.size].reshape(draws.offsets.shape)
-    if draws.boresight_deg is None:
-        departures[...] = draws.offsets
-    else:
+    if draws.relative:
         np.add(draws.offsets, boresight_deg, out=departures)
-        if boresight_deg != draws.boresight_deg and (
-                draws.redrawn or beyond_half_turn(departures, boresight_deg).any()):
-            return None
+    else:
+        departures[...] = draws.offsets
     _aoa_in_place(departures, draws.eccentricities)
     aoa[draws.offsets.size:] = draws.tail_aoa
     raw = draws.raw_power_lin
@@ -259,10 +252,14 @@ def run_realization(config: ScenarioConfig,
                            config.rx_pattern)
 
 
-def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
+def reweight(paths: PathSet, rx_pattern: AntennaPattern,
+             out: np.ndarray | None = None) -> PathSet:
     """The same paths with ``power_lin`` recomputed from ``raw_power_lin``
     under another receive pattern. The angle, raw-power, source and index
-    arrays are shared with ``paths``; nothing in ``paths`` is modified."""
-    weighted = paths.raw_power_lin * power_gain(rx_pattern, paths.aoa_deg)
+    arrays are shared with ``paths``; nothing in ``paths`` is modified.
+    ``out``, an array shaped like ``paths.aoa_deg``, becomes the new
+    ``power_lin`` (see :func:`~multiell.antenna.power_gain`)."""
+    weighted = power_gain(rx_pattern, paths.aoa_deg, out=out)
+    weighted *= paths.raw_power_lin
     return PathSet(paths.aoa_deg, paths.raw_power_lin, weighted,
                    paths.source_kind, paths.cluster_index)

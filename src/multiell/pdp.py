@@ -3,10 +3,13 @@
 File format (plain text, UTF-8): an optional header line ``# name: <label>``,
 then one tap per line as ``<normalized_delay> <power_db>`` separated by
 whitespace. Lines starting with ``#`` are comments. Decimal floats only.
+Delays are finite; a power is finite or ``-inf`` (a tap with zero power),
+and at least one tap carries power.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -65,11 +68,17 @@ def loads_pdp(text: str, default_name: str = "pdp") -> NormalizedPdp:
             delay, power_db = float(fields[0]), float(fields[1])
         except ValueError:
             raise ParseError(f"not a decimal float: {line!r}", line=lineno) from None
+        if not math.isfinite(delay):
+            raise ParseError(f"delay must be finite, got {delay}", line=lineno)
         if delay < 0.0:
             raise ParseError(f"negative delay {delay}", line=lineno)
+        if not power_db < math.inf:  # NaN fails this too; -inf dB is zero power
+            raise ParseError(f"power must be finite or -inf dB, got {power_db}", line=lineno)
         taps.append((delay, power_db))
     if not taps:
         raise EmptyProfile("no taps found")
+    if all(power_db == -math.inf for _, power_db in taps):
+        raise EmptyProfile("every tap has zero power (-inf dB)")
     return NormalizedPdp(name=name, taps=tuple(taps))
 
 

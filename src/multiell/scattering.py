@@ -12,6 +12,10 @@ from .geometry import wrap_degrees
 
 _KAPPA_MAX = 500.0
 _KAPPA_UNIFORM = 1e-8
+# Below this the closed form of b cancels (its rho is 0 under 1.4e-8 and
+# twice too large at 1.5e-8), so b takes its series 1/kappa + kappa, as in
+# numpy's own von Mises sampler.
+_KAPPA_SERIES = 1e-5
 # Rounds of the Best-Fisher loop. Each round accepts at least 65% of the
 # proposals at any kappa, so a million draws settle in a few dozen rounds.
 _MAX_PROPOSAL_ROUNDS = 1000
@@ -63,15 +67,19 @@ def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
     and b = (1 + rho^2) / (2 rho), a proposal z = cos(pi u1) gives
     f = (1 + b z) / (b + z) and c = kappa (b - f); the draw arccos(f) is
     accepted when c (2 - c) > u2 or log(c / u2) + 1 >= c, signed by a third
-    uniform. kappa = 0 degenerates to the uniform circle.
+    uniform. kappa = 0 degenerates to the uniform circle; below
+    ``_KAPPA_SERIES``, b is 1/kappa + kappa.
     """
     kappa = params.kappa
     if kappa < _KAPPA_UNIFORM:
         return wrap_degrees(rng.random(size) * 360.0 - 180.0)
 
-    tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
-    rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
-    b = (1.0 + rho * rho) / (2.0 * rho)
+    if kappa < _KAPPA_SERIES:
+        b = 1.0 / kappa + kappa
+    else:
+        tau = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
+        rho = (tau - math.sqrt(2.0 * tau)) / (2.0 * kappa)
+        b = (1.0 + rho * rho) / (2.0 * rho)
 
     out = np.empty(size, dtype=float)
     filled = 0

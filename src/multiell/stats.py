@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (PathSet, ScenarioConfig, aim_realization, draw_realization, reweight,
-                     run_realization)
+from .engine import PathSet, ScenarioConfig, aim_realization, draw_realization, reweight
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -46,8 +45,8 @@ class SweepResult:
     aggregate: list[tuple[float, float, float]]  # (angle, mean_as_deg, std_as_deg)
 
 
-def _total_power(paths: PathSet) -> float:
-    total = paths.power_lin.sum()
+def _total_power(power_lin: np.ndarray) -> float:
+    total = power_lin.sum()
     if not total > 0.0:  # NaN fails this too
         raise NoPower(f"total path power is {total}")
     return total
@@ -58,10 +57,16 @@ def angular_spread(paths: PathSet) -> float:
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
     of the definition)."""
-    phi = paths.aoa_deg
-    w = paths.power_lin / _total_power(paths)
-    mean = float((w * phi).sum())
-    second = float((w * phi * phi).sum())
+    return _spread_in_place(paths.aoa_deg, paths.power_lin.copy())
+
+
+def _spread_in_place(phi: np.ndarray, moment: np.ndarray) -> float:
+    # angular_spread of the powers in ``moment`` at ``phi``, overwriting them.
+    moment /= _total_power(moment)
+    moment *= phi
+    mean = float(moment.sum())
+    moment *= phi
+    second = float(moment.sum())
     return float(np.sqrt(max(second - mean * mean, 0.0)))
 
 
@@ -79,7 +84,7 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = 1.0) -> AngularSpectrum:
         raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")
     n_bins = int(round(n_bins))
 
-    total = _total_power(paths)
+    total = _total_power(paths.power_lin)
     edges = -180.0 + bin_width_deg * np.arange(n_bins + 1)
     counts, _ = np.histogram(paths.aoa_deg, bins=edges, weights=paths.power_lin)
     density = counts / (total * bin_width_deg)
@@ -104,12 +109,10 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     angle-major, trial-minor. Aggregates report the mean and sample standard
     deviation (0 for a single trial) per angle.
 
-    Each trial's stream is shared by every angle. Only the receive weighting
-    depends on the receive boresight, so an rx sweep builds each trial's
-    paths once and reweights them per angle. A tx sweep draws each trial
-    once and aims the draws at every transmit angle; where the draws do not
-    hold at an angle (see :func:`~multiell.engine.aim_realization`), that
-    point is run in full from the trial's stream.
+    Each trial's stream is shared by every angle, and no draw depends on
+    either boresight, so each trial is drawn once. A tx sweep aims the draws
+    at every transmit angle (:func:`~multiell.engine.aim_realization`). An
+    rx sweep aims them once and reweights the paths per receive angle.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -123,18 +126,21 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         configs = [config.with_orientations(alpha_r_deg=a) for a in angles]
     spreads = np.empty((len(angles), trials))
     for trial in range(trials):
+        draws = draw_realization(config, _point_rng(config.seed, axis, trial))
         if axis is SweepAxis.TX_ORIENTATION:
-            draws = draw_realization(config, _point_rng(config.seed, axis, trial))
             for j, cfg in enumerate(configs):
                 paths = aim_realization(draws, cfg.tx_pattern.boresight_deg, cfg.rx_pattern)
-                if paths is None:
-                    paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
                 spreads[j, trial] = angular_spread(paths)
         else:
-            paths = run_realization(configs[0], _point_rng(config.seed, axis, trial))
+            paths = aim_realization(draws, config.tx_pattern.boresight_deg,
+                                    configs[0].rx_pattern)
             spreads[0, trial] = angular_spread(paths)
+            # One weighting buffer per trial: with a path-sized array per angle,
+            # glibc trimmed and refaulted the heap at some layouts, not others.
+            weighted = np.empty_like(paths.power_lin)
             for j, cfg in enumerate(configs[1:], start=1):
-                spreads[j, trial] = angular_spread(reweight(paths, cfg.rx_pattern))
+                reweight(paths, cfg.rx_pattern, out=weighted)
+                spreads[j, trial] = _spread_in_place(paths.aoa_deg, weighted)
 
     rows: list[tuple[float, float, int, float]] = []
     aggregate: list[tuple[float, float, float]] = []

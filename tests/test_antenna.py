@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import multiell.antenna
-from multiell.antenna import (AntennaPattern, PatternKind, power_gain,
+from multiell.antenna import (AntennaPattern, PatternKind, draw_aod_offsets, power_gain,
                               sample_aod, sigma_from_hpbw)
 from multiell.errors import ConfigError, InvalidHpbw, MultiellError
 from multiell.geometry import wrap_degrees
@@ -41,6 +41,9 @@ class TestPowerGain:
         p = AntennaPattern.omni()
         assert power_gain(p, 123.4) == 1.0
         assert np.all(power_gain(p, np.linspace(-180, 180, 19)) == 1.0)
+        out = np.full(19, np.nan)
+        assert power_gain(p, np.linspace(-180, 180, 19), out=out) is out
+        assert np.all(out == 1.0)
 
     def test_symmetric_about_boresight(self):
         p = AntennaPattern.gaussian(14.0, boresight_deg=40.0)
@@ -65,6 +68,9 @@ class TestPowerGain:
         expected = np.exp(-np.square(wrap_degrees(phi - boresight)) / (2.0 * sigma**2))
         assert power_gain(pattern, phi).tobytes() == expected.tobytes()
         assert power_gain(pattern, float(phi[0])) == expected[0]
+        out = np.full_like(phi, np.nan)
+        assert power_gain(pattern, phi, out=out) is out
+        assert out.tobytes() == expected.tobytes()
 
     def test_gaussian_requires_hpbw(self):
         with pytest.raises(ConfigError):
@@ -121,6 +127,23 @@ class TestSampleAod:
                 expected[bad] = rng.normal(pattern.boresight_deg, sigma, int(bad.sum()))
         assert draws.tobytes() == wrap_degrees(expected).tobytes()
 
+    def test_redraw_edge_reads_only_the_offset(self):
+        # sigma is exactly 1, so the stub's values are the offsets themselves
+        hpbw = 2.0 * math.sqrt(2.0 * math.log(2.0))
+        assert sigma_from_hpbw(hpbw) == 1.0
+        first = [180.0, -180.0, np.nextafter(180.0, np.inf), np.nextafter(-180.0, -np.inf),
+                 0.5, -179.9]
+        redraws = [1.0, -2.0]
+        results = []
+        for boresight in (0.0, 100.0, -179.5, 180.0, 37.3):
+            rng = StubNormal(first + redraws)
+            out = np.empty(len(first))
+            draw_aod_offsets(AntennaPattern.gaussian(hpbw, boresight_deg=boresight), rng, out)
+            assert rng.values == []
+            results.append(out.tobytes())
+        assert results[0] == np.array([180.0, -180.0, 1.0, -2.0, 0.5, -179.9]).tobytes()
+        assert set(results) == {results[0]}
+
     def test_redraw_rounds_are_capped(self, monkeypatch):
         # a 359-degree beam rejects about a quarter of each round, so one
         # round leaves hundreds of 10,000 draws to redraw
@@ -128,3 +151,19 @@ class TestSampleAod:
         with pytest.raises(MultiellError, match="after 1 redraw rounds"):
             sample_aod(AntennaPattern.gaussian(359.0), np.random.default_rng(1), size=10_000)
         sample_aod(AntennaPattern.gaussian(20.0), np.random.default_rng(1), size=10_000)
+
+
+class StubNormal:
+    """Stands in for a generator: hands out queued standard-normal values,
+    first to fill ``out``, then in the sizes that are asked for."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size=None, out=None):
+        n = size if out is None else out.size
+        taken, self.values = self.values[:n], self.values[n:]
+        if out is None:
+            return np.array(taken)
+        out[...] = taken
+        return out

@@ -281,6 +281,19 @@ class TestNonFiniteInputs:
         assert "boresight_deg" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("taps, message", [
+        ("0 0\nnan -3\n", "line 2: delay"), ("0 0\ninf -3\n", "line 2: delay"),
+        ("0 0\n1 inf\n", "line 2: power"), ("0 -inf\n1 -inf\n", "zero power"),
+    ])
+    def test_non_finite_profile_exits_1(self, tmp_path, capsys, taps, message):
+        pdp = tmp_path / "profile.pdp"
+        pdp.write_text(taps, encoding="utf-8")
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", f"pdp.source={pdp}",
+                     "--set", "scenario.paths_per_cluster=20", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigKeys:
     def test_unknown_keys_exit_1_naming_each(self, tmp_path, capsys):

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, sigma_from_hpbw
 from multiell.engine import (ScenarioConfig, SourceKind, aim_realization, draw_realization,
                              run_realization)
-from multiell.errors import ConfigError
+from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import scenario
@@ -32,6 +33,18 @@ def single_cluster_config(e=0.5, n=100_000, seed=9, rx=None):
     )
 
 
+def usually_in(lo, hi):
+    """Floats in [lo, hi], mixed with any float at all (NaN and +-inf too)."""
+    return st.floats(lo, hi) | st.floats()
+
+
+def pattern(hpbw, boresight):
+    """Omni for ``hpbw=None``, else a Gaussian beam."""
+    if hpbw is None:
+        return AntennaPattern.omni()
+    return AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+
+
 class TestConservation:
     def test_builtin_scenario(self):
         paths = run_realization(scenario("A", "same", alpha_t_deg=180.0))
@@ -54,6 +67,27 @@ class TestConservation:
                 seed=int(rng.integers(0, 2**32)),
             )
             assert run_realization(cfg).raw_power_sum == pytest.approx(1.0, abs=1e-9)
+
+    @given(tx_hpbw=st.none() | usually_in(0.5, 359.0), tx_at=usually_in(-180.0, 180.0),
+           rx_hpbw=st.none() | usually_in(0.5, 359.0), rx_at=usually_in(-180.0, 180.0),
+           ds_s=usually_in(1e-10, 1e-5), distance=usually_in(1.0, 1e4),
+           n=st.integers(1, 50), kappa=usually_in(0.0, 500.0), mu=usually_in(-180.0, 180.0),
+           share=st.none() | usually_in(0.0, 1.0), rice=st.none() | usually_in(-40.0, 40.0),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=2000)
+    def test_generated_configs_conserve_or_raise(self, tx_hpbw, tx_at, rx_hpbw, rx_at, ds_s,
+                                                 distance, n, kappa, mu, share, rice, seed):
+        try:
+            paths = run_realization(ScenarioConfig(
+                pdp=builtin_nlos_profile(), ds_s=ds_s, tx_pattern=pattern(tx_hpbw, tx_at),
+                rx_pattern=pattern(rx_hpbw, rx_at), txrx_distance_m=distance,
+                paths_per_cluster=n,
+                local_scattering=VonMisesParams(mu_deg=mu, kappa=kappa, power_share=share),
+                rice_factor_db=rice, seed=seed))
+        except MultiellError:
+            return
+        assert np.isfinite(paths.aoa_deg).all()
+        assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDeterminism:
@@ -115,6 +149,12 @@ class TestRiceFactor:
         direct = paths.raw_power_lin[paths.source_kind == SourceKind.LOS]
         assert direct.sum() == pytest.approx(10.0 / 11.0, rel=1e-12)
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+
+    def test_k_beyond_float_range_is_the_infinite_limit(self):
+        # 10 ** (4000 / 10) overflows a float
+        huge = run_realization(scenario("A", "omni", seed=2, rice_factor_db=4000.0))
+        limit = run_realization(scenario("A", "omni", seed=2, rice_factor_db=math.inf))
+        assert huge.raw_power_lin.tobytes() == limit.raw_power_lin.tobytes()
 
     def test_nlos_has_no_direct_path(self):
         paths = run_realization(scenario("A", "omni", seed=2))
@@ -235,6 +275,7 @@ class TestValidation:
             replace(good, txrx_distance_m=math.inf),
             replace(good, ds_s=math.nan),
             replace(good, ds_s=math.inf),
+            replace(good, ds_s=1e308),  # the last tap's delay overflows
         ):
             with pytest.raises(ConfigError):
                 run_realization(bad)
@@ -295,41 +336,23 @@ class TestDrawStage:
         rows = draws.raw_power_lin.reshape(-1, cfg.paths_per_cluster)[:-1]  # last: local
         for row, u, budget in zip(rows, uniforms, powers, strict=True):
             assert row.tobytes() == (u * (float(budget) / u.sum())).tobytes()
-        assert draws.redrawn == redrawn
-        assert draws.boresight_deg == (None if cfg.tx_pattern.hpbw_deg is None else shift)
+        assert draws.relative == (cfg.tx_pattern.hpbw_deg is not None)
         assert redrawn == (cfg.tx_pattern.hpbw_deg == 330.0)
 
 
 class TestAimStage:
     def test_other_boresight_matches_its_own_realization(self):
-        cfg = scenario("C", "same", alpha_t_deg=10.0, alpha_r_deg=-20.0, seed=8,
-                       paths_per_cluster=200, rice_factor_db=3.0)
-        draws = draw_realization(cfg)
-        for alpha_t in (-180.0, -95.5, 0.0, 10.0, 179.0):
-            aimed = cfg.with_orientations(alpha_t_deg=alpha_t)
-            got = aim_realization(draws, aimed.tx_pattern.boresight_deg, aimed.rx_pattern)
-            expected = run_realization(aimed)
-            for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind",
-                         "cluster_index"):
-                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
-
-    def test_redrawn_draws_hold_only_at_their_own_boresight(self):
-        cfg = replace(scenario("A", "omni", seed=6, paths_per_cluster=300),
-                      tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0))
-        draws = draw_realization(cfg)
-        assert draws.redrawn
-        assert aim_realization(draws, -60.0, cfg.rx_pattern) is None
-        own = aim_realization(draws, 120.0, cfg.rx_pattern)
-        assert own.aoa_deg.tobytes() == run_realization(cfg).aoa_deg.tobytes()
-
-    def test_rounding_can_reject_at_another_boresight(self):
-        # 100 + 180.00000000000003 rounds to 280, which the redraw rule keeps
-        # at boresight 100; at 0 the same offset lies beyond 180 degrees
-        cfg = scenario("A", "same", alpha_t_deg=100.0, seed=6, paths_per_cluster=20)
-        draws = draw_realization(cfg)
-        offsets = draws.offsets.copy()
-        offsets[3, 7] = np.nextafter(180.0, np.inf)
-        edge = replace(draws, offsets=offsets)
-        assert not edge.redrawn
-        assert aim_realization(edge, 100.0, cfg.rx_pattern) is not None
-        assert aim_realization(edge, 0.0, cfg.rx_pattern) is None
+        narrow = scenario("C", "same", alpha_t_deg=10.0, alpha_r_deg=-20.0, seed=8,
+                          paths_per_cluster=200, rice_factor_db=3.0)
+        # a 330-degree beam makes the redraw rule fire in every cluster
+        wide = replace(scenario("A", "omni", seed=6, paths_per_cluster=300),
+                       tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0))
+        for cfg in (narrow, wide):
+            draws = draw_realization(cfg)
+            for alpha_t in (-180.0, -95.5, -60.0, 0.0, 10.0, 120.0, 179.0):
+                aimed = cfg.with_orientations(alpha_t_deg=alpha_t)
+                got = aim_realization(draws, aimed.tx_pattern.boresight_deg, aimed.rx_pattern)
+                expected = run_realization(aimed)
+                for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind",
+                             "cluster_index"):
+                    assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name

@@ -44,6 +44,22 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text", ["0.0 0\nnan -3\n", "0.0 0\ninf -3\n", "0.0 0\n-inf -3\n",
+                                  "0.0 0\n1.0 nan\n", "0.0 0\n1.0 inf\n"])
+def test_non_finite_values_name_their_line(text):
+    with pytest.raises(ParseError, match="^line 2: ") as err:
+        loads_pdp(text)
+    assert err.value.line == 2
+
+
+def test_zero_power_taps():
+    # one -inf dB tap is a tap with zero power; a profile of only those is empty
+    scaled = scale_pdp(loads_pdp("0.0 0\n1.0 -inf\n"), 1e-7)
+    assert scaled.powers_lin.tolist() == [1.0, 0.0]
+    with pytest.raises(EmptyProfile):
+        loads_pdp("0.0 -inf\n1.0 -inf\n")
+
+
 def test_scale_reference_delay():
     pdp = loads_pdp("1.0 0.0\n")
     scaled = scale_pdp(pdp, 363e-9)

@@ -82,6 +82,14 @@ class TestSampleVonMises:
             frac = np.mean((draws > lo) & (draws <= lo + 36.0))
             assert frac == pytest.approx(0.1, abs=0.01)
 
+    @pytest.mark.parametrize("kappa", [1e-8, 1.2e-8, 1.5e-8, 1e-6, 9.9e-6])
+    def test_near_uniform_at_tiny_kappa(self, rng, kappa):
+        # the closed form of the Best-Fisher constants cancels here
+        draws = sample_von_mises(VonMisesParams(kappa=kappa), rng, size=100_000)
+        for lo in (-180.0, -36.0, 100.0):
+            frac = np.mean((draws > lo) & (draws <= lo + 36.0))
+            assert frac == pytest.approx(0.1, abs=0.01)
+
     def test_circular_mean_at_mu(self, rng):
         draws = sample_von_mises(VonMisesParams(mu_deg=0.0, kappa=10.0), rng, size=100_000)
         mean_dir = math.degrees(math.atan2(np.sin(np.radians(draws)).mean(),

@@ -53,6 +53,12 @@ class TestAngularSpread:
         # wrap maps -180 to +180, a single point: zero spread
         assert angular_spread(paths) in (0.0, 180.0)
 
+    def test_leaves_powers_untouched(self, rng):
+        paths = make_pathset(rng.uniform(-180.0, 180.0, 100), rng.random(100))
+        before = paths.power_lin.copy()
+        angular_spread(paths)
+        assert paths.power_lin.tobytes() == before.tobytes()
+
     def test_no_power_raises(self):
         with pytest.raises(NoPower):
             angular_spread(make_pathset([1.0, 2.0], [0.0, 0.0]))
@@ -251,18 +257,41 @@ class TestSweepEquivalence:
         for name in PATH_ARRAYS:
             assert same_bits(getattr(got, name), getattr(expected, name)), name
             assert same_bits(getattr(paths_a, name), before[name]), name
+        out = np.full_like(paths_a.aoa_deg, np.nan)
+        assert reweight(paths_a, cfg_b.rx_pattern, out=out).power_lin is out
+        assert same_bits(out, expected.power_lin)
+
+    def test_rx_sweep_weights_into_one_buffer_per_trial(self, monkeypatch):
+        # A fresh path-sized array per angle made the sweep's speed depend on
+        # whether the C allocator trimmed the heap after each one.
+        import multiell.stats
+        buffers = []
+
+        def recording_reweight(paths, rx_pattern, out=None):
+            buffers.append(out)
+            return reweight(paths, rx_pattern, out=out)
+
+        monkeypatch.setattr(multiell.stats, "reweight", recording_reweight)
+        cfg = scenario("A", "same", paths_per_cluster=30, seed=4)
+        sweep_as(cfg, SweepAxis.RX_ORIENTATION, [0.0, 20.0, 40.0, 60.0], trials=2)
+        assert len(buffers) == 6 and buffers[0] is not None and buffers[3] is not None
+        assert all(b is buffers[0] for b in buffers[:3])
+        assert all(b is buffers[3] for b in buffers[3:])
 
     @pytest.mark.parametrize("axis", list(SweepAxis))
     @pytest.mark.parametrize("tx", [AntennaPattern.gaussian(330.0, boresight_deg=150.0),
                                     AntennaPattern.omni()], ids=["wide-tx", "omni-tx"])
     def test_wide_and_omni_tx(self, tx, axis, monkeypatch):
-        # A 330-degree beam makes the redraw rule fire, so a tx sweep falls
-        # back to full realizations; an omni tx never does.
+        # A 330-degree beam makes the redraw rule fire; the draws still hold
+        # at every boresight, so no sweep point runs a full realization.
+        import multiell.engine
         import multiell.stats
         full_runs = []
-        real = multiell.stats.run_realization
-        monkeypatch.setattr(multiell.stats, "run_realization",
-                            lambda *a: full_runs.append(a) or real(*a))
+        real = multiell.engine.run_realization
+        # also under the name stats would call it by, were it imported there
+        for module in (multiell.engine, multiell.stats):
+            monkeypatch.setattr(module, "run_realization",
+                                lambda *a: full_runs.append(a) or real(*a), raising=False)
         cfg = replace(scenario("A", "same", alpha_r_deg=20.0, seed=11, paths_per_cluster=40),
                       tx_pattern=tx)
         angles = [-180.0, -90.0, 0.0, 150.0, 180.0, 400.0]
@@ -271,5 +300,4 @@ class TestSweepEquivalence:
         rows, aggregate = reference_sweep(cfg, axis, angles, 3)
         assert result.rows == rows
         assert result.aggregate == aggregate
-        if axis is SweepAxis.TX_ORIENTATION:
-            assert (len(full_runs) > 0) == (tx.hpbw_deg is not None)
+        assert full_runs == []
