@@ -41,8 +41,7 @@ class AntennaPattern:
         if self.kind is PatternKind.GAUSSIAN:
             if self.hpbw_deg is None:
                 raise ConfigError("Gaussian pattern requires hpbw_deg")
-            if not 0.0 < self.hpbw_deg < 360.0:
-                raise InvalidHpbw(f"hpbw_deg must be in (0, 360), got {self.hpbw_deg}")
+            sigma_from_hpbw(self.hpbw_deg)
         if not math.isfinite(self.boresight_deg):
             raise ConfigError(f"boresight_deg must be finite, got {self.boresight_deg}")
         object.__setattr__(self, "boresight_deg", wrap_degrees(self.boresight_deg))
@@ -64,10 +63,20 @@ class AntennaPattern:
 
 def sigma_from_hpbw(hpbw_deg: float) -> float:
     """Standard deviation of the Gaussian power shape exp(-phi^2 / (2 sigma^2))
-    that reaches one half at phi = hpbw/2, i.e. hpbw / (2 sqrt(2 ln 2))."""
+    that reaches one half at phi = hpbw/2, i.e. hpbw / (2 sqrt(2 ln 2)).
+
+    Raises ``InvalidHpbw`` outside (0, 360), and for a beam so narrow (below
+    about 2.2e-152 degrees) that 2 sigma^2 underflows to 0 or the exponent
+    overflows at 180 degrees off boresight.
+    """
     if not 0.0 < hpbw_deg < 360.0:
         raise InvalidHpbw(f"hpbw_deg must be in (0, 360), got {hpbw_deg}")
-    return hpbw_deg / _HALF_POWER_FACTOR
+    sigma = hpbw_deg / _HALF_POWER_FACTOR
+    two_var = 2.0 * sigma**2
+    if two_var == 0.0 or math.isinf(180.0**2 / two_var):
+        raise InvalidHpbw(f"hpbw_deg {hpbw_deg} is too narrow for the Gaussian gain to be"
+                          " computed")
+    return sigma
 
 
 def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None):

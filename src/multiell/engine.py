@@ -42,6 +42,8 @@ class PathSet:
 
     ``power_lin`` holds powers after receive-pattern weighting;
     ``raw_power_lin`` holds the pre-weighting powers, which sum to one.
+    An omni receive pattern weights nothing, so :func:`reweight` makes the
+    raw-power array itself the ``power_lin``, shared, not copied.
     """
 
     def __init__(self, aoa_deg, raw_power_lin, power_lin, source_kind, cluster_index):
@@ -111,25 +113,31 @@ class Draws:
     """Every random draw of one realization, kept apart from the transmit
     boresight so that one set of draws serves many boresights.
 
-    ``offsets`` holds one row of ``paths_per_cluster`` departure draws per
+    ``angles`` is one buffer with an entry per path. Its head, ``offsets``,
+    is a view with one row of ``paths_per_cluster`` departure draws per
     geometric cluster, relative to the boresight for a Gaussian pattern
     (see :func:`~multiell.antenna.draw_aod_offsets`); ``eccentricities`` has
-    one row per cluster. ``tail_aoa`` holds the arrival angles that follow
-    the clusters: local scattering, then the direct path under a Rice
-    factor. ``raw_power_lin``, ``source_kind`` and ``cluster_index`` cover
-    every path and do not depend on either boresight. ``relative`` says
-    whether the offsets are taken relative to the transmit boresight (False
-    for an omni transmitter, whose draws are the departures themselves).
-    No draw depends on the boresight, so the draws hold at every one.
+    one row per cluster. Its tail, ``tail_aoa``, holds the arrival angles
+    that follow the clusters: local scattering, then the direct path under
+    a Rice factor. ``raw_power_lin``, ``source_kind`` and ``cluster_index``
+    cover every path and do not depend on either boresight. ``relative``
+    says whether the offsets are taken relative to the transmit boresight
+    (False for an omni transmitter, whose draws are the departures
+    themselves). No draw depends on the boresight, so the draws hold at
+    every one, until :func:`aim_realization` aims them in ``angles``.
     """
 
     relative: bool
+    angles: np.ndarray
     offsets: np.ndarray
     eccentricities: np.ndarray
-    tail_aoa: np.ndarray
     raw_power_lin: np.ndarray
     source_kind: np.ndarray
     cluster_index: np.ndarray
+
+    @property
+    def tail_aoa(self) -> np.ndarray:
+        return self.angles[self.offsets.size:]
 
 
 def draw_realization(config: ScenarioConfig,
@@ -175,7 +183,9 @@ def draw_realization(config: ScenarioConfig,
     raw = np.empty((clusters.size + 1) * n + direct)
     # One row of n per cluster, then local scattering; the direct path is last.
     raw_rows = raw[:raw.size - direct].reshape(-1, n)
-    offsets = np.empty((clusters.size, n))
+    # The angles follow the same layout as the raw powers.
+    angles = np.empty(raw.size)
+    offsets = angles[:clusters.size * n].reshape(clusters.size, n)
     eccentricities = np.empty((clusters.size, 1))
     for row, i in enumerate(clusters):
         eccentricities[row] = ellipse_from_delay(float(delays[i]),
@@ -185,7 +195,7 @@ def draw_realization(config: ScenarioConfig,
         u *= float(budgets[i]) / u.sum()
 
     local_rng = streams[-1]
-    tail_aoa = np.empty(n + direct)
+    tail_aoa = angles[offsets.size:]
     tail_aoa[:n] = sample_von_mises(config.local_scattering, local_rng, size=n)
     u = local_rng.random(out=raw_rows[-1])
     if share > 0.0:
@@ -207,14 +217,14 @@ def draw_realization(config: ScenarioConfig,
         labels.append(-1)
         counts.append(1)
 
-    return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, offsets=offsets,
-                 eccentricities=eccentricities, tail_aoa=tail_aoa, raw_power_lin=raw,
+    return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
+                 offsets=offsets, eccentricities=eccentricities, raw_power_lin=raw,
                  source_kind=np.repeat(np.array(kinds, dtype=np.int8), counts),
                  cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts))
 
 
-def aim_realization(draws: Draws, boresight_deg: float,
-                    rx_pattern: AntennaPattern) -> PathSet:
+def aim_realization(draws: Draws, boresight_deg: float, rx_pattern: AntennaPattern,
+                    out: np.ndarray | None = None) -> PathSet:
     """The paths that ``draws`` give with the transmit beam turned to
     ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
     omni transmitter ignores it) and the receiver pointed as ``rx_pattern``.
@@ -225,9 +235,14 @@ def aim_realization(draws: Draws, boresight_deg: float,
     source and index arrays are those of ``draws``, shared, not copied.
     The result equals :func:`run_realization` of the same config turned to
     ``boresight_deg``, from the same stream, bit for bit.
+
+    ``out``, a float array with one entry per path, receives the arrival
+    angles in place of a new array. ``out=draws.angles`` aims the draws in
+    their own buffer, which uses them up: aim them only once that way.
     """
-    aoa = np.empty(draws.raw_power_lin.size)
+    aoa = np.empty(draws.angles.size) if out is None else out
     departures = aoa[:draws.offsets.size].reshape(draws.offsets.shape)
+    # When ``aoa`` is ``draws.angles`` the two plain copies below are no-ops.
     if draws.relative:
         np.add(draws.offsets, boresight_deg, out=departures)
     else:
@@ -243,13 +258,15 @@ def run_realization(config: ScenarioConfig,
                     rng: np.random.Generator | None = None) -> PathSet:
     """Generate one set of propagation paths for the scenario: the draws of
     :func:`draw_realization`, aimed at the config's own boresights by
-    :func:`aim_realization`.
+    :func:`aim_realization` in the draws' own angle buffer, which becomes
+    the paths' ``aoa_deg``.
 
     ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
     pass an unused generator for reproducibility when providing one.
     """
-    return aim_realization(draw_realization(config, rng), config.tx_pattern.boresight_deg,
-                           config.rx_pattern)
+    draws = draw_realization(config, rng)
+    return aim_realization(draws, config.tx_pattern.boresight_deg, config.rx_pattern,
+                           out=draws.angles)
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern,
@@ -258,8 +275,16 @@ def reweight(paths: PathSet, rx_pattern: AntennaPattern,
     under another receive pattern. The angle, raw-power, source and index
     arrays are shared with ``paths``; nothing in ``paths`` is modified.
     ``out``, an array shaped like ``paths.aoa_deg``, becomes the new
-    ``power_lin`` (see :func:`~multiell.antenna.power_gain`)."""
-    weighted = power_gain(rx_pattern, paths.aoa_deg, out=out)
-    weighted *= paths.raw_power_lin
-    return PathSet(paths.aoa_deg, paths.raw_power_lin, weighted,
-                   paths.source_kind, paths.cluster_index)
+    ``power_lin`` (see :func:`~multiell.antenna.power_gain`). An omni
+    pattern weights nothing: its ``power_lin`` is ``paths.raw_power_lin``
+    itself, or a copy of it in ``out``."""
+    raw = paths.raw_power_lin
+    if rx_pattern.kind is not PatternKind.OMNI:
+        weighted = power_gain(rx_pattern, paths.aoa_deg, out=out)
+        weighted *= raw
+    elif out is None:
+        weighted = raw
+    else:
+        weighted = out
+        weighted[...] = raw
+    return PathSet(paths.aoa_deg, raw, weighted, paths.source_kind, paths.cluster_index)

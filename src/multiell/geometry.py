@@ -132,16 +132,17 @@ def _aoa_in_place(angles: np.ndarray, eccentricity) -> np.ndarray:
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
     ratio = (1.0 - e) / (1.0 + e)
     out = wrap_in_place(angles)
-    negative = out < 0.0  # sgn(0) = +1
-    np.abs(out, out=out)
+    # Every step below is odd bit for bit (numpy's tan and arctan included),
+    # so a signed angle maps to sgn(aod) times the map of |aod|. Adding 0
+    # first turns -0.0 into +0.0, which keeps sgn(0) = +1.
+    out += 0.0
     back = out == 180.0
     out /= 2.0
-    np.radians(out, out=out)
+    out *= np.pi / 180.0  # np.radians, bit for bit
     np.tan(out, out=out)
     out *= ratio
     np.arctan(out, out=out)
-    np.degrees(out, out=out)
+    out *= 180.0 / np.pi  # np.degrees, bit for bit
     out *= 2.0
     out[back] = 180.0
-    np.negative(out, out=out, where=negative)
     return out

@@ -4,7 +4,8 @@ File format (plain text, UTF-8): an optional header line ``# name: <label>``,
 then one tap per line as ``<normalized_delay> <power_db>`` separated by
 whitespace. Lines starting with ``#`` are comments. Decimal floats only.
 Delays are finite; a power is finite or ``-inf`` (a tap with zero power),
-and at least one tap carries power.
+its linear value fits a float (below about 3082.5 dB), and at least one tap
+carries power.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyProfile, InvalidDs, ParseError, UnsortedDelays
+from .errors import EmptyProfile, InvalidDs, MultiellError, ParseError, UnsortedDelays
 
 BUILTIN_NLOS = "builtin:nlos3gpp"
 
@@ -74,6 +75,11 @@ def loads_pdp(text: str, default_name: str = "pdp") -> NormalizedPdp:
             raise ParseError(f"negative delay {delay}", line=lineno)
         if not power_db < math.inf:  # NaN fails this too; -inf dB is zero power
             raise ParseError(f"power must be finite or -inf dB, got {power_db}", line=lineno)
+        try:
+            10.0 ** (power_db / 10.0)
+        except OverflowError:
+            raise ParseError(f"power {power_db} dB overflows in linear scale",
+                             line=lineno) from None
         taps.append((delay, power_db))
     if not taps:
         raise EmptyProfile("no taps found")
@@ -105,11 +111,16 @@ def scale_pdp(pdp: NormalizedPdp, ds_s: float) -> ScaledPdp:
     """Multiply normalized delays by the delay spread and normalize powers.
 
     Powers convert from dB to linear and are rescaled to sum to one, so the
-    engine can treat cluster powers as a budget.
+    engine can treat cluster powers as a budget. Raises ``MultiellError``
+    when the linear total is zero or overflows.
     """
     if ds_s <= 0.0:
         raise InvalidDs(f"delay spread must be > 0, got {ds_s}")
     delays = np.array([t[0] for t in pdp.taps], dtype=float) * ds_s
-    powers = 10.0 ** (np.array([t[1] for t in pdp.taps], dtype=float) / 10.0)
-    powers /= powers.sum()
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        powers = 10.0 ** (np.array([t[1] for t in pdp.taps], dtype=float) / 10.0)
+        total = powers.sum()
+    if not 0.0 < total < math.inf:
+        raise MultiellError(f"total linear profile power is {total}; it must be finite and > 0")
+    powers /= total
     return ScaledPdp(excess_delays_s=delays, powers_lin=powers)

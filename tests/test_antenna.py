@@ -26,6 +26,19 @@ class TestSigmaFromHpbw:
         with pytest.raises(InvalidHpbw):
             sigma_from_hpbw(bad)
 
+    @pytest.mark.parametrize("narrow", [1e-200, 1e-155, 5e-324])
+    def test_beam_too_narrow_for_the_gain_raises(self, narrow):
+        # 2 sigma^2 underflows to 0, or 180^2 / (2 sigma^2) overflows
+        with pytest.raises(InvalidHpbw, match="too narrow"):
+            sigma_from_hpbw(narrow)
+        with pytest.raises(InvalidHpbw, match="too narrow"):
+            AntennaPattern.gaussian(narrow)
+
+    def test_narrowest_accepted_beam_has_finite_gains(self):
+        p = AntennaPattern.gaussian(1e-150)
+        gains = power_gain(p, np.array([0.0, 1e-160, 90.0, 180.0]))
+        assert gains.tolist() == [1.0, 1.0, 0.0, 0.0]
+
 
 class TestPowerGain:
     def test_boresight_is_one(self):

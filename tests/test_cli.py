@@ -281,6 +281,28 @@ class TestNonFiniteInputs:
         assert "boresight_deg" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("taps, setting, message", [
+        ("0 0\n1 5000\n", None, "line 2: power 5000.0 dB overflows"),
+        (None, "rx.hpbw_deg=1e-200", "too narrow"),
+    ], ids=["profile-power", "narrow-beam"])
+    def test_overflowing_input_exits_1_without_warnings(self, tmp_path, taps, setting,
+                                                         message):
+        # both once ran into numpy overflow warnings and "total path power is nan"
+        args = ["--set", "rx.boresight_deg=0", "--set", "scenario.rice_factor_db=0"]
+        if taps is not None:
+            pdp = tmp_path / "profile.pdp"
+            pdp.write_text(taps, encoding="utf-8")
+            args += ["--set", f"pdp.source={pdp}"]
+        if setting is not None:
+            args += ["--set", setting]
+        out = tmp_path / "pas.csv"
+        proc = run_cli_process("pas", "--preset", "fig4-A", *args,
+                               "--set", "scenario.paths_per_cluster=20", "--out", str(out))
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr and "nan" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("taps, message", [
         ("0 0\nnan -3\n", "line 2: delay"), ("0 0\ninf -3\n", "line 2: delay"),
         ("0 0\n1 inf\n", "line 2: power"), ("0 -inf\n1 -inf\n", "zero power"),
@@ -383,6 +405,9 @@ class TestPinnedOutputs:
     # schema table; any change to the CLI's bytes must show up here
     SWEEP_SHA256 = "154a506293554a3b41abebf6d0f85a60ccc86a1b78962228ad440f0b75cdd1a2"
     PAS_SHA256 = "b9147b2b0bb2fe3fc1dc712b835d2dffedfb7e0d7dcc2605c37d4ec1ea91a6fd"
+    # recorded when the omni transmitter's departures still had an array of
+    # their own, apart from the arrival angles
+    OMNI_TX_PAS_SHA256 = "3ddf0bf93b7865813e580660df46d7c6e52880320543e3954cb4466535616aa4"
 
     def test_sweep_bytes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -397,6 +422,14 @@ class TestPinnedOutputs:
                      "--set", "scenario.paths_per_cluster=30",
                      "--set", "scenario.rice_factor_db=6", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PAS_SHA256
+
+    def test_omni_tx_pas_bytes(self, tmp_path):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig2-C-omni", "--bin-width", "10", "--seed", "1",
+                     "--set", "scenario.paths_per_cluster=30",
+                     "--set", "scenario.rice_factor_db=6", "--set", "tx.kind=omni",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.OMNI_TX_PAS_SHA256
 
 
 class TestPinnedTxSweeps:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, sigma_from_hpbw
 from multiell.engine import (ScenarioConfig, SourceKind, aim_realization, draw_realization,
-                             run_realization)
+                             reweight, run_realization)
 from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
-from multiell.presets import scenario
+from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams
 
 TAP1_SHARE = 0.14098344168360796  # zero-delay tap's linear share of the builtin profile
@@ -87,6 +88,7 @@ class TestConservation:
         except MultiellError:
             return
         assert np.isfinite(paths.aoa_deg).all()
+        assert np.isfinite(paths.power_lin).all()
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
 
 
@@ -356,3 +358,65 @@ class TestAimStage:
                 for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind",
                              "cluster_index"):
                     assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    @pytest.mark.parametrize("cfg", [
+        scenario("C", "same", alpha_t_deg=40.0, alpha_r_deg=-30.0, seed=8,
+                 paths_per_cluster=200),
+        scenario("A", "omni", alpha_t_deg=100.0, seed=8, paths_per_cluster=200,
+                 rice_factor_db=3.0),
+        replace(scenario("A", "omni", seed=8, paths_per_cluster=200, rice_factor_db=3.0),
+                tx_pattern=AntennaPattern.omni()),
+    ], ids=["gaussian-tx", "rice", "omni-tx"])
+    def test_in_place_equals_new_array(self, cfg):
+        expected = aim_realization(draw_realization(cfg), cfg.tx_pattern.boresight_deg,
+                                   cfg.rx_pattern)
+        draws = draw_realization(cfg)
+        got = aim_realization(draws, cfg.tx_pattern.boresight_deg, cfg.rx_pattern,
+                              out=draws.angles)
+        assert got.aoa_deg is draws.angles
+        for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind", "cluster_index"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_draws_share_one_angle_buffer(self):
+        draws = draw_realization(scenario("C", "same", seed=8, paths_per_cluster=50,
+                                          rice_factor_db=3.0))
+        assert draws.angles.size == draws.raw_power_lin.size
+        assert np.shares_memory(draws.offsets, draws.angles)
+        assert np.shares_memory(draws.tail_aoa, draws.angles)
+        assert draws.offsets.size + draws.tail_aoa.size == draws.angles.size
+
+
+class TestOmniReweight:
+    def test_power_is_the_raw_power(self):
+        paths = run_realization(scenario("C", "same", alpha_t_deg=20.0, seed=3,
+                                         paths_per_cluster=100, rice_factor_db=6.0))
+        shared = reweight(paths, AntennaPattern.omni())
+        assert shared.power_lin is paths.raw_power_lin
+        out = np.full_like(paths.power_lin, np.nan)
+        copied = reweight(paths, AntennaPattern.omni(), out=out)
+        assert copied.power_lin is out
+        assert out.tobytes() == paths.raw_power_lin.tobytes()
+        assert not np.shares_memory(out, paths.raw_power_lin)
+
+
+class TestRealizationMemory:
+    def test_one_realization_holds_two_float_arrays(self):
+        cfg = replace(fig_presets()["fig2-C-omni"].config, rice_factor_db=6.0,
+                      paths_per_cluster=20_000)
+        paths = 23 * 20_000 + 1  # 22 geometric taps, local scattering, the direct path
+        floats = 8 * paths  # one float64 array: 3.68 MB
+        labels = (1 + 4) * paths  # int8 source kind and int32 cluster index: 2.30 MB
+        # Drawn angles aimed in place and raw powers shared by the omni rx:
+        # 2 float arrays, 9.66 MB with the labels (10.54 MB traced, temporaries
+        # included). A separate arrival array and weighted copy would be 4:
+        # 17.02 MB. The bound is 3 float arrays with the labels, 13.34 MB.
+        bound = 3 * floats + labels
+        run_realization(cfg)  # first call outside the trace: caches and imports
+        tracemalloc.start()
+        try:
+            result = run_realization(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.aoa_deg.size == paths
+        assert peak < bound

@@ -170,6 +170,46 @@ class TestAoaFromAod:
         assert 0.0 < out < phi
 
 
+def masked_aoa(phi_t_deg, e):
+    """The angle map on |aod| through numpy's radians and degrees, negated
+    where the wrapped departure is below 0 (sgn(0) = +1)."""
+    out = wrap_degrees(np.array(phi_t_deg, dtype=float))
+    ratio = (1.0 - e) / (1.0 + e)
+    negative = out < 0.0
+    np.abs(out, out=out)
+    back = out == 180.0
+    out /= 2.0
+    np.radians(out, out=out)
+    np.tan(out, out=out)
+    out *= ratio
+    np.arctan(out, out=out)
+    np.degrees(out, out=out)
+    out *= 2.0
+    out[back] = 180.0
+    np.negative(out, out=out, where=negative)
+    return out
+
+
+class TestSignedAngleMap:
+    EDGES = np.array([0.0, -0.0, 180.0, -180.0, np.nextafter(180.0, 0.0),
+                      np.nextafter(180.0, 360.0), np.nextafter(-180.0, 0.0),
+                      np.nextafter(-180.0, -360.0), 1e-320, -1e-320, 5e-324, -5e-324])
+
+    @pytest.mark.parametrize("e", [0.0, 0.5, 1.0 - 1e-12])
+    def test_bitwise_equal_to_masked_form(self, rng, e):
+        phi = np.concatenate([self.EDGES, rng.uniform(-540.0, 540.0, 200_000)])
+        got = aoa_from_aod(phi, e)
+        assert np.array_equal(got.view(np.int64), masked_aoa(phi, e).view(np.int64))
+        for x in self.EDGES:
+            assert np.array_equal(np.float64(aoa_from_aod(float(x), e)).view(np.int64),
+                                  masked_aoa([x], e).view(np.int64)[0]), x
+
+    def test_zero_keeps_a_positive_sign(self):
+        assert math.copysign(1.0, aoa_from_aod(-0.0, 0.5)) == 1.0
+        # a negative departure whose image underflows keeps its sign
+        assert math.copysign(1.0, aoa_from_aod(-1e-320, 1.0 - 1e-12)) == -1.0
+
+
 class TestAodFromAoa:
     def test_fixed_points(self):
         assert aod_from_aoa(0.0, 0.5) == 0.0

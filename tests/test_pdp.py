@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from multiell.errors import EmptyProfile, InvalidDs, ParseError, UnsortedDelays
+from multiell.errors import EmptyProfile, InvalidDs, MultiellError, ParseError, UnsortedDelays
 from multiell.pdp import (builtin_nlos_profile, load_pdp, loads_pdp, resolve_pdp,
-                          scale_pdp, BUILTIN_NLOS)
+                          scale_pdp, BUILTIN_NLOS, NormalizedPdp)
 
 
 def test_parse_round_trip(tmp_path):
@@ -58,6 +60,30 @@ def test_zero_power_taps():
     assert scaled.powers_lin.tolist() == [1.0, 0.0]
     with pytest.raises(EmptyProfile):
         loads_pdp("0.0 -inf\n1.0 -inf\n")
+
+
+def test_power_overflowing_linear_scale_names_its_line():
+    loads_pdp("0 0\n1 3082\n")  # 1.6e308 still fits a float
+    with pytest.raises(ParseError, match="^line 2: power 5000.0 dB overflows") as err:
+        loads_pdp("0 0\n1 5000\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("taps", [
+    ((0.0, 0.0), (1.0, 5000.0)),  # one tap overflows
+    ((0.0, 3082.0), (1.0, 3082.0)),  # each tap fits, their sum does not
+    ((0.0, -4000.0), (1.0, -math.inf)),  # every tap underflows to zero
+], ids=["tap", "sum", "zero"])
+def test_scale_rejects_a_total_that_is_not_finite_and_positive(taps):
+    with pytest.raises(MultiellError, match="total linear profile power"):
+        scale_pdp(NormalizedPdp(name="built", taps=taps), 1e-7)
+
+
+def test_scale_keeps_the_bits_of_valid_profiles():
+    pdp = builtin_nlos_profile()
+    powers = 10.0 ** (np.array([t[1] for t in pdp.taps]) / 10.0)
+    expected = powers / powers.sum()
+    assert scale_pdp(pdp, 3.63e-7).powers_lin.tobytes() == expected.tobytes()
 
 
 def test_scale_reference_delay():
