@@ -30,7 +30,7 @@ from .stats import SweepAxis, estimate_pas, sweep_as
 
 ENV_SEED = "MULTIELL_SEED"
 
-_AXIS_BY_NAME = {"tx": SweepAxis.TX_ORIENTATION, "rx": SweepAxis.RX_ORIENTATION}
+_AXIS_BY_NAME = {axis.value: axis for axis in SweepAxis}
 
 # 277x the one-degree figure sweeps; every angle costs `trials` realizations.
 _MAX_SWEEP_ANGLES = 100_000
@@ -261,7 +261,8 @@ def cmd_sweep(args) -> int:
     mapping = _resolve_mapping(args)
     axis_name = mapping.get("sweep.axis")
     if axis_name not in _AXIS_BY_NAME:
-        raise FlagError("--sweep tx|rx (or sweep.axis in the config) is required")
+        raise FlagError(f"--sweep {'|'.join(_AXIS_BY_NAME)} (or sweep.axis in the config)"
+                        " is required")
     angles = _angle_list(mapping)
     trials = _value(mapping, "sweep.trials", int, 10)
     config = mapping_to_config(mapping)
@@ -320,7 +321,8 @@ def _add_common(sub: argparse.ArgumentParser, with_sweep: bool) -> None:
                      help="override one resolved-config entry (repeatable)")
     sub.add_argument("--out", required=True, help="output CSV path")
     if with_sweep:
-        sub.add_argument("--sweep", choices=("tx", "rx"), help="orientation axis to sweep")
+        sub.add_argument("--sweep", choices=tuple(_AXIS_BY_NAME),
+                         help="orientation axis to sweep")
         sub.add_argument("--from", dest="from_deg", type=float, help="sweep start, degrees")
         sub.add_argument("--to", dest="to_deg", type=float, help="sweep stop, degrees")
         sub.add_argument("--step", dest="step_deg", type=float, help="sweep step, degrees")

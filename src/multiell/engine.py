@@ -88,14 +88,6 @@ class ScenarioConfig:
         if self.rice_factor_db is not None and math.isnan(self.rice_factor_db):
             raise ConfigError("rice_factor_db must be a number or None")
 
-    def with_orientations(self, alpha_t_deg: float | None = None,
-                          alpha_r_deg: float | None = None) -> "ScenarioConfig":
-        """Copy with one or both boresights replaced."""
-        tx = self.tx_pattern if alpha_t_deg is None else self.tx_pattern.pointed_at(alpha_t_deg)
-        rx = self.rx_pattern if alpha_r_deg is None else self.rx_pattern.pointed_at(alpha_r_deg)
-        from dataclasses import replace
-        return replace(self, tx_pattern=tx, rx_pattern=rx)
-
 
 def _rice_split(rice_factor_db: float) -> tuple[float, float]:
     # Returns (scatter scale 1/(K+1), direct share K/(K+1)).
@@ -223,50 +215,45 @@ def draw_realization(config: ScenarioConfig,
                  cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts))
 
 
-def aim_realization(draws: Draws, boresight_deg: float, rx_pattern: AntennaPattern,
-                    out: np.ndarray | None = None) -> PathSet:
-    """The paths that ``draws`` give with the transmit beam turned to
+def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.ndarray:
+    """Write into ``out``, a float array with one entry per path, the arrival
+    angles that ``draws`` give with the transmit beam turned to
     ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
-    omni transmitter ignores it) and the receiver pointed as ``rx_pattern``.
+    omni transmitter ignores it), and return ``out``.
 
     Each departure is the boresight plus its offset, wrapped and mapped
-    through its cluster's ellipse in one pass over all clusters; the
-    receive pattern then scales each path (:func:`reweight`). The raw-power,
-    source and index arrays are those of ``draws``, shared, not copied.
-    The result equals :func:`run_realization` of the same config turned to
-    ``boresight_deg``, from the same stream, bit for bit.
-
-    ``out``, a float array with one entry per path, receives the arrival
-    angles in place of a new array. ``out=draws.angles`` aims the draws in
-    their own buffer, which uses them up: aim them only once that way.
+    through its cluster's ellipse in one pass over all clusters. The angles
+    equal those of :func:`run_realization` of the same config turned to
+    ``boresight_deg``, from the same stream, bit for bit. ``out=draws.angles``
+    aims the draws in their own buffer, which uses them up: aim them only
+    once that way.
     """
-    aoa = np.empty(draws.angles.size) if out is None else out
-    departures = aoa[:draws.offsets.size].reshape(draws.offsets.shape)
-    # When ``aoa`` is ``draws.angles`` the two plain copies below are no-ops.
+    departures = out[:draws.offsets.size].reshape(draws.offsets.shape)
+    # When ``out`` is ``draws.angles`` the two plain copies below are no-ops.
     if draws.relative:
         np.add(draws.offsets, boresight_deg, out=departures)
     else:
         departures[...] = draws.offsets
     _aoa_in_place(departures, draws.eccentricities)
-    aoa[draws.offsets.size:] = draws.tail_aoa
-    raw = draws.raw_power_lin
-    return reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
-                    rx_pattern)
+    out[draws.offsets.size:] = draws.tail_aoa
+    return out
 
 
 def run_realization(config: ScenarioConfig,
                     rng: np.random.Generator | None = None) -> PathSet:
     """Generate one set of propagation paths for the scenario: the draws of
-    :func:`draw_realization`, aimed at the config's own boresights by
-    :func:`aim_realization` in the draws' own angle buffer, which becomes
-    the paths' ``aoa_deg``.
+    :func:`draw_realization`, aimed at the transmit boresight in their own
+    angle buffer (:func:`aim_realization`), then weighted by the receive
+    pattern (:func:`reweight`). The paths share the draws' arrays.
 
     ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
     pass an unused generator for reproducibility when providing one.
     """
     draws = draw_realization(config, rng)
-    return aim_realization(draws, config.tx_pattern.boresight_deg, config.rx_pattern,
-                           out=draws.angles)
+    aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
+    raw = draws.raw_power_lin
+    return reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
+                    config.rx_pattern)
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern,

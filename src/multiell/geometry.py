@@ -86,7 +86,8 @@ def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float) -> Ellipse
     half of that and the eccentricity is D divided by the total path.
 
     Raises:
-        InvalidGeometry: if the Tx-Rx distance is not positive.
+        InvalidGeometry: if the Tx-Rx distance is not positive, or so long
+            against the path excess that the eccentricity rounds to 1.
         DegenerateEllipse: if the excess delay is at or below the degenerate
             threshold; the caller must route that cluster to local scattering.
     """
@@ -96,10 +97,14 @@ def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float) -> Ellipse
         raise DegenerateEllipse(
             f"excess delay {excess_delay_s} s is at or below {DEGENERATE_DELAY_S} s")
     total_path_m = txrx_distance_m + SPEED_OF_LIGHT_M_S * excess_delay_s
+    eccentricity = txrx_distance_m / total_path_m
+    if eccentricity >= 1.0:
+        raise InvalidGeometry(f"txrx_distance_m {txrx_distance_m} is too long for an excess delay"
+                              f" of {excess_delay_s} s: the eccentricity rounds to 1")
     return Ellipse(
         semi_major_m=total_path_m / 2.0,
         focal_half_distance_m=txrx_distance_m / 2.0,
-        eccentricity=txrx_distance_m / total_path_m,
+        eccentricity=eccentricity,
     )
 
 

@@ -110,9 +110,11 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     deviation (0 for a single trial) per angle.
 
     Each trial's stream is shared by every angle, and no draw depends on
-    either boresight, so each trial is drawn once. A tx sweep aims the draws
-    at every transmit angle (:func:`~multiell.engine.aim_realization`). An
-    rx sweep aims them once and reweights the paths per receive angle.
+    either boresight, so one loop serves both axes. Each trial is drawn once
+    and gets two path-sized buffers: the arrival angles, re-aimed only when
+    the transmit boresight changes (:func:`~multiell.engine.aim_realization`),
+    and the weighted powers (:func:`~multiell.engine.reweight`), which the
+    spread's moments then overwrite.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -120,33 +122,30 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     if not angles:
         raise ConfigError("angles must be non-empty")
 
+    tx, rx = config.tx_pattern, config.rx_pattern
     if axis is SweepAxis.TX_ORIENTATION:
-        configs = [config.with_orientations(alpha_t_deg=a) for a in angles]
+        points = [(tx.pointed_at(a), rx) for a in angles]
     else:
-        configs = [config.with_orientations(alpha_r_deg=a) for a in angles]
+        points = [(tx, rx.pointed_at(a)) for a in angles]
     spreads = np.empty((len(angles), trials))
     for trial in range(trials):
         draws = draw_realization(config, _point_rng(config.seed, axis, trial))
-        if axis is SweepAxis.TX_ORIENTATION:
-            for j, cfg in enumerate(configs):
-                paths = aim_realization(draws, cfg.tx_pattern.boresight_deg, cfg.rx_pattern)
-                spreads[j, trial] = angular_spread(paths)
-        else:
-            paths = aim_realization(draws, config.tx_pattern.boresight_deg,
-                                    configs[0].rx_pattern)
-            spreads[0, trial] = angular_spread(paths)
-            # One weighting buffer per trial: with a path-sized array per angle,
-            # glibc trimmed and refaulted the heap at some layouts, not others.
-            weighted = np.empty_like(paths.power_lin)
-            for j, cfg in enumerate(configs[1:], start=1):
-                reweight(paths, cfg.rx_pattern, out=weighted)
-                spreads[j, trial] = _spread_in_place(paths.aoa_deg, weighted)
+        raw = draws.raw_power_lin
+        aoa, weighted = np.empty(raw.size), np.empty(raw.size)
+        paths = PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index)
+        aimed = None
+        for j, (tx_j, rx_j) in enumerate(points):
+            if tx_j.boresight_deg != aimed:
+                aimed = tx_j.boresight_deg
+                aim_realization(draws, aimed, aoa)
+            reweight(paths, rx_j, out=weighted)
+            spreads[j, trial] = _spread_in_place(aoa, weighted)
 
     rows: list[tuple[float, float, int, float]] = []
     aggregate: list[tuple[float, float, float]] = []
-    for angle, cfg, row in zip(angles, configs, spreads):
-        rows.extend((cfg.tx_pattern.boresight_deg, cfg.rx_pattern.boresight_deg,
-                     trial, float(row[trial])) for trial in range(trials))
+    for angle, (tx_j, rx_j), row in zip(angles, points, spreads):
+        rows.extend((tx_j.boresight_deg, rx_j.boresight_deg, trial, float(row[trial]))
+                    for trial in range(trials))
         std = float(row.std(ddof=1)) if trials > 1 else 0.0
         aggregate.append((angle, float(row.mean()), std))
     return SweepResult(axis=axis, rows=rows, aggregate=aggregate)

@@ -266,6 +266,16 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert "txrx_distance_m" in err and "eccentricity" not in err
 
+    def test_distance_too_long_for_the_delays_exits_1(self, tmp_path, capsys):
+        # every eccentricity rounds to 1; this once printed a 22-row array
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", "scenario.paths_per_cluster=20",
+                     "--set", "scenario.txrx_distance_m=1e300", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "txrx_distance_m 1e+300" in err
+        assert "[" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_nan_boresight_pas_exits_1(self, tmp_path, capsys):
         out = tmp_path / "pas.csv"
         assert main(["pas", "--preset", "fig4-A", "--set", "rx.boresight_deg=nan",

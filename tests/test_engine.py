@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, sigma_from_hpbw
-from multiell.engine import (ScenarioConfig, SourceKind, aim_realization, draw_realization,
-                             reweight, run_realization)
+from multiell.engine import (PathSet, ScenarioConfig, SourceKind, aim_realization,
+                             draw_realization, reweight, run_realization)
 from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
@@ -112,7 +112,7 @@ class TestOmniRxInvariance:
         base = scenario("A", "omni", alpha_t_deg=135.0, seed=5)
         reference = run_realization(base)
         for alpha_r in (-170.0, -45.0, 30.0, 90.0, 180.0):
-            cfg = base.with_orientations(alpha_r_deg=alpha_r)
+            cfg = replace(base, rx_pattern=base.rx_pattern.pointed_at(alpha_r))
             paths = run_realization(cfg)
             assert np.array_equal(paths.aoa_deg, reference.aoa_deg)
             assert np.array_equal(paths.power_lin, reference.power_lin)
@@ -351,9 +351,12 @@ class TestAimStage:
                        tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0))
         for cfg in (narrow, wide):
             draws = draw_realization(cfg)
+            aoa, raw = np.empty(draws.angles.size), draws.raw_power_lin
             for alpha_t in (-180.0, -95.5, -60.0, 0.0, 10.0, 120.0, 179.0):
-                aimed = cfg.with_orientations(alpha_t_deg=alpha_t)
-                got = aim_realization(draws, aimed.tx_pattern.boresight_deg, aimed.rx_pattern)
+                aimed = replace(cfg, tx_pattern=cfg.tx_pattern.pointed_at(alpha_t))
+                assert aim_realization(draws, aimed.tx_pattern.boresight_deg, aoa) is aoa
+                got = reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
+                               aimed.rx_pattern)
                 expected = run_realization(aimed)
                 for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind",
                              "cluster_index"):
@@ -368,14 +371,14 @@ class TestAimStage:
                 tx_pattern=AntennaPattern.omni()),
     ], ids=["gaussian-tx", "rice", "omni-tx"])
     def test_in_place_equals_new_array(self, cfg):
-        expected = aim_realization(draw_realization(cfg), cfg.tx_pattern.boresight_deg,
-                                   cfg.rx_pattern)
+        fresh_draws = draw_realization(cfg)
+        fresh = np.empty(fresh_draws.angles.size)
+        expected = aim_realization(fresh_draws, cfg.tx_pattern.boresight_deg, fresh)
         draws = draw_realization(cfg)
-        got = aim_realization(draws, cfg.tx_pattern.boresight_deg, cfg.rx_pattern,
-                              out=draws.angles)
-        assert got.aoa_deg is draws.angles
-        for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind", "cluster_index"):
-            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        got = aim_realization(draws, cfg.tx_pattern.boresight_deg, draws.angles)
+        assert expected is fresh and got is draws.angles
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == run_realization(cfg).aoa_deg.tobytes()
 
     def test_draws_share_one_angle_buffer(self):
         draws = draw_realization(scenario("C", "same", seed=8, paths_per_cluster=50,

@@ -90,6 +90,14 @@ class TestEllipseFromDelay:
         with pytest.raises(InvalidGeometry):
             ellipse_from_delay(1e-6, -3.0)
 
+    def test_distance_too_long_for_delay_raises(self):
+        # D / (D + c * delay) rounds to 1; once reported as an array of 1s
+        with pytest.raises(InvalidGeometry, match=r"txrx_distance_m 1e\+300 .* 1e-08 s"):
+            ellipse_from_delay(1e-8, 1e300)
+        with pytest.raises(InvalidGeometry, match="rounds to 1"):
+            ellipse_from_delay(2 * DEGENERATE_DELAY_S, 1e18)
+        assert ellipse_from_delay(2 * DEGENERATE_DELAY_S, 1e6).eccentricity < 1.0
+
     def test_invariants_random(self, rng):
         for _ in range(200):
             delay = 10 ** rng.uniform(-9.5, -5.0)

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern
-from multiell.engine import reweight, run_realization
-from multiell.errors import BadBinWidth, ConfigError, NoPower
+from multiell.engine import aim_realization, reweight, run_realization
+from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
 from multiell.stats import SweepAxis, _point_rng, angular_spread, estimate_pas, sweep_as
@@ -209,9 +210,9 @@ def reference_sweep(config, axis, angles_deg, trials):
     for angle in angles_deg:
         angle = float(angle)
         if axis is SweepAxis.TX_ORIENTATION:
-            cfg = config.with_orientations(alpha_t_deg=angle)
+            cfg = replace(config, tx_pattern=config.tx_pattern.pointed_at(angle))
         else:
-            cfg = config.with_orientations(alpha_r_deg=angle)
+            cfg = replace(config, rx_pattern=config.rx_pattern.pointed_at(angle))
         spreads = np.empty(trials)
         for trial in range(trials):
             paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
@@ -229,6 +230,15 @@ def same_bits(x, y):
 
 
 PATH_ARRAYS = ("aoa_deg", "raw_power_lin", "power_lin", "source_kind", "cluster_index")
+
+# Omni, or a Gaussian beam up to 359 degrees wide, at any boresight.
+BEAMS = st.just(AntennaPattern.omni()) | st.builds(
+    lambda hpbw, at: AntennaPattern.gaussian(hpbw, boresight_deg=at),
+    st.floats(0.5, 359.0), st.floats(-180.0, 180.0))
+# A few angles, always with both ends of the wrap and one angle beyond 360.
+SWEEP_ANGLES = st.tuples(st.lists(st.floats(-540.0, 540.0), max_size=3),
+                         st.floats(360.0, 1080.0, exclude_min=True)).flatmap(
+    lambda drawn: st.permutations([-180.0, 180.0, drawn[1], *drawn[0]]))
 
 
 class TestSweepEquivalence:
@@ -261,22 +271,55 @@ class TestSweepEquivalence:
         assert reweight(paths_a, cfg_b.rx_pattern, out=out).power_lin is out
         assert same_bits(out, expected.power_lin)
 
-    def test_rx_sweep_weights_into_one_buffer_per_trial(self, monkeypatch):
+    # -180 and 180 are one boresight; an rx sweep keeps the tx at 30
+    @pytest.mark.parametrize("axis, boresights", [(SweepAxis.TX_ORIENTATION, [180.0, 0.0]),
+                                                  (SweepAxis.RX_ORIENTATION, [30.0])],
+                             ids=["tx", "rx"])
+    def test_one_buffer_per_trial_and_one_aim_per_boresight(self, axis, boresights,
+                                                            monkeypatch):
         # A fresh path-sized array per angle made the sweep's speed depend on
         # whether the C allocator trimmed the heap after each one.
         import multiell.stats
-        buffers = []
+        weighted, aimed = [], []
 
         def recording_reweight(paths, rx_pattern, out=None):
-            buffers.append(out)
+            weighted.append(out)
             return reweight(paths, rx_pattern, out=out)
 
+        def recording_aim(draws, boresight_deg, out):
+            aimed.append((boresight_deg, out))
+            return aim_realization(draws, boresight_deg, out)
+
         monkeypatch.setattr(multiell.stats, "reweight", recording_reweight)
-        cfg = scenario("A", "same", paths_per_cluster=30, seed=4)
-        sweep_as(cfg, SweepAxis.RX_ORIENTATION, [0.0, 20.0, 40.0, 60.0], trials=2)
-        assert len(buffers) == 6 and buffers[0] is not None and buffers[3] is not None
-        assert all(b is buffers[0] for b in buffers[:3])
-        assert all(b is buffers[3] for b in buffers[3:])
+        monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
+        cfg = scenario("A", "same", alpha_t_deg=30.0, paths_per_cluster=30, seed=4)
+        sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
+        assert [b for b, _ in aimed] == boresights * 2
+        assert len(weighted) == 6
+        for trial in range(2):
+            buffers = weighted[3 * trial:3 * trial + 3]
+            aims = aimed[len(boresights) * trial:len(boresights) * (trial + 1)]
+            assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+            assert all(out is aims[0][1] and out is not buffers[0] for _, out in aims)
+        assert weighted[0] is not weighted[3] and aimed[0][1] is not aimed[-1][1]
+
+    @given(tx=BEAMS, rx=BEAMS, rice=st.none() | st.floats(-20.0, 20.0),
+           n=st.integers(1, 40), angles=SWEEP_ANGLES, axis=st.sampled_from(SweepAxis),
+           trials=st.integers(1, 3), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=2000)
+    def test_generated_sweeps_match_per_point_realizations(self, tx, rx, rice, n, angles,
+                                                           axis, trials, seed):
+        cfg = replace(scenario("A", seed=seed, paths_per_cluster=n, rice_factor_db=rice),
+                      tx_pattern=tx, rx_pattern=rx)
+        try:
+            rows, aggregate = reference_sweep(cfg, axis, angles, trials)
+        except MultiellError as exc:  # a narrow rx beam can miss every path
+            with pytest.raises(type(exc)):
+                sweep_as(cfg, axis, angles, trials=trials)
+            return
+        result = sweep_as(cfg, axis, angles, trials=trials)
+        assert result.rows == rows
+        assert result.aggregate == aggregate
 
     @pytest.mark.parametrize("axis", list(SweepAxis))
     @pytest.mark.parametrize("tx", [AntennaPattern.gaussian(330.0, boresight_deg=150.0),
