@@ -79,13 +79,30 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
     return sigma
 
 
-def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None):
+def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None):
     """Normalized power gain at azimuth ``phi_deg`` (1 at boresight).
 
     Omni patterns return 1 everywhere. Gaussian patterns use the shortest
     angular distance to boresight. Accepts scalars or arrays. ``out``, a
     C-contiguous float array shaped like an array ``phi_deg``, receives the
-    gains in place of a new array.
+    gains in place of a new array; ``scratch``, another such array, holds
+    an intermediate (a new one is made without it).
+
+    The shortest arc is taken without selecting the paths to wrap. With
+    ``phi`` in [-180, 180] and the boresight ``b`` in (-180, 180],
+    ``d = phi - b`` can leave (-180, 180] on one side only: below -180 when
+    ``b >= 0``, above 180 when ``b < 0``. The other candidate,
+    ``s = ((d + 180) +- 360) - 180``, is what :func:`wrap_in_place` computes
+    for such a ``d``, by the same operations. Of ``d`` and ``s``, the
+    wrapped one has magnitude at most 180 and the other at least 180 (the
+    bounds hold through rounding, which is monotonic), so the smaller of
+    the two squares is the square of the wrapped difference, bit for bit.
+    Where both magnitudes are 180 the squares are equal, which also covers
+    the wrap sending -180 to 180. Rounding keeps every ``d`` between the
+    differences of the smallest and largest ``phi``; when those stay in
+    [-180, 180], no ``d`` wraps and ``s`` is not computed. An angle outside
+    [-180, 180] is wrapped first with :func:`wrap_degrees`.
     """
     phi = np.asarray(phi_deg, dtype=float)
     scalar = phi.ndim == 0
@@ -95,10 +112,23 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None):
         out.fill(1.0)
         return float(out) if scalar else out
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
-    wrap_in_place(np.subtract(phi, pattern.boresight_deg, out=out))
-    np.square(out, out=out)
-    np.negative(out, out=out)
-    out /= 2.0 * sigma**2
+    boresight = pattern.boresight_deg
+    lo, hi = (float(phi.min()), float(phi.max())) if phi.size else (boresight, boresight)
+    if not (lo >= -180.0 and hi <= 180.0):
+        phi, lo, hi = wrap_degrees(phi), -180.0, 180.0
+    np.subtract(phi, boresight, out=out)
+    if lo - boresight < -180.0 or hi - boresight > 180.0:
+        if scratch is None:
+            scratch = np.empty_like(out)
+        np.add(out, 180.0, out=scratch)
+        scratch += 360.0 if boresight >= 0.0 else -360.0
+        scratch -= 180.0
+        np.square(scratch, out=scratch)
+        np.square(out, out=out)
+        np.minimum(out, scratch, out=out)
+    else:
+        np.square(out, out=out)
+    out /= -(2.0 * sigma**2)
     np.exp(out, out=out)
     return float(out) if scalar else out
 

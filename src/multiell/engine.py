@@ -256,18 +256,19 @@ def run_realization(config: ScenarioConfig,
                     config.rx_pattern)
 
 
-def reweight(paths: PathSet, rx_pattern: AntennaPattern,
-             out: np.ndarray | None = None) -> PathSet:
+def reweight(paths: PathSet, rx_pattern: AntennaPattern, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> PathSet:
     """The same paths with ``power_lin`` recomputed from ``raw_power_lin``
     under another receive pattern. The angle, raw-power, source and index
     arrays are shared with ``paths``; nothing in ``paths`` is modified.
     ``out``, an array shaped like ``paths.aoa_deg``, becomes the new
-    ``power_lin`` (see :func:`~multiell.antenna.power_gain`). An omni
-    pattern weights nothing: its ``power_lin`` is ``paths.raw_power_lin``
-    itself, or a copy of it in ``out``."""
+    ``power_lin``, and ``scratch``, another, holds the gain's intermediate
+    (see :func:`~multiell.antenna.power_gain`). An omni pattern weights
+    nothing: its ``power_lin`` is ``paths.raw_power_lin`` itself, or a copy
+    of it in ``out``."""
     raw = paths.raw_power_lin
     if rx_pattern.kind is not PatternKind.OMNI:
-        weighted = power_gain(rx_pattern, paths.aoa_deg, out=out)
+        weighted = power_gain(rx_pattern, paths.aoa_deg, out=out, scratch=scratch)
         weighted *= raw
     elif out is None:
         weighted = raw

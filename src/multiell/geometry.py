@@ -35,6 +35,9 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     Values already inside the interval are not touched, so angles far below
     the 180-degree rounding scale keep full precision. Only the others are
     read and written, as ``(a + 180) % 360 - 180`` with -180 sent to 180.
+    Its callers are the departure wrap of the angle map and the wrappers
+    (:func:`wrap_degrees`, ``sample_aod``); the receive gain takes the
+    shorter arc without it (see ``power_gain``).
     """
     if not angles.flags.c_contiguous:
         raise ValueError("wrap_in_place needs a C-contiguous array")

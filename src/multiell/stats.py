@@ -110,11 +110,13 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     deviation (0 for a single trial) per angle.
 
     Each trial's stream is shared by every angle, and no draw depends on
-    either boresight, so one loop serves both axes. Each trial is drawn once
-    and gets two path-sized buffers: the arrival angles, re-aimed only when
-    the transmit boresight changes (:func:`~multiell.engine.aim_realization`),
-    and the weighted powers (:func:`~multiell.engine.reweight`), which the
-    spread's moments then overwrite.
+    either boresight, so one loop serves both axes. Each trial is drawn once.
+    Every trial has the same path count, so the sweep allocates three
+    path-sized buffers once: the arrival angles, re-aimed only when the
+    transmit boresight changes and only once per trial for an omni
+    transmitter (:func:`~multiell.engine.aim_realization`), the weighted
+    powers (:func:`~multiell.engine.reweight`), which the spread's moments
+    then overwrite, and the receive gain's scratch.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -128,17 +130,20 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     else:
         points = [(tx, rx.pointed_at(a)) for a in angles]
     spreads = np.empty((len(angles), trials))
+    aoa = None
     for trial in range(trials):
         draws = draw_realization(config, _point_rng(config.seed, axis, trial))
         raw = draws.raw_power_lin
-        aoa, weighted = np.empty(raw.size), np.empty(raw.size)
+        if aoa is None:
+            aoa, weighted, scratch = np.empty((3, raw.size))
         paths = PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index)
         aimed = None
         for j, (tx_j, rx_j) in enumerate(points):
-            if tx_j.boresight_deg != aimed:
+            # Omni draws are the departures themselves: one aim serves all.
+            if aimed is None or draws.relative and tx_j.boresight_deg != aimed:
                 aimed = tx_j.boresight_deg
                 aim_realization(draws, aimed, aoa)
-            reweight(paths, rx_j, out=weighted)
+            reweight(paths, rx_j, out=weighted, scratch=scratch)
             spreads[j, trial] = _spread_in_place(aoa, weighted)
 
     rows: list[tuple[float, float, int, float]] = []

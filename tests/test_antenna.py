@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiell.antenna
 from multiell.antenna import (AntennaPattern, PatternKind, draw_aod_offsets, power_gain,
@@ -84,6 +85,50 @@ class TestPowerGain:
         out = np.full_like(phi, np.nan)
         assert power_gain(pattern, phi, out=out) is out
         assert out.tobytes() == expected.tobytes()
+
+    @given(hpbw=st.floats(1e-150, 360.0, exclude_max=True),
+           boresight=st.floats(allow_nan=False, allow_infinity=False), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_gains_equal_wrapped_difference_form(self, hpbw, boresight, data):
+        pattern = AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+        b = pattern.boresight_deg
+        # the edges of both wrap sides, and the angles half a turn from boresight
+        edges = [0.0, -0.0, 180.0, -180.0, np.nextafter(180.0, 0.0),
+                 np.nextafter(-180.0, 0.0), 5e-324, -5e-324, 1e-310, b, -b]
+        edges += [b + half + eps for half in (180.0, -180.0) for eps in (0.0, 1e-9, -1e-9)]
+        edges += [np.nextafter(e, to) for e in edges for to in (-np.inf, np.inf)]
+        edges = [e for e in edges if -180.0 <= e <= 180.0]
+        phi = np.array(data.draw(st.lists(st.sampled_from(edges) | st.floats(-180.0, 180.0),
+                                          min_size=1, max_size=40)))
+        sigma = sigma_from_hpbw(hpbw)
+        expected = np.exp(-np.square(wrap_degrees(phi - b)) / (2.0 * sigma**2))
+        assert power_gain(pattern, phi).tobytes() == expected.tobytes()
+        # one angle at a time, so that every angle also sets the range alone
+        scalars = np.array([power_gain(pattern, float(x)) for x in phi])
+        assert scalars.tobytes() == expected.tobytes()
+        out = np.full_like(phi, np.nan)
+        assert power_gain(pattern, phi, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        scratch = np.full_like(phi, np.nan)
+        assert power_gain(pattern, phi, out=out, scratch=scratch) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hpbw", [20.0, 120.0, 359.0])
+    @pytest.mark.parametrize("boresight", [0.0, 37.0, -179.5, 180.0, 123.456])
+    @pytest.mark.parametrize("phi", [540.0, -540.0, 181.0, -180.5, 359.75, 1000.1,
+                                     -1e6, 1e6 + 0.3, 1e300, -1e300])
+    def test_angle_outside_half_turns_is_wrapped_first(self, hpbw, boresight, phi):
+        pattern = AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+        gain = power_gain(pattern, phi)
+        assert gain == power_gain(pattern, wrap_degrees(phi))
+        assert power_gain(pattern, np.array([phi])).tobytes() == np.array([gain]).tobytes()
+        if abs(phi) < 1080.0:
+            # Wrapping phi - b in one step rounds once more, in the last bits.
+            # Far out it loses digits of b (1e300 - b is 1e300), so there
+            # the wrapped angle alone is the reference.
+            sigma = sigma_from_hpbw(hpbw)
+            old = math.exp(-wrap_degrees(phi - pattern.boresight_deg) ** 2 / (2.0 * sigma**2))
+            assert gain == pytest.approx(old, rel=1e-12, abs=0.0)
 
     def test_gaussian_requires_hpbw(self):
         with pytest.raises(ConfigError):

@@ -418,6 +418,10 @@ class TestPinnedOutputs:
     # recorded when the omni transmitter's departures still had an array of
     # their own, apart from the arrival angles
     OMNI_TX_PAS_SHA256 = "3ddf0bf93b7865813e580660df46d7c6e52880320543e3954cb4466535616aa4"
+    # recorded while the receive gain still wrapped the paths it selected; the
+    # full circle takes both wrap sides (negative boresights, 180, -180/180)
+    FULL_CIRCLE_RX_SWEEP_SHA256 = (
+        "9f56d91fc05096a91d5b8b00033c587c8719508928484227c6183883b8c2d5f2")
 
     def test_sweep_bytes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -425,6 +429,13 @@ class TestPinnedOutputs:
                      "--step", "10", "--trials", "2", "--seed", "1",
                      "--set", "scenario.paths_per_cluster=30", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SWEEP_SHA256
+
+    def test_full_circle_rx_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "fig4-A", "--from=-180", "--to", "180",
+                     "--step", "5", "--trials", "2", "--seed", "1",
+                     "--set", "scenario.paths_per_cluster=200", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FULL_CIRCLE_RX_SWEEP_SHA256
 
     def test_pas_bytes(self, tmp_path):
         out = tmp_path / "pas.csv"

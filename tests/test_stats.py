@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from multiell.antenna import AntennaPattern
 from multiell.engine import aim_realization, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
-from multiell.presets import scenario
+from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
 from multiell.stats import SweepAxis, _point_rng, angular_spread, estimate_pas, sweep_as
 
@@ -275,16 +275,17 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("axis, boresights", [(SweepAxis.TX_ORIENTATION, [180.0, 0.0]),
                                                   (SweepAxis.RX_ORIENTATION, [30.0])],
                              ids=["tx", "rx"])
-    def test_one_buffer_per_trial_and_one_aim_per_boresight(self, axis, boresights,
+    def test_one_buffer_per_sweep_and_one_aim_per_boresight(self, axis, boresights,
                                                             monkeypatch):
         # A fresh path-sized array per angle made the sweep's speed depend on
-        # whether the C allocator trimmed the heap after each one.
+        # whether the C allocator trimmed the heap after each one; one per
+        # trial cost peak memory.
         import multiell.stats
         weighted, aimed = [], []
 
-        def recording_reweight(paths, rx_pattern, out=None):
-            weighted.append(out)
-            return reweight(paths, rx_pattern, out=out)
+        def recording_reweight(paths, rx_pattern, out=None, scratch=None):
+            weighted.append((out, scratch))
+            return reweight(paths, rx_pattern, out=out, scratch=scratch)
 
         def recording_aim(draws, boresight_deg, out):
             aimed.append((boresight_deg, out))
@@ -296,12 +297,32 @@ class TestSweepEquivalence:
         sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
         assert [b for b, _ in aimed] == boresights * 2
         assert len(weighted) == 6
-        for trial in range(2):
-            buffers = weighted[3 * trial:3 * trial + 3]
-            aims = aimed[len(boresights) * trial:len(boresights) * (trial + 1)]
-            assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
-            assert all(out is aims[0][1] and out is not buffers[0] for _, out in aims)
-        assert weighted[0] is not weighted[3] and aimed[0][1] is not aimed[-1][1]
+        out, scratch = weighted[0]
+        angles = aimed[0][1]
+        assert out is not None and scratch is not None
+        assert all(o is out and s is scratch for o, s in weighted)
+        assert all(a is angles for _, a in aimed)
+        assert len({id(angles), id(out), id(scratch)}) == 3
+
+    def test_omni_tx_aims_once_per_trial(self, monkeypatch):
+        # An omni transmitter's draws are the departures themselves.
+        import multiell.stats
+        aimed = []
+
+        def recording_aim(draws, boresight_deg, out):
+            aimed.append(boresight_deg)
+            return aim_realization(draws, boresight_deg, out)
+
+        monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
+        cfg = replace(fig_presets()["fig4-A"].config, tx_pattern=AntennaPattern.omni(),
+                      paths_per_cluster=40, seed=6)
+        angles = [-180.0, -90.0, 0.0, 45.0, 180.0, 400.0]
+        result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=3)
+        monkeypatch.undo()
+        assert len(aimed) == 3
+        rows, aggregate = reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 3)
+        assert result.rows == rows
+        assert result.aggregate == aggregate
 
     @given(tx=BEAMS, rx=BEAMS, rice=st.none() | st.floats(-20.0, 20.0),
            n=st.integers(1, 40), angles=SWEEP_ANGLES, axis=st.sampled_from(SweepAxis),
