@@ -23,6 +23,9 @@ _AXIS_CODE = {SweepAxis.TX_ORIENTATION: 1, SweepAxis.RX_ORIENTATION: 2}
 # 0.0001-degree bins; the bin edges alone then take 29 MB.
 _MAX_PAS_BINS = 3_600_000
 
+# 1,000x the figure sweeps; each trial is a realization at every angle.
+_MAX_SWEEP_TRIALS = 10_000
+
 
 @dataclass(frozen=True)
 class AngularSpectrum:
@@ -121,6 +124,8 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     angles = [float(a) for a in angles_deg]
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials > _MAX_SWEEP_TRIALS:
+        raise ConfigError(f"trials {trials} exceeds the limit of {_MAX_SWEEP_TRIALS}")
     if not angles:
         raise ConfigError("angles must be non-empty")
 

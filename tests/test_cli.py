@@ -291,6 +291,16 @@ class TestNonFiniteInputs:
         assert "boresight_deg" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", ["100000000", "1000000000000"])
+    def test_trial_count_above_ceiling_exits_1(self, tmp_path, trials):
+        # 1e12 once died in a MemoryError traceback, and 1e8 ran for hours
+        out = tmp_path / "sweep.csv"
+        proc = run_cli_process("sweep", "--preset", "fig4-A", "--from", "0", "--to", "2",
+                               "--step", "1", "--trials", trials, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: trials {trials} exceeds the limit of 10000\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("taps, setting, message", [
         ("0 0\n1 5000\n", None, "line 2: power 5000.0 dB overflows"),
         (None, "rx.hpbw_deg=1e-200", "too narrow"),
@@ -412,16 +422,18 @@ class TestConfigRoundTrip:
 
 class TestPinnedOutputs:
     # sha256 of these files as written before the config keys moved into one
-    # schema table; any change to the CLI's bytes must show up here
-    SWEEP_SHA256 = "154a506293554a3b41abebf6d0f85a60ccc86a1b78962228ad440f0b75cdd1a2"
-    PAS_SHA256 = "b9147b2b0bb2fe3fc1dc712b835d2dffedfb7e0d7dcc2605c37d4ec1ea91a6fd"
+    # schema table; any change to the CLI's bytes must show up here. All six
+    # pinned files here and in TestPinnedTxSweeps were re-recorded when the
+    # local-scattering angles moved to numpy's von Mises sampler.
+    SWEEP_SHA256 = "f7afb7eb8050e8a4b88823de91c6e43ee5497a29950481411f5cdc1bae2ebf15"
+    PAS_SHA256 = "239de07c50fd16202d61b1eda1b4d9e5aaee0ed3df400009200b744698a416bf"
     # recorded when the omni transmitter's departures still had an array of
     # their own, apart from the arrival angles
-    OMNI_TX_PAS_SHA256 = "3ddf0bf93b7865813e580660df46d7c6e52880320543e3954cb4466535616aa4"
+    OMNI_TX_PAS_SHA256 = "fabd53af60207b69b9ec67e081a73a5160a475284e0c01602b047709c0e40163"
     # recorded while the receive gain still wrapped the paths it selected; the
     # full circle takes both wrap sides (negative boresights, 180, -180/180)
     FULL_CIRCLE_RX_SWEEP_SHA256 = (
-        "9f56d91fc05096a91d5b8b00033c587c8719508928484227c6183883b8c2d5f2")
+        "51747ead493d32550625ac9a071fa13aad665ddfd502b4dd497cc2b49dfd3059")
 
     def test_sweep_bytes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -457,8 +469,8 @@ class TestPinnedTxSweeps:
     # sha256 of these tx sweeps as written when every (angle, trial) point
     # still ran its own full realization; the 330-degree beam makes the
     # redraw rule fire, so some points run in full again
-    TX_SWEEP_SHA256 = "69f43595c63212170fbfd9f394dfb09b8c75c7700f9675cefea8dcc75dcbdc16"
-    WIDE_TX_SWEEP_SHA256 = "5d285389d4d7d2ee3dca210fef0f8a4bec1d892e2ac6b78fb7251c651d518dff"
+    TX_SWEEP_SHA256 = "a8468450a5c7e579f4cf212c666424d744b66e4ad85f21dd5ddd37d5033d5849"
+    WIDE_TX_SWEEP_SHA256 = "e8f6af73ff9b143f638057d8e946eccb0e42aaae257de0e6432f6f932bbe7091"
     GRID = ["--from=-180", "--to", "180", "--step", "45", "--trials", "2",
             "--set", "scenario.paths_per_cluster=30"]
 
@@ -473,3 +485,39 @@ class TestPinnedTxSweeps:
         assert main(["sweep", "--preset", "fig1-A-omni", *self.GRID, "--seed", "3",
                      "--set", "tx.hpbw_deg=330", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.WIDE_TX_SWEEP_SHA256
+
+
+class TestZeroShareTwins:
+    # sha256 of each pinned command above with a zero local-scattering share,
+    # recorded while the von Mises sampler was still hand-written. With no
+    # power on the local-scattering paths their angles cannot reach the
+    # bytes, so these hold across any change to that one stream.
+    ZERO_SHARE = ["--set", "local_scattering.power_share=0"]
+    TWINS = {
+        "sweep": (["sweep", "--preset", "fig4-A", "--from", "0", "--to", "20", "--step", "10",
+                   "--trials", "2", "--seed", "1", "--set", "scenario.paths_per_cluster=30"],
+                  "9749fcc202aa9e8f155ae1444a505f198ce1d42b65a3cbd2ad709fa591e763bc"),
+        "full-circle-rx-sweep": (
+            ["sweep", "--preset", "fig4-A", "--from=-180", "--to", "180", "--step", "5",
+             "--trials", "2", "--seed", "1", "--set", "scenario.paths_per_cluster=200"],
+            "c2ff7cde5df4cfa3b3ba15a750457adb1bee8522c62ef2ed08bbe825d7a50893"),
+        "pas": (["pas", "--preset", "fig2-C-omni", "--bin-width", "10", "--seed", "1",
+                 "--set", "scenario.paths_per_cluster=30", "--set", "scenario.rice_factor_db=6"],
+                "810f380ae698aa31fad58865275d508e9a32f45d900f2e840f6582feaada6f26"),
+        "omni-tx-pas": (["pas", "--preset", "fig2-C-omni", "--bin-width", "10", "--seed", "1",
+                         "--set", "scenario.paths_per_cluster=30",
+                         "--set", "scenario.rice_factor_db=6", "--set", "tx.kind=omni"],
+                        "71544db481d6d36251cdca587adbc7dfa0254c3d2994bf9a73383a279eb6993b"),
+        "tx-sweep": (["sweep", "--preset", "fig2-D", *TestPinnedTxSweeps.GRID, "--seed", "1"],
+                     "646e271ad986bc433e4f92124ed42bb83947ac64eff6679786e42ad9049b5ba9"),
+        "wide-tx-sweep": (["sweep", "--preset", "fig1-A-omni", *TestPinnedTxSweeps.GRID,
+                           "--seed", "3", "--set", "tx.hpbw_deg=330"],
+                          "e712cb24949738423a2ecbfd8e5eeaf146e7d2088d7965621418bb3bb38eac96"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_zero_share_bytes(self, tmp_path, name):
+        args, digest = self.TWINS[name]
+        out = tmp_path / "out.csv"
+        assert main([*args, *self.ZERO_SHARE, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

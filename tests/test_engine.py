@@ -13,7 +13,7 @@ from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
-from multiell.scattering import VonMisesParams
+from multiell.scattering import VonMisesParams, sample_von_mises
 
 TAP1_SHARE = 0.14098344168360796  # zero-delay tap's linear share of the builtin profile
 
@@ -338,6 +338,15 @@ class TestDrawStage:
         rows = draws.raw_power_lin.reshape(-1, cfg.paths_per_cluster)[:-1]  # last: local
         for row, u, budget in zip(rows, uniforms, powers, strict=True):
             assert row.tobytes() == (u * (float(budget) / u.sum())).tobytes()
+        # the tail: n von Mises angles, then n uniforms for the routed share,
+        # both from the last spawned stream
+        n, taps = cfg.paths_per_cluster, scale_pdp(cfg.pdp, cfg.ds_s).powers_lin
+        local = np.random.default_rng(np.random.SeedSequence(cfg.seed)).spawn(taps.size + 1)[-1]
+        tail = draws.angles[draws.offsets.size:]
+        assert tail[:n].tobytes() == sample_von_mises(cfg.local_scattering, local, n).tobytes()
+        u = local.random(n)
+        share = float(taps[0])  # the auto share is the routed tap's power
+        assert draws.raw_power_lin[-n:].tobytes() == (u * (share / u.sum())).tobytes()
         assert draws.relative == (cfg.tx_pattern.hpbw_deg is not None)
         assert redrawn == (cfg.tx_pattern.hpbw_deg == 330.0)
 

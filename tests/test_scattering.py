@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
-import multiell.scattering
-from multiell.errors import ConfigError, KappaOutOfRange, MultiellError
+from multiell.errors import ConfigError, KappaOutOfRange
 from multiell.scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 
 
@@ -130,11 +130,22 @@ class TestSampleVonMises:
         b = sample_von_mises(params, np.random.default_rng(3), size=512)
         assert np.array_equal(a, b)
 
-    def test_proposal_rounds_are_capped(self, monkeypatch):
-        # one round accepts about two thirds of 10,000 proposals at kappa 1
-        monkeypatch.setattr(multiell.scattering, "_MAX_PROPOSAL_ROUNDS", 1)
-        with pytest.raises(MultiellError, match="in 1 rounds"):
-            sample_von_mises(VonMisesParams(kappa=1.0), np.random.default_rng(1), size=10_000)
-        monkeypatch.setattr(multiell.scattering, "_MAX_PROPOSAL_ROUNDS", 1000)
-        assert sample_von_mises(VonMisesParams(kappa=1.0), np.random.default_rng(1),
-                                size=10_000).size == 10_000
+    # 0, the smallest subnormal, numpy's two cut-offs with their nextafter
+    # neighbours, and the ceiling
+    EDGE_KAPPAS = [0.0, 5e-324, 500.0] + [math.nextafter(k, d) for k in (1e-8, 1e-5)
+                                          for d in (0.0, k, 1.0)]
+
+    # the rejection loop is numpy's; the deadline keeps its running time tested
+    @given(kappa=st.sampled_from(EDGE_KAPPAS) | st.floats(0.0, 500.0),
+           mu=st.floats(allow_nan=False, allow_infinity=False),
+           size=st.integers(1, 200), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=500)
+    def test_finite_wrapped_and_reproducible(self, kappa, mu, size, seed):
+        # a numpy RuntimeWarning fails the test (filterwarnings in pyproject.toml)
+        params = VonMisesParams(mu_deg=mu, kappa=kappa)
+        draws = sample_von_mises(params, np.random.default_rng(seed), size)
+        again = sample_von_mises(params, np.random.default_rng(seed), size)
+        assert draws.shape == (size,)
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws > -180.0) and np.all(draws <= 180.0)
+        assert draws.tobytes() == again.tobytes()

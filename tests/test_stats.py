@@ -196,6 +196,13 @@ class TestSweepAs:
         with pytest.raises(ConfigError):
             sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=0)
 
+    @pytest.mark.parametrize("trials", [10_001, 10**8, 10**12])
+    def test_trial_count_above_ceiling_rejected(self, trials):
+        # 1e12 once died in np.empty, and 1e8 would have run for hours
+        cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
+        with pytest.raises(ConfigError, match=f"trials {trials} exceeds the limit of 10000"):
+            sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=trials)
+
     def test_boresight_minimum_scenario(self):
         # antenna A at both ends, both pointing along the axis: spread within
         # a couple degrees (the documented minimum for this geometry)
