@@ -24,9 +24,10 @@ from .antenna import AntennaPattern, PatternKind
 from .engine import ScenarioConfig, run_realization
 from .errors import BadBinWidth, ConfigError, MultiellError
 from .pdp import BUILTIN_NLOS, resolve_pdp
-from .presets import DS_BY_BAND, ANTENNAS, TXRX_DISTANCE_M, antenna_pattern, fig_presets
+from .presets import (ANTENNAS, DS_BY_BAND, FIG_SWEEP_DEG, TXRX_DISTANCE_M, antenna_pattern,
+                      fig_presets)
 from .scattering import VonMisesParams
-from .stats import SweepAxis, estimate_pas, sweep_as
+from .stats import DEFAULT_BIN_WIDTH_DEG, DEFAULT_TRIALS, SweepAxis, estimate_pas, sweep_as
 
 ENV_SEED = "MULTIELL_SEED"
 
@@ -120,9 +121,12 @@ _FLAG_KEYS = {
     "bin_width": "pas.bin_width_deg",
 }
 
+_RANGE_KEYS = ("sweep.from_deg", "sweep.to_deg", "sweep.step_deg")
+
+# No tx.preset or rx.preset: _resolve_mapping writes each into its end's keys.
 _KNOWN_KEYS = frozenset(
     {f"{section}.{name}" for section, fields in _SCHEMA.items() for name in fields}
-    | {"pdp.source", "tx.preset", "rx.preset"} | set(_FLAG_KEYS.values()))
+    | {"pdp.source"} | set(_FLAG_KEYS.values()))
 
 
 def _value(m: dict[str, str], key: str, parse, default=None):
@@ -160,11 +164,6 @@ def config_to_mapping(cfg: ScenarioConfig, pdp_source: str = BUILTIN_NLOS) -> di
 
 def _pattern(m: dict[str, str], end: str) -> AntennaPattern:
     fields = _section(m, end)
-    preset = m.get(f"{end}.preset")
-    if preset is not None:
-        if preset not in ANTENNAS:
-            raise ConfigError(f"unknown antenna preset {preset!r}")
-        return antenna_pattern(preset, fields.get("boresight_deg", 0.0))
     kind = fields.pop("kind", PatternKind.OMNI)
     if kind is PatternKind.OMNI:
         # an omni pattern has no beam to shape or point
@@ -208,10 +207,8 @@ def _resolve_mapping(args) -> dict[str, str]:
         sp = presets[args.preset]
         mapping = config_to_mapping(sp.config)
         mapping["sweep.axis"] = sp.axis.value
-        mapping["sweep.from_deg"] = _fmt(sp.start_deg)
-        mapping["sweep.to_deg"] = _fmt(sp.stop_deg)
-        mapping["sweep.step_deg"] = _fmt(sp.step_deg)
-        mapping["sweep.trials"] = str(sp.trials)
+        mapping.update(zip(_RANGE_KEYS, map(_fmt, FIG_SWEEP_DEG)))
+        mapping["sweep.trials"] = _fmt(DEFAULT_TRIALS)
     elif args.config:
         path = Path(args.config)
         if not path.exists():
@@ -231,21 +228,36 @@ def _resolve_mapping(args) -> dict[str, str]:
             mapping[key] = _fmt(getattr(args, dest))
     if "scenario.seed" not in mapping and os.environ.get(ENV_SEED):
         mapping["scenario.seed"] = os.environ[ENV_SEED]
+
+    # A named antenna sets its end's kind, width and gain over any given, so
+    # the header echoes the beam that runs.
+    for end in ("tx", "rx"):
+        name = mapping.pop(f"{end}.preset", None)
+        if name is not None:
+            if name not in ANTENNAS:
+                raise ConfigError(f"unknown antenna preset {name!r}")
+            pattern = antenna_pattern(name)
+            for field in ("kind", "hpbw_deg", "gain_dbi"):
+                mapping[f"{end}.{field}"] = _fmt(getattr(pattern, field))
     return mapping
 
 
-def _header_lines(mapping: dict[str, str]) -> list[str]:
-    lines = ["# resolved-config"]
+def _write_csv(path: str, command: str, mapping: dict[str, str], *tables) -> None:
+    """Write a title line, the resolved ``mapping`` as ``#`` lines, then each
+    ``(heading lines, rows)`` table, one line of cells per row."""
+    lines = [f"# multiell {command}", "# resolved-config"]
     lines += [f"# {k} = {mapping[k]}" for k in sorted(mapping)]
-    return lines
+    for heading, rows in tables:
+        lines += heading
+        lines += (",".join(map(_fmt, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _angle_list(mapping: dict[str, str]) -> list[float]:
-    keys = ("sweep.from_deg", "sweep.to_deg", "sweep.step_deg")
-    missing = [key for key in keys if key not in mapping]
+    missing = [key for key in _RANGE_KEYS if key not in mapping]
     if missing:
         raise FlagError(f"sweep range incomplete: missing {missing[0]!r}")
-    start, stop, step = (_value(mapping, key, float) for key in keys)
+    start, stop, step = (_value(mapping, key, float) for key in _RANGE_KEYS)
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise FlagError(f"invalid sweep range [{start}, {stop}] step {step}")
     span = (stop - start) / step  # may be inf, so compared before round()
@@ -264,33 +276,23 @@ def cmd_sweep(args) -> int:
         raise FlagError(f"--sweep {'|'.join(_AXIS_BY_NAME)} (or sweep.axis in the config)"
                         " is required")
     angles = _angle_list(mapping)
-    trials = _value(mapping, "sweep.trials", int, 10)
+    trials = _value(mapping, "sweep.trials", int, DEFAULT_TRIALS)
     config = mapping_to_config(mapping)
     result = sweep_as(config, _AXIS_BY_NAME[axis_name], angles, trials=trials)
-
-    lines = ["# multiell sweep"] + _header_lines(mapping)
-    lines.append("alpha_t_deg,alpha_r_deg,trial,as_deg")
-    for alpha_t, alpha_r, trial, as_deg in result.rows:
-        lines.append(f"{_fmt(alpha_t)},{_fmt(alpha_r)},{trial},{_fmt(as_deg)}")
-    lines.append("# aggregate")
-    lines.append("angle,mean_as_deg,std_as_deg")
-    for angle, mean, std in result.aggregate:
-        lines.append(f"{_fmt(angle)},{_fmt(mean)},{_fmt(std)}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(args.out, "sweep", mapping,
+               (["alpha_t_deg,alpha_r_deg,trial,as_deg"], result.rows),
+               (["# aggregate", "angle,mean_as_deg,std_as_deg"], result.aggregate))
     return 0
 
 
 def cmd_pas(args) -> int:
     mapping = _resolve_mapping(args)
     config = mapping_to_config(mapping)
-    bin_width = _value(mapping, "pas.bin_width_deg", float, 1.0)
+    bin_width = _value(mapping, "pas.bin_width_deg", float, DEFAULT_BIN_WIDTH_DEG)
     spectrum = estimate_pas(run_realization(config), bin_width_deg=bin_width)
-
-    lines = ["# multiell pas"] + _header_lines(mapping)
-    lines.append("angle_deg,density_per_deg")
-    for center, density in zip(spectrum.bin_centers_deg, spectrum.density_per_deg):
-        lines.append(f"{_fmt(float(center))},{_fmt(float(density))}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(args.out, "pas", mapping,
+               (["angle_deg,density_per_deg"],
+                zip(spectrum.bin_centers_deg.tolist(), spectrum.density_per_deg.tolist())))
     return 0
 
 

@@ -36,9 +36,10 @@ class SourceKind(enum.IntEnum):
     LOS = 2
 
 
+@dataclass(frozen=True, eq=False)
 class PathSet:
-    """Propagation paths as parallel arrays: arrival azimuth, powers, source
-    kind and 1-based cluster index (-1 for non-cluster paths).
+    """Propagation paths as parallel arrays: arrival azimuth and powers (float),
+    source kind (int8) and 1-based cluster index (int32, -1 for non-cluster paths).
 
     ``power_lin`` holds powers after receive-pattern weighting;
     ``raw_power_lin`` holds the pre-weighting powers, which sum to one.
@@ -46,12 +47,11 @@ class PathSet:
     raw-power array itself the ``power_lin``, shared, not copied.
     """
 
-    def __init__(self, aoa_deg, raw_power_lin, power_lin, source_kind, cluster_index):
-        self.aoa_deg = np.asarray(aoa_deg, dtype=float)
-        self.raw_power_lin = np.asarray(raw_power_lin, dtype=float)
-        self.power_lin = np.asarray(power_lin, dtype=float)
-        self.source_kind = np.asarray(source_kind, dtype=np.int8)
-        self.cluster_index = np.asarray(cluster_index, dtype=np.int32)
+    aoa_deg: np.ndarray
+    raw_power_lin: np.ndarray
+    power_lin: np.ndarray
+    source_kind: np.ndarray
+    cluster_index: np.ndarray
 
     @property
     def raw_power_sum(self) -> float:

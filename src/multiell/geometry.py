@@ -46,13 +46,7 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     out_of_range = np.flatnonzero((flat <= -180.0) | (flat > 180.0))
     if out_of_range.size:
         t = flat[out_of_range] + 180.0
-        if t.min() >= -360.0 and t.max() < 720.0:
-            # Same bits as t % 360 here: fmod is exact on this range and
-            # numpy's sign fix-up is this one addition of 360.
-            np.add(t, 360.0, out=t, where=t < 0.0)
-            np.subtract(t, 360.0, out=t, where=t >= 360.0)
-        else:
-            t %= 360.0
+        t %= 360.0
         t -= 180.0
         t[t == -180.0] = 180.0
         flat[out_of_range] = t

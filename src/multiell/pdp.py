@@ -33,6 +33,9 @@ class NormalizedPdp:
         if not self.taps:
             raise EmptyProfile("profile has no taps")
         delays = [t[0] for t in self.taps]
+        for i, delay in enumerate(delays, start=1):
+            if not math.isfinite(delay):  # a NaN passes both order checks below
+                raise MultiellError(f"tap {i} delay must be finite, got {delay}")
         if delays[0] < 0.0:
             raise UnsortedDelays("first tap delay must be >= 0")
         if any(b < a for a, b in zip(delays, delays[1:])):

@@ -12,7 +12,11 @@ from .pdp import builtin_nlos_profile
 from .scattering import VonMisesParams
 from .stats import SweepAxis
 
-TXRX_DISTANCE_M = 200.0
+TXRX_DISTANCE_M = ScenarioConfig.txrx_distance_m
+
+# Every figure sweep turns its end through the full circle in 1-degree steps
+# (from, to, step), running stats.DEFAULT_TRIALS realizations per angle.
+FIG_SWEEP_DEG = (-180.0, 180.0, 1.0)
 
 # Urban-macro normal-delay rms delay spreads per carrier band.
 DS_BY_BAND = {"6GHz": 363e-9, "60GHz": 228e-9}
@@ -53,12 +57,12 @@ def _profile():
 
 def scenario(tx: str, rx: str = "same", *, alpha_t_deg: float = 0.0,
              alpha_r_deg: float = 0.0, seed: int = 1,
-             paths_per_cluster: int = 500,
+             paths_per_cluster: int = ScenarioConfig.paths_per_cluster,
              local_scattering: VonMisesParams = SCENARIO_LOCAL_SCATTERING,
              rice_factor_db: float | None = None) -> ScenarioConfig:
     """Scenario with a named Tx antenna and either the same antenna or an
-    omni pattern at the receiver. The band of the Tx antenna selects the
-    delay spread."""
+    omni pattern at the receiver, on a link of ``TXRX_DISTANCE_M``. The band
+    of the Tx antenna selects the delay spread."""
     tx_preset = ANTENNAS[tx]
     tx_pattern = antenna_pattern(tx, alpha_t_deg)
     if rx == "omni":
@@ -70,7 +74,6 @@ def scenario(tx: str, rx: str = "same", *, alpha_t_deg: float = 0.0,
         ds_s=DS_BY_BAND[tx_preset.band],
         tx_pattern=tx_pattern,
         rx_pattern=rx_pattern,
-        txrx_distance_m=TXRX_DISTANCE_M,
         paths_per_cluster=paths_per_cluster,
         local_scattering=local_scattering,
         rice_factor_db=rice_factor_db,
@@ -84,19 +87,11 @@ class SweepPreset:
     description: str
     config: ScenarioConfig
     axis: SweepAxis
-    start_deg: float
-    stop_deg: float
-    step_deg: float
-    trials: int
-
-
-def _sweep(desc, cfg, axis, start=-180.0, stop=180.0, step=1.0, trials=10):
-    return SweepPreset(desc, cfg, axis, start, stop, step, trials)
 
 
 @lru_cache(maxsize=1)
 def fig_presets() -> dict[str, SweepPreset]:
-    """Named figure-reproduction sweeps.
+    """Named figure-reproduction sweeps, each over ``FIG_SWEEP_DEG``.
 
     fig1/fig2: spread vs Tx orientation at fixed Rx (60 then 6 GHz);
     fig4/fig5: spread vs Rx orientation with the Tx turned away (180 deg);
@@ -105,21 +100,21 @@ def fig_presets() -> dict[str, SweepPreset]:
     tx_axis, rx_axis = SweepAxis.TX_ORIENTATION, SweepAxis.RX_ORIENTATION
     p: dict[str, SweepPreset] = {}
     for name, fig in (("A", "fig1"), ("B", "fig1"), ("C", "fig2"), ("D", "fig2")):
-        p[f"{fig}-{name}"] = _sweep(
+        p[f"{fig}-{name}"] = SweepPreset(
             f"AS vs tx orientation, antenna {name} both ends, rx at 0 deg",
             scenario(name, "same", alpha_r_deg=0.0), tx_axis)
-        p[f"{fig}-{name}-omni"] = _sweep(
+        p[f"{fig}-{name}-omni"] = SweepPreset(
             f"AS vs tx orientation, antenna {name} tx, omni rx",
             scenario(name, "omni"), tx_axis)
     for name, fig in (("A", "fig4"), ("B", "fig4"), ("C", "fig5"), ("D", "fig5")):
-        p[f"{fig}-{name}"] = _sweep(
+        p[f"{fig}-{name}"] = SweepPreset(
             f"AS vs rx orientation, antenna {name} both ends, tx at 180 deg",
             scenario(name, "same", alpha_t_deg=180.0), rx_axis)
-        p[f"{fig}-{name}-omni"] = _sweep(
+        p[f"{fig}-{name}-omni"] = SweepPreset(
             f"AS vs rx orientation, antenna {name} tx at 180 deg, omni rx",
             scenario(name, "omni", alpha_t_deg=180.0), rx_axis)
-    p["fig7-A"] = _sweep("AS vs tx orientation, antenna A both ends, rx at 90 deg",
-                         scenario("A", "same", alpha_r_deg=90.0), tx_axis)
-    p["fig8-A"] = _sweep("AS vs rx orientation, antenna A both ends, tx at 90 deg",
-                         scenario("A", "same", alpha_t_deg=90.0), rx_axis)
+    p["fig7-A"] = SweepPreset("AS vs tx orientation, antenna A both ends, rx at 90 deg",
+                              scenario("A", "same", alpha_r_deg=90.0), tx_axis)
+    p["fig8-A"] = SweepPreset("AS vs rx orientation, antenna A both ends, tx at 90 deg",
+                              scenario("A", "same", alpha_t_deg=90.0), rx_axis)
     return p

@@ -20,6 +20,10 @@ class SweepAxis(enum.Enum):
 
 _AXIS_CODE = {SweepAxis.TX_ORIENTATION: 1, SweepAxis.RX_ORIENTATION: 2}
 
+# Realizations per sweep angle, and PAS bin width in degrees, when none is given.
+DEFAULT_TRIALS = 10
+DEFAULT_BIN_WIDTH_DEG = 1.0
+
 # 0.0001-degree bins; the bin edges alone then take 29 MB.
 _MAX_PAS_BINS = 3_600_000
 
@@ -73,7 +77,7 @@ def _spread_in_place(phi: np.ndarray, moment: np.ndarray) -> float:
     return float(np.sqrt(max(second - mean * mean, 0.0)))
 
 
-def estimate_pas(paths: PathSet, bin_width_deg: float = 1.0) -> AngularSpectrum:
+def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -> AngularSpectrum:
     """Power-weighted histogram of arrival angles, normalized to unit mass.
 
     ``bin_width_deg`` must divide 360 evenly, into at most 3,600,000 bins.
@@ -104,7 +108,7 @@ def _point_rng(seed: int, axis: SweepAxis, trial: int) -> np.random.Generator:
 
 
 def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
-             trials: int = 10) -> SweepResult:
+             trials: int = DEFAULT_TRIALS) -> SweepResult:
     """Angle spread versus one antenna orientation.
 
     For each angle the corresponding boresight is overridden and

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import subprocess
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern
-from multiell.cli import config_to_mapping, main, mapping_to_config
+from multiell.cli import (_resolve_mapping, build_parser, config_to_mapping, main,
+                          mapping_to_config)
 from multiell.engine import ScenarioConfig
 from multiell.pdp import builtin_nlos_profile
-from multiell.presets import fig_presets
+from multiell.presets import SweepPreset, fig_presets
 from multiell.scattering import VonMisesParams
 
 from conftest import child_env
@@ -334,6 +336,52 @@ class TestNonFiniteInputs:
         assert main(["pas", "--preset", "fig4-A", "--set", f"pdp.source={pdp}",
                      "--set", "scenario.paths_per_cluster=20", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFigureSweeps:
+    def test_presets_carry_only_what_varies(self):
+        assert [f.name for f in dataclasses.fields(SweepPreset)] == [
+            "description", "config", "axis"]
+
+    @pytest.mark.parametrize("name", sorted(fig_presets()))
+    def test_every_preset_sweeps_the_full_circle(self, name):
+        mapping = _resolve_mapping(build_parser().parse_args(
+            ["sweep", "--preset", name, "--out", "unused.csv"]))
+        assert {k: v for k, v in mapping.items() if k.startswith("sweep.")} == {
+            "sweep.axis": fig_presets()[name].axis.value, "sweep.from_deg": "-180",
+            "sweep.to_deg": "180", "sweep.step_deg": "1", "sweep.trials": "10"}
+
+
+class TestAntennaPresetKeys:
+    PAS = ["pas", "--preset", "fig4-A", "--bin-width", "10", "--seed", "2",
+           "--set", "scenario.paths_per_cluster=50"]
+
+    def test_header_echoes_the_named_beam(self, tmp_path):
+        # the header once kept A's 20-degree beam while B's 12-degree beam ran
+        named, spelled = tmp_path / "named.csv", tmp_path / "spelled.csv"
+        assert main([*self.PAS, "--set", "tx.preset=B", "--out", str(named)]) == 0
+        assert main([*self.PAS, "--set", "tx.hpbw_deg=12", "--set", "tx.gain_dbi=24",
+                     "--out", str(spelled)]) == 0
+        text = read(named)
+        assert "# tx.hpbw_deg = 12\n" in text and "# tx.gain_dbi = 24\n" in text
+        assert "tx.preset" not in text
+        assert named.read_bytes() == spelled.read_bytes()
+
+    def test_named_beam_overrides_the_end_in_a_config_file(self, tmp_path):
+        named, spelled = tmp_path / "named.csv", tmp_path / "spelled.csv"
+        common = {"rx.boresight_deg": "30", "scenario.paths_per_cluster": "50"}
+        cfg = write_config(tmp_path, **common, **{"rx.preset": "B", "rx.hpbw_deg": "40"})
+        assert main(["pas", "--config", str(cfg), "--out", str(named)]) == 0
+        cfg = write_config(tmp_path, **common, **{"rx.kind": "gaussian", "rx.hpbw_deg": "12",
+                                                   "rx.gain_dbi": "24"})
+        assert main(["pas", "--config", str(cfg), "--out", str(spelled)]) == 0
+        assert named.read_bytes() == spelled.read_bytes()
+
+    def test_unknown_antenna_preset_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "pas.csv"
+        assert main([*self.PAS, "--set", "rx.preset=Z", "--out", str(out)]) == 1
+        assert "unknown antenna preset 'Z'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,8 @@ import pytest
 
 from conftest import child_env
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -18,4 +20,12 @@ def test_demo_runs(demo, tmp_path):
     # tmp_path as the working directory keeps the CSV files some demos write
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=child_env(),
                             capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                      re.S)
+    result = subprocess.run([sys.executable, "-c", block.group(1)], cwd=tmp_path,
+                            env=child_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

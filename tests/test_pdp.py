@@ -32,6 +32,17 @@ def test_unsorted_delays_rejected():
         loads_pdp("0.5 0\n0.2 -3\n")
 
 
+@pytest.mark.parametrize("delay", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [0, 6, -1], ids=["first", "middle", "last"])
+def test_non_finite_delay_rejected_in_code(at, delay):
+    # loads_pdp rejects these per line, but a NaN built in code once passed
+    # both order checks, and the engine routed that tap to local scattering
+    taps = list(builtin_nlos_profile().taps)
+    taps[at] = (delay, taps[at][1])
+    with pytest.raises(MultiellError, match="delay must be finite"):
+        NormalizedPdp(name="built", taps=tuple(taps))
+
+
 def test_empty_profile_rejected():
     with pytest.raises(EmptyProfile):
         loads_pdp("# nothing here\n")
