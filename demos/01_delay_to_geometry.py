@@ -8,8 +8,8 @@ rounder ellipses that pass departure angles through almost unchanged.
 
 import numpy as np
 
-from multiell import aoa_from_aod, ellipse_from_delay, scale_pdp, builtin_nlos_profile
-from multiell.geometry import DEGENERATE_DELAY_S
+from multiell import aoa_from_aod, eccentricity_from_delay, scale_pdp, builtin_nlos_profile
+from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
 from multiell.presets import DS_BY_BAND, TXRX_DISTANCE_M
 
 profile = builtin_nlos_profile()
@@ -26,10 +26,11 @@ for band in ("60GHz", "6GHz"):
             print(f"{i:>4} {delay * 1e9:>11.1f} {power:>7.3f} "
                   f"{'-':>7} {'-':>8}   degenerate: routed to local scattering")
             continue
-        ell = ellipse_from_delay(delay, TXRX_DISTANCE_M)
-        arrived = aoa_from_aod(10.0, ell.eccentricity)
-        print(f"{i:>4} {delay * 1e9:>11.1f} {power:>7.3f} {ell.eccentricity:>7.4f} "
-              f"{ell.semi_major_m:>8.1f} {arrived:>26.3f} deg")
+        ecc = eccentricity_from_delay(delay, TXRX_DISTANCE_M)
+        semi_major = (TXRX_DISTANCE_M + SPEED_OF_LIGHT_M_S * delay) / 2.0  # half the path
+        arrived = aoa_from_aod(10.0, ecc)
+        print(f"{i:>4} {delay * 1e9:>11.1f} {power:>7.3f} {ecc:>7.4f} "
+              f"{semi_major:>8.1f} {arrived:>26.3f} deg")
 
 print("\nThe same departure fan, mapped by three eccentricities:")
 fan = np.array([0.0, 30.0, 90.0, 150.0, 180.0])

@@ -7,7 +7,7 @@ follow that same shape, so a histogram of draws reproduces the pattern.
 
 import numpy as np
 
-from multiell import power_gain, sample_aod, sigma_from_hpbw
+from multiell import draw_aod_offsets, power_gain, sigma_from_hpbw, wrap_degrees
 from multiell.presets import ANTENNAS, antenna_pattern
 
 rng = np.random.default_rng(42)
@@ -21,8 +21,10 @@ for name, spec in ANTENNAS.items():
           + "  ".join(f"{g:.3f}" for g in gains))
 
 print("\nSampled departure density vs the pattern shape (antenna A, 200k draws):")
-pattern = antenna_pattern("A", boresight_deg=0.0)
-draws = sample_aod(pattern, rng, size=200_000)
+pattern = antenna_pattern("A")
+offsets = np.empty(200_000)
+draw_aod_offsets(pattern, rng, offsets)  # relative to the boresight
+draws = wrap_degrees(offsets + pattern.boresight_deg)
 edges = np.arange(-30.0, 32.0, 2.0)
 hist, _ = np.histogram(draws, bins=edges, density=True)
 shape = power_gain(pattern, edges[:-1] + 1.0)

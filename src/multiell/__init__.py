@@ -7,13 +7,13 @@ the arriving power; the outputs are the power angular spectrum and the rms
 angle spread, with orientation sweeps for both link ends.
 """
 
-from .antenna import AntennaPattern, PatternKind, power_gain, sample_aod, sigma_from_hpbw
+from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain, sigma_from_hpbw
 from .engine import PathSet, ScenarioConfig, SourceKind, reweight, run_realization
-from .errors import (BadBinWidth, ConfigError, DegenerateEllipse, EmptyProfile,
-                     InvalidDs, InvalidGeometry, InvalidHpbw, KappaOutOfRange,
-                     MultiellError, NoPower, ParseError, UnsortedDelays)
-from .geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
-                       aoa_from_aod, ellipse_from_delay, wrap_degrees)
+from .errors import (BadBinWidth, ConfigError, EmptyProfile, InvalidDs, InvalidGeometry,
+                     InvalidHpbw, KappaOutOfRange, MultiellError, NoPower, ParseError,
+                     UnsortedDelays)
+from .geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
+                       eccentricity_from_delay, wrap_degrees)
 from .pdp import (BUILTIN_NLOS, NormalizedPdp, ScaledPdp, builtin_nlos_profile,
                   load_pdp, loads_pdp, resolve_pdp, scale_pdp)
 from .scattering import VonMisesParams, sample_von_mises, von_mises_pdf
@@ -23,13 +23,13 @@ from .stats import (AngularSpectrum, SweepAxis, SweepResult, angular_spread,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaPattern", "PatternKind", "power_gain", "sample_aod", "sigma_from_hpbw",
+    "AntennaPattern", "PatternKind", "draw_aod_offsets", "power_gain", "sigma_from_hpbw",
     "PathSet", "ScenarioConfig", "SourceKind", "reweight", "run_realization",
-    "BadBinWidth", "ConfigError", "DegenerateEllipse", "EmptyProfile", "InvalidDs",
-    "InvalidGeometry", "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower",
-    "ParseError", "UnsortedDelays",
-    "DEGENERATE_DELAY_S", "SPEED_OF_LIGHT_M_S", "Ellipse", "aoa_from_aod",
-    "ellipse_from_delay", "wrap_degrees",
+    "BadBinWidth", "ConfigError", "EmptyProfile", "InvalidDs", "InvalidGeometry",
+    "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower", "ParseError",
+    "UnsortedDelays",
+    "DEGENERATE_DELAY_S", "SPEED_OF_LIGHT_M_S", "aoa_from_aod", "eccentricity_from_delay",
+    "wrap_degrees",
     "BUILTIN_NLOS", "NormalizedPdp", "ScaledPdp", "builtin_nlos_profile", "load_pdp",
     "loads_pdp", "resolve_pdp", "scale_pdp",
     "VonMisesParams", "sample_von_mises", "von_mises_pdf",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidHpbw, MultiellError
-from .geometry import wrap_degrees, wrap_in_place
+from .geometry import wrap_degrees
 
 _HALF_POWER_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # ~2.3548
 
@@ -46,13 +46,15 @@ class AntennaPattern:
             raise ConfigError(f"boresight_deg must be finite, got {self.boresight_deg}")
         object.__setattr__(self, "boresight_deg", wrap_degrees(self.boresight_deg))
 
+    # The parameter defaults below are the field defaults above, read from
+    # the class body while it runs.
     @staticmethod
-    def omni(gain_dbi: float = 0.0) -> "AntennaPattern":
+    def omni(gain_dbi: float = gain_dbi) -> "AntennaPattern":
         return AntennaPattern(PatternKind.OMNI, gain_dbi=gain_dbi)
 
     @staticmethod
-    def gaussian(hpbw_deg: float, boresight_deg: float = 0.0,
-                 gain_dbi: float = 0.0) -> "AntennaPattern":
+    def gaussian(hpbw_deg: float, boresight_deg: float = boresight_deg,
+                 gain_dbi: float = gain_dbi) -> "AntennaPattern":
         return AntennaPattern(PatternKind.GAUSSIAN, gain_dbi=gain_dbi,
                               hpbw_deg=hpbw_deg, boresight_deg=boresight_deg)
 
@@ -160,18 +162,3 @@ def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
         rounds += 1
         out[bad] = sigma * rng.standard_normal(int(bad.sum()))
 
-
-def sample_aod(pattern: AntennaPattern, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw departure angles from the pattern-shaped density.
-
-    Omni: uniform on (-180, 180]. Gaussian: normal around the boresight with
-    deviation sigma_from_hpbw, redrawing any offset beyond 180 degrees (see
-    :func:`draw_aod_offsets`; rejection keeps the density unimodal, and for
-    beams of a few tens of degrees the rejected mass is far below 1e-15).
-    Results are wrapped into (-180, 180].
-    """
-    draws = np.empty(size)
-    draw_aod_offsets(pattern, rng, draws)
-    if pattern.kind is PatternKind.GAUSSIAN:
-        draws += pattern.boresight_deg
-    return wrap_in_place(draws)

@@ -239,6 +239,12 @@ def _resolve_mapping(args) -> dict[str, str]:
             pattern = antenna_pattern(name)
             for field in ("kind", "hpbw_deg", "gain_dbi"):
                 mapping[f"{end}.{field}"] = _fmt(getattr(pattern, field))
+
+    # Each entry becomes one '#' line of the output header.
+    for key, value in mapping.items():
+        for text in (key, value):
+            if text.splitlines() not in ([], [text]):
+                raise ConfigError(f"{key!r}: a config key or value may not contain a line break")
     return mapping
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import DEGENERATE_DELAY_S, _aoa_in_place, ellipse_from_delay
+from .geometry import DEGENERATE_DELAY_S, _aoa_in_place, eccentricity_from_delay
 from .pdp import NormalizedPdp, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -178,10 +178,9 @@ def draw_realization(config: ScenarioConfig,
     # The angles follow the same layout as the raw powers.
     angles = np.empty(raw.size)
     offsets = angles[:clusters.size * n].reshape(clusters.size, n)
-    eccentricities = np.empty((clusters.size, 1))
+    eccentricities = eccentricity_from_delay(delays[clusters],
+                                             config.txrx_distance_m).reshape(-1, 1)
     for row, i in enumerate(clusters):
-        eccentricities[row] = ellipse_from_delay(float(delays[i]),
-                                                 config.txrx_distance_m).eccentricity
         draw_aod_offsets(config.tx_pattern, streams[i], offsets[row])
         u = streams[i].random(out=raw_rows[row])
         u *= float(budgets[i]) / u.sum()

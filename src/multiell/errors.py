@@ -9,11 +9,6 @@ class InvalidGeometry(MultiellError):
     """Link geometry is unusable (e.g. non-positive Tx-Rx distance)."""
 
 
-class DegenerateEllipse(MultiellError):
-    """Excess delay too small to form a valid ellipse; route the cluster
-    to the local-scattering component instead."""
-
-
 class InvalidHpbw(MultiellError):
     """Half-power beamwidth outside (0, 360) degrees."""
 

@@ -2,7 +2,11 @@
 
 Each time-cluster of a power delay profile maps to one ellipse whose foci
 hold the transmitter and receiver: every point on the ellipse gives the same
-total Tx-scatterer-Rx path length, fixed by the cluster's excess delay.
+total Tx-scatterer-Rx path length, D + c * delay for the cluster's excess
+delay. Only the eccentricity, D over that path length, enters the
+single-bounce angle map, so :func:`eccentricity_from_delay` is the whole
+step from delays to geometry and :func:`aoa_from_aod` maps departures to
+arrivals with it.
 
 Coordinate frame: Tx focus at (-D/2, 0), Rx focus at (+D/2, 0), with D the
 Tx-Rx distance. Angles are in degrees on (-180, 180].
@@ -16,11 +20,11 @@ the transmitter. Both angles are positive on the same side of the axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .errors import DegenerateEllipse, InvalidGeometry
+from .errors import InvalidGeometry
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -35,9 +39,9 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     Values already inside the interval are not touched, so angles far below
     the 180-degree rounding scale keep full precision. Only the others are
     read and written, as ``(a + 180) % 360 - 180`` with -180 sent to 180.
-    Its callers are the departure wrap of the angle map and the wrappers
-    (:func:`wrap_degrees`, ``sample_aod``); the receive gain takes the
-    shorter arc without it (see ``power_gain``).
+    Its callers are the departure wrap of the angle map and
+    :func:`wrap_degrees`; the receive gain takes the shorter arc without it
+    (see ``power_gain``).
     """
     if not angles.flags.c_contiguous:
         raise ValueError("wrap_in_place needs a C-contiguous array")
@@ -60,49 +64,30 @@ def wrap_degrees(angle_deg):
     return float(a) if a.ndim == 0 else a
 
 
-@dataclass(frozen=True)
-class Ellipse:
-    """One confocal ellipse (one time-cluster).
+def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
+    """Eccentricity of the ellipse of each excess delay: the distance D over
+    the total reflection path D + c * delay. Accepts a scalar or an array
+    (empty included) and returns the same shape; a scalar gives a float.
 
-    Attributes:
-        semi_major_m: semi-major axis a, in meters.
-        focal_half_distance_m: half the Tx-Rx distance (D/2), in meters.
-        eccentricity: D / (2a), strictly inside (0, 1).
+    Raises ``InvalidGeometry`` for a distance that is not finite and
+    positive, for a delay that is not above ``DEGENERATE_DELAY_S`` (NaN
+    included; such a tap belongs to local scattering), and for a distance
+    so long against a delay that the eccentricity rounds to 1.
     """
-
-    semi_major_m: float
-    focal_half_distance_m: float
-    eccentricity: float
-
-
-def ellipse_from_delay(excess_delay_s: float, txrx_distance_m: float) -> Ellipse:
-    """Build the ellipse whose total reflection path exceeds the direct path
-    by ``excess_delay_s``.
-
-    The total path length is D + c * excess_delay, so the semi-major axis is
-    half of that and the eccentricity is D divided by the total path.
-
-    Raises:
-        InvalidGeometry: if the Tx-Rx distance is not positive, or so long
-            against the path excess that the eccentricity rounds to 1.
-        DegenerateEllipse: if the excess delay is at or below the degenerate
-            threshold; the caller must route that cluster to local scattering.
-    """
-    if txrx_distance_m <= 0.0:
-        raise InvalidGeometry(f"txrx_distance_m must be > 0, got {txrx_distance_m}")
-    if excess_delay_s <= DEGENERATE_DELAY_S:
-        raise DegenerateEllipse(
-            f"excess delay {excess_delay_s} s is at or below {DEGENERATE_DELAY_S} s")
-    total_path_m = txrx_distance_m + SPEED_OF_LIGHT_M_S * excess_delay_s
-    eccentricity = txrx_distance_m / total_path_m
-    if eccentricity >= 1.0:
+    if not (txrx_distance_m > 0.0 and math.isfinite(txrx_distance_m)):
+        raise InvalidGeometry(f"txrx_distance_m must be finite and > 0, got {txrx_distance_m}")
+    delays = np.asarray(excess_delays_s, dtype=float)
+    degenerate = ~(delays > DEGENERATE_DELAY_S)
+    if degenerate.any():
+        raise InvalidGeometry(f"excess delay {delays[degenerate].flat[0]} s is not above"
+                              f" {DEGENERATE_DELAY_S} s")
+    eccentricity = txrx_distance_m / (txrx_distance_m + SPEED_OF_LIGHT_M_S * delays)
+    rounds_to_one = eccentricity >= 1.0
+    if rounds_to_one.any():
         raise InvalidGeometry(f"txrx_distance_m {txrx_distance_m} is too long for an excess delay"
-                              f" of {excess_delay_s} s: the eccentricity rounds to 1")
-    return Ellipse(
-        semi_major_m=total_path_m / 2.0,
-        focal_half_distance_m=txrx_distance_m / 2.0,
-        eccentricity=eccentricity,
-    )
+                              f" of {delays[rounds_to_one].flat[0]} s: the eccentricity rounds"
+                              " to 1")
+    return float(eccentricity) if delays.ndim == 0 else eccentricity
 
 
 def aoa_from_aod(phi_t_deg, eccentricity):

@@ -43,7 +43,8 @@ ANTENNAS = {
 SCENARIO_LOCAL_SCATTERING = VonMisesParams(mu_deg=0.0, kappa=10.0, power_share=0.22)
 
 
-def antenna_pattern(name: str, boresight_deg: float = 0.0) -> AntennaPattern:
+def antenna_pattern(name: str,
+                    boresight_deg: float = AntennaPattern.boresight_deg) -> AntennaPattern:
     """Gaussian-beam pattern for one of the named horn presets A-D."""
     p = ANTENNAS[name]
     return AntennaPattern.gaussian(hpbw_deg=p.hpbw_deg, boresight_deg=boresight_deg,
@@ -55,8 +56,9 @@ def _profile():
     return builtin_nlos_profile()
 
 
-def scenario(tx: str, rx: str = "same", *, alpha_t_deg: float = 0.0,
-             alpha_r_deg: float = 0.0, seed: int = 1,
+def scenario(tx: str, rx: str = "same", *,
+             alpha_t_deg: float = AntennaPattern.boresight_deg,
+             alpha_r_deg: float = AntennaPattern.boresight_deg, seed: int = 1,
              paths_per_cluster: int = ScenarioConfig.paths_per_cluster,
              local_scattering: VonMisesParams = SCENARIO_LOCAL_SCATTERING,
              rice_factor_db: float | None = None) -> ScenarioConfig:

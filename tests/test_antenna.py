@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multiell.antenna
+from multiell import presets
 from multiell.antenna import (AntennaPattern, PatternKind, draw_aod_offsets, power_gain,
-                              sample_aod, sigma_from_hpbw)
+                              sigma_from_hpbw)
 from multiell.errors import ConfigError, InvalidHpbw, MultiellError
 from multiell.geometry import wrap_degrees
 
@@ -135,9 +138,32 @@ class TestPowerGain:
             AntennaPattern(PatternKind.GAUSSIAN)
 
 
+@pytest.mark.parametrize("function, parameter, field", [
+    (AntennaPattern.omni, "gain_dbi", "gain_dbi"),
+    (AntennaPattern.gaussian, "gain_dbi", "gain_dbi"),
+    (AntennaPattern.gaussian, "boresight_deg", "boresight_deg"),
+    (presets.antenna_pattern, "boresight_deg", "boresight_deg"),
+    (presets.scenario, "alpha_t_deg", "boresight_deg"),
+    (presets.scenario, "alpha_r_deg", "boresight_deg"),
+])
+def test_parameter_default_is_the_field_default(function, parameter, field):
+    defaults = {f.name: f.default for f in dataclasses.fields(AntennaPattern)}
+    assert inspect.signature(function).parameters[parameter].default == defaults[field]
+
+
+def departures(pattern, rng, size):
+    """Departure angles: the engine's offsets turned to the boresight and
+    wrapped into (-180, 180]."""
+    offsets = np.empty(size)
+    draw_aod_offsets(pattern, rng, offsets)
+    return wrap_degrees(offsets + pattern.boresight_deg)
+
+
 class TestSampleAod:
+    """Departure draws of ``draw_aod_offsets``, as absolute angles."""
+
     def test_omni_uniform_windows(self, rng):
-        draws = sample_aod(AntennaPattern.omni(), rng, size=100_000)
+        draws = departures(AntennaPattern.omni(), rng, size=100_000)
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
         for lo in (-180.0, -90.0, 0.0, 144.0):
             frac = np.mean((draws > lo) & (draws <= lo + 36.0))
@@ -145,23 +171,23 @@ class TestSampleAod:
 
     def test_gaussian_hpbw_window_fraction(self, rng):
         # P(|x| <= 10deg) for sigma = 20/(2 sqrt(2 ln 2)): erf-based reference
-        draws = sample_aod(AntennaPattern.gaussian(20.0), rng, size=100_000)
+        draws = departures(AntennaPattern.gaussian(20.0), rng, size=100_000)
         frac = np.mean(np.abs(draws) <= 10.0)
         assert frac == pytest.approx(0.760968108550488, abs=0.01)
 
     def test_gaussian_mean_on_boresight(self, rng):
-        draws = sample_aod(AntennaPattern.gaussian(20.0), rng, size=100_000)
+        draws = departures(AntennaPattern.gaussian(20.0), rng, size=100_000)
         assert abs(draws.mean()) < 0.1
 
     def test_wrapped_interval(self, rng):
-        draws = sample_aod(AntennaPattern.gaussian(20.0, boresight_deg=178.0),
+        draws = departures(AntennaPattern.gaussian(20.0, boresight_deg=178.0),
                            rng, size=50_000)
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
 
     def test_deterministic_under_seed(self):
         p = AntennaPattern.gaussian(12.0, boresight_deg=45.0)
-        a = sample_aod(p, np.random.default_rng(7), size=1000)
-        b = sample_aod(p, np.random.default_rng(7), size=1000)
+        a = departures(p, np.random.default_rng(7), size=1000)
+        b = departures(p, np.random.default_rng(7), size=1000)
         assert np.array_equal(a, b)
 
     def test_truncation_mass_negligible_for_bundled_beams(self):
@@ -174,7 +200,7 @@ class TestSampleAod:
                                          AntennaPattern.gaussian(340.0, boresight_deg=60.0),
                                          AntennaPattern.omni()])
     def test_bitwise_equal_to_normal_and_redraw_loop(self, pattern):
-        draws = sample_aod(pattern, np.random.default_rng(3), size=5000)
+        draws = departures(pattern, np.random.default_rng(3), size=5000)
         rng = np.random.default_rng(3)
         if pattern.kind is PatternKind.OMNI:
             expected = rng.random(5000) * 360.0 - 180.0
@@ -206,9 +232,10 @@ class TestSampleAod:
         # a 359-degree beam rejects about a quarter of each round, so one
         # round leaves hundreds of 10,000 draws to redraw
         monkeypatch.setattr(multiell.antenna, "_MAX_REDRAW_ROUNDS", 1)
+        out = np.empty(10_000)
         with pytest.raises(MultiellError, match="after 1 redraw rounds"):
-            sample_aod(AntennaPattern.gaussian(359.0), np.random.default_rng(1), size=10_000)
-        sample_aod(AntennaPattern.gaussian(20.0), np.random.default_rng(1), size=10_000)
+            draw_aod_offsets(AntennaPattern.gaussian(359.0), np.random.default_rng(1), out)
+        draw_aod_offsets(AntennaPattern.gaussian(20.0), np.random.default_rng(1), out)
 
 
 class StubNormal:

@@ -401,6 +401,41 @@ class TestConfigKeys:
         assert "scenario.ds_s: cannot parse 'abc'" in capsys.readouterr().err
 
 
+class TestHeaderLineBreaks:
+    # every character str.splitlines breaks a line on; each resolved entry
+    # must stay one '#' line of the header
+    BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029"]
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_set_value_with_a_line_break_exits_1(self, tmp_path, capsys, brk):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", "scenario.paths_per_cluster=20",
+                     "--set", f"scenario.frequency_label=x{brk}y", "--out", str(out)]) == 1
+        assert "'scenario.frequency_label': a config key or value may not contain a line break" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"])
+    def test_set_key_with_a_line_break_exits_1(self, tmp_path, capsys, brk):
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", f"scenario.{brk}seed=3",
+                     "--out", str(out)]) == 1
+        assert repr(f"scenario.{brk}seed") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_env_seed_with_a_line_break_exits_1(self, tmp_path, monkeypatch, capsys, brk):
+        # int() would accept "7\n", and the header would end the seed's line early
+        cfg = write_config(tmp_path)
+        cfg.write_text(read(cfg).replace("scenario.seed = 7\n", ""), encoding="utf-8")
+        monkeypatch.setenv("MULTIELL_SEED", f"7{brk}")
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "'scenario.seed': a config key or value" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigComments:
     def test_readme_example_runs(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

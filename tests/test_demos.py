@@ -29,3 +29,12 @@ def test_readme_quickstart_runs(tmp_path):
     result = subprocess.run([sys.executable, "-c", block.group(1)], cwd=tmp_path,
                             env=child_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_core_pieces_are_exported():
+    import multiell
+    paragraph = re.search(r"Core pieces, importable from `multiell`:(.*?)\n\n",
+                          (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+    assert len(names) > 10
+    assert [name for name in names if not hasattr(multiell, name)] == []

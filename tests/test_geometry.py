@@ -1,15 +1,26 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiell.errors import DegenerateEllipse, InvalidGeometry
-from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, Ellipse,
-                               aoa_from_aod, ellipse_from_delay, wrap_degrees, wrap_in_place)
+from multiell.errors import InvalidGeometry
+from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
+                               eccentricity_from_delay, wrap_degrees, wrap_in_place)
 
 ECC = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 ANGLE = st.floats(min_value=-179.9999, max_value=180.0, allow_nan=False)
+
+
+@dataclass(frozen=True)
+class Ellipse:
+    """The whole ellipse, for the geometric oracles below; the package needs
+    only its eccentricity."""
+
+    semi_major_m: float
+    focal_half_distance_m: float
+    eccentricity: float
 
 
 def ellipse_with(e, a=200.0):
@@ -60,53 +71,66 @@ def oracle_aoa(phi_t_deg, e, a=200.0):
 
 
 class TestEllipseFromDelay:
+    """``eccentricity_from_delay``: D / (D + c * delay) per excess delay."""
+
     def test_total_path_twice_distance(self):
         # excess delay equal to the direct-path delay doubles the path length
         d = 200.0
-        ell = ellipse_from_delay(d / SPEED_OF_LIGHT_M_S, d)
-        assert ell.semi_major_m == pytest.approx(200.0, abs=1e-9)
-        assert ell.eccentricity == pytest.approx(0.5, abs=1e-12)
-        assert ell.focal_half_distance_m == 100.0
+        assert eccentricity_from_delay(d / SPEED_OF_LIGHT_M_S, d) == pytest.approx(0.5,
+                                                                                  abs=1e-12)
 
     def test_long_delay_low_eccentricity(self):
-        ell = ellipse_from_delay(1.0, 200.0)  # one full second of excess delay
-        assert ell.eccentricity < 1e-6
+        assert eccentricity_from_delay(1.0, 200.0) < 1e-6  # one full second of excess delay
 
     def test_reference_values_363ns(self):
-        # independent arithmetic: a = (200 + c * 363e-9) / 2
-        ell = ellipse_from_delay(363e-9, 200.0)
-        assert ell.semi_major_m == pytest.approx(154.412331127, abs=1e-6)
-        assert ell.eccentricity == pytest.approx(0.647616672, abs=1e-6)
+        # independent arithmetic: a = (200 + c * 363e-9) / 2 = 154.412 m, e = 100 / a
+        assert eccentricity_from_delay(363e-9, 200.0) == pytest.approx(0.647616672, abs=1e-6)
 
     def test_degenerate_delay_raises(self):
-        with pytest.raises(DegenerateEllipse):
-            ellipse_from_delay(DEGENERATE_DELAY_S, 200.0)
-        with pytest.raises(DegenerateEllipse):
-            ellipse_from_delay(0.0, 200.0)
+        for delays in (DEGENERATE_DELAY_S, 0.0, -1e-9, np.nan,
+                       np.array([1e-6, DEGENERATE_DELAY_S, 2e-6])):
+            with pytest.raises(InvalidGeometry, match=r"excess delay .* is not above 1e-10 s"):
+                eccentricity_from_delay(delays, 200.0)
 
     def test_bad_distance_raises(self):
-        with pytest.raises(InvalidGeometry):
-            ellipse_from_delay(1e-6, 0.0)
-        with pytest.raises(InvalidGeometry):
-            ellipse_from_delay(1e-6, -3.0)
+        for d in (0.0, -3.0, np.inf, np.nan):
+            with pytest.raises(InvalidGeometry, match=r"txrx_distance_m must be finite and > 0"):
+                eccentricity_from_delay(1e-6, d)
+        with pytest.raises(InvalidGeometry, match=r"txrx_distance_m must be finite and > 0"):
+            eccentricity_from_delay(np.array([]), 0.0)
 
     def test_distance_too_long_for_delay_raises(self):
         # D / (D + c * delay) rounds to 1; once reported as an array of 1s
         with pytest.raises(InvalidGeometry, match=r"txrx_distance_m 1e\+300 .* 1e-08 s"):
-            ellipse_from_delay(1e-8, 1e300)
+            eccentricity_from_delay(1e-8, 1e300)
         with pytest.raises(InvalidGeometry, match="rounds to 1"):
-            ellipse_from_delay(2 * DEGENERATE_DELAY_S, 1e18)
-        assert ellipse_from_delay(2 * DEGENERATE_DELAY_S, 1e6).eccentricity < 1.0
+            eccentricity_from_delay(2 * DEGENERATE_DELAY_S, 1e18)
+        # an array names its first delay that is too short for the distance
+        with pytest.raises(InvalidGeometry, match=r"txrx_distance_m 1e\+18 .* 2e-10 s"):
+            eccentricity_from_delay(np.array([1.0, 2e-10, 3e-10]), 1e18)
+        assert eccentricity_from_delay(2 * DEGENERATE_DELAY_S, 1e6) < 1.0
 
     def test_invariants_random(self, rng):
-        for _ in range(200):
-            delay = 10 ** rng.uniform(-9.5, -5.0)
-            d = 10 ** rng.uniform(0.5, 4.0)
-            ell = ellipse_from_delay(delay, d)
-            assert 0.0 < ell.eccentricity < 1.0
-            assert ell.eccentricity == pytest.approx(
-                ell.focal_half_distance_m / ell.semi_major_m, rel=1e-12)
-            assert ell.semi_major_m > ell.focal_half_distance_m
+        delays = 10 ** rng.uniform(-9.5, -5.0, 200)
+        for d in 10 ** rng.uniform(0.5, 4.0, 20):
+            e = eccentricity_from_delay(delays, d)
+            assert np.all((0.0 < e) & (e < 1.0))
+            assert np.all(np.diff(e[np.argsort(delays)]) <= 0.0)  # longer delay, rounder
+
+    @given(delays=st.lists(st.floats(min_value=DEGENERATE_DELAY_S, max_value=1e-3,
+                                     exclude_min=True), max_size=30),
+           d=st.floats(min_value=1.0, max_value=1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_array_bitwise_equal_to_python_floats(self, delays, d):
+        expected = np.array([d / (d + SPEED_OF_LIGHT_M_S * t) for t in delays], dtype=float)
+        got = eccentricity_from_delay(np.array(delays, dtype=float), d)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        scalars = [eccentricity_from_delay(t, d) for t in delays]
+        assert all(type(e) is float for e in scalars)
+        assert np.array(scalars, dtype=float).tobytes() == expected.tobytes()
+        grid = np.array(delays[:len(delays) // 2 * 2], dtype=float).reshape(2, -1)
+        assert eccentricity_from_delay(grid, d).tobytes() == expected[:grid.size].tobytes()
 
 
 class TestAoaFromAod:
@@ -386,6 +410,18 @@ class TestPublicSurface:
         import multiell
         missing = [name for name in multiell.__all__ if not hasattr(multiell, name)]
         assert missing == []
+
+    def test_removed_names_have_no_alias(self):
+        import multiell
+        import multiell.antenna
+        import multiell.errors
+        import multiell.geometry
+        for module, name in ((multiell.geometry, "Ellipse"),
+                             (multiell.geometry, "ellipse_from_delay"),
+                             (multiell.errors, "DegenerateEllipse"),
+                             (multiell.antenna, "sample_aod")):
+            assert not hasattr(module, name)
+            assert not hasattr(multiell, name)
 
     def test_test_oracles_are_not_exported(self):
         import multiell
