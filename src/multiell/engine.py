@@ -5,9 +5,8 @@ path controlled by a Rice factor.
 
 Randomness: one seedable generator is split into independent substreams, one
 per profile tap plus one for local scattering, so changing the path count of
-one cluster never perturbs another cluster's draws. Path ordering in the
-output is fixed: clusters in profile order, then local scattering, then the
-direct path.
+one cluster never perturbs another cluster's draws. :class:`PathSet` states
+the fixed path layout.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import DEGENERATE_DELAY_S, _aoa_in_place, eccentricity_from_delay
+from .geometry import (DEGENERATE_DELAY_S, _aoa_in_place, _require_finite_positive,
+                       eccentricity_from_delay)
 from .pdp import NormalizedPdp, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -38,8 +38,13 @@ class SourceKind(enum.IntEnum):
 
 @dataclass(frozen=True, eq=False)
 class PathSet:
-    """Propagation paths as parallel arrays: arrival azimuth and powers (float),
-    source kind (int8) and 1-based cluster index (int32, -1 for non-cluster paths).
+    """Propagation paths as three parallel float arrays, with provenance per
+    source. The paths come in contiguous blocks: ``paths_per_cluster`` per
+    geometric tap in profile order, as many of local scattering, then the
+    direct path alone under a Rice factor. ``sources`` holds one
+    ``(kind, tap, slice)`` per block, in that order: its ``SourceKind``, its
+    1-based tap index (-1 for local scattering and the direct path) and its
+    slice of paths; the slices tile the paths.
 
     ``power_lin`` holds powers after receive-pattern weighting;
     ``raw_power_lin`` holds the pre-weighting powers, which sum to one.
@@ -50,8 +55,7 @@ class PathSet:
     aoa_deg: np.ndarray
     raw_power_lin: np.ndarray
     power_lin: np.ndarray
-    source_kind: np.ndarray
-    cluster_index: np.ndarray
+    sources: tuple[tuple[SourceKind, int, slice], ...]
 
     @property
     def raw_power_sum(self) -> float:
@@ -74,10 +78,8 @@ class ScenarioConfig:
     frequency_label: str = ""
 
     def validate(self) -> None:
-        if not (self.txrx_distance_m > 0.0 and math.isfinite(self.txrx_distance_m)):
-            raise ConfigError(f"txrx_distance_m must be finite and > 0, got {self.txrx_distance_m}")
-        if not (self.ds_s > 0.0 and math.isfinite(self.ds_s)):
-            raise ConfigError(f"ds_s must be finite and > 0, got {self.ds_s}")
+        _require_finite_positive("txrx_distance_m", self.txrx_distance_m, ConfigError)
+        _require_finite_positive("ds_s", self.ds_s, ConfigError)
         if not math.isfinite(self.ds_s * self.pdp.taps[-1][0]):
             raise ConfigError(f"ds_s {self.ds_s} makes the last tap's delay overflow")
         if not 1 <= self.paths_per_cluster <= _MAX_PATHS_PER_CLUSTER:
@@ -111,8 +113,8 @@ class Draws:
     (see :func:`~multiell.antenna.draw_aod_offsets`); ``eccentricities`` has
     one row per cluster. Its tail, ``tail_aoa``, holds the arrival angles
     that follow the clusters: local scattering, then the direct path under
-    a Rice factor. ``raw_power_lin``, ``source_kind`` and ``cluster_index``
-    cover every path and do not depend on either boresight. ``relative``
+    a Rice factor. ``raw_power_lin`` covers every path and ``sources`` its
+    layout (see :class:`PathSet`); neither depends on a boresight. ``relative``
     says whether the offsets are taken relative to the transmit boresight
     (False for an omni transmitter, whose draws are the departures
     themselves). No draw depends on the boresight, so the draws hold at
@@ -124,8 +126,7 @@ class Draws:
     offsets: np.ndarray
     eccentricities: np.ndarray
     raw_power_lin: np.ndarray
-    source_kind: np.ndarray
-    cluster_index: np.ndarray
+    sources: tuple[tuple[SourceKind, int, slice], ...]
 
     @property
     def tail_aoa(self) -> np.ndarray:
@@ -180,10 +181,12 @@ def draw_realization(config: ScenarioConfig,
     offsets = angles[:clusters.size * n].reshape(clusters.size, n)
     eccentricities = eccentricity_from_delay(delays[clusters],
                                              config.txrx_distance_m).reshape(-1, 1)
+    sources = []
     for row, i in enumerate(clusters):
         draw_aod_offsets(config.tx_pattern, streams[i], offsets[row])
         u = streams[i].random(out=raw_rows[row])
         u *= float(budgets[i]) / u.sum()
+        sources.append((SourceKind.CLUSTER, int(i) + 1, slice(row * n, (row + 1) * n)))
 
     local_rng = streams[-1]
     tail_aoa = angles[offsets.size:]
@@ -193,25 +196,18 @@ def draw_realization(config: ScenarioConfig,
         u *= share / u.sum()
     else:
         u[:] = 0.0
+    sources.append((SourceKind.LOCAL_SCATTER, -1, slice(offsets.size, offsets.size + n)))
 
-    # One label per block of n paths: the clusters in profile order (1-based
-    # tap index), then local scattering, then the direct path.
-    kinds = [SourceKind.CLUSTER] * clusters.size + [SourceKind.LOCAL_SCATTER]
-    labels = [*(clusters + 1), -1]
-    counts = [n] * len(labels)
     if direct:
         scatter_scale, direct_share = _rice_split(config.rice_factor_db)
         raw_rows *= scatter_scale
         raw[-1] = direct_share
         tail_aoa[-1] = 0.0
-        kinds.append(SourceKind.LOS)
-        labels.append(-1)
-        counts.append(1)
+        sources.append((SourceKind.LOS, -1, slice(raw.size - 1, raw.size)))
 
     return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
                  offsets=offsets, eccentricities=eccentricities, raw_power_lin=raw,
-                 source_kind=np.repeat(np.array(kinds, dtype=np.int8), counts),
-                 cluster_index=np.repeat(np.array(labels, dtype=np.int32), counts))
+                 sources=tuple(sources))
 
 
 def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.ndarray:
@@ -251,15 +247,14 @@ def run_realization(config: ScenarioConfig,
     draws = draw_realization(config, rng)
     aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
     raw = draws.raw_power_lin
-    return reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
-                    config.rx_pattern)
+    return reweight(PathSet(aoa, raw, raw, draws.sources), config.rx_pattern)
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern, out: np.ndarray | None = None,
              scratch: np.ndarray | None = None) -> PathSet:
     """The same paths with ``power_lin`` recomputed from ``raw_power_lin``
-    under another receive pattern. The angle, raw-power, source and index
-    arrays are shared with ``paths``; nothing in ``paths`` is modified.
+    under another receive pattern. The angle and raw-power arrays and the
+    ``sources`` are shared with ``paths``; nothing in ``paths`` is modified.
     ``out``, an array shaped like ``paths.aoa_deg``, becomes the new
     ``power_lin``, and ``scratch``, another, holds the gain's intermediate
     (see :func:`~multiell.antenna.power_gain`). An omni pattern weights
@@ -274,4 +269,4 @@ def reweight(paths: PathSet, rx_pattern: AntennaPattern, out: np.ndarray | None 
     else:
         weighted = out
         weighted[...] = raw
-    return PathSet(paths.aoa_deg, raw, weighted, paths.source_kind, paths.cluster_index)
+    return PathSet(paths.aoa_deg, raw, weighted, paths.sources)

@@ -64,6 +64,15 @@ def wrap_degrees(angle_deg):
     return float(a) if a.ndim == 0 else a
 
 
+def _require_finite_positive(name: str, value, error: type[Exception]) -> None:
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range, too long to print
+        raise error(f"{name} must be finite and > 0, got an int beyond the float range") from None
+    if not (number > 0.0 and math.isfinite(number)):
+        raise error(f"{name} must be finite and > 0, got {number}")
+
+
 def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     """Eccentricity of the ellipse of each excess delay: the distance D over
     the total reflection path D + c * delay. Accepts a scalar or an array
@@ -74,8 +83,7 @@ def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     included; such a tap belongs to local scattering), and for a distance
     so long against a delay that the eccentricity rounds to 1.
     """
-    if not (txrx_distance_m > 0.0 and math.isfinite(txrx_distance_m)):
-        raise InvalidGeometry(f"txrx_distance_m must be finite and > 0, got {txrx_distance_m}")
+    _require_finite_positive("txrx_distance_m", txrx_distance_m, InvalidGeometry)
     delays = np.asarray(excess_delays_s, dtype=float)
     degenerate = ~(delays > DEGENERATE_DELAY_S)
     if degenerate.any():

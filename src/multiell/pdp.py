@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -97,6 +98,7 @@ def load_pdp(path: str | Path) -> NormalizedPdp:
     return loads_pdp(path.read_text(encoding="utf-8"), default_name=path.stem)
 
 
+@lru_cache(maxsize=1)
 def builtin_nlos_profile() -> NormalizedPdp:
     """The bundled NLOS profile (3GPP TR 38.901 Table 7.7.2-2 transcription)."""
     text = resources.files("multiell.data").joinpath("nlos_3gpp.pdp").read_text("utf-8")

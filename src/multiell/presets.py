@@ -51,11 +51,6 @@ def antenna_pattern(name: str,
                                    gain_dbi=p.gain_dbi)
 
 
-@lru_cache(maxsize=1)
-def _profile():
-    return builtin_nlos_profile()
-
-
 def scenario(tx: str, rx: str = "same", *,
              alpha_t_deg: float = AntennaPattern.boresight_deg,
              alpha_r_deg: float = AntennaPattern.boresight_deg, seed: int = 1,
@@ -72,7 +67,7 @@ def scenario(tx: str, rx: str = "same", *,
     else:
         rx_pattern = antenna_pattern(tx if rx == "same" else rx, alpha_r_deg)
     return ScenarioConfig(
-        pdp=_profile(),
+        pdp=builtin_nlos_profile(),
         ds_s=DS_BY_BAND[tx_preset.band],
         tx_pattern=tx_pattern,
         rx_pattern=rx_pattern,

@@ -145,7 +145,7 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         raw = draws.raw_power_lin
         if aoa is None:
             aoa, weighted, scratch = np.empty((3, raw.size))
-        paths = PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index)
+        paths = PathSet(aoa, raw, raw, draws.sources)
         aimed = None
         for j, (tx_j, rx_j) in enumerate(points):
             # Omni draws are the departures themselves: one aim serves all.

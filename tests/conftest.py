@@ -21,9 +21,7 @@ def rng():
 
 
 def make_pathset(aoa_deg, power_lin):
-    """PathSet with the given weighted powers (raw == weighted, all cluster 1)."""
+    """PathSet with the given weighted powers (raw == weighted, all from tap 1)."""
     aoa = np.asarray(aoa_deg, dtype=float)
     p = np.asarray(power_lin, dtype=float)
-    kind = np.full(aoa.size, SourceKind.CLUSTER, dtype=np.int8)
-    idx = np.ones(aoa.size, dtype=np.int32)
-    return PathSet(aoa, p, p, kind, idx)
+    return PathSet(aoa, p, p, ((SourceKind.CLUSTER, 1, slice(0, aoa.size)),))

@@ -249,7 +249,7 @@ def test_criterion_11_pushforward_oracle():
         seed=9,
     )
     paths = run_realization(cfg)
-    keep = paths.source_kind == SourceKind.CLUSTER
+    keep = paths.sources[0][2]
     edges = np.linspace(-180.0, 180.0, 101)
     counts, _ = np.histogram(paths.aoa_deg[keep], bins=edges,
                              weights=paths.power_lin[keep])

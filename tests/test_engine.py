@@ -90,6 +90,15 @@ class TestConservation:
         assert np.isfinite(paths.aoa_deg).all()
         assert np.isfinite(paths.power_lin).all()
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+        # The source slices tile the paths in order, and a Rice factor puts
+        # exactly one path under the direct path's kind.
+        stops = [block.stop for _, _, block in paths.sources]
+        direct = [block.stop - block.start for kind, _, block in paths.sources
+                  if kind == SourceKind.LOS]
+        assert ([block for _, _, block in paths.sources]
+                == [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+                and stops[-1] == paths.aoa_deg.size
+                and direct == ([] if rice is None else [1]))
 
 
 class TestDeterminism:
@@ -99,7 +108,7 @@ class TestDeterminism:
         b = run_realization(cfg)
         assert np.array_equal(a.aoa_deg, b.aoa_deg)
         assert np.array_equal(a.power_lin, b.power_lin)
-        assert np.array_equal(a.source_kind, b.source_kind)
+        assert a.sources == b.sources
 
     def test_different_seed_differs(self):
         a = run_realization(scenario("B", "same", seed=1))
@@ -136,11 +145,18 @@ class TestRxWeighting:
         assert np.array_equal(paths.power_lin, expected)
 
 
+def of_kind(paths, kind, values):
+    """The entries of the per-path array ``values`` that sources of ``kind``
+    fill, selected by their slices in path order."""
+    return np.concatenate([values[block] for k, _, block in paths.sources if k == kind])
+
+
 class TestRiceFactor:
     def test_infinite_k_gives_all_power_to_direct_path(self):
         cfg = scenario("A", "omni", seed=2, rice_factor_db=math.inf)
         paths = run_realization(cfg)
-        assert paths.source_kind[-1] == SourceKind.LOS
+        size = paths.aoa_deg.size
+        assert paths.sources[-1] == (SourceKind.LOS, -1, slice(size - 1, size))
         assert paths.aoa_deg[-1] == 0.0
         assert paths.raw_power_lin[-1] > 0.999
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
@@ -148,7 +164,7 @@ class TestRiceFactor:
     def test_finite_k_split(self):
         cfg = scenario("A", "omni", seed=2, rice_factor_db=10.0)
         paths = run_realization(cfg)
-        direct = paths.raw_power_lin[paths.source_kind == SourceKind.LOS]
+        direct = of_kind(paths, SourceKind.LOS, paths.raw_power_lin)
         assert direct.sum() == pytest.approx(10.0 / 11.0, rel=1e-12)
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
 
@@ -160,35 +176,34 @@ class TestRiceFactor:
 
     def test_nlos_has_no_direct_path(self):
         paths = run_realization(scenario("A", "omni", seed=2))
-        assert not np.any(paths.source_kind == SourceKind.LOS)
+        assert SourceKind.LOS not in [kind for kind, _, _ in paths.sources]
 
 
 class TestOrderingAndRouting:
     def test_path_order_clusters_then_local_then_los(self):
         cfg = scenario("A", "same", seed=4, rice_factor_db=6.0, paths_per_cluster=10)
         paths = run_realization(cfg)
-        kinds = paths.source_kind
-        cluster_zone = np.where(kinds == SourceKind.CLUSTER)[0]
-        local_zone = np.where(kinds == SourceKind.LOCAL_SCATTER)[0]
-        los_zone = np.where(kinds == SourceKind.LOS)[0]
-        assert cluster_zone.max() < local_zone.min() < los_zone.min()
-        idx = paths.cluster_index[cluster_zone]
-        assert np.all(np.diff(idx) >= 0)  # profile order
-        assert idx.min() == 2  # tap 1 is the zero-delay tap, routed away
+        zone = {kind: [block for k, _, block in paths.sources if k == kind]
+                for kind in SourceKind}
+        assert (max(block.stop for block in zone[SourceKind.CLUSTER])
+                <= zone[SourceKind.LOCAL_SCATTER][0].start < zone[SourceKind.LOS][0].start)
+        taps = [tap for kind, tap, _ in paths.sources if kind == SourceKind.CLUSTER]
+        assert taps == sorted(taps)  # profile order
+        assert min(taps) == 2  # tap 1 is the zero-delay tap, routed away
 
     def test_auto_share_equals_routed_power(self):
         cfg = scenario("A", "omni", seed=4,
                        local_scattering=VonMisesParams(kappa=3.0, power_share=None))
         paths = run_realization(cfg)
-        local = paths.raw_power_lin[paths.source_kind == SourceKind.LOCAL_SCATTER]
+        local = of_kind(paths, SourceKind.LOCAL_SCATTER, paths.raw_power_lin)
         assert local.sum() == pytest.approx(TAP1_SHARE, rel=1e-9)
 
     def test_explicit_share_rescales_clusters(self):
         cfg = scenario("A", "omni", seed=4,
                        local_scattering=VonMisesParams(kappa=3.0, power_share=0.4))
         paths = run_realization(cfg)
-        local = paths.raw_power_lin[paths.source_kind == SourceKind.LOCAL_SCATTER]
-        clusters = paths.raw_power_lin[paths.source_kind == SourceKind.CLUSTER]
+        local = of_kind(paths, SourceKind.LOCAL_SCATTER, paths.raw_power_lin)
+        clusters = of_kind(paths, SourceKind.CLUSTER, paths.raw_power_lin)
         assert local.sum() == pytest.approx(0.4, rel=1e-9)
         assert clusters.sum() == pytest.approx(0.6, rel=1e-9)
 
@@ -196,9 +211,9 @@ class TestOrderingAndRouting:
         cfg = scenario("A", "omni", seed=4, paths_per_cluster=37,
                        local_scattering=VonMisesParams(kappa=3.0, power_share=0.0))
         paths = run_realization(cfg)
-        local = paths.source_kind == SourceKind.LOCAL_SCATTER
-        assert local.sum() == 37  # drawn either way, just carrying no power
-        assert np.all(paths.raw_power_lin[local] == 0.0)
+        local = of_kind(paths, SourceKind.LOCAL_SCATTER, paths.raw_power_lin)
+        assert local.size == 37  # drawn either way, just carrying no power
+        assert np.all(local == 0.0)
         assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
 
 
@@ -234,9 +249,14 @@ class TestPathLabels:
     def test_kind_and_index_match_per_cluster_parts(self, cfg):
         paths = run_realization(cfg)
         kinds, index = per_cluster_labels(cfg)
-        assert paths.source_kind.dtype == np.int8 and paths.cluster_index.dtype == np.int32
-        assert np.array_equal(paths.source_kind, kinds)
-        assert np.array_equal(paths.cluster_index, index)
+        # Expand the per-source slices to per-path labels; -9 marks a path
+        # that no slice covers.
+        got_kinds = np.full(paths.aoa_deg.size, -9, dtype=np.int8)
+        got_index = np.full(paths.aoa_deg.size, -9, dtype=np.int32)
+        for kind, tap, block in paths.sources:
+            got_kinds[block], got_index[block] = kind, tap
+        assert np.array_equal(got_kinds, kinds)
+        assert np.array_equal(got_index, index)
         assert paths.aoa_deg.size == kinds.size
 
 
@@ -278,9 +298,12 @@ class TestValidation:
             replace(good, ds_s=math.nan),
             replace(good, ds_s=math.inf),
             replace(good, ds_s=1e308),  # the last tap's delay overflows
+            replace(good, txrx_distance_m=10**400),  # an int beyond the float range
+            replace(good, ds_s=10**400),
         ):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError) as caught:
                 run_realization(bad)
+            assert len(str(caught.value)) < 100  # the field, not 401 digits
 
     def test_path_count_ceiling_is_inclusive(self):
         from dataclasses import replace
@@ -364,12 +387,11 @@ class TestAimStage:
             for alpha_t in (-180.0, -95.5, -60.0, 0.0, 10.0, 120.0, 179.0):
                 aimed = replace(cfg, tx_pattern=cfg.tx_pattern.pointed_at(alpha_t))
                 assert aim_realization(draws, aimed.tx_pattern.boresight_deg, aoa) is aoa
-                got = reweight(PathSet(aoa, raw, raw, draws.source_kind, draws.cluster_index),
-                               aimed.rx_pattern)
+                got = reweight(PathSet(aoa, raw, raw, draws.sources), aimed.rx_pattern)
                 expected = run_realization(aimed)
-                for name in ("aoa_deg", "raw_power_lin", "power_lin", "source_kind",
-                             "cluster_index"):
+                for name in ("aoa_deg", "raw_power_lin", "power_lin"):
                     assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+                assert got.sources == expected.sources
 
     @pytest.mark.parametrize("cfg", [
         scenario("C", "same", alpha_t_deg=40.0, alpha_r_deg=-30.0, seed=8,
@@ -417,12 +439,12 @@ class TestRealizationMemory:
                       paths_per_cluster=20_000)
         paths = 23 * 20_000 + 1  # 22 geometric taps, local scattering, the direct path
         floats = 8 * paths  # one float64 array: 3.68 MB
-        labels = (1 + 4) * paths  # int8 source kind and int32 cluster index: 2.30 MB
         # Drawn angles aimed in place and raw powers shared by the omni rx:
-        # 2 float arrays, 9.66 MB with the labels (10.54 MB traced, temporaries
-        # included). A separate arrival array and weighted copy would be 4:
-        # 17.02 MB. The bound is 3 float arrays with the labels, 13.34 MB.
-        bound = 3 * floats + labels
+        # 2 float arrays, 7.36 MB, with provenance per source, not per path
+        # (8.24 MB traced, temporaries included). A separate arrival array
+        # and weighted copy would be 4: 14.72 MB. The bound is 3 float
+        # arrays, 11.04 MB.
+        bound = 3 * floats
         run_realization(cfg)  # first call outside the trace: caches and imports
         tracemalloc.start()
         try:

@@ -93,10 +93,12 @@ class TestEllipseFromDelay:
                 eccentricity_from_delay(delays, 200.0)
 
     def test_bad_distance_raises(self):
-        for d in (0.0, -3.0, np.inf, np.nan):
-            with pytest.raises(InvalidGeometry, match=r"txrx_distance_m must be finite and > 0"):
+        message = r"txrx_distance_m must be finite and > 0"
+        for d in (0.0, -3.0, np.inf, np.nan, 10**400, -10**400):  # ints beyond the float range
+            with pytest.raises(InvalidGeometry, match=message) as caught:
                 eccentricity_from_delay(1e-6, d)
-        with pytest.raises(InvalidGeometry, match=r"txrx_distance_m must be finite and > 0"):
+            assert len(str(caught.value)) < 100  # names the field, not 401 digits
+        with pytest.raises(InvalidGeometry, match=message):
             eccentricity_from_delay(np.array([]), 0.0)
 
     def test_distance_too_long_for_delay_raises(self):

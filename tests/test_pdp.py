@@ -156,3 +156,10 @@ def test_builtin_profile_shape():
 
 def test_resolve_builtin_tag():
     assert resolve_pdp(BUILTIN_NLOS).name == "3gpp-nlos-tdl"
+
+
+def test_presets_and_config_files_share_one_builtin_profile():
+    # The bundled file is parsed once: a preset and a config's builtin tag
+    # hold the same frozen profile object.
+    from multiell.presets import scenario
+    assert scenario("A").pdp is resolve_pdp(BUILTIN_NLOS) is builtin_nlos_profile()

@@ -236,7 +236,7 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-PATH_ARRAYS = ("aoa_deg", "raw_power_lin", "power_lin", "source_kind", "cluster_index")
+PATH_ARRAYS = ("aoa_deg", "raw_power_lin", "power_lin")
 
 # Omni, or a Gaussian beam up to 359 degrees wide, at any boresight.
 BEAMS = st.just(AntennaPattern.omni()) | st.builds(
@@ -274,6 +274,7 @@ class TestSweepEquivalence:
         for name in PATH_ARRAYS:
             assert same_bits(getattr(got, name), getattr(expected, name)), name
             assert same_bits(getattr(paths_a, name), before[name]), name
+        assert got.sources == expected.sources == paths_a.sources
         out = np.full_like(paths_a.aoa_deg, np.nan)
         assert reweight(paths_a, cfg_b.rx_pattern, out=out).power_lin is out
         assert same_bits(out, expected.power_lin)
