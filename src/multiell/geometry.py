@@ -92,9 +92,10 @@ def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     eccentricity = txrx_distance_m / (txrx_distance_m + SPEED_OF_LIGHT_M_S * delays)
     rounds_to_one = eccentricity >= 1.0
     if rounds_to_one.any():
-        raise InvalidGeometry(f"txrx_distance_m {txrx_distance_m} is too long for an excess delay"
-                              f" of {delays[rounds_to_one].flat[0]} s: the eccentricity rounds"
-                              " to 1")
+        # As a float: an int distance would print every digit.
+        raise InvalidGeometry(f"txrx_distance_m {float(txrx_distance_m)} is too long for an"
+                              f" excess delay of {delays[rounds_to_one].flat[0]} s: the"
+                              " eccentricity rounds to 1")
     return float(eccentricity) if delays.ndim == 0 else eccentricity
 
 

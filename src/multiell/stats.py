@@ -27,6 +27,10 @@ DEFAULT_BIN_WIDTH_DEG = 1.0
 # 0.0001-degree bins; the bin edges alone then take 29 MB.
 _MAX_PAS_BINS = 3_600_000
 
+# Paths per block of the PAS reduction, raised to the bin count where that is
+# larger: each block's temporaries stay a few hundred kB at 0.1-degree bins.
+_PAS_BLOCK = 2**15
+
 # 1,000x the figure sweeps; each trial is a realization at every angle.
 _MAX_SWEEP_TRIALS = 10_000
 
@@ -81,6 +85,12 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     """Power-weighted histogram of arrival angles, normalized to unit mass.
 
     ``bin_width_deg`` must divide 360 evenly, into at most 3,600,000 bins.
+    The bins are ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``:
+    each holds the angles in ``[edges[k], edges[k + 1])``, and the last one
+    holds ``edges[-1]`` too. Angles outside ``[edges[0], edges[-1]]`` and NaN
+    stay out of every bin but still count in the total power. Each bin's
+    power is a sum in path order, block by block, so its bits do not depend
+    on the thread count or the SIMD target.
     """
     if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
         raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
@@ -93,11 +103,34 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
 
     total = _total_power(paths.power_lin)
     edges = -180.0 + bin_width_deg * np.arange(n_bins + 1)
-    counts, _ = np.histogram(paths.aoa_deg, bins=edges, weights=paths.power_lin)
-    density = counts / (total * bin_width_deg)
+    density = _bin_power(paths.aoa_deg, paths.power_lin, edges, bin_width_deg)
+    density /= total * bin_width_deg
     centers = edges[:-1] + bin_width_deg / 2.0
     return AngularSpectrum(bin_centers_deg=centers, density_per_deg=density,
                            bin_width_deg=float(bin_width_deg))
+
+
+def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
+               width: float) -> np.ndarray:
+    # Per-bin sums of ``power`` over the bins estimate_pas documents. The
+    # index by division is at most one bin off; one fix-up against ``edges``
+    # puts every angle where numpy.histogram's comparisons put it.
+    n_bins = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    block = max(_PAS_BLOCK, n_bins)
+    sums = np.zeros(n_bins)
+    for start in range(0, angles.size, block):
+        x = angles[start:start + block]
+        w = power[start:start + block]
+        if not (x.min() >= lo and x.max() <= hi):  # NaN fails this too
+            inside = (x >= lo) & (x <= hi)
+            x, w = x[inside], w[inside]
+        idx = ((x - lo) / width).astype(np.intp)
+        np.minimum(idx, n_bins - 1, out=idx)
+        idx -= x < edges[idx]
+        idx += (x >= edges[1:][idx]) & (idx < n_bins - 1)
+        sums += np.bincount(idx, weights=w, minlength=n_bins)
+    return sums
 
 
 def _point_rng(seed: int, axis: SweepAxis, trial: int) -> np.random.Generator:

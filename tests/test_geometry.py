@@ -98,6 +98,10 @@ class TestEllipseFromDelay:
             with pytest.raises(InvalidGeometry, match=message) as caught:
                 eccentricity_from_delay(1e-6, d)
             assert len(str(caught.value)) < 100  # names the field, not 401 digits
+        # an int within the float range but too long for the delay, printed as a float
+        with pytest.raises(InvalidGeometry, match=r"txrx_distance_m 1e\+300 is too long") as caught:
+            eccentricity_from_delay(1e-6, 10**300)
+        assert len(str(caught.value)) < 100
         with pytest.raises(InvalidGeometry, match=message):
             eccentricity_from_delay(np.array([]), 0.0)
 

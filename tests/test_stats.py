@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern
+from multiell.cli import _fmt
 from multiell.engine import aim_realization, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
@@ -143,6 +145,73 @@ class TestEstimatePas:
     def test_no_power(self):
         with pytest.raises(NoPower):
             estimate_pas(make_pathset([0.0], [0.0]), bin_width_deg=1.0)
+
+
+def _bin_edges(width):
+    return -180.0 + width * np.arange(int(round(360.0 / width)) + 1)
+
+
+def _histogram_bins(x, edges):
+    # np.histogram's bin of each angle: [edges[k], edges[k + 1]), the last bin
+    # closed; -1 or the bin count outside [edges[0], edges[-1]] and for NaN.
+    bins = np.searchsorted(edges, x, side="right") - 1
+    bins[x == edges[-1]] = edges.size - 2
+    return bins
+
+
+class TestPasBins:
+    """estimate_pas bins like np.histogram and sums each bin exactly."""
+
+    @pytest.mark.parametrize("width", [1e-4, 0.1, 1 / 3, 0.36, 7.2, 360.0])
+    def test_membership_equals_np_histogram(self, width, rng):
+        edges = _bin_edges(width)
+        if edges.size > 100_000:
+            # np.histogram takes 18 s for all 3.6M edges; every 200th and both ends.
+            edges_in = np.concatenate([edges[:200], edges[200:-200:200], edges[-200:]])
+        else:
+            edges_in = edges
+        x = np.concatenate([edges_in, np.nextafter(edges_in, -np.inf),
+                            np.nextafter(edges_in, np.inf),
+                            [180.0, -180.0, 0.0, -0.0, 1e-300, -1e-300, 181.0, -181.0,
+                             np.nan, np.inf, -np.inf],
+                            rng.uniform(-180.0, 180.0, 10_000)])
+        density = estimate_pas(make_pathset(x, np.ones(x.size)), width).density_per_deg
+        expected = np.histogram(x, bins=edges)[0] / (x.size * width)
+        assert density.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name, changes, width", [
+        ("fig4-A", {}, 1.0),
+        ("fig2-C-omni", {"rice_factor_db": 6.0, "paths_per_cluster": 20_000}, 0.1),
+    ])
+    def test_printed_density_equals_fsum(self, name, changes, width):
+        # A directional rx leaves tail bins of tiny mass, which a difference of
+        # cumulative sums used to lose; 460,001 paths span several blocks.
+        paths = run_realization(replace(fig_presets()[name].config, **changes))
+        x, power = paths.aoa_deg, paths.power_lin
+        edges = _bin_edges(width)
+        n_bins = edges.size - 1
+        bins = _histogram_bins(x, edges)
+        inside = (bins >= 0) & (bins < n_bins)
+        order = np.argsort(bins[inside], kind="stable")
+        members = np.bincount(bins[inside], minlength=n_bins)
+        assert np.array_equal(members, np.histogram(x, bins=edges)[0])
+        starts = np.concatenate([[0], np.cumsum(members)]).tolist()
+        in_bins = power[inside][order].tolist()
+        scale = math.fsum(power.tolist()) * width
+        reference = [_fmt(math.fsum(in_bins[a:b]) / scale) for a, b in zip(starts, starts[1:])]
+        printed = [_fmt(d) for d in estimate_pas(paths, width).density_per_deg.tolist()]
+        assert printed == reference
+
+    def test_reduction_works_in_blocks(self, rng):
+        aoa = rng.uniform(-180.0, 180.0, 1_000_000)
+        paths = make_pathset(aoa, rng.random(aoa.size))
+        tracemalloc.start()
+        try:
+            estimate_pas(paths, bin_width_deg=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000  # a whole-array intp bin index alone takes 8 MB
 
 
 class TestSweepAs:
