@@ -31,6 +31,10 @@ _MAX_PAS_BINS = 3_600_000
 # larger: each block's temporaries stay a few hundred kB at 0.1-degree bins.
 _PAS_BLOCK = 2**15
 
+# Above this total the spread's weighted sums, at most 360**2 times the
+# total, could overflow; such powers are scaled to sum to 1 first.
+_MAX_SPREAD_POWER = 1e300
+
 # 1,000x the figure sweeps; each trial is a realization at every angle.
 _MAX_SWEEP_TRIALS = 10_000
 
@@ -67,18 +71,28 @@ def angular_spread(paths: PathSet) -> float:
     """rms angle spread in degrees: the square root of the power-weighted
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
-    of the definition)."""
-    return _spread_in_place(paths.aoa_deg, paths.power_lin.copy())
+    of the definition).
+
+    The moment is centered: the weighted mean first, then the weighted
+    mean square of the deviations from it, so no large second moment
+    cancels against the squared mean. The path powers are left as they
+    are; the deviations take one path-sized array."""
+    return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
 
 
-def _spread_in_place(phi: np.ndarray, moment: np.ndarray) -> float:
-    # angular_spread of the powers in ``moment`` at ``phi``, overwriting them.
-    moment /= _total_power(moment)
-    moment *= phi
-    mean = float(moment.sum())
-    moment *= phi
-    second = float(moment.sum())
-    return float(np.sqrt(max(second - mean * mean, 0.0)))
+def _spread_in_place(phi: np.ndarray, power: np.ndarray, deviation: np.ndarray) -> float:
+    # angular_spread of ``power`` at ``phi`` in two passes, overwriting the
+    # float array ``deviation`` (shaped like ``phi``) with the squared
+    # deviations from the weighted mean. np.einsum sums the products in the
+    # same order for any thread count; it calls no BLAS, unlike np.dot.
+    total = _total_power(power)
+    if total > _MAX_SPREAD_POWER:
+        power = power / total
+        total = power.sum()
+    mean = np.einsum("i,i->", power, phi) / total
+    np.subtract(phi, mean, out=deviation)
+    np.square(deviation, out=deviation)
+    return math.sqrt(max(np.einsum("i,i->", power, deviation) / total, 0.0))
 
 
 def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -> AngularSpectrum:
@@ -155,8 +169,12 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     path-sized buffers once: the arrival angles, re-aimed only when the
     transmit boresight changes and only once per trial for an omni
     transmitter (:func:`~multiell.engine.aim_realization`), the weighted
-    powers (:func:`~multiell.engine.reweight`), which the spread's moments
-    then overwrite, and the receive gain's scratch.
+    powers (:func:`~multiell.engine.reweight`), and a scratch array. After
+    each aim the angles are scanned once for their smallest and largest
+    value, which every receive gain at that aim reuses. The scratch holds
+    the receive gain's intermediate, then the spread's squared deviations
+    from the weighted mean (the centered reduction of
+    :func:`angular_spread`, bit for bit).
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -185,8 +203,9 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
             if aimed is None or draws.relative and tx_j.boresight_deg != aimed:
                 aimed = tx_j.boresight_deg
                 aim_realization(draws, aimed, aoa)
-            reweight(paths, rx_j, out=weighted, scratch=scratch)
-            spreads[j, trial] = _spread_in_place(aoa, weighted)
+                span = (float(aoa.min()), float(aoa.max()))
+            reweight(paths, rx_j, out=weighted, scratch=scratch, angle_range=span)
+            spreads[j, trial] = _spread_in_place(aoa, weighted, scratch)
 
     rows: list[tuple[float, float, int, float]] = []
     aggregate: list[tuple[float, float, float]] = []

@@ -10,8 +10,9 @@ import multiell.antenna
 from multiell import presets
 from multiell.antenna import (AntennaPattern, PatternKind, draw_aod_offsets, power_gain,
                               sigma_from_hpbw)
+from multiell.engine import aim_realization, draw_realization
 from multiell.errors import ConfigError, InvalidHpbw, MultiellError
-from multiell.geometry import wrap_degrees
+from multiell.geometry import aoa_from_aod, wrap_degrees
 
 
 class TestSigmaFromHpbw:
@@ -136,6 +137,107 @@ class TestPowerGain:
     def test_gaussian_requires_hpbw(self):
         with pytest.raises(ConfigError):
             AntennaPattern(PatternKind.GAUSSIAN)
+
+
+def half_turn_edges():
+    """+-180 and +-0 with their neighbours on both sides, inside [-180, 180]."""
+    edges = [180.0, -180.0, 0.0, -0.0]
+    edges += [np.nextafter(e, to) for e in edges for to in (-np.inf, np.inf)]
+    return np.array([e for e in edges if -180.0 <= e <= 180.0])
+
+
+def three_step_wrap_candidate(d, boresight):
+    # The other candidate as wrap_in_place computes it: ((d + 180) +- 360) - 180.
+    return ((d + 180.0) + (360.0 if boresight >= 0.0 else -360.0)) - 180.0
+
+
+# Both boresight signs, 0 and -0, the half turn (-180 is held as 180) and
+# the smallest magnitudes on either side of 0.
+KNOWN_RANGE_BORESIGHTS = [0.0, -0.0, 180.0, -180.0, 1e-300, -1e-300, 5e-324, 37.0, 90.0,
+                          np.nextafter(180.0, 0.0), -37.0, -90.0, np.nextafter(-180.0, 0.0)]
+
+
+class TestKnownAngleRange:
+    # power_gain with the range of the angles given must write the bits it
+    # writes when it scans for the range itself.
+    @pytest.mark.parametrize("boresight", KNOWN_RANGE_BORESIGHTS)
+    @pytest.mark.parametrize("hpbw", [9.0, 120.0])
+    def test_given_range_gives_the_same_bits(self, rng, boresight, hpbw):
+        pattern = AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+        edges = half_turn_edges()
+        sets = [edges, np.concatenate([rng.uniform(-180.0, 180.0, 5_000), edges]),
+                rng.uniform(-180.0, 180.0, 5_000), rng.uniform(-1.0, 1.0, 100),
+                np.array([180.0]), np.array([-180.0])]
+        for phi in sets:
+            expected = power_gain(pattern, phi)
+            span = (float(phi.min()), float(phi.max()))
+            assert power_gain(pattern, phi, angle_range=span).tobytes() == expected.tobytes()
+            out, scratch = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
+            assert power_gain(pattern, phi, out, scratch, angle_range=span) is out
+            assert out.tobytes() == expected.tobytes()
+            # any bounds within [-180, 180] give them too: a candidate that
+            # is not needed is never the smaller square
+            assert (power_gain(pattern, phi, angle_range=(-180.0, 180.0)).tobytes()
+                    == expected.tobytes())
+
+    @given(hpbw=st.floats(1e-150, 360.0, exclude_max=True),
+           boresight=st.floats(-180.0, 180.0) | st.sampled_from(KNOWN_RANGE_BORESIGHTS),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_given_range_gives_the_same_bits(self, hpbw, boresight, data):
+        pattern = AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+        phi = np.array(data.draw(st.lists(st.sampled_from(list(half_turn_edges()))
+                                          | st.floats(-180.0, 180.0), min_size=1, max_size=40)))
+        expected = power_gain(pattern, phi)
+        span = (float(phi.min()), float(phi.max()))
+        assert power_gain(pattern, phi, angle_range=span).tobytes() == expected.tobytes()
+        scratch = np.full_like(phi, np.nan)
+        got = power_gain(pattern, phi, scratch=scratch, angle_range=(-180.0, 180.0))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_two_step_candidate_for_a_boresight_not_below_zero(self, rng):
+        # (d + 540) - 180 in place of ((d + 180) + 360) - 180: on [-360, -90]
+        # d + 180 is exact, so both round d + 540 alike; above -90 both
+        # candidates exceed 180, so neither is the smaller square.
+        boresights = [b for b in KNOWN_RANGE_BORESIGHTS if b >= 0.0]
+        boresights += list(np.linspace(0.0, 180.0, 1_122))
+        phi = np.concatenate([half_turn_edges(), rng.uniform(-180.0, 180.0, 200),
+                              rng.uniform(-180.0, -180.0 + 1e-9, 20)])
+        sigma = sigma_from_hpbw(20.0)
+        for boresight in boresights:
+            pattern = AntennaPattern.gaussian(20.0, boresight_deg=boresight)
+            d = phi - pattern.boresight_deg
+            old = three_step_wrap_candidate(d, pattern.boresight_deg)
+            new = (d + 540.0) - 180.0
+            low = d <= -90.0
+            assert new[low].tobytes() == old[low].tobytes()
+            assert np.all(new[~low] >= 180.0) and np.all(old[~low] >= 180.0)
+            expected = np.exp(-np.square(wrap_degrees(d)) / (2.0 * sigma**2))
+            assert power_gain(pattern, phi).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("eccentricity", [0.0, 1e-300, 1e-16, 0.5, 0.99,
+                                              np.nextafter(1.0, 0.0)])
+    def test_arrival_angles_stay_within_half_turns(self, eccentricity):
+        # The shortest-arc argument assumes arrival angles in [-180, 180].
+        # The map ends in 2 * degrees(arctan(.)). arctan never exceeds its
+        # value at inf, the double nearest pi / 2, and that lands on 180
+        # exactly; a departure of 180 at e = 0 saturates it.
+        assert 2.0 * (np.arctan(np.inf) * (180.0 / np.pi)) == 180.0
+        assert np.arctan(np.tan(180.0 / 2.0 * (np.pi / 180.0))) == np.arctan(np.inf)
+        aod = np.concatenate([half_turn_edges(), np.linspace(-180.0, 180.0, 3_601),
+                              np.nextafter(180.0, 0.0) - np.arange(50) * 2.0**-44])
+        aod = np.concatenate([aod, -aod])
+        aoa = aoa_from_aod(aod, eccentricity)
+        assert np.all((aoa >= -180.0) & (aoa <= 180.0))
+        assert aoa_from_aod(180.0, eccentricity) == 180.0
+
+    @pytest.mark.parametrize("boresight", KNOWN_RANGE_BORESIGHTS)
+    def test_aimed_angles_stay_within_half_turns(self, boresight):
+        cfg = presets.scenario("A", "same", seed=3, paths_per_cluster=300)
+        draws = draw_realization(cfg)
+        b = AntennaPattern.gaussian(20.0, boresight_deg=boresight).boresight_deg
+        aoa = aim_realization(draws, b, np.empty_like(draws.angles))
+        assert np.all((aoa >= -180.0) & (aoa <= 180.0))
 
 
 @pytest.mark.parametrize("function, parameter, field", [

@@ -513,10 +513,10 @@ class TestPinnedOutputs:
     # recorded when the omni transmitter's departures still had an array of
     # their own, apart from the arrival angles
     OMNI_TX_PAS_SHA256 = "fabd53af60207b69b9ec67e081a73a5160a475284e0c01602b047709c0e40163"
-    # recorded while the receive gain still wrapped the paths it selected; the
+    # recorded when the spread became a centered two-pass reduction; the
     # full circle takes both wrap sides (negative boresights, 180, -180/180)
     FULL_CIRCLE_RX_SWEEP_SHA256 = (
-        "51747ead493d32550625ac9a071fa13aad665ddfd502b4dd497cc2b49dfd3059")
+        "2a89862df0a03e79534ba20112cb27f6a160e8ea92ae0961b3bee6326f3772e1")
 
     def test_sweep_bytes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -572,9 +572,11 @@ class TestPinnedTxSweeps:
 
 class TestZeroShareTwins:
     # sha256 of each pinned command above with a zero local-scattering share,
-    # recorded while the von Mises sampler was still hand-written. With no
-    # power on the local-scattering paths their angles cannot reach the
-    # bytes, so these hold across any change to that one stream.
+    # recorded while the von Mises sampler was still hand-written (the two
+    # sweeps marked below when the spread became a centered two-pass
+    # reduction). With no power on the local-scattering paths their angles
+    # cannot reach the bytes, so these hold across any change to that one
+    # stream.
     ZERO_SHARE = ["--set", "local_scattering.power_share=0"]
     TWINS = {
         "sweep": (["sweep", "--preset", "fig4-A", "--from", "0", "--to", "20", "--step", "10",
@@ -583,7 +585,7 @@ class TestZeroShareTwins:
         "full-circle-rx-sweep": (
             ["sweep", "--preset", "fig4-A", "--from=-180", "--to", "180", "--step", "5",
              "--trials", "2", "--seed", "1", "--set", "scenario.paths_per_cluster=200"],
-            "c2ff7cde5df4cfa3b3ba15a750457adb1bee8522c62ef2ed08bbe825d7a50893"),
+            "12648288346a7e13c9c6587ecf59e4ffc3bfdcf885e85fcb7e5efca9188526e2"),  # centered
         "pas": (["pas", "--preset", "fig2-C-omni", "--bin-width", "10", "--seed", "1",
                  "--set", "scenario.paths_per_cluster=30", "--set", "scenario.rice_factor_db=6"],
                 "810f380ae698aa31fad58865275d508e9a32f45d900f2e840f6582feaada6f26"),
@@ -592,7 +594,7 @@ class TestZeroShareTwins:
                          "--set", "scenario.rice_factor_db=6", "--set", "tx.kind=omni"],
                         "71544db481d6d36251cdca587adbc7dfa0254c3d2994bf9a73383a279eb6993b"),
         "tx-sweep": (["sweep", "--preset", "fig2-D", *TestPinnedTxSweeps.GRID, "--seed", "1"],
-                     "646e271ad986bc433e4f92124ed42bb83947ac64eff6679786e42ad9049b5ba9"),
+                     "dac24bb3afae0ef19af17cdbd69f2572e40412285768b8ac9064923c59f41281"),  # centered
         "wide-tx-sweep": (["sweep", "--preset", "fig1-A-omni", *TestPinnedTxSweeps.GRID,
                            "--seed", "3", "--set", "tx.hpbw_deg=330"],
                           "e712cb24949738423a2ecbfd8e5eeaf146e7d2088d7965621418bb3bb38eac96"),

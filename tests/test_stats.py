@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -61,6 +62,13 @@ class TestAngularSpread:
         before = paths.power_lin.copy()
         angular_spread(paths)
         assert paths.power_lin.tobytes() == before.tobytes()
+
+    def test_huge_powers_give_a_finite_spread(self, rng):
+        aoa = rng.uniform(-180.0, 180.0, 1000)
+        w = rng.random(1000)
+        for scale in (1e299, 1e303, 1e305):
+            assert angular_spread(make_pathset(aoa, scale * w)) == pytest.approx(
+                angular_spread(make_pathset(aoa, w)), rel=1e-12)
 
     def test_no_power_raises(self):
         with pytest.raises(NoPower):
@@ -280,6 +288,74 @@ class TestSweepAs:
         assert result.aggregate[0][1] == pytest.approx(1.5, abs=1.5)
 
 
+def long_double_spread(phi, power):
+    """Two-pass spread of the same float64 inputs in long double arithmetic."""
+    p, w = phi.astype(np.longdouble), power.astype(np.longdouble)
+    total = w.sum()
+    deviation = p - (w * p).sum() / total
+    return np.sqrt((w * deviation * deviation).sum() / total)
+
+
+def one_pass_spread(phi, power):
+    """The spread as E[phi^2] - E[phi]^2 in one pass, as the sweep once took it."""
+    moment = power / power.sum()
+    moment *= phi
+    mean = float(moment.sum())
+    moment *= phi
+    return float(np.sqrt(max(float(moment.sum()) - mean * mean, 0.0)))
+
+
+def twelve_digit_tie_distance(x: float) -> float:
+    """Relative distance from ``x`` > 0 to the nearest halfway point between
+    two 12-significant-digit decimals, where ``.12g`` rounding flips."""
+    scaled = Decimal(x).scaleb(11 - math.floor(math.log10(x)))
+    return float(abs(scaled - int(scaled) - Decimal("0.5")) / scaled)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs a long double wider than float64")
+class TestSpreadPrecision:
+    # Every figure preset at 500 paths per cluster, seed 5, 3 trials, every
+    # 5 degrees: 3,942 sweep points.
+    ANGLES = np.linspace(-180.0, 180.0, 73)
+    TRIALS = 3
+    # The one-pass reduction's worst error on these points (fig8-A, a spread
+    # of 0.0756 degrees at rx -165) is 5.22e-11 relative.
+    ONE_PASS_REL = 5.3e-11
+    TIE_REL = 4e-15
+
+    def test_printed_spreads_equal_a_long_double_reference(self, monkeypatch):
+        import multiell.stats
+        spread = multiell.stats._spread_in_place
+        points = []
+
+        def recording_spread(phi, power, deviation):
+            value = spread(phi, power, deviation)
+            points.append((value, one_pass_spread(phi, power),
+                           float(long_double_spread(phi, power))))
+            return value
+
+        monkeypatch.setattr(multiell.stats, "_spread_in_place", recording_spread)
+        n = self.ANGLES.size
+        one_pass_misprints = 0
+        for name, preset in sorted(fig_presets().items()):
+            cfg = replace(preset.config, paths_per_cluster=500, seed=5)
+            points.clear()
+            result = sweep_as(cfg, preset.axis, self.ANGLES, trials=self.TRIALS)
+            # the sweep runs trial-major; its rows are angle-major
+            by_row = [points[t * n + j] for j in range(n) for t in range(self.TRIALS)]
+            assert len(points) == len(result.rows) == n * self.TRIALS
+            for row, (value, one_pass, reference) in zip(result.rows, by_row):
+                assert row[3] == value
+                if _fmt(value) != _fmt(reference):
+                    assert twelve_digit_tie_distance(reference) < self.TIE_REL, (name, row)
+                one_pass_misprints += _fmt(one_pass) != _fmt(reference)
+                assert abs(value - one_pass) <= self.ONE_PASS_REL * value, (name, row)
+        # The check can fail: the one-pass reduction misprints 81 of these
+        # points (66 of fig8-A's 219).
+        assert one_pass_misprints > 0
+
+
 def reference_sweep(config, axis, angles_deg, trials):
     """One full realization per (angle, trial), each from that trial's stream."""
     rows, aggregate = [], []
@@ -347,6 +423,9 @@ class TestSweepEquivalence:
         out = np.full_like(paths_a.aoa_deg, np.nan)
         assert reweight(paths_a, cfg_b.rx_pattern, out=out).power_lin is out
         assert same_bits(out, expected.power_lin)
+        span = (float(paths_a.aoa_deg.min()), float(paths_a.aoa_deg.max()))
+        got = reweight(paths_a, cfg_b.rx_pattern, angle_range=span)
+        assert same_bits(got.power_lin, expected.power_lin)
 
     # -180 and 180 are one boresight; an rx sweep keeps the tx at 30
     @pytest.mark.parametrize("axis, boresights", [(SweepAxis.TX_ORIENTATION, [180.0, 0.0]),
@@ -360,9 +439,11 @@ class TestSweepEquivalence:
         import multiell.stats
         weighted, aimed = [], []
 
-        def recording_reweight(paths, rx_pattern, out=None, scratch=None):
+        def recording_reweight(paths, rx_pattern, out=None, scratch=None, *,
+                               angle_range=None):
             weighted.append((out, scratch))
-            return reweight(paths, rx_pattern, out=out, scratch=scratch)
+            return reweight(paths, rx_pattern, out=out, scratch=scratch,
+                            angle_range=angle_range)
 
         def recording_aim(draws, boresight_deg, out):
             aimed.append((boresight_deg, out))
