@@ -93,22 +93,21 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
     an intermediate (a new one is made without it). ``angle_range``, the
     smallest and largest of the angles, saves scanning them for it: a
     caller that weights one set of angles under many patterns scans once.
+    It is trusted, not checked: a range that does not bound the angles
+    gives wrong gains without an error.
 
     The shortest arc is taken without selecting the paths to wrap. With
     ``phi`` in [-180, 180] and the boresight ``b`` in (-180, 180],
     ``d = phi - b`` can leave (-180, 180] on one side only: below -180 when
     ``b >= 0``, above 180 when ``b < 0``. The other candidate,
     ``s = ((d + 180) +- 360) - 180``, is what :func:`wrap_in_place` computes
-    for such a ``d``, by the same operations; for ``b >= 0`` it is taken as
-    ``(d + 540) - 180``, the same number wherever it can be the smaller: on
-    [-360, -90] the sum ``d + 180`` is exact (Sterbenz), so both forms round
-    the one sum ``d + 540``, and above -90 both give ``s >= 180``. Of ``d``
-    and ``s``, the wrapped one has magnitude at most 180 and the other at
-    least 180 (the bounds hold through rounding, which is monotonic), so the
-    smaller of the two squares is the square of the wrapped difference, bit
-    for bit. Where both magnitudes are 180 the squares are equal, which also
-    covers the wrap sending -180 to 180. Rounding keeps every ``d`` between
-    the differences of the smallest and largest ``phi``; when those stay in
+    for such a ``d``, by the same operations. Of ``d`` and ``s``, the
+    wrapped one has magnitude at most 180 and the other at least 180 (the
+    bounds hold through rounding, which is monotonic), so the smaller of
+    the two squares is the square of the wrapped difference, bit for bit.
+    Where both magnitudes are 180 the squares are equal, which also covers
+    the wrap sending -180 to 180. Rounding keeps every ``d`` between the
+    differences of the smallest and largest ``phi``; when those stay in
     [-180, 180], no ``d`` wraps and ``s`` is not computed. An angle outside
     [-180, 180] is wrapped first with :func:`wrap_degrees`.
     """
@@ -121,23 +120,17 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
         return float(out) if scalar else out
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
     boresight = pattern.boresight_deg
-    if angle_range is not None:
-        lo, hi = angle_range
-    elif phi.size:
-        lo, hi = float(phi.min()), float(phi.max())
-    else:
-        lo = hi = boresight
+    if angle_range is None:
+        angle_range = (float(phi.min()), float(phi.max())) if phi.size else (boresight, boresight)
+    lo, hi = angle_range
     if not (lo >= -180.0 and hi <= 180.0):
         phi, lo, hi = wrap_degrees(phi), -180.0, 180.0
     np.subtract(phi, boresight, out=out)
     if lo - boresight < -180.0 or hi - boresight > 180.0:
         if scratch is None:
             scratch = np.empty_like(out)
-        if boresight >= 0.0:
-            np.add(out, 540.0, out=scratch)
-        else:
-            np.add(out, 180.0, out=scratch)
-            scratch -= 360.0
+        np.add(out, 180.0, out=scratch)
+        scratch += 360.0 if boresight >= 0.0 else -360.0
         scratch -= 180.0
         np.square(scratch, out=scratch)
         np.square(out, out=out)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .antenna import PatternKind
 from .engine import PathSet, ScenarioConfig, aim_realization, draw_realization, reweight
 from .errors import BadBinWidth, ConfigError, NoPower
 
@@ -169,11 +170,12 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     path-sized buffers once: the arrival angles, re-aimed only when the
     transmit boresight changes and only once per trial for an omni
     transmitter (:func:`~multiell.engine.aim_realization`), the weighted
-    powers (:func:`~multiell.engine.reweight`), and a scratch array. After
-    each aim the angles are scanned once for their smallest and largest
-    value, which every receive gain at that aim reuses. The scratch holds
-    the receive gain's intermediate, then the spread's squared deviations
-    from the weighted mean (the centered reduction of
+    powers (:func:`~multiell.engine.reweight`), and a scratch array. For a
+    directional receiver the angles are scanned once after each aim for
+    their smallest and largest value, which every receive gain at that aim
+    reuses; an omni receiver weights nothing and needs no scan. The scratch
+    holds the receive gain's intermediate, then the spread's squared
+    deviations from the weighted mean (the centered reduction of
     :func:`angular_spread`, bit for bit).
     """
     angles = [float(a) for a in angles_deg]
@@ -190,6 +192,8 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     else:
         points = [(tx, rx.pointed_at(a)) for a in angles]
     spreads = np.empty((len(angles), trials))
+    # An omni receiver weights nothing, so only a directional one reads the range.
+    ranged = rx.kind is not PatternKind.OMNI
     aoa = None
     for trial in range(trials):
         draws = draw_realization(config, _point_rng(config.seed, axis, trial))
@@ -203,7 +207,7 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
             if aimed is None or draws.relative and tx_j.boresight_deg != aimed:
                 aimed = tx_j.boresight_deg
                 aim_realization(draws, aimed, aoa)
-                span = (float(aoa.min()), float(aoa.max()))
+                span = (float(aoa.min()), float(aoa.max())) if ranged else None
             reweight(paths, rx_j, out=weighted, scratch=scratch, angle_range=span)
             spreads[j, trial] = _spread_in_place(aoa, weighted, scratch)
 

@@ -146,11 +146,6 @@ def half_turn_edges():
     return np.array([e for e in edges if -180.0 <= e <= 180.0])
 
 
-def three_step_wrap_candidate(d, boresight):
-    # The other candidate as wrap_in_place computes it: ((d + 180) +- 360) - 180.
-    return ((d + 180.0) + (360.0 if boresight >= 0.0 else -360.0)) - 180.0
-
-
 # Both boresight signs, 0 and -0, the half turn (-180 is held as 180) and
 # the smallest magnitudes on either side of 0.
 KNOWN_RANGE_BORESIGHTS = [0.0, -0.0, 180.0, -180.0, 1e-300, -1e-300, 5e-324, 37.0, 90.0,
@@ -194,26 +189,6 @@ class TestKnownAngleRange:
         scratch = np.full_like(phi, np.nan)
         got = power_gain(pattern, phi, scratch=scratch, angle_range=(-180.0, 180.0))
         assert got.tobytes() == expected.tobytes()
-
-    def test_two_step_candidate_for_a_boresight_not_below_zero(self, rng):
-        # (d + 540) - 180 in place of ((d + 180) + 360) - 180: on [-360, -90]
-        # d + 180 is exact, so both round d + 540 alike; above -90 both
-        # candidates exceed 180, so neither is the smaller square.
-        boresights = [b for b in KNOWN_RANGE_BORESIGHTS if b >= 0.0]
-        boresights += list(np.linspace(0.0, 180.0, 1_122))
-        phi = np.concatenate([half_turn_edges(), rng.uniform(-180.0, 180.0, 200),
-                              rng.uniform(-180.0, -180.0 + 1e-9, 20)])
-        sigma = sigma_from_hpbw(20.0)
-        for boresight in boresights:
-            pattern = AntennaPattern.gaussian(20.0, boresight_deg=boresight)
-            d = phi - pattern.boresight_deg
-            old = three_step_wrap_candidate(d, pattern.boresight_deg)
-            new = (d + 540.0) - 180.0
-            low = d <= -90.0
-            assert new[low].tobytes() == old[low].tobytes()
-            assert np.all(new[~low] >= 180.0) and np.all(old[~low] >= 180.0)
-            expected = np.exp(-np.square(wrap_degrees(d)) / (2.0 * sigma**2))
-            assert power_gain(pattern, phi).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("eccentricity", [0.0, 1e-300, 1e-16, 0.5, 0.99,
                                               np.nextafter(1.0, 0.0)])

@@ -462,6 +462,26 @@ class TestSweepEquivalence:
         assert all(a is angles for _, a in aimed)
         assert len({id(angles), id(out), id(scratch)}) == 3
 
+    @pytest.mark.parametrize("rx", ["same", "omni"])
+    def test_sweep_scans_the_range_once_per_aim_for_a_directional_rx(self, rx, monkeypatch):
+        # An omni receive gain reads no range, so none is scanned for it.
+        import multiell.stats
+        ranges = []
+
+        def recording_reweight(paths, rx_pattern, out=None, scratch=None, *,
+                               angle_range=None):
+            aoa = paths.aoa_deg
+            ranges.append((angle_range, (float(aoa.min()), float(aoa.max()))))
+            return reweight(paths, rx_pattern, out=out, scratch=scratch,
+                            angle_range=angle_range)
+
+        monkeypatch.setattr(multiell.stats, "reweight", recording_reweight)
+        cfg = scenario("A", rx, paths_per_cluster=30, seed=4)
+        sweep_as(cfg, SweepAxis.TX_ORIENTATION, [-90.0, 0.0, 90.0], trials=2)
+        assert len(ranges) == 6
+        for span, scanned in ranges:
+            assert span == (None if rx == "omni" else scanned)
+
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
         # An omni transmitter's draws are the departures themselves.
         import multiell.stats
