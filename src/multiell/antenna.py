@@ -143,29 +143,33 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
 
 
 def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
-                     out: np.ndarray) -> None:
-    """Fill ``out`` with departure draws taken relative to the boresight.
+                     out: np.ndarray) -> float:
+    """Fill ``out`` with departure draws taken relative to the boresight, and
+    return a bound on their magnitude: every ``abs(out)`` is at most it.
 
-    Omni: the departure angles themselves, uniform on [-180, 180). Gaussian:
-    sigma * z with z standard normal, which is what ``rng.normal(boresight,
-    sigma)`` adds to the boresight, bit for bit and from the same stream.
-    An offset beyond +-180 degrees is drawn again (the normal is truncated
-    to boresight +-180), for at most ``_MAX_REDRAW_ROUNDS`` rounds. The rule
-    reads only the offset, so the draws hold at every boresight.
+    Omni: the departure angles themselves, uniform on [-180, 180), with the
+    bound 180. Gaussian: sigma * z with z standard normal, which is what
+    ``rng.normal(boresight, sigma)`` adds to the boresight, bit for bit and
+    from the same stream. An offset beyond +-180 degrees is drawn again (the
+    normal is truncated to boresight +-180), for at most
+    ``_MAX_REDRAW_ROUNDS`` rounds. The rule reads only the offset, so the
+    draws hold at every boresight. The bound is the largest magnitude, which
+    the redraw check takes anyway (0 for an empty ``out``).
     """
     if pattern.kind is PatternKind.OMNI:
         rng.random(out=out)
         out *= 360.0
         out -= 180.0
-        return
+        return 180.0
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
     rng.standard_normal(out=out)
     out *= sigma
     rounds = 0
-    while (bad := np.abs(out) > 180.0).any():
+    while (bound := float(np.abs(out).max(initial=0.0))) > 180.0:
         if rounds == _MAX_REDRAW_ROUNDS:
             raise MultiellError(f"departure draws still beyond 180 degrees after"
                                 f" {_MAX_REDRAW_ROUNDS} redraw rounds")
         rounds += 1
+        bad = np.abs(out) > 180.0
         out[bad] = sigma * rng.standard_normal(int(bad.sum()))
-
+    return bound

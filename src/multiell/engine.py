@@ -19,8 +19,8 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import (DEGENERATE_DELAY_S, _aoa_in_place, _require_finite_positive,
-                       eccentricity_from_delay)
+from .geometry import (DEGENERATE_DELAY_S, _aoa_in_place, _half_angle_ratio,
+                       _require_finite_positive, eccentricity_from_delay)
 from .pdp import NormalizedPdp, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -110,8 +110,12 @@ class Draws:
     ``angles`` is one buffer with an entry per path. Its head, ``offsets``,
     is a view with one row of ``paths_per_cluster`` departure draws per
     geometric cluster, relative to the boresight for a Gaussian pattern
-    (see :func:`~multiell.antenna.draw_aod_offsets`); ``eccentricities`` has
-    one row per cluster. Its tail, ``tail_aoa``, holds the arrival angles
+    (see :func:`~multiell.antenna.draw_aod_offsets`), and ``offset_bound``
+    bounds their magnitude: no offset is farther from 0 than it.
+    ``ratios`` has one row per cluster, the ratio (1 - e) / (1 + e) of the
+    half-angle map (see :func:`~multiell.geometry.aoa_from_aod`) for the
+    cluster's eccentricity e, computed once here rather than at every aim.
+    Its tail, ``tail_aoa``, holds the arrival angles
     that follow the clusters: local scattering, then the direct path under
     a Rice factor. ``raw_power_lin`` covers every path and ``sources`` its
     layout (see :class:`PathSet`); neither depends on a boresight. ``relative``
@@ -124,7 +128,8 @@ class Draws:
     relative: bool
     angles: np.ndarray
     offsets: np.ndarray
-    eccentricities: np.ndarray
+    offset_bound: float
+    ratios: np.ndarray
     raw_power_lin: np.ndarray
     sources: tuple[tuple[SourceKind, int, slice], ...]
 
@@ -179,11 +184,13 @@ def draw_realization(config: ScenarioConfig,
     # The angles follow the same layout as the raw powers.
     angles = np.empty(raw.size)
     offsets = angles[:clusters.size * n].reshape(clusters.size, n)
-    eccentricities = eccentricity_from_delay(delays[clusters],
-                                             config.txrx_distance_m).reshape(-1, 1)
+    ratios = _half_angle_ratio(eccentricity_from_delay(delays[clusters],
+                                                       config.txrx_distance_m).reshape(-1, 1))
+    offset_bound = 0.0
     sources = []
     for row, i in enumerate(clusters):
-        draw_aod_offsets(config.tx_pattern, streams[i], offsets[row])
+        offset_bound = max(offset_bound,
+                           draw_aod_offsets(config.tx_pattern, streams[i], offsets[row]))
         u = streams[i].random(out=raw_rows[row])
         u *= float(budgets[i]) / u.sum()
         sources.append((SourceKind.CLUSTER, int(i) + 1, slice(row * n, (row + 1) * n)))
@@ -206,8 +213,8 @@ def draw_realization(config: ScenarioConfig,
         sources.append((SourceKind.LOS, -1, slice(raw.size - 1, raw.size)))
 
     return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
-                 offsets=offsets, eccentricities=eccentricities, raw_power_lin=raw,
-                 sources=tuple(sources))
+                 offsets=offsets, offset_bound=offset_bound, ratios=ratios,
+                 raw_power_lin=raw, sources=tuple(sources))
 
 
 def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.ndarray:
@@ -222,14 +229,26 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
     ``boresight_deg``, from the same stream, bit for bit. ``out=draws.angles``
     aims the draws in their own buffer, which uses them up: aim them only
     once that way.
+
+    The map skips what cannot change a bit. With every offset in [-m, m]
+    (``m`` the draws' ``offset_bound``), rounding, which is monotonic, keeps
+    every departure ``b + offset`` in [b - m, b + m] as rounded. When that
+    lies in (-180, 180], no departure needs the wrap, and when it also ends
+    below 180, no departure is 180 and needs the fix-up after the map; both
+    are skipped. Only boresights within ``m`` of +-180 wrap. An omni
+    transmitter's bound is 180, so its one aim per draw always wraps (a
+    draw of -180 becomes 180).
     """
     departures = out[:draws.offsets.size].reshape(draws.offsets.shape)
     # When ``out`` is ``draws.angles`` the two plain copies below are no-ops.
     if draws.relative:
         np.add(draws.offsets, boresight_deg, out=departures)
+        shift = boresight_deg
     else:
         departures[...] = draws.offsets
-    _aoa_in_place(departures, draws.eccentricities)
+        shift = 0.0
+    m = draws.offset_bound
+    _aoa_in_place(departures, draws.ratios, (shift - m, shift + m))
     out[draws.offsets.size:] = draws.tail_aoa
     return out
 

@@ -39,7 +39,8 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     Values already inside the interval are not touched, so angles far below
     the 180-degree rounding scale keep full precision. Only the others are
     read and written, as ``(a + 180) % 360 - 180`` with -180 sent to 180.
-    Its callers are the departure wrap of the angle map and
+    Its callers are the departure wrap of the angle map, which skips it
+    when the departures' bounds show that none leaves the interval, and
     :func:`wrap_degrees`; the receive gain takes the shorter arc without it
     (see ``power_gain``).
     """
@@ -117,28 +118,49 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     angle array its own ellipse.
     """
     phi = np.asarray(phi_t_deg, dtype=float)
-    out = _aoa_in_place(np.array(phi, ndmin=1), eccentricity)
+    out = _aoa_in_place(np.array(phi, ndmin=1), _half_angle_ratio(eccentricity))
     return float(out[0]) if phi.ndim == 0 else out
 
 
-def _aoa_in_place(angles: np.ndarray, eccentricity) -> np.ndarray:
-    # aoa_from_aod on a C-contiguous float array, overwriting and returning it.
+def _half_angle_ratio(eccentricity):
+    # The ratio r = (1 - e) / (1 + e) of the half-angle map, the only form
+    # of the eccentricity that _aoa_in_place reads, for e in [0, 1).
     e = np.asarray(eccentricity, dtype=float)
     if not np.all((e >= 0.0) & (e < 1.0)):
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
-    ratio = (1.0 - e) / (1.0 + e)
-    out = wrap_in_place(angles)
+    return (1.0 - e) / (1.0 + e)
+
+
+def _aoa_in_place(angles: np.ndarray, ratio, bounds: tuple[float, float] | None = None
+                  ) -> np.ndarray:
+    # aoa_from_aod on a C-contiguous float array, overwriting and returning
+    # it; ``ratio`` comes from _half_angle_ratio. ``bounds``, if given, is a
+    # (lo, hi) with lo <= every angle <= hi. When lo > -180 and hi <= 180
+    # every angle is already in (-180, 180], so the wrap, which would touch
+    # none of them, is skipped; when moreover hi < 180 no angle is 180, so
+    # the fix-up of the angles at 180 is skipped too. Either way every bit
+    # is the one the full map writes.
+    if bounds is None or not (bounds[0] > -180.0 and bounds[1] <= 180.0):
+        out = wrap_in_place(angles)
+        fix_up = True
+    else:
+        out = angles
+        fix_up = bounds[1] == 180.0
     # Every step below is odd bit for bit (numpy's tan and arctan included),
     # so a signed angle maps to sgn(aod) times the map of |aod|. Adding 0
     # first turns -0.0 into +0.0, which keeps sgn(0) = +1.
     out += 0.0
-    back = out == 180.0
-    out /= 2.0
+    if fix_up:
+        back = out == 180.0
+    out *= 0.5  # the same rounding of the same real as out /= 2.0
     out *= np.pi / 180.0  # np.radians, bit for bit
     np.tan(out, out=out)
     out *= ratio
     np.arctan(out, out=out)
     out *= 180.0 / np.pi  # np.degrees, bit for bit
     out *= 2.0
-    out[back] = 180.0
+    if fix_up:
+        # tan(pi / 2) is finite in floating point, so a small ratio pulls 180
+        # below itself.
+        out[back] = 180.0
     return out

@@ -68,6 +68,14 @@ def _total_power(power_lin: np.ndarray) -> float:
     return total
 
 
+def _require_path_powers(power_lin: np.ndarray) -> None:
+    # A negative power would pass a positive total and give a garbage
+    # result. The sweep's weights, gain times raw power, need no check.
+    if power_lin.size and not power_lin.min() >= 0.0:  # NaN fails this too
+        i = int(np.flatnonzero(~(power_lin >= 0.0))[0])
+        raise NoPower(f"path {i} has power {power_lin[i]}, not a number >= 0")
+
+
 def angular_spread(paths: PathSet) -> float:
     """rms angle spread in degrees: the square root of the power-weighted
     second central moment of the arrival angles, taken linearly on
@@ -77,7 +85,10 @@ def angular_spread(paths: PathSet) -> float:
     The moment is centered: the weighted mean first, then the weighted
     mean square of the deviations from it, so no large second moment
     cancels against the squared mean. The path powers are left as they
-    are; the deviations take one path-sized array."""
+    are; the deviations take one path-sized array. Raises ``NoPower``,
+    naming the path, for a negative or NaN power, and for a total that is
+    not positive."""
+    _require_path_powers(paths.power_lin)
     return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
 
 
@@ -105,7 +116,8 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     holds ``edges[-1]`` too. Angles outside ``[edges[0], edges[-1]]`` and NaN
     stay out of every bin but still count in the total power. Each bin's
     power is a sum in path order, block by block, so its bits do not depend
-    on the thread count or the SIMD target.
+    on the thread count or the SIMD target. Raises ``NoPower``, naming the
+    path, for a negative or NaN power, and for a total that is not positive.
     """
     if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
         raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
@@ -116,6 +128,7 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
         raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")
     n_bins = int(round(n_bins))
 
+    _require_path_powers(paths.power_lin)
     total = _total_power(paths.power_lin)
     edges = -180.0 + bin_width_deg * np.arange(n_bins + 1)
     density = _bin_power(paths.aoa_deg, paths.power_lin, edges, bin_width_deg)
@@ -171,9 +184,13 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     transmit boresight changes and only once per trial for an omni
     transmitter (:func:`~multiell.engine.aim_realization`), the weighted
     powers (:func:`~multiell.engine.reweight`), and a scratch array. For a
-    directional receiver the angles are scanned once after each aim for
-    their smallest and largest value, which every receive gain at that aim
-    reuses; an omni receiver weights nothing and needs no scan. The scratch
+    directional receiver turned off 0 at some point, the angles are
+    scanned once after each aim for their smallest and largest value, which
+    every receive gain at that aim reuses. Otherwise no scan is made and
+    every gain gets (-180, 180): aimed angles lie in [-180, 180], and at a
+    boresight of +-0 that range, like the scanned one, calls for no wrap
+    candidate, so the gains have the same bits (an omni receiver reads no
+    range at all). The scratch
     holds the receive gain's intermediate, then the spread's squared
     deviations from the weighted mean (the centered reduction of
     :func:`angular_spread`, bit for bit).
@@ -192,8 +209,10 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     else:
         points = [(tx, rx.pointed_at(a)) for a in angles]
     spreads = np.empty((len(angles), trials))
-    # An omni receiver weights nothing, so only a directional one reads the range.
-    ranged = rx.kind is not PatternKind.OMNI
+    # Only a directional receiver off 0 can need the scanned range.
+    ranged = rx.kind is not PatternKind.OMNI and any(rx_j.boresight_deg != 0.0
+                                                     for _, rx_j in points)
+    span = (-180.0, 180.0)
     aoa = None
     for trial in range(trials):
         draws = draw_realization(config, _point_rng(config.seed, axis, trial))
@@ -207,7 +226,8 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
             if aimed is None or draws.relative and tx_j.boresight_deg != aimed:
                 aimed = tx_j.boresight_deg
                 aim_realization(draws, aimed, aoa)
-                span = (float(aoa.min()), float(aoa.max())) if ranged else None
+                if ranged:
+                    span = (float(aoa.min()), float(aoa.max()))
             reweight(paths, rx_j, out=weighted, scratch=scratch, angle_range=span)
             spreads[j, trial] = _spread_in_place(aoa, weighted, scratch)
 

@@ -606,3 +606,30 @@ class TestZeroShareTwins:
         out = tmp_path / "out.csv"
         assert main([*args, *self.ZERO_SHARE, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestBenchmarkCommandBytes:
+    # The three benchmark commands at full size, seed 1, with the sha256 of
+    # each output as recorded before the angle map learned to skip its wrap
+    # and its fix-up at 180 when the departures' bound rules them out. The
+    # goldens above use at most 200 paths per cluster; these runs reach the
+    # skip branches at every size the benchmark times. The argument lists
+    # are copies of the benchmark's, kept here so the test stands alone.
+    COMMANDS = {
+        "rx-sweep": (["sweep", "--preset", "fig4-A", "--from", "0", "--to", "120",
+                      "--step", "1", "--trials", "10",
+                      "--set", "scenario.paths_per_cluster=2000"],
+                     "4875ec1b5079c145fbfe924bf8619d3deb3d90508d131f3382d610ed1f12f8e4"),
+        "tx-sweep": (["sweep", "--preset", "fig2-D", "--step", "5", "--trials", "10"],
+                     "ae32632378c3928b95ac61e873a54a584894ab62c5f72d3d30c41bd61eecfa38"),
+        "pas-dense": (["pas", "--preset", "fig2-C-omni", "--set", "scenario.rice_factor_db=6",
+                       "--set", "scenario.paths_per_cluster=200000", "--bin-width", "0.1"],
+                      "d568c06f69d8b171072bc6307215344ff9d87874ed7ecee677525c0c23c55b18"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_seed_1_bytes(self, tmp_path, name):
+        args, digest = self.COMMANDS[name]
+        out = tmp_path / f"{name}.csv"
+        assert main([*args, "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -10,7 +10,8 @@ from multiell.antenna import AntennaPattern, sigma_from_hpbw
 from multiell.engine import (PathSet, ScenarioConfig, SourceKind, aim_realization,
                              draw_realization, reweight, run_realization)
 from multiell.errors import ConfigError, MultiellError
-from multiell.geometry import DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S
+from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
+                               eccentricity_from_delay, wrap_degrees)
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, sample_von_mises
@@ -418,6 +419,104 @@ class TestAimStage:
         assert np.shares_memory(draws.offsets, draws.angles)
         assert np.shares_memory(draws.tail_aoa, draws.angles)
         assert draws.offsets.size + draws.tail_aoa.size == draws.angles.size
+
+
+def cluster_eccentricities(cfg):
+    """One row per geometric cluster: its ellipse's eccentricity."""
+    delays = scale_pdp(cfg.pdp, cfg.ds_s).excess_delays_s
+    geometric = delays[delays > DEGENERATE_DELAY_S]
+    return eccentricity_from_delay(geometric, cfg.txrx_distance_m).reshape(-1, 1)
+
+
+def always_wrapping_aim(draws, boresight_deg, eccentricities):
+    """The arrival angles of ``draws`` at ``boresight_deg`` with the departure
+    wrap and the fix-up at 180 always run, the ratio taken from the
+    eccentricities and the half angle taken by division."""
+    out = wrap_degrees(draws.offsets + boresight_deg if draws.relative else draws.offsets)
+    ratio = (1.0 - eccentricities) / (1.0 + eccentricities)
+    out += 0.0
+    back = out == 180.0
+    out /= 2.0
+    np.radians(out, out=out)
+    np.tan(out, out=out)
+    out *= ratio
+    np.arctan(out, out=out)
+    np.degrees(out, out=out)
+    out *= 2.0
+    out[back] = 180.0
+    return np.concatenate([out.reshape(-1), draws.tail_aoa])
+
+
+# +-0, +-180 and their neighbours, and a boresight either side of 0.
+EDGE_BORESIGHTS = [0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0, np.nextafter(180.0, 0.0),
+                   np.nextafter(-180.0, 0.0), 90.0, -37.0, 172.5, -172.5]
+
+
+class TestAimSkips:
+    """aim_realization skips the departure wrap and the fix-up at 180 where
+    the draws' offset bound rules them out; the angles keep every bit."""
+
+    CONFIGS = {
+        "narrow-tx": scenario("D", "same", seed=6, paths_per_cluster=300, rice_factor_db=3.0),
+        # a 359-degree beam makes the redraw rule fire in every cluster
+        "wide-tx": replace(scenario("A", "omni", seed=6, paths_per_cluster=300),
+                           tx_pattern=AntennaPattern.gaussian(359.0)),
+        "omni-tx": replace(scenario("A", "omni", seed=6, paths_per_cluster=300),
+                           tx_pattern=AntennaPattern.omni()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_offsets_lie_within_the_bound(self, name):
+        cfg = self.CONFIGS[name]
+        draws = draw_realization(cfg)
+        largest = float(np.abs(draws.offsets).max())
+        assert largest <= draws.offset_bound <= 180.0
+        if draws.relative:  # a Gaussian's bound is its largest offset
+            assert draws.offset_bound == largest
+        else:
+            assert draws.offset_bound == 180.0
+        _, _, redrawn = per_cluster_draws(cfg, np.random.default_rng(
+            np.random.SeedSequence(cfg.seed)))
+        assert redrawn == (name == "wide-tx")
+
+    def test_ratios_are_computed_from_the_eccentricities(self):
+        cfg = self.CONFIGS["narrow-tx"]
+        e = cluster_eccentricities(cfg)
+        assert draw_realization(cfg).ratios.tobytes() == ((1.0 - e) / (1.0 + e)).tobytes()
+
+    @pytest.mark.parametrize("boresight", EDGE_BORESIGHTS)
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_bitwise_equal_to_always_wrapping_aim(self, name, boresight):
+        cfg = self.CONFIGS[name]
+        draws = draw_realization(cfg)
+        expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
+        out = np.full(draws.angles.size, np.nan)
+        assert aim_realization(draws, boresight, out).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("boresight", EDGE_BORESIGHTS)
+    def test_departures_on_the_half_turn(self, boresight):
+        # One offset puts its departure on 180 or -180 exactly; where it is
+        # the largest offset (at 90, say), the bound itself reaches 180.
+        cfg = self.CONFIGS["narrow-tx"]
+        draws = draw_realization(cfg)
+        draws.offsets[0, 0] = 180.0 - boresight if boresight >= 0.0 else -180.0 - boresight
+        draws.offsets[1, 0] = 0.0
+        departure = draws.offsets[0, 0] + boresight
+        assert abs(departure) == 180.0
+        draws = replace(draws, offset_bound=float(np.abs(draws.offsets).max()))
+        expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
+        got = aim_realization(draws, boresight, np.full(draws.angles.size, np.nan))
+        assert got.tobytes() == expected.tobytes()
+        assert got[0] == 180.0  # the wrap sends -180 to 180, which maps to itself
+
+    def test_omni_draw_of_minus_180(self):
+        cfg = self.CONFIGS["omni-tx"]
+        draws = draw_realization(cfg)
+        draws.offsets[0, 0] = -180.0  # what a uniform draw of 0 gives
+        expected = always_wrapping_aim(draws, 0.0, cluster_eccentricities(cfg))
+        got = aim_realization(draws, 0.0, np.full(draws.angles.size, np.nan))
+        assert got.tobytes() == expected.tobytes()
+        assert got[0] == 180.0
 
 
 class TestOmniReweight:

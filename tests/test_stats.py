@@ -83,6 +83,21 @@ class TestAngularSpread:
         with pytest.raises(NoPower):
             estimate_pas(paths)
 
+    @pytest.mark.parametrize("power, index", [([-1.0, 2.0], 0), ([2.0, -1e-300], 1),
+                                              ([1.0, 0.0, np.nan], 2),
+                                              ([1.0, -np.inf, 3.0], 1)])
+    def test_negative_or_nan_power_raises_naming_the_path(self, power, index):
+        # [-1, 2] at [0, 90] gave a spread of 0.0 and a negative PAS density
+        paths = make_pathset([0.0, 90.0, 45.0][:len(power)], power)
+        for statistic in (angular_spread, lambda p: estimate_pas(p, bin_width_deg=90.0)):
+            with pytest.raises(NoPower, match=rf"^path {index} has power "):
+                statistic(paths)
+
+    def test_zero_and_negative_zero_powers_are_accepted(self):
+        paths = make_pathset([0.0, 90.0, 10.0], [-0.0, 1.0, 0.0])
+        assert angular_spread(paths) == 0.0
+        assert estimate_pas(paths, bin_width_deg=90.0).density_per_deg.min() == 0.0
+
 
 class TestEstimatePas:
     def test_single_path_single_bin(self):
@@ -462,9 +477,20 @@ class TestSweepEquivalence:
         assert all(a is angles for _, a in aimed)
         assert len({id(angles), id(out), id(scratch)}) == 3
 
-    @pytest.mark.parametrize("rx", ["same", "omni"])
-    def test_sweep_scans_the_range_once_per_aim_for_a_directional_rx(self, rx, monkeypatch):
-        # An omni receive gain reads no range, so none is scanned for it.
+    @pytest.mark.parametrize("axis, rx, alpha_r, angles, scans", [
+        (SweepAxis.TX_ORIENTATION, "same", 0.0, [-90.0, 0.0, 90.0], False),
+        (SweepAxis.TX_ORIENTATION, "omni", 0.0, [-90.0, 0.0, 90.0], False),
+        (SweepAxis.TX_ORIENTATION, "same", 20.0, [-90.0, 0.0, 90.0], True),
+        (SweepAxis.RX_ORIENTATION, "same", 0.0, [-90.0, 0.0, 90.0], True),
+        (SweepAxis.RX_ORIENTATION, "same", 0.0, [0.0, -0.0, 360.0], False),
+        (SweepAxis.RX_ORIENTATION, "omni", 0.0, [-90.0, 0.0, 90.0], False),
+    ], ids=["same", "omni", "same-rx-off-0", "rx-sweep", "rx-sweep-at-0", "rx-sweep-omni"])
+    def test_sweep_scans_the_range_once_per_aim_for_a_directional_rx(
+            self, axis, rx, alpha_r, angles, scans, monkeypatch):
+        # Only a directional receiver turned off 0 at some point can need the
+        # scanned range. Every other sweep passes (-180, 180), which bounds
+        # every aimed angle and, at boresight +-0, calls for no wrap
+        # candidate; an omni receiver reads no range at all.
         import multiell.stats
         ranges = []
 
@@ -476,11 +502,52 @@ class TestSweepEquivalence:
                             angle_range=angle_range)
 
         monkeypatch.setattr(multiell.stats, "reweight", recording_reweight)
-        cfg = scenario("A", rx, paths_per_cluster=30, seed=4)
-        sweep_as(cfg, SweepAxis.TX_ORIENTATION, [-90.0, 0.0, 90.0], trials=2)
+        cfg = scenario("A", rx, alpha_t_deg=170.0, alpha_r_deg=alpha_r, paths_per_cluster=30,
+                       seed=4)
+        result = sweep_as(cfg, axis, angles, trials=2)
         assert len(ranges) == 6
         for span, scanned in ranges:
-            assert span == (None if rx == "omni" else scanned)
+            assert span[0] <= scanned[0] and scanned[1] <= span[1]
+            assert span == (scanned if scans else (-180.0, 180.0))
+        monkeypatch.undo()
+        rows, aggregate = reference_sweep(cfg, axis, angles, 2)
+        assert result.rows == rows
+        assert result.aggregate == aggregate
+
+    def test_narrow_tx_sweep_wraps_only_where_the_bound_crosses_the_half_turn(
+            self, monkeypatch):
+        # A departure leaves (-180, 180] only if the boresight b and the
+        # draws' offset bound m give b - m <= -180 or b + m > 180; at every
+        # other aim the departure wrap is skipped.
+        import multiell.geometry
+        import multiell.stats
+        aims = []
+        real_wrap = multiell.geometry.wrap_in_place
+
+        def recording_aim(draws, boresight_deg, out):
+            aims.append([boresight_deg, draws.offset_bound, False])
+            return aim_realization(draws, boresight_deg, out)
+
+        def recording_wrap(angles):
+            if angles.ndim == 2:  # the departures; wrap_degrees passes 0-d arrays
+                aims[-1][2] = True
+            return real_wrap(angles)
+
+        monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
+        monkeypatch.setattr(multiell.geometry, "wrap_in_place", recording_wrap)
+        cfg = replace(scenario("D", "same", seed=2, paths_per_cluster=200),
+                      tx_pattern=AntennaPattern.gaussian(9.0))
+        angles = np.arange(-180.0, 181.0, 5.0)
+        result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=2)
+        monkeypatch.undo()
+        assert len(aims) == 2 * angles.size
+        for boresight, bound, wrapped in aims:
+            assert 0.0 < bound < 30.0
+            assert wrapped == (boresight - bound <= -180.0 or boresight + bound > 180.0)
+        assert 0 < sum(wrapped for *_, wrapped in aims) <= 2 * 12
+        rows, aggregate = reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 2)
+        assert result.rows == rows
+        assert result.aggregate == aggregate
 
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
         # An omni transmitter's draws are the departures themselves.
