@@ -154,7 +154,9 @@ def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
     normal is truncated to boresight +-180), for at most
     ``_MAX_REDRAW_ROUNDS`` rounds. The rule reads only the offset, so the
     draws hold at every boresight. The bound is the largest magnitude, which
-    the redraw check takes anyway (0 for an empty ``out``).
+    the redraw check takes anyway, as the larger of the largest draw and
+    minus the smallest (0 for an empty ``out``): the same value as the
+    largest ``abs(out)`` without a temporary the size of ``out``.
     """
     if pattern.kind is PatternKind.OMNI:
         rng.random(out=out)
@@ -165,7 +167,7 @@ def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
     rng.standard_normal(out=out)
     out *= sigma
     rounds = 0
-    while (bound := float(np.abs(out).max(initial=0.0))) > 180.0:
+    while (bound := float(max(out.max(initial=0.0), -out.min(initial=0.0)))) > 180.0:
         if rounds == _MAX_REDRAW_ROUNDS:
             raise MultiellError(f"departure draws still beyond 180 degrees after"
                                 f" {_MAX_REDRAW_ROUNDS} redraw rounds")

@@ -111,14 +111,17 @@ class Draws:
     is a view with one row of ``paths_per_cluster`` departure draws per
     geometric cluster, relative to the boresight for a Gaussian pattern
     (see :func:`~multiell.antenna.draw_aod_offsets`), and ``offset_bound``
-    bounds their magnitude: no offset is farther from 0 than it.
+    bounds their magnitude: it is the largest magnitude of any offset, 0
+    for no offsets.
     ``ratios`` has one row per cluster, the ratio (1 - e) / (1 + e) of the
     half-angle map (see :func:`~multiell.geometry.aoa_from_aod`) for the
     cluster's eccentricity e, computed once here rather than at every aim.
     Its tail, ``tail_aoa``, holds the arrival angles
     that follow the clusters: local scattering, then the direct path under
     a Rice factor. ``raw_power_lin`` covers every path and ``sources`` its
-    layout (see :class:`PathSet`); neither depends on a boresight. ``relative``
+    layout (see :class:`PathSet`); neither depends on a boresight. Under a
+    Rice factor K each row of scattered powers is scaled by 1 / (K + 1) as
+    it is drawn, and the direct path takes K / (K + 1). ``relative``
     says whether the offsets are taken relative to the transmit boresight
     (False for an omni transmitter, whose draws are the departures
     themselves). No draw depends on the boresight, so the draws hold at
@@ -178,6 +181,10 @@ def draw_realization(config: ScenarioConfig,
 
     clusters = np.flatnonzero(geometric)
     direct = config.rice_factor_db is not None
+    if direct:
+        # Each scattered row is scaled right after its budget: the same two
+        # multiplies, in the same order, as a scaling of all rows at the end.
+        scatter_scale, direct_share = _rice_split(config.rice_factor_db)
     raw = np.empty((clusters.size + 1) * n + direct)
     # One row of n per cluster, then local scattering; the direct path is last.
     raw_rows = raw[:raw.size - direct].reshape(-1, n)
@@ -193,6 +200,8 @@ def draw_realization(config: ScenarioConfig,
                            draw_aod_offsets(config.tx_pattern, streams[i], offsets[row]))
         u = streams[i].random(out=raw_rows[row])
         u *= float(budgets[i]) / u.sum()
+        if direct:
+            u *= scatter_scale
         sources.append((SourceKind.CLUSTER, int(i) + 1, slice(row * n, (row + 1) * n)))
 
     local_rng = streams[-1]
@@ -201,13 +210,13 @@ def draw_realization(config: ScenarioConfig,
     u = local_rng.random(out=raw_rows[-1])
     if share > 0.0:
         u *= share / u.sum()
+        if direct:
+            u *= scatter_scale
     else:
         u[:] = 0.0
     sources.append((SourceKind.LOCAL_SCATTER, -1, slice(offsets.size, offsets.size + n)))
 
     if direct:
-        scatter_scale, direct_share = _rice_split(config.rice_factor_db)
-        raw_rows *= scatter_scale
         raw[-1] = direct_share
         tail_aoa[-1] = 0.0
         sources.append((SourceKind.LOS, -1, slice(raw.size - 1, raw.size)))

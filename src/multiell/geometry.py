@@ -82,7 +82,8 @@ def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     Raises ``InvalidGeometry`` for a distance that is not finite and
     positive, for a delay that is not above ``DEGENERATE_DELAY_S`` (NaN
     included; such a tap belongs to local scattering), and for a distance
-    so long against a delay that the eccentricity rounds to 1.
+    so long against a delay that the eccentricity rounds to 1. A delay so
+    long that c * delay overflows gives the limit, e = 0.
     """
     _require_finite_positive("txrx_distance_m", txrx_distance_m, InvalidGeometry)
     delays = np.asarray(excess_delays_s, dtype=float)
@@ -90,7 +91,8 @@ def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     if degenerate.any():
         raise InvalidGeometry(f"excess delay {delays[degenerate].flat[0]} s is not above"
                               f" {DEGENERATE_DELAY_S} s")
-    eccentricity = txrx_distance_m / (txrx_distance_m + SPEED_OF_LIGHT_M_S * delays)
+    with np.errstate(over="ignore"):  # D / inf is the limit 0
+        eccentricity = txrx_distance_m / (txrx_distance_m + SPEED_OF_LIGHT_M_S * delays)
     rounds_to_one = eccentricity >= 1.0
     if rounds_to_one.any():
         # As a float: an int distance would print every digit.

@@ -32,9 +32,22 @@ _MAX_PAS_BINS = 3_600_000
 # larger: each block's temporaries stay a few hundred kB at 0.1-degree bins.
 _PAS_BLOCK = 2**15
 
-# Above this total the spread's weighted sums, at most 360**2 times the
-# total, could overflow; such powers are scaled to sum to 1 first.
-_MAX_SPREAD_POWER = 1e300
+# Half the band, in bins, around each PAS bin edge in which an angle's bin
+# by floor is checked against the edges. The floor is exact outside it: the
+# position q = fl(fl(x - lo) * fl(1 / width)) takes three roundings of
+# relative size u = 2**-53, at most 3u * 3.6e6 < 1.2e-9 bins at the most
+# bins allowed, and each edge fl(-180 + fl(width * k)) is off by at most
+# 540u degrees, under 6e-10 bins at the narrowest width (1e-4 degrees).
+# An angle whose q lies more than 1e-6 from every whole number is thus more
+# than 1e-6 - 2e-9 bins from every edge as rounded, a margin above 100x.
+_EDGE_BAND = 1e-6
+
+# Path powers whose total lies outside this range are divided by the
+# largest of them first. Above it the spread's weighted sums, at most 360**2
+# times the total, or the PAS norm, the total times the bin width, could
+# overflow; below it that norm (the width is at least 1e-4) could underflow.
+_MIN_TOTAL_POWER = 1e-300
+_MAX_TOTAL_POWER = 1e300
 
 # 1,000x the figure sweeps; each trial is a realization at every angle.
 _MAX_SWEEP_TRIALS = 10_000
@@ -61,11 +74,20 @@ class SweepResult:
     aggregate: list[tuple[float, float, float]]  # (angle, mean_as_deg, std_as_deg)
 
 
-def _total_power(power_lin: np.ndarray) -> float:
+def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
+    # The powers and their total, which must be positive. A total outside
+    # [_MIN_TOTAL_POWER, _MAX_TOTAL_POWER] is taken again over the powers
+    # divided by the largest, which then sum to between 1 and the path count.
     total = power_lin.sum()
     if not total > 0.0:  # NaN fails this too
         raise NoPower(f"total path power is {total}")
-    return total
+    if _MIN_TOTAL_POWER <= total <= _MAX_TOTAL_POWER:
+        return power_lin, total
+    peak = power_lin.max()
+    if peak == math.inf:
+        raise NoPower(f"path {int(power_lin.argmax())} has power inf, not a finite number")
+    power_lin = power_lin / peak
+    return power_lin, power_lin.sum()
 
 
 def _require_path_powers(power_lin: np.ndarray) -> None:
@@ -85,11 +107,14 @@ def angular_spread(paths: PathSet) -> float:
     The moment is centered: the weighted mean first, then the weighted
     mean square of the deviations from it, so no large second moment
     cancels against the squared mean. The path powers are left as they
-    are; the deviations take one path-sized array. Raises ``NoPower``,
-    naming the path, for a negative or NaN power, and for a total that is
-    not positive."""
+    are; the deviations take one path-sized array. Powers whose total is
+    above 1e300 or below 1e-300 are divided by the largest of them first
+    (a copy), so the weighted sums neither overflow nor lose their digits.
+    Raises ``NoPower``, naming the path, for a negative, NaN or infinite
+    power, and for a total that is not positive."""
     _require_path_powers(paths.power_lin)
-    return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
+    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
+        return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
 
 
 def _spread_in_place(phi: np.ndarray, power: np.ndarray, deviation: np.ndarray) -> float:
@@ -97,10 +122,7 @@ def _spread_in_place(phi: np.ndarray, power: np.ndarray, deviation: np.ndarray) 
     # float array ``deviation`` (shaped like ``phi``) with the squared
     # deviations from the weighted mean. np.einsum sums the products in the
     # same order for any thread count; it calls no BLAS, unlike np.dot.
-    total = _total_power(power)
-    if total > _MAX_SPREAD_POWER:
-        power = power / total
-        total = power.sum()
+    power, total = _total_power(power)
     mean = np.einsum("i,i->", power, phi) / total
     np.subtract(phi, mean, out=deviation)
     np.square(deviation, out=deviation)
@@ -116,8 +138,20 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     holds ``edges[-1]`` too. Angles outside ``[edges[0], edges[-1]]`` and NaN
     stay out of every bin but still count in the total power. Each bin's
     power is a sum in path order, block by block, so its bits do not depend
-    on the thread count or the SIMD target. Raises ``NoPower``, naming the
-    path, for a negative or NaN power, and for a total that is not positive.
+    on the thread count or the SIMD target.
+
+    An angle's bin is the floor of its offset from ``edges[0]`` times the
+    reciprocal width. That floor is exact unless the angle lies within
+    1e-6 bins of an edge: the roundings of the offset, the reciprocal, the
+    product and the edges add up to under 2e-9 bins at any allowed width.
+    The few angles within that band are placed by numpy.histogram's own
+    comparisons against the edges, so every bin holds exactly
+    numpy.histogram's angles.
+
+    Powers whose total is above 1e300 or below 1e-300 are divided by the
+    largest of them first, so that the total times the bin width neither
+    overflows nor underflows. Raises ``NoPower``, naming the path, for a
+    negative, NaN or infinite power, and for a total that is not positive.
     """
     if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
         raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
@@ -129,9 +163,10 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     n_bins = int(round(n_bins))
 
     _require_path_powers(paths.power_lin)
-    total = _total_power(paths.power_lin)
+    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
+        power, total = _total_power(paths.power_lin)
     edges = -180.0 + bin_width_deg * np.arange(n_bins + 1)
-    density = _bin_power(paths.aoa_deg, paths.power_lin, edges, bin_width_deg)
+    density = _bin_power(paths.aoa_deg, power, edges, bin_width_deg)
     density /= total * bin_width_deg
     centers = edges[:-1] + bin_width_deg / 2.0
     return AngularSpectrum(bin_centers_deg=centers, density_per_deg=density,
@@ -140,12 +175,17 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
 
 def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
                width: float) -> np.ndarray:
-    # Per-bin sums of ``power`` over the bins estimate_pas documents. The
-    # index by division is at most one bin off; one fix-up against ``edges``
-    # puts every angle where numpy.histogram's comparisons put it.
+    # Per-bin sums of ``power`` over the bins estimate_pas documents. An
+    # angle's bin is the floor of its position in bins, q = (x - lo) * (1 /
+    # width), except within _EDGE_BAND of an edge, where numpy.histogram's
+    # two comparisons against ``edges`` settle it. The buffers are made once
+    # per call, no larger than the angles.
     n_bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     block = max(_PAS_BLOCK, n_bins)
+    scale = 1.0 / width
+    q, k = np.empty((2, min(block, angles.size)))
+    idx = np.empty(q.size, dtype=np.intp)
     sums = np.zeros(n_bins)
     for start in range(0, angles.size, block):
         x = angles[start:start + block]
@@ -153,11 +193,21 @@ def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
         if not (x.min() >= lo and x.max() <= hi):  # NaN fails this too
             inside = (x >= lo) & (x <= hi)
             x, w = x[inside], w[inside]
-        idx = ((x - lo) / width).astype(np.intp)
-        np.minimum(idx, n_bins - 1, out=idx)
-        idx -= x < edges[idx]
-        idx += (x >= edges[1:][idx]) & (idx < n_bins - 1)
-        sums += np.bincount(idx, weights=w, minlength=n_bins)
+        qb, kb, ib = q[:x.size], k[:x.size], idx[:x.size]
+        np.subtract(x, lo, out=qb)
+        qb *= scale
+        np.floor(qb, out=kb)
+        np.copyto(ib, kb, casting="unsafe")
+        qb -= kb  # the fractional part, exactly
+        near = np.flatnonzero((qb < _EDGE_BAND) | (qb > 1.0 - _EDGE_BAND))
+        if near.size:
+            # Only here can the floor be a bin off, or be n_bins at x == hi.
+            xs = x[near]
+            i = np.minimum(ib[near], n_bins - 1)
+            i -= xs < edges[i]
+            i += (xs >= edges[i + 1]) & (i < n_bins - 1)
+            ib[near] = i
+        sums += np.bincount(ib, weights=w, minlength=n_bins)
     return sums
 
 

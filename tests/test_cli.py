@@ -261,6 +261,13 @@ class TestNonFiniteInputs:
         assert "ds_s" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_path_length_exits_0_without_warnings(self, tmp_path):
+        # c * delay overflowed in the eccentricity, and numpy's warning was printed
+        proc = run_cli_process(*self.PAS, "--set", "scenario.ds_s=1e300",
+                               "--out", str(tmp_path / "pas.csv"))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_infinite_distance_exits_1(self, tmp_path, capsys):
         out = tmp_path / "pas.csv"
         assert main([*self.PAS, "--set", "scenario.txrx_distance_m=inf",
@@ -633,3 +640,18 @@ class TestBenchmarkCommandBytes:
         out = tmp_path / f"{name}.csv"
         assert main([*args, "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # The same commands at the benchmark's held-out seed, recorded before the
+    # PAS bins were found by floor and the Rice scale moved into the draw.
+    HELD_OUT_DIGESTS = {
+        "rx-sweep": "d935b830205bfb7382c3f664f38f06a4048cb4f3b7ab9c057a3c0b1ebd39da04",
+        "tx-sweep": "bbef69f28ec4b3dd59333860b6c4f87511fae283a57912c15c743a8b2e868171",
+        "pas-dense": "e63960e87059de63b4e824d925a1715ac3d45169623933edf75e0822b364432a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_held_out_seed_bytes(self, tmp_path, name):
+        args, _ = self.COMMANDS[name]
+        out = tmp_path / f"{name}.csv"
+        assert main([*args, "--seed", "1803", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.HELD_OUT_DIGESTS[name]

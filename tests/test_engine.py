@@ -175,6 +175,20 @@ class TestRiceFactor:
         limit = run_realization(scenario("A", "omni", seed=2, rice_factor_db=math.inf))
         assert huge.raw_power_lin.tobytes() == limit.raw_power_lin.tobytes()
 
+    @pytest.mark.parametrize("changes", [
+        {"rice_factor_db": 6.0},
+        {"rice_factor_db": -3.0, "local_scattering": VonMisesParams(kappa=3.0, power_share=0.0)},
+        {"rice_factor_db": 40.0, "local_scattering": VonMisesParams(kappa=3.0, power_share=None)},
+    ], ids=["6dB", "no-local-share", "auto-local-share"])
+    def test_raw_powers_equal_the_nlos_draw_scaled(self, changes):
+        # Each scattered row is scaled as it is drawn, with the bits of the
+        # NLOS draw from the same stream scaled by 1 / (K + 1) afterwards.
+        cfg = replace(scenario("A", "same", seed=6, paths_per_cluster=300), **changes)
+        nlos = draw_realization(replace(cfg, rice_factor_db=None))
+        k = 10.0 ** (cfg.rice_factor_db / 10.0)
+        expected = np.append(nlos.raw_power_lin * (1.0 / (k + 1.0)), k / (k + 1.0))
+        assert draw_realization(cfg).raw_power_lin.tobytes() == expected.tobytes()
+
     def test_nlos_has_no_direct_path(self):
         paths = run_realization(scenario("A", "omni", seed=2))
         assert SourceKind.LOS not in [kind for kind, _, _ in paths.sources]

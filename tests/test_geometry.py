@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,13 @@ class TestEllipseFromDelay:
         with pytest.raises(InvalidGeometry, match=r"txrx_distance_m 1e\+18 .* 2e-10 s"):
             eccentricity_from_delay(np.array([1.0, 2e-10, 3e-10]), 1e18)
         assert eccentricity_from_delay(2 * DEGENERATE_DELAY_S, 1e6) < 1.0
+
+    def test_overflowing_path_length_gives_the_limit_without_a_warning(self):
+        # c * delay overflows above about 6e299 s; numpy once warned of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eccentricity_from_delay(1e300, 200.0) == 0.0
+            assert eccentricity_from_delay(np.array([1e-6, 1e300]), 200.0)[1] == 0.0
 
     def test_invariants_random(self, rng):
         delays = 10 ** rng.uniform(-9.5, -5.0, 200)

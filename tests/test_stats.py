@@ -13,7 +13,8 @@ from multiell.engine import aim_realization, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
-from multiell.stats import SweepAxis, _point_rng, angular_spread, estimate_pas, sweep_as
+from multiell.stats import (_PAS_BLOCK, SweepAxis, _bin_power, _point_rng, angular_spread,
+                            estimate_pas, sweep_as)
 
 from conftest import make_pathset
 
@@ -85,13 +86,26 @@ class TestAngularSpread:
 
     @pytest.mark.parametrize("power, index", [([-1.0, 2.0], 0), ([2.0, -1e-300], 1),
                                               ([1.0, 0.0, np.nan], 2),
-                                              ([1.0, -np.inf, 3.0], 1)])
+                                              ([1.0, -np.inf, 3.0], 1),
+                                              ([1.0, np.inf, 3.0], 1)])
     def test_negative_or_nan_power_raises_naming_the_path(self, power, index):
         # [-1, 2] at [0, 90] gave a spread of 0.0 and a negative PAS density
         paths = make_pathset([0.0, 90.0, 45.0][:len(power)], power)
         for statistic in (angular_spread, lambda p: estimate_pas(p, bin_width_deg=90.0)):
             with pytest.raises(NoPower, match=rf"^path {index} has power "):
                 statistic(paths)
+
+    @pytest.mark.parametrize("power", [1e-320, 1e308])
+    def test_extreme_totals_give_the_spread_and_spectrum_of_unit_powers(self, power):
+        # Two paths of 1e-320 at 1e-4-degree bins underflowed the PAS norm to
+        # 0 (NaN and inf densities); two of 1e308 overflowed the total to inf,
+        # which zeroed every density and turned the spread to NaN.
+        paths = make_pathset([-90.0, 90.0], [power, power])
+        unit = make_pathset([-90.0, 90.0], [1.0, 1.0])
+        assert angular_spread(paths) == angular_spread(unit) == 90.0
+        density = estimate_pas(paths, bin_width_deg=1e-4).density_per_deg
+        assert density.tobytes() == estimate_pas(unit, 1e-4).density_per_deg.tobytes()
+        assert density.sum() * 1e-4 == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_and_negative_zero_powers_are_accepted(self):
         paths = make_pathset([0.0, 90.0, 10.0], [-0.0, 1.0, 0.0])
@@ -235,6 +249,83 @@ class TestPasBins:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000  # a whole-array intp bin index alone takes 8 MB
+
+
+def _bin_power_by_gathers(angles, power, edges, width):
+    # The PAS reduction before binning by floor: every angle's index by
+    # division, then two comparisons against gathered edges.
+    n_bins = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    block = max(_PAS_BLOCK, n_bins)
+    sums = np.zeros(n_bins)
+    for start in range(0, angles.size, block):
+        x = angles[start:start + block]
+        w = power[start:start + block]
+        if not (x.min() >= lo and x.max() <= hi):
+            inside = (x >= lo) & (x <= hi)
+            x, w = x[inside], w[inside]
+        idx = ((x - lo) / width).astype(np.intp)
+        np.minimum(idx, n_bins - 1, out=idx)
+        idx -= x < edges[idx]
+        idx += (x >= edges[1:][idx]) & (idx < n_bins - 1)
+        sums += np.bincount(idx, weights=w, minlength=n_bins)
+    return sums
+
+
+SPECIAL_ANGLES = [0.0, -0.0, 180.0, -180.0, 1e-300, -1e-300, 181.0, -181.0,
+                  np.nan, np.inf, -np.inf]
+
+
+def _edge_angles(width):
+    # Bin edges and their float neighbours on both sides, all within the band
+    # that binning by floor checks; at 1e-4-degree bins every 200th edge.
+    edges = _bin_edges(width)
+    if edges.size > 100_000:
+        edges = np.concatenate([edges[:200], edges[200:-200:200], edges[-200:]])
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+class TestPasBinsByFloor:
+    """The floor binning equals the gather-based reduction it replaced, bit for
+    bit, over several blocks."""
+
+    @pytest.mark.parametrize("width", [1e-4, 1 / 3, 0.36, 7.2, 360.0])
+    def test_bits_equal_the_gathers_near_every_edge(self, width, rng):
+        edges = _bin_edges(width)
+        block = max(_PAS_BLOCK, edges.size - 1)
+        # Every other angle is an edge, a neighbour of one or a special value,
+        # repeated so that every block has angles to check against the edges.
+        x = rng.uniform(-180.0, 180.0, block + _PAS_BLOCK + 777)
+        x[::2] = np.resize(np.concatenate([_edge_angles(width), SPECIAL_ANGLES]),
+                           x[::2].size)
+        w = rng.random(x.size)
+        expected = _bin_power_by_gathers(x, w, edges, width)
+        assert _bin_power(x, w, edges, width).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [1 / 3, 7.2])
+    def test_bits_equal_the_gathers_with_a_block_of_edge_angles_only(self, width, rng):
+        edges = _bin_edges(width)
+        near = np.resize(_edge_angles(width), _PAS_BLOCK)
+        position = (near + 180.0) * (1.0 / width)
+        assert np.all(np.abs(position - np.round(position)) < 1e-6)  # all in the band
+        x = np.concatenate([rng.uniform(-180.0, 180.0, _PAS_BLOCK), near,
+                            SPECIAL_ANGLES, rng.uniform(-180.0, 180.0, 500)])
+        w = rng.random(x.size)
+        expected = _bin_power_by_gathers(x, w, edges, width)
+        assert _bin_power(x, w, edges, width).tobytes() == expected.tobytes()
+
+    def test_buffers_are_sized_by_the_path_count(self, rng):
+        # At 1e-4-degree bins a block is the 3.6M-bin count; buffers that size
+        # would take 86 MB more than the per-bin sums and np.bincount's output.
+        edges = _bin_edges(1e-4)
+        x = rng.uniform(-180.0, 180.0, 1000)
+        tracemalloc.start()
+        try:
+            _bin_power(x, np.ones(x.size), edges, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (edges.size - 1) + 1_000_000
 
 
 class TestSweepAs:
