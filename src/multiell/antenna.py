@@ -99,17 +99,25 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
     The shortest arc is taken without selecting the paths to wrap. With
     ``phi`` in [-180, 180] and the boresight ``b`` in (-180, 180],
     ``d = phi - b`` can leave (-180, 180] on one side only: below -180 when
-    ``b >= 0``, above 180 when ``b < 0``. The other candidate,
-    ``s = ((d + 180) +- 360) - 180``, is what :func:`wrap_in_place` computes
-    for such a ``d``, by the same operations. Of ``d`` and ``s``, the
-    wrapped one has magnitude at most 180 and the other at least 180 (the
-    bounds hold through rounding, which is monotonic), so the smaller of
-    the two squares is the square of the wrapped difference, bit for bit.
-    Where both magnitudes are 180 the squares are equal, which also covers
-    the wrap sending -180 to 180. Rounding keeps every ``d`` between the
+    ``b >= 0``, above 180 when ``b < 0``. Where it can, the smaller of two
+    signed candidates is squared, once. For ``b >= 0`` they are ``-d``,
+    computed as ``b - phi`` (rounding is symmetric, so these are the bits
+    of ``-d``), and ``s = (540 - (b - phi)) - 180``. Where ``d < -180``,
+    ``d + 180`` and the last ``- 180`` of :func:`wrap_in_place`'s
+    ``((d + 180) + 360) - 180`` are exact (Sterbenz), so that wrap equals
+    ``s``, which lies in [0, 180), below ``-d``; elsewhere ``s`` is at least
+    180, so at least ``-d``, and the minimum keeps ``-d``, whose square is
+    that of ``d``. For ``b < 0`` they are ``d`` and ``c = 540 - (d + 180)``:
+    the subtraction is exact, so where ``d > 180`` ``c`` is the magnitude of
+    the wrap ``((d + 180) - 360) - 180``, in [0, 180) and below ``d``, and
+    elsewhere ``c`` is at least 180, so at least ``d``. (The bounds hold
+    through rounding, which is monotonic.) Either way the square is that of
+    the wrapped difference, bit for bit, and a NaN passes through. Where
+    both candidates are 180 the squares are equal, which also covers the
+    wrap sending -180 to 180. Rounding keeps every ``d`` between the
     differences of the smallest and largest ``phi``; when those stay in
-    [-180, 180], no ``d`` wraps and ``s`` is not computed. An angle outside
-    [-180, 180] is wrapped first with :func:`wrap_degrees`.
+    [-180, 180], no ``d`` wraps and no candidate is computed. An angle
+    outside [-180, 180] is wrapped first with :func:`wrap_degrees`.
     """
     phi = np.asarray(phi_deg, dtype=float)
     scalar = phi.ndim == 0
@@ -125,18 +133,21 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
     lo, hi = angle_range
     if not (lo >= -180.0 and hi <= 180.0):
         phi, lo, hi = wrap_degrees(phi), -180.0, 180.0
-    np.subtract(phi, boresight, out=out)
     if lo - boresight < -180.0 or hi - boresight > 180.0:
         if scratch is None:
             scratch = np.empty_like(out)
-        np.add(out, 180.0, out=scratch)
-        scratch += 360.0 if boresight >= 0.0 else -360.0
-        scratch -= 180.0
-        np.square(scratch, out=scratch)
-        np.square(out, out=out)
+        if boresight >= 0.0:
+            np.subtract(boresight, phi, out=out)  # -d
+            np.subtract(540.0, out, out=scratch)
+            scratch -= 180.0
+        else:
+            np.subtract(phi, boresight, out=out)  # d
+            np.add(out, 180.0, out=scratch)
+            np.subtract(540.0, scratch, out=scratch)
         np.minimum(out, scratch, out=out)
     else:
-        np.square(out, out=out)
+        np.subtract(phi, boresight, out=out)
+    np.square(out, out=out)
     out /= -(2.0 * sigma**2)
     np.exp(out, out=out)
     return float(out) if scalar else out

@@ -17,8 +17,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .antenna import AntennaPattern, PatternKind
 from .engine import ScenarioConfig, run_realization
@@ -35,6 +38,9 @@ _AXIS_BY_NAME = {axis.value: axis for axis in SweepAxis}
 
 # 277x the one-degree figure sweeps; every angle costs `trials` realizations.
 _MAX_SWEEP_ANGLES = 100_000
+
+# Rows of a CSV table formatted and written at a time: a few MB of text.
+_CSV_CHUNK_ROWS = 2**16
 
 
 def _fmt(x) -> str:
@@ -250,13 +256,21 @@ def _resolve_mapping(args) -> dict[str, str]:
 
 def _write_csv(path: str, command: str, mapping: dict[str, str], *tables) -> None:
     """Write a title line, the resolved ``mapping`` as ``#`` lines, then each
-    ``(heading lines, rows)`` table, one line of cells per row."""
-    lines = [f"# multiell {command}", "# resolved-config"]
-    lines += [f"# {k} = {mapping[k]}" for k in sorted(mapping)]
-    for heading, rows in tables:
-        lines += heading
-        lines += (",".join(map(_fmt, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    ``(heading lines, columns)`` table, one line of cells per row. The
+    columns are equal-length lists or 1-D arrays of floats or ints, and each
+    cell is written as ``_fmt`` writes it: ``"%.12g"`` formats a float as
+    ``format(x, ".12g")`` does, and ``"%s"`` an int as ``str``. The rows go
+    to the file a chunk at a time, each chunk formatted by one ``%``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"# multiell {command}\n# resolved-config\n")
+        f.writelines(f"# {k} = {mapping[k]}\n" for k in sorted(mapping))
+        for heading, columns in tables:
+            f.writelines(f"{line}\n" for line in heading)
+            for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+                cells = [column[start:start + _CSV_CHUNK_ROWS] for column in columns]
+                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+                fmt = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in cells)
+                f.write(f"{fmt}\n" * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _angle_list(mapping: dict[str, str]) -> list[float]:
@@ -286,8 +300,8 @@ def cmd_sweep(args) -> int:
     config = mapping_to_config(mapping)
     result = sweep_as(config, _AXIS_BY_NAME[axis_name], angles, trials=trials)
     _write_csv(args.out, "sweep", mapping,
-               (["alpha_t_deg,alpha_r_deg,trial,as_deg"], result.rows),
-               (["# aggregate", "angle,mean_as_deg,std_as_deg"], result.aggregate))
+               (["alpha_t_deg,alpha_r_deg,trial,as_deg"], list(zip(*result.rows))),
+               (["# aggregate", "angle,mean_as_deg,std_as_deg"], list(zip(*result.aggregate))))
     return 0
 
 
@@ -298,7 +312,7 @@ def cmd_pas(args) -> int:
     spectrum = estimate_pas(run_realization(config), bin_width_deg=bin_width)
     _write_csv(args.out, "pas", mapping,
                (["angle_deg,density_per_deg"],
-                zip(spectrum.bin_centers_deg.tolist(), spectrum.density_per_deg.tolist())))
+                (spectrum.bin_centers_deg, spectrum.density_per_deg)))
     return 0
 
 

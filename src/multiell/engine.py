@@ -249,13 +249,10 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
     draw of -180 becomes 180).
     """
     departures = out[:draws.offsets.size].reshape(draws.offsets.shape)
-    # When ``out`` is ``draws.angles`` the two plain copies below are no-ops.
-    if draws.relative:
-        np.add(draws.offsets, boresight_deg, out=departures)
-        shift = boresight_deg
-    else:
-        departures[...] = draws.offsets
-        shift = 0.0
+    shift = boresight_deg if draws.relative else 0.0
+    # Adding +0.0, or any other shift, leaves no -0.0 (the map keeps
+    # sgn(0) = +1), and the wrap makes none.
+    np.add(draws.offsets, shift + 0.0, out=departures)
     m = draws.offset_bound
     _aoa_in_place(departures, draws.ratios, (shift - m, shift + m))
     out[draws.offsets.size:] = draws.tail_aoa

@@ -120,7 +120,9 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     angle array its own ellipse.
     """
     phi = np.asarray(phi_t_deg, dtype=float)
-    out = _aoa_in_place(np.array(phi, ndmin=1), _half_angle_ratio(eccentricity))
+    # A C-ordered copy with -0.0 turned into +0.0, as _aoa_in_place takes it.
+    out = _aoa_in_place(np.add(np.atleast_1d(phi), 0.0, order="C"),
+                        _half_angle_ratio(eccentricity))
     return float(out[0]) if phi.ndim == 0 else out
 
 
@@ -135,13 +137,13 @@ def _half_angle_ratio(eccentricity):
 
 def _aoa_in_place(angles: np.ndarray, ratio, bounds: tuple[float, float] | None = None
                   ) -> np.ndarray:
-    # aoa_from_aod on a C-contiguous float array, overwriting and returning
-    # it; ``ratio`` comes from _half_angle_ratio. ``bounds``, if given, is a
-    # (lo, hi) with lo <= every angle <= hi. When lo > -180 and hi <= 180
-    # every angle is already in (-180, 180], so the wrap, which would touch
-    # none of them, is skipped; when moreover hi < 180 no angle is 180, so
-    # the fix-up of the angles at 180 is skipped too. Either way every bit
-    # is the one the full map writes.
+    # aoa_from_aod on a C-contiguous float array that holds no -0.0,
+    # overwriting and returning it; ``ratio`` comes from _half_angle_ratio.
+    # ``bounds``, if given, is a (lo, hi) with lo <= every angle <= hi. When
+    # lo > -180 and hi <= 180 every angle is already in (-180, 180], so the
+    # wrap, which would touch none of them, is skipped; when moreover
+    # hi < 180 no angle is 180, so the fix-up of the angles at 180 is
+    # skipped too. Either way every bit is the one the full map writes.
     if bounds is None or not (bounds[0] > -180.0 and bounds[1] <= 180.0):
         out = wrap_in_place(angles)
         fix_up = True
@@ -149,9 +151,9 @@ def _aoa_in_place(angles: np.ndarray, ratio, bounds: tuple[float, float] | None 
         out = angles
         fix_up = bounds[1] == 180.0
     # Every step below is odd bit for bit (numpy's tan and arctan included),
-    # so a signed angle maps to sgn(aod) times the map of |aod|. Adding 0
-    # first turns -0.0 into +0.0, which keeps sgn(0) = +1.
-    out += 0.0
+    # so a signed angle maps to sgn(aod) times the map of |aod|. The angles
+    # hold no -0.0 (the callers add 0 as they fill them, and the wrap makes
+    # none), which keeps sgn(0) = +1.
     if fix_up:
         back = out == 180.0
     out *= 0.5  # the same rounding of the same real as out /= 2.0

@@ -239,8 +239,10 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     every receive gain at that aim reuses. Otherwise no scan is made and
     every gain gets (-180, 180): aimed angles lie in [-180, 180], and at a
     boresight of +-0 that range, like the scanned one, calls for no wrap
-    candidate, so the gains have the same bits (an omni receiver reads no
-    range at all). The scratch
+    candidate (the second signed difference that
+    :func:`~multiell.antenna.power_gain` weighs against the first where a
+    difference can leave (-180, 180]), so the gains have the same bits (an
+    omni receiver reads no range at all). The scratch
     holds the receive gain's intermediate, then the spread's squared
     deviations from the weighted mean (the centered reduction of
     :func:`angular_spread`, bit for bit).

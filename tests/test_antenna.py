@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,43 @@ class TestKnownAngleRange:
         scratch = np.full_like(phi, np.nan)
         got = power_gain(pattern, phi, scratch=scratch, angle_range=(-180.0, 180.0))
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hpbw", [120.0, 359.0])
+    def test_wrap_candidate_grid_gives_the_wrapped_difference(self, hpbw):
+        # Every boresight of the known-range list and every whole degree,
+        # against the angles half a turn from it (exactly where that is a
+        # float), their neighbours, +-180 and +-0. Wide beams keep the gains
+        # half a turn off boresight above the underflow, so every bit counts.
+        two_var = 2.0 * sigma_from_hpbw(hpbw) ** 2
+        for boresight in KNOWN_RANGE_BORESIGHTS + list(np.arange(-180.0, 181.0)):
+            pattern = AntennaPattern.gaussian(hpbw, boresight_deg=float(boresight))
+            b = pattern.boresight_deg
+            phi = [b + 180.0, b - 180.0, 180.0, -180.0, 0.0, -0.0]
+            phi += [np.nextafter(x, to) for x in phi for to in (-np.inf, np.inf)]
+            phi = np.array([x for x in phi if -180.0 <= x <= 180.0])
+            expected = np.exp(-np.square(wrap_degrees(phi - b)) / two_var)
+            span = (float(phi.min()), float(phi.max()))
+            for angle_range in (None, span, (-180.0, 180.0)):
+                got = power_gain(pattern, phi, angle_range=angle_range)
+                assert got.tobytes() == expected.tobytes(), (b, angle_range)
+                out, scratch = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
+                assert power_gain(pattern, phi, out, scratch, angle_range=angle_range) is out
+                assert out.tobytes() == expected.tobytes(), (b, angle_range)
+
+    @pytest.mark.parametrize("boresight", [60.0, -60.0])
+    def test_wrap_candidate_allocates_no_path_sized_array(self, boresight):
+        pattern = AntennaPattern.gaussian(20.0, boresight_deg=boresight)
+        phi = np.linspace(-180.0, 180.0, 100_000)
+        out, scratch = np.empty_like(phi), np.empty_like(phi)
+        power_gain(pattern, phi, out, scratch)  # first call outside the trace
+        for angle_range in (None, (-180.0, 180.0)):  # both call for the candidate
+            tracemalloc.start()
+            try:
+                power_gain(pattern, phi, out, scratch, angle_range=angle_range)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < phi.nbytes // 8
 
     @pytest.mark.parametrize("eccentricity", [0.0, 1e-300, 1e-16, 0.5, 0.99,
                                               np.nextafter(1.0, 0.0)])

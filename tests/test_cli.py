@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern
-from multiell.cli import (_resolve_mapping, build_parser, config_to_mapping, main,
-                          mapping_to_config)
-from multiell.engine import ScenarioConfig
+from multiell.cli import (_CSV_CHUNK_ROWS, _fmt, _resolve_mapping, _write_csv, build_parser,
+                          config_to_mapping, main, mapping_to_config)
+from multiell.engine import ScenarioConfig, run_realization
 from multiell.pdp import builtin_nlos_profile
 from multiell.presets import SweepPreset, fig_presets
 from multiell.scattering import VonMisesParams
+from multiell.stats import estimate_pas, sweep_as
 
 from conftest import child_env
 
@@ -235,6 +236,66 @@ class TestPasCommand:
         assert main(["pas", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["pas", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def written_cell_by_cell(command, mapping, *tables):
+    """The CSV text of ``_write_csv`` built in memory, every cell through
+    ``_fmt``; ``tables`` hold rows, not columns."""
+    lines = [f"# multiell {command}", "# resolved-config"]
+    lines += [f"# {k} = {mapping[k]}" for k in sorted(mapping)]
+    for heading, rows in tables:
+        lines += heading
+        lines += (",".join(map(_fmt, row)) for row in rows)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvWriter:
+    """The streaming CSV writer against a cell-by-cell ``_fmt`` reference."""
+
+    EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324,
+                   1e300, -1e300, 1.0, -3.0, 180.0, 1e16, 123456789012.0, 2.0**53,
+                   0.1, 1.0 / 3.0, 1e-5, 359.9999999999999]
+
+    def test_percent_format_is_format(self):
+        for x in self.EDGE_FLOATS:
+            assert "%.12g" % x == format(x, ".12g") == _fmt(x), x
+
+    def test_chunked_mixed_columns_equal_the_reference(self, tmp_path):
+        n = 2 * _CSV_CHUNK_ROWS + 3  # two full chunks and a short one
+        floats = np.resize(np.array(self.EDGE_FLOATS), n)
+        ints = list(range(-5, n - 5))
+        ints[1] = 10**15  # "%s", not "%.12g", which would print 1e+15
+        mapping = {"b.key": "2", "a.key": "1"}
+        tables = ((["x,k,y"], (floats, ints, floats[::-1].copy())), (["# empty", "z"], ([],)))
+        out = tmp_path / "t.csv"
+        _write_csv(str(out), "test", mapping, *tables)
+        rows = list(zip(floats.tolist(), ints, floats[::-1].tolist()))
+        assert out.read_bytes() == written_cell_by_cell("test", mapping,
+                                                        (["x,k,y"], rows), (["# empty", "z"], []))
+
+    def test_sweep_equals_the_reference(self, tmp_path):
+        argv = ["sweep", "--preset", "fig4-A", "--from", "0", "--to", "170", "--step", "10",
+                "--trials", "3", "--seed", "5", "--set", "scenario.paths_per_cluster=100"]
+        out = tmp_path / "sweep.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        mapping = _resolve_mapping(build_parser().parse_args([*argv, "--out", str(out)]))
+        result = sweep_as(mapping_to_config(mapping), fig_presets()["fig4-A"].axis,
+                          np.arange(0.0, 171.0, 10.0), trials=3)
+        assert out.read_bytes() == written_cell_by_cell(
+            "sweep", mapping, (["alpha_t_deg,alpha_r_deg,trial,as_deg"], result.rows),
+            (["# aggregate", "angle,mean_as_deg,std_as_deg"], result.aggregate))
+
+    def test_pas_of_360000_bins_equals_the_reference(self, tmp_path):
+        cfg = write_config(tmp_path, **{"rx.preset": "A", "rx.boresight_deg": "30"})
+        argv = ["pas", "--config", str(cfg), "--bin-width", "0.001"]
+        out = tmp_path / "pas.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        mapping = _resolve_mapping(build_parser().parse_args([*argv, "--out", str(out)]))
+        spectrum = estimate_pas(run_realization(mapping_to_config(mapping)), 0.001)
+        assert spectrum.density_per_deg.size == 360_000
+        rows = zip(spectrum.bin_centers_deg.tolist(), spectrum.density_per_deg.tolist())
+        assert out.read_bytes() == written_cell_by_cell(
+            "pas", mapping, (["angle_deg,density_per_deg"], rows))
 
 
 class TestNonFiniteInputs:

@@ -532,6 +532,24 @@ class TestAimSkips:
         assert got.tobytes() == expected.tobytes()
         assert got[0] == 180.0
 
+    @pytest.mark.parametrize("boresight", [0.0, -0.0])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_signed_zero_departures_map_to_plus_zero(self, name, boresight):
+        # Offsets of -0 and +0 at a boresight of +-0 (for an omni transmitter
+        # departures of -0 and +0): every departure of 0 arrives at +0, as in
+        # the map that adds 0 after the wrap, aimed into another buffer or
+        # into the draws' own.
+        cfg = self.CONFIGS[name]
+        draws = draw_realization(cfg)
+        draws.offsets[:, 0] = -0.0
+        draws.offsets[:, 1] = 0.0
+        expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
+        got = aim_realization(draws, boresight, np.full(draws.angles.size, np.nan))
+        assert got.tobytes() == expected.tobytes()
+        assert aim_realization(draws, boresight, draws.angles).tobytes() == expected.tobytes()
+        zeros = expected[:draws.offsets.size].reshape(draws.offsets.shape)[:, :2]
+        assert not np.signbit(zeros).any()
+
 
 class TestOmniReweight:
     def test_power_is_the_raw_power(self):

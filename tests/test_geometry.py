@@ -255,6 +255,20 @@ class TestSignedAngleMap:
         # a negative departure whose image underflows keeps its sign
         assert math.copysign(1.0, aoa_from_aod(-1e-320, 1.0 - 1e-12)) == -1.0
 
+    @pytest.mark.parametrize("e", [0.0, 0.5])
+    def test_negative_zero_maps_to_plus_zero_in_any_layout(self, e):
+        assert np.float64(aoa_from_aod(-0.0, e)).tobytes() == np.float64(0.0).tobytes()
+        assert np.float64(aoa_from_aod(np.array(-0.0), e)).tobytes() == np.float64(0.0).tobytes()
+        phi = np.array([[-0.0, 0.0, -180.0], [-90.0, -0.0, -5e-324]])
+        given = phi.copy()
+        expected = masked_aoa(phi, e)
+        assert not np.signbit(expected[phi == 0.0]).any()
+        # the angles are copied, not overwritten, and a transposed (Fortran
+        # ordered) array maps like a C-ordered one
+        assert aoa_from_aod(phi, e).tobytes() == expected.tobytes()
+        assert aoa_from_aod(phi.T, e).tobytes() == expected.T.copy().tobytes()
+        assert phi.tobytes() == given.tobytes()
+
 
 class TestAodFromAoa:
     def test_fixed_points(self):
