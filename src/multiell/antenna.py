@@ -81,58 +81,57 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
     return sigma
 
 
-def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
-               scratch: np.ndarray | None = None, *,
-               angle_range: tuple[float, float] | None = None):
+def power_gain(pattern: AntennaPattern, phi_deg):
     """Normalized power gain at azimuth ``phi_deg`` (1 at boresight).
 
     Omni patterns return 1 everywhere. Gaussian patterns use the shortest
-    angular distance to boresight. Accepts scalars or arrays. ``out``, a
-    C-contiguous float array shaped like an array ``phi_deg``, receives the
-    gains in place of a new array; ``scratch``, another such array, holds
-    an intermediate (a new one is made without it). ``angle_range``, the
-    smallest and largest of the angles, saves scanning them for it: a
-    caller that weights one set of angles under many patterns scans once.
-    It is trusted, not checked: a range that does not bound the angles
-    gives wrong gains without an error.
-
-    The shortest arc is taken without selecting the paths to wrap. With
-    ``phi`` in [-180, 180] and the boresight ``b`` in (-180, 180],
-    ``d = phi - b`` can leave (-180, 180] on one side only: below -180 when
-    ``b >= 0``, above 180 when ``b < 0``. Where it can, the smaller of two
-    signed candidates is squared, once. For ``b >= 0`` they are ``-d``,
-    computed as ``b - phi`` (rounding is symmetric, so these are the bits
-    of ``-d``), and ``s = (540 - (b - phi)) - 180``. Where ``d < -180``,
-    ``d + 180`` and the last ``- 180`` of :func:`wrap_in_place`'s
-    ``((d + 180) + 360) - 180`` are exact (Sterbenz), so that wrap equals
-    ``s``, which lies in [0, 180), below ``-d``; elsewhere ``s`` is at least
-    180, so at least ``-d``, and the minimum keeps ``-d``, whose square is
-    that of ``d``. For ``b < 0`` they are ``d`` and ``c = 540 - (d + 180)``:
-    the subtraction is exact, so where ``d > 180`` ``c`` is the magnitude of
-    the wrap ``((d + 180) - 360) - 180``, in [0, 180) and below ``d``, and
-    elsewhere ``c`` is at least 180, so at least ``d``. (The bounds hold
-    through rounding, which is monotonic.) Either way the square is that of
-    the wrapped difference, bit for bit, and a NaN passes through. Where
-    both candidates are 180 the squares are equal, which also covers the
-    wrap sending -180 to 180. Rounding keeps every ``d`` between the
-    differences of the smallest and largest ``phi``; when those stay in
-    [-180, 180], no ``d`` wraps and no candidate is computed. An angle
+    angular distance to boresight, with the bits of the wrapped difference
+    ``wrap_degrees(phi - boresight)``. Accepts scalars or arrays. An angle
     outside [-180, 180] is wrapped first with :func:`wrap_degrees`.
     """
     phi = np.asarray(phi_deg, dtype=float)
-    scalar = phi.ndim == 0
-    if out is None:
-        out = np.empty_like(phi)
     if pattern.kind is PatternKind.OMNI:
-        out.fill(1.0)
-        return float(out) if scalar else out
+        gain = np.ones_like(phi)
+    else:
+        # (0, 0) calls for no wrap candidate at any boresight.
+        lo, hi = (float(phi.min()), float(phi.max())) if phi.size else (0.0, 0.0)
+        if not (lo >= -180.0 and hi <= 180.0):  # NaN fails this too
+            phi, lo, hi = wrap_degrees(phi), -180.0, 180.0
+        gain = _gain_in_place(pattern, phi, (lo, hi), np.empty_like(phi))
+    return float(gain) if gain.ndim == 0 else gain
+
+
+def _gain_in_place(pattern: AntennaPattern, phi: np.ndarray, span: tuple[float, float],
+                   out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    # The Gaussian ``pattern``'s gain at ``phi``, written into ``out`` (an
+    # array shaped like ``phi``) and returned. Precondition, not checked:
+    # every ``phi`` lies in [-180, 180] and ``span = (lo, hi)`` bounds them.
+    # ``scratch``, shaped like ``out``, holds the wrap candidate; without it
+    # one is made where a candidate is needed.
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
     boresight = pattern.boresight_deg
-    if angle_range is None:
-        angle_range = (float(phi.min()), float(phi.max())) if phi.size else (boresight, boresight)
-    lo, hi = angle_range
-    if not (lo >= -180.0 and hi <= 180.0):
-        phi, lo, hi = wrap_degrees(phi), -180.0, 180.0
+    lo, hi = span
+    # The shortest arc, taken without selecting the paths to wrap. With ``phi``
+    # in [-180, 180] and the boresight ``b`` in (-180, 180], ``d = phi - b`` can
+    # leave (-180, 180] on one side only: below -180 when ``b >= 0``, above 180
+    # when ``b < 0``. Where it can, the smaller of two signed candidates is
+    # squared, once. For ``b >= 0`` they are ``-d``, computed as ``b - phi``
+    # (rounding is symmetric, so these are the bits of ``-d``), and
+    # ``s = (540 - (b - phi)) - 180``. Where ``d < -180``, ``d + 180`` and the
+    # last ``- 180`` of the wrap ``((d + 180) + 360) - 180`` are exact
+    # (Sterbenz), so that wrap equals ``s``, which lies in [0, 180), below
+    # ``-d``; elsewhere ``s`` is at least 180, so at least ``-d``, and the
+    # minimum keeps ``-d``, whose square is that of ``d``. For ``b < 0`` they
+    # are ``d`` and ``c = 540 - (d + 180)``: the subtraction is exact, so where
+    # ``d > 180`` ``c`` is the magnitude of the wrap ``((d + 180) - 360) - 180``,
+    # in [0, 180) and below ``d``, and elsewhere ``c`` is at least 180, so at
+    # least ``d``. (The bounds hold through rounding, which is monotonic.)
+    # Either way the square is that of the wrapped difference, bit for bit, and
+    # a NaN passes through. Where both candidates are 180 the squares are
+    # equal, which also covers the wrap sending -180 to 180. Rounding keeps
+    # every ``d`` between the differences of the ends of ``span``; when those
+    # stay in [-180, 180], no ``d`` wraps and no candidate is computed, and a
+    # candidate computed where none is needed is never the smaller one.
     if lo - boresight < -180.0 or hi - boresight > 180.0:
         if scratch is None:
             scratch = np.empty_like(out)
@@ -150,7 +149,7 @@ def power_gain(pattern: AntennaPattern, phi_deg, out: np.ndarray | None = None,
     np.square(out, out=out)
     out /= -(2.0 * sigma**2)
     np.exp(out, out=out)
-    return float(out) if scalar else out
+    return out
 
 
 def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,

@@ -57,10 +57,6 @@ class PathSet:
     power_lin: np.ndarray
     sources: tuple[tuple[SourceKind, int, slice], ...]
 
-    @property
-    def raw_power_sum(self) -> float:
-        return float(self.raw_power_lin.sum())
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -275,26 +271,14 @@ def run_realization(config: ScenarioConfig,
     return reweight(PathSet(aoa, raw, raw, draws.sources), config.rx_pattern)
 
 
-def reweight(paths: PathSet, rx_pattern: AntennaPattern, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None, *,
-             angle_range: tuple[float, float] | None = None) -> PathSet:
+def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
     """The same paths with ``power_lin`` recomputed from ``raw_power_lin``
     under another receive pattern. The angle and raw-power arrays and the
     ``sources`` are shared with ``paths``; nothing in ``paths`` is modified.
-    ``out``, an array shaped like ``paths.aoa_deg``, becomes the new
-    ``power_lin``, ``scratch``, another, holds the gain's intermediate, and
-    ``angle_range`` is the smallest and largest arrival angle, if known
-    (see :func:`~multiell.antenna.power_gain`). An omni pattern weights
-    nothing: its ``power_lin`` is ``paths.raw_power_lin`` itself, or a copy
-    of it in ``out``."""
-    raw = paths.raw_power_lin
+    An omni pattern weights nothing: its ``power_lin`` is
+    ``paths.raw_power_lin`` itself."""
+    raw = weighted = paths.raw_power_lin
     if rx_pattern.kind is not PatternKind.OMNI:
-        weighted = power_gain(rx_pattern, paths.aoa_deg, out=out, scratch=scratch,
-                              angle_range=angle_range)
+        weighted = power_gain(rx_pattern, paths.aoa_deg)
         weighted *= raw
-    elif out is None:
-        weighted = raw
-    else:
-        weighted = out
-        weighted[...] = raw
     return PathSet(paths.aoa_deg, raw, weighted, paths.sources)

@@ -42,7 +42,7 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     Its callers are the departure wrap of the angle map, which skips it
     when the departures' bounds show that none leaves the interval, and
     :func:`wrap_degrees`; the receive gain takes the shorter arc without it
-    (see ``power_gain``).
+    (see ``antenna._gain_in_place``).
     """
     if not angles.flags.c_contiguous:
         raise ValueError("wrap_in_place needs a C-contiguous array")

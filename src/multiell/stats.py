@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import PatternKind
-from .engine import PathSet, ScenarioConfig, aim_realization, draw_realization, reweight
+from .antenna import PatternKind, _gain_in_place
+from .engine import PathSet, ScenarioConfig, aim_realization, draw_realization
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -233,19 +233,11 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     path-sized buffers once: the arrival angles, re-aimed only when the
     transmit boresight changes and only once per trial for an omni
     transmitter (:func:`~multiell.engine.aim_realization`), the weighted
-    powers (:func:`~multiell.engine.reweight`), and a scratch array. For a
-    directional receiver turned off 0 at some point, the angles are
-    scanned once after each aim for their smallest and largest value, which
-    every receive gain at that aim reuses. Otherwise no scan is made and
-    every gain gets (-180, 180): aimed angles lie in [-180, 180], and at a
-    boresight of +-0 that range, like the scanned one, calls for no wrap
-    candidate (the second signed difference that
-    :func:`~multiell.antenna.power_gain` weighs against the first where a
-    difference can leave (-180, 180]), so the gains have the same bits (an
-    omni receiver reads no range at all). The scratch
-    holds the receive gain's intermediate, then the spread's squared
+    powers of a directional receiver, and a scratch array. The scratch
+    holds the receive gain's wrap candidate, then the spread's squared
     deviations from the weighted mean (the centered reduction of
-    :func:`angular_spread`, bit for bit).
+    :func:`angular_spread`, bit for bit). An omni receiver weights nothing:
+    the spread reads the raw powers themselves.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -261,9 +253,13 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     else:
         points = [(tx, rx.pointed_at(a)) for a in angles]
     spreads = np.empty((len(angles), trials))
-    # Only a directional receiver off 0 can need the scanned range.
-    ranged = rx.kind is not PatternKind.OMNI and any(rx_j.boresight_deg != 0.0
-                                                     for _, rx_j in points)
+    # The gain kernel needs a range that bounds the aimed angles. Those lie
+    # in [-180, 180], and at a receive boresight of +-0 that range calls for
+    # no wrap candidate, like the scanned one, so the gains have the same
+    # bits; only a directional receiver turned off 0 somewhere scans the
+    # angles, once per aim.
+    directional = rx.kind is not PatternKind.OMNI
+    ranged = directional and any(rx_j.boresight_deg != 0.0 for _, rx_j in points)
     span = (-180.0, 180.0)
     aoa = None
     for trial in range(trials):
@@ -271,7 +267,6 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         raw = draws.raw_power_lin
         if aoa is None:
             aoa, weighted, scratch = np.empty((3, raw.size))
-        paths = PathSet(aoa, raw, raw, draws.sources)
         aimed = None
         for j, (tx_j, rx_j) in enumerate(points):
             # Omni draws are the departures themselves: one aim serves all.
@@ -280,8 +275,11 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
                 aim_realization(draws, aimed, aoa)
                 if ranged:
                     span = (float(aoa.min()), float(aoa.max()))
-            reweight(paths, rx_j, out=weighted, scratch=scratch, angle_range=span)
-            spreads[j, trial] = _spread_in_place(aoa, weighted, scratch)
+            power = raw
+            if directional:
+                power = _gain_in_place(rx_j, aoa, span, weighted, scratch)
+                power *= raw
+            spreads[j, trial] = _spread_in_place(aoa, power, scratch)
 
     rows: list[tuple[float, float, int, float]] = []
     aggregate: list[tuple[float, float, float]] = []

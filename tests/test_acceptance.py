@@ -230,7 +230,7 @@ def test_criterion_10_power_conservation():
             rice_factor_db=None if trial % 2 else float(rng.uniform(-20.0, 30.0)),
             seed=int(rng.integers(0, 2**63)),
         )
-        worst = max(worst, abs(run_realization(cfg).raw_power_sum - 1.0))
+        worst = max(worst, abs(float(run_realization(cfg).raw_power_lin.sum()) - 1.0))
     check(worst <= 1e-9, 10, "pre-weighting path powers sum to one",
           f"worst |sum-1| = {worst:.2e}")
 

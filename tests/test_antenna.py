@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import multiell.antenna
 from multiell import presets
-from multiell.antenna import (AntennaPattern, PatternKind, draw_aod_offsets, power_gain,
-                              sigma_from_hpbw)
+from multiell.antenna import (AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets,
+                              power_gain, sigma_from_hpbw)
 from multiell.engine import aim_realization, draw_realization
 from multiell.errors import ConfigError, InvalidHpbw, MultiellError
 from multiell.geometry import aoa_from_aod, wrap_degrees
@@ -60,9 +60,6 @@ class TestPowerGain:
         p = AntennaPattern.omni()
         assert power_gain(p, 123.4) == 1.0
         assert np.all(power_gain(p, np.linspace(-180, 180, 19)) == 1.0)
-        out = np.full(19, np.nan)
-        assert power_gain(p, np.linspace(-180, 180, 19), out=out) is out
-        assert np.all(out == 1.0)
 
     def test_symmetric_about_boresight(self):
         p = AntennaPattern.gaussian(14.0, boresight_deg=40.0)
@@ -88,7 +85,7 @@ class TestPowerGain:
         assert power_gain(pattern, phi).tobytes() == expected.tobytes()
         assert power_gain(pattern, float(phi[0])) == expected[0]
         out = np.full_like(phi, np.nan)
-        assert power_gain(pattern, phi, out=out) is out
+        assert _gain_in_place(pattern, phi, (-180.0, 180.0), out) is out
         assert out.tobytes() == expected.tobytes()
 
     @given(hpbw=st.floats(1e-150, 360.0, exclude_max=True),
@@ -111,11 +108,12 @@ class TestPowerGain:
         # one angle at a time, so that every angle also sets the range alone
         scalars = np.array([power_gain(pattern, float(x)) for x in phi])
         assert scalars.tobytes() == expected.tobytes()
+        span = (float(phi.min()), float(phi.max()))
         out = np.full_like(phi, np.nan)
-        assert power_gain(pattern, phi, out=out) is out
+        assert _gain_in_place(pattern, phi, span, out) is out
         assert out.tobytes() == expected.tobytes()
-        scratch = np.full_like(phi, np.nan)
-        assert power_gain(pattern, phi, out=out, scratch=scratch) is out
+        out, scratch = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
+        assert _gain_in_place(pattern, phi, span, out, scratch) is out
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("hpbw", [20.0, 120.0, 359.0])
@@ -134,6 +132,16 @@ class TestPowerGain:
             sigma = sigma_from_hpbw(hpbw)
             old = math.exp(-wrap_degrees(phi - pattern.boresight_deg) ** 2 / (2.0 * sigma**2))
             assert gain == pytest.approx(old, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("out", np.empty(1)), ("scratch", np.empty(1)), ("angle_range", (0.0, 0.0))])
+    def test_takes_no_buffers_and_no_trusted_range(self, keyword, value):
+        # A range that does not bound the angles once gave 0 here, silently.
+        pattern = AntennaPattern.gaussian(20.0, boresight_deg=170.0)
+        assert power_gain(pattern, [-170.0]).tolist() == [pytest.approx(0.0625, rel=1e-12)]
+        with pytest.raises(TypeError):
+            power_gain(pattern, [-170.0], **{keyword: value})
+        assert list(inspect.signature(power_gain).parameters) == ["pattern", "phi_deg"]
 
     def test_gaussian_requires_hpbw(self):
         with pytest.raises(ConfigError):
@@ -154,8 +162,8 @@ KNOWN_RANGE_BORESIGHTS = [0.0, -0.0, 180.0, -180.0, 1e-300, -1e-300, 5e-324, 37.
 
 
 class TestKnownAngleRange:
-    # power_gain with the range of the angles given must write the bits it
-    # writes when it scans for the range itself.
+    # The gain kernel, given any range that bounds the angles, must write
+    # the bits power_gain writes when it scans for the range itself.
     @pytest.mark.parametrize("boresight", KNOWN_RANGE_BORESIGHTS)
     @pytest.mark.parametrize("hpbw", [9.0, 120.0])
     def test_given_range_gives_the_same_bits(self, rng, boresight, hpbw):
@@ -167,13 +175,15 @@ class TestKnownAngleRange:
         for phi in sets:
             expected = power_gain(pattern, phi)
             span = (float(phi.min()), float(phi.max()))
-            assert power_gain(pattern, phi, angle_range=span).tobytes() == expected.tobytes()
+            got = _gain_in_place(pattern, phi, span, np.full_like(phi, np.nan))
+            assert got.tobytes() == expected.tobytes()
             out, scratch = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
-            assert power_gain(pattern, phi, out, scratch, angle_range=span) is out
+            assert _gain_in_place(pattern, phi, span, out, scratch) is out
             assert out.tobytes() == expected.tobytes()
             # any bounds within [-180, 180] give them too: a candidate that
             # is not needed is never the smaller square
-            assert (power_gain(pattern, phi, angle_range=(-180.0, 180.0)).tobytes()
+            out = np.full_like(phi, np.nan)
+            assert (_gain_in_place(pattern, phi, (-180.0, 180.0), out).tobytes()
                     == expected.tobytes())
 
     @given(hpbw=st.floats(1e-150, 360.0, exclude_max=True),
@@ -186,9 +196,10 @@ class TestKnownAngleRange:
                                           | st.floats(-180.0, 180.0), min_size=1, max_size=40)))
         expected = power_gain(pattern, phi)
         span = (float(phi.min()), float(phi.max()))
-        assert power_gain(pattern, phi, angle_range=span).tobytes() == expected.tobytes()
-        scratch = np.full_like(phi, np.nan)
-        got = power_gain(pattern, phi, scratch=scratch, angle_range=(-180.0, 180.0))
+        got = _gain_in_place(pattern, phi, span, np.full_like(phi, np.nan))
+        assert got.tobytes() == expected.tobytes()
+        out, scratch = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
+        got = _gain_in_place(pattern, phi, (-180.0, 180.0), out, scratch)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("hpbw", [120.0, 359.0])
@@ -205,12 +216,13 @@ class TestKnownAngleRange:
             phi += [np.nextafter(x, to) for x in phi for to in (-np.inf, np.inf)]
             phi = np.array([x for x in phi if -180.0 <= x <= 180.0])
             expected = np.exp(-np.square(wrap_degrees(phi - b)) / two_var)
+            assert power_gain(pattern, phi).tobytes() == expected.tobytes(), b
             span = (float(phi.min()), float(phi.max()))
-            for angle_range in (None, span, (-180.0, 180.0)):
-                got = power_gain(pattern, phi, angle_range=angle_range)
+            for angle_range in (span, (-180.0, 180.0)):
+                got = _gain_in_place(pattern, phi, angle_range, np.full_like(phi, np.nan))
                 assert got.tobytes() == expected.tobytes(), (b, angle_range)
                 out, scratch = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
-                assert power_gain(pattern, phi, out, scratch, angle_range=angle_range) is out
+                assert _gain_in_place(pattern, phi, angle_range, out, scratch) is out
                 assert out.tobytes() == expected.tobytes(), (b, angle_range)
 
     @pytest.mark.parametrize("boresight", [60.0, -60.0])
@@ -218,11 +230,12 @@ class TestKnownAngleRange:
         pattern = AntennaPattern.gaussian(20.0, boresight_deg=boresight)
         phi = np.linspace(-180.0, 180.0, 100_000)
         out, scratch = np.empty_like(phi), np.empty_like(phi)
-        power_gain(pattern, phi, out, scratch)  # first call outside the trace
-        for angle_range in (None, (-180.0, 180.0)):  # both call for the candidate
+        scanned = (float(phi.min()), float(phi.max()))
+        _gain_in_place(pattern, phi, scanned, out, scratch)  # first call outside the trace
+        for angle_range in (scanned, (-180.0, 180.0)):  # both call for the candidate
             tracemalloc.start()
             try:
-                power_gain(pattern, phi, out, scratch, angle_range=angle_range)
+                _gain_in_place(pattern, phi, angle_range, out, scratch)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

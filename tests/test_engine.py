@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -50,7 +51,7 @@ def pattern(hpbw, boresight):
 class TestConservation:
     def test_builtin_scenario(self):
         paths = run_realization(scenario("A", "same", alpha_t_deg=180.0))
-        assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+        assert float(paths.raw_power_lin.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_random_configs(self, rng):
         for trial in range(30):
@@ -68,7 +69,7 @@ class TestConservation:
                 rice_factor_db=None if trial % 2 else float(rng.uniform(-10, 20)),
                 seed=int(rng.integers(0, 2**32)),
             )
-            assert run_realization(cfg).raw_power_sum == pytest.approx(1.0, abs=1e-9)
+            assert float(run_realization(cfg).raw_power_lin.sum()) == pytest.approx(1.0, abs=1e-9)
 
     @given(tx_hpbw=st.none() | usually_in(0.5, 359.0), tx_at=usually_in(-180.0, 180.0),
            rx_hpbw=st.none() | usually_in(0.5, 359.0), rx_at=usually_in(-180.0, 180.0),
@@ -90,7 +91,7 @@ class TestConservation:
             return
         assert np.isfinite(paths.aoa_deg).all()
         assert np.isfinite(paths.power_lin).all()
-        assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+        assert float(paths.raw_power_lin.sum()) == pytest.approx(1.0, abs=1e-9)
         # The source slices tile the paths in order, and a Rice factor puts
         # exactly one path under the direct path's kind.
         stops = [block.stop for _, _, block in paths.sources]
@@ -160,14 +161,14 @@ class TestRiceFactor:
         assert paths.sources[-1] == (SourceKind.LOS, -1, slice(size - 1, size))
         assert paths.aoa_deg[-1] == 0.0
         assert paths.raw_power_lin[-1] > 0.999
-        assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+        assert float(paths.raw_power_lin.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_finite_k_split(self):
         cfg = scenario("A", "omni", seed=2, rice_factor_db=10.0)
         paths = run_realization(cfg)
         direct = of_kind(paths, SourceKind.LOS, paths.raw_power_lin)
         assert direct.sum() == pytest.approx(10.0 / 11.0, rel=1e-12)
-        assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+        assert float(paths.raw_power_lin.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_k_beyond_float_range_is_the_infinite_limit(self):
         # 10 ** (4000 / 10) overflows a float
@@ -229,7 +230,7 @@ class TestOrderingAndRouting:
         local = of_kind(paths, SourceKind.LOCAL_SCATTER, paths.raw_power_lin)
         assert local.size == 37  # drawn either way, just carrying no power
         assert np.all(local == 0.0)
-        assert paths.raw_power_sum == pytest.approx(1.0, abs=1e-9)
+        assert float(paths.raw_power_lin.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 def per_cluster_labels(cfg):
@@ -557,11 +558,18 @@ class TestOmniReweight:
                                          paths_per_cluster=100, rice_factor_db=6.0))
         shared = reweight(paths, AntennaPattern.omni())
         assert shared.power_lin is paths.raw_power_lin
-        out = np.full_like(paths.power_lin, np.nan)
-        copied = reweight(paths, AntennaPattern.omni(), out=out)
-        assert copied.power_lin is out
-        assert out.tobytes() == paths.raw_power_lin.tobytes()
-        assert not np.shares_memory(out, paths.raw_power_lin)
+
+    @pytest.mark.parametrize("keyword, value", [
+        ("out", np.empty(1)), ("scratch", np.empty(1)), ("angle_range", (0.0, 0.0))])
+    def test_takes_no_buffers_and_no_trusted_range(self, keyword, value):
+        # A range that does not bound the angles once gave zero powers here.
+        raw = np.array([1.0])
+        paths = PathSet(np.array([-170.0]), raw, raw, ((SourceKind.CLUSTER, 1, slice(0, 1)),))
+        rx = AntennaPattern.gaussian(20.0, boresight_deg=170.0)
+        assert reweight(paths, rx).power_lin.tolist() == [pytest.approx(0.0625, rel=1e-12)]
+        with pytest.raises(TypeError):
+            reweight(paths, rx, **{keyword: value})
+        assert list(inspect.signature(reweight).parameters) == ["paths", "rx_pattern"]
 
 
 class TestRealizationMemory:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiell.antenna import AntennaPattern
+from multiell.antenna import AntennaPattern, _gain_in_place
 from multiell.cli import _fmt
 from multiell.engine import aim_realization, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
@@ -526,12 +526,6 @@ class TestSweepEquivalence:
             assert same_bits(getattr(got, name), getattr(expected, name)), name
             assert same_bits(getattr(paths_a, name), before[name]), name
         assert got.sources == expected.sources == paths_a.sources
-        out = np.full_like(paths_a.aoa_deg, np.nan)
-        assert reweight(paths_a, cfg_b.rx_pattern, out=out).power_lin is out
-        assert same_bits(out, expected.power_lin)
-        span = (float(paths_a.aoa_deg.min()), float(paths_a.aoa_deg.max()))
-        got = reweight(paths_a, cfg_b.rx_pattern, angle_range=span)
-        assert same_bits(got.power_lin, expected.power_lin)
 
     # -180 and 180 are one boresight; an rx sweep keeps the tx at 30
     @pytest.mark.parametrize("axis, boresights", [(SweepAxis.TX_ORIENTATION, [180.0, 0.0]),
@@ -545,28 +539,33 @@ class TestSweepEquivalence:
         import multiell.stats
         weighted, aimed = [], []
 
-        def recording_reweight(paths, rx_pattern, out=None, scratch=None, *,
-                               angle_range=None):
-            weighted.append((out, scratch))
-            return reweight(paths, rx_pattern, out=out, scratch=scratch,
-                            angle_range=angle_range)
+        def recording_gain(pattern, phi, span, out, scratch=None):
+            weighted.append((phi, out, scratch))
+            return _gain_in_place(pattern, phi, span, out, scratch)
 
         def recording_aim(draws, boresight_deg, out):
             aimed.append((boresight_deg, out))
             return aim_realization(draws, boresight_deg, out)
 
-        monkeypatch.setattr(multiell.stats, "reweight", recording_reweight)
+        monkeypatch.setattr(multiell.stats, "_gain_in_place", recording_gain)
         monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
         cfg = scenario("A", "same", alpha_t_deg=30.0, paths_per_cluster=30, seed=4)
         sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
         assert [b for b, _ in aimed] == boresights * 2
         assert len(weighted) == 6
-        out, scratch = weighted[0]
+        _, out, scratch = weighted[0]
         angles = aimed[0][1]
         assert out is not None and scratch is not None
-        assert all(o is out and s is scratch for o, s in weighted)
+        assert all(p is angles and o is out and s is scratch for p, o, s in weighted)
         assert all(a is angles for _, a in aimed)
         assert len({id(angles), id(out), id(scratch)}) == 3
+        # An omni receiver weights nothing: no gain is computed.
+        weighted.clear()
+        aimed.clear()
+        sweep_as(replace(cfg, rx_pattern=AntennaPattern.omni()), axis, [-180.0, 180.0, 0.0],
+                 trials=2)
+        assert [b for b, _ in aimed] == boresights * 2
+        assert weighted == []
 
     @pytest.mark.parametrize("axis, rx, alpha_r, angles, scans", [
         (SweepAxis.TX_ORIENTATION, "same", 0.0, [-90.0, 0.0, 90.0], False),
@@ -579,24 +578,21 @@ class TestSweepEquivalence:
     def test_sweep_scans_the_range_once_per_aim_for_a_directional_rx(
             self, axis, rx, alpha_r, angles, scans, monkeypatch):
         # Only a directional receiver turned off 0 at some point can need the
-        # scanned range. Every other sweep passes (-180, 180), which bounds
-        # every aimed angle and, at boresight +-0, calls for no wrap
-        # candidate; an omni receiver reads no range at all.
+        # scanned range. Every other directional sweep passes (-180, 180),
+        # which bounds every aimed angle and, at boresight +-0, calls for no
+        # wrap candidate; an omni receiver computes no gain at all.
         import multiell.stats
         ranges = []
 
-        def recording_reweight(paths, rx_pattern, out=None, scratch=None, *,
-                               angle_range=None):
-            aoa = paths.aoa_deg
-            ranges.append((angle_range, (float(aoa.min()), float(aoa.max()))))
-            return reweight(paths, rx_pattern, out=out, scratch=scratch,
-                            angle_range=angle_range)
+        def recording_gain(pattern, phi, span, out, scratch=None):
+            ranges.append((span, (float(phi.min()), float(phi.max()))))
+            return _gain_in_place(pattern, phi, span, out, scratch)
 
-        monkeypatch.setattr(multiell.stats, "reweight", recording_reweight)
+        monkeypatch.setattr(multiell.stats, "_gain_in_place", recording_gain)
         cfg = scenario("A", rx, alpha_t_deg=170.0, alpha_r_deg=alpha_r, paths_per_cluster=30,
                        seed=4)
         result = sweep_as(cfg, axis, angles, trials=2)
-        assert len(ranges) == 6
+        assert len(ranges) == (0 if rx == "omni" else 6)
         for span, scanned in ranges:
             assert span[0] <= scanned[0] and scanned[1] <= span[1]
             assert span == (scanned if scans else (-180.0, 180.0))
