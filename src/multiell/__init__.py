@@ -1,11 +1,5 @@
 """multiell: seedable Monte Carlo simulation of angle-of-arrival dispersion
-on confocal-ellipse link geometry.
-
-A power delay profile fixes a family of ellipses with the transmitter and
-receiver at the foci; antenna patterns shape the departure angles and weight
-the arriving power; the outputs are the power angular spectrum and the rms
-angle spread, with orientation sweeps for both link ends.
-"""
+on confocal-ellipse link geometry (see README.md)."""
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain, sigma_from_hpbw
 from .engine import PathSet, ScenarioConfig, SourceKind, reweight, run_realization

@@ -82,12 +82,12 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
 
 
 def power_gain(pattern: AntennaPattern, phi_deg):
-    """Normalized power gain at azimuth ``phi_deg`` (1 at boresight).
+    """Normalized power gain at azimuth ``phi_deg`` (1 at boresight): a new
+    array for an array, a float for a scalar.
 
-    Omni patterns return 1 everywhere. Gaussian patterns use the shortest
-    angular distance to boresight, with the bits of the wrapped difference
-    ``wrap_degrees(phi - boresight)``. Accepts scalars or arrays. An angle
-    outside [-180, 180] is wrapped first with :func:`wrap_degrees`.
+    Omni: 1 everywhere. Gaussian: ``exp(-d**2 / (2 sigma**2))`` with ``d``
+    the wrapped difference ``wrap_degrees(phi - boresight)``, bit for bit
+    (the shortest-arc argument is at ``_gain_in_place``).
     """
     phi = np.asarray(phi_deg, dtype=float)
     if pattern.kind is PatternKind.OMNI:
@@ -103,35 +103,31 @@ def power_gain(pattern: AntennaPattern, phi_deg):
 
 def _gain_in_place(pattern: AntennaPattern, phi: np.ndarray, span: tuple[float, float],
                    out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    # The Gaussian ``pattern``'s gain at ``phi``, written into ``out`` (an
-    # array shaped like ``phi``) and returned. Precondition, not checked:
-    # every ``phi`` lies in [-180, 180] and ``span = (lo, hi)`` bounds them.
-    # ``scratch``, shaped like ``out``, holds the wrap candidate; without it
-    # one is made where a candidate is needed.
+    # The Gaussian ``pattern``'s gain at ``phi``, written into ``out`` (shaped
+    # like ``phi``) and returned. Precondition, not checked: every ``phi``
+    # lies in [-180, 180] and ``span = (lo, hi)`` bounds them. ``scratch``,
+    # shaped like ``out``, holds the wrap candidate; one is made if needed.
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
     boresight = pattern.boresight_deg
     lo, hi = span
-    # The shortest arc, taken without selecting the paths to wrap. With ``phi``
-    # in [-180, 180] and the boresight ``b`` in (-180, 180], ``d = phi - b`` can
-    # leave (-180, 180] on one side only: below -180 when ``b >= 0``, above 180
-    # when ``b < 0``. Where it can, the smaller of two signed candidates is
-    # squared, once. For ``b >= 0`` they are ``-d``, computed as ``b - phi``
-    # (rounding is symmetric, so these are the bits of ``-d``), and
-    # ``s = (540 - (b - phi)) - 180``. Where ``d < -180``, ``d + 180`` and the
-    # last ``- 180`` of the wrap ``((d + 180) + 360) - 180`` are exact
-    # (Sterbenz), so that wrap equals ``s``, which lies in [0, 180), below
-    # ``-d``; elsewhere ``s`` is at least 180, so at least ``-d``, and the
-    # minimum keeps ``-d``, whose square is that of ``d``. For ``b < 0`` they
-    # are ``d`` and ``c = 540 - (d + 180)``: the subtraction is exact, so where
-    # ``d > 180`` ``c`` is the magnitude of the wrap ``((d + 180) - 360) - 180``,
-    # in [0, 180) and below ``d``, and elsewhere ``c`` is at least 180, so at
-    # least ``d``. (The bounds hold through rounding, which is monotonic.)
-    # Either way the square is that of the wrapped difference, bit for bit, and
-    # a NaN passes through. Where both candidates are 180 the squares are
-    # equal, which also covers the wrap sending -180 to 180. Rounding keeps
-    # every ``d`` between the differences of the ends of ``span``; when those
-    # stay in [-180, 180], no ``d`` wraps and no candidate is computed, and a
-    # candidate computed where none is needed is never the smaller one.
+    # The shortest arc, with the wrapped difference's bits, selecting no
+    # paths. With the boresight b in (-180, 180], d = phi - b can leave
+    # (-180, 180] on one side only: below -180 if b >= 0, above 180 if b < 0.
+    # Where it can, the smaller of two signed candidates is squared, once.
+    # For b >= 0 they are -d, computed as b - phi (rounding is symmetric), and
+    # s = (540 - (b - phi)) - 180. Where d < -180, d + 180 and the last - 180
+    # of the wrap ((d + 180) + 360) - 180 are exact (Sterbenz), so that wrap
+    # equals s, in [0, 180) and below -d; elsewhere s >= 180 >= -d, and the
+    # minimum keeps -d, whose square is that of d. For b < 0 they are d and
+    # c = 540 - (d + 180), an exact subtraction: where d > 180, c is the
+    # magnitude of the wrap ((d + 180) - 360) - 180, in [0, 180) and below d;
+    # elsewhere c >= 180 >= d. (The bounds hold through rounding, which is
+    # monotonic.) So the square is the wrapped difference's, bit for bit, a
+    # NaN passes through, and where both candidates are 180 (the wrap sends
+    # -180 to 180) the squares are equal. Rounding keeps every d between the
+    # differences of the ends of ``span``: when those stay in [-180, 180] no
+    # d wraps and no candidate is computed, and a candidate computed where
+    # none is needed is never the smaller one.
     if lo - boresight < -180.0 or hi - boresight > 180.0:
         if scratch is None:
             scratch = np.empty_like(out)
@@ -157,16 +153,15 @@ def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
     """Fill ``out`` with departure draws taken relative to the boresight, and
     return a bound on their magnitude: every ``abs(out)`` is at most it.
 
-    Omni: the departure angles themselves, uniform on [-180, 180), with the
-    bound 180. Gaussian: sigma * z with z standard normal, which is what
-    ``rng.normal(boresight, sigma)`` adds to the boresight, bit for bit and
-    from the same stream. An offset beyond +-180 degrees is drawn again (the
-    normal is truncated to boresight +-180), for at most
-    ``_MAX_REDRAW_ROUNDS`` rounds. The rule reads only the offset, so the
-    draws hold at every boresight. The bound is the largest magnitude, which
-    the redraw check takes anyway, as the larger of the largest draw and
-    minus the smallest (0 for an empty ``out``): the same value as the
-    largest ``abs(out)`` without a temporary the size of ``out``.
+    Omni: the departures themselves, uniform on [-180, 180), bound 180.
+    Gaussian: sigma * z with z standard normal, what ``rng.normal(boresight,
+    sigma)`` adds to the boresight, bit for bit and from the same stream; an
+    offset beyond +-180 is drawn again (the normal truncated to boresight
+    +-180), and ``MultiellError`` is raised after ``_MAX_REDRAW_ROUNDS``
+    rounds. The rule reads only the offset, never the boresight, so the
+    draws hold at every boresight. The bound is the larger of the largest
+    draw and minus the smallest (0 for an empty ``out``), which the redraw
+    check takes anyway: negation is exact, so it is the largest magnitude.
     """
     if pattern.kind is PatternKind.OMNI:
         rng.random(out=out)

@@ -1,11 +1,9 @@
 """Command-line front end: orientation sweeps and angular-spectrum exports
 as CSV, plus a listing of the bundled presets.
 
-Scenario sources are a flat key-value config file (``section.key = value``,
-with ``#`` comments) or a named preset; ``--set key=value`` overrides
-individual entries and the fully resolved mapping is echoed as a comment
-header in every output file, so results are self-describing and reproducible
-byte for byte. Keys outside the schema are rejected rather than echoed.
+A scenario comes from a flat ``section.key = value`` config file or a named
+preset, with ``--set key=value`` overrides; unknown keys are rejected. Every
+output file echoes the resolved mapping as a ``#`` header.
 """
 
 from __future__ import annotations
@@ -256,11 +254,10 @@ def _resolve_mapping(args) -> dict[str, str]:
 
 def _write_csv(path: str, command: str, mapping: dict[str, str], *tables) -> None:
     """Write a title line, the resolved ``mapping`` as ``#`` lines, then each
-    ``(heading lines, columns)`` table, one line of cells per row. The
-    columns are equal-length lists or 1-D arrays of floats or ints, and each
-    cell is written as ``_fmt`` writes it: ``"%.12g"`` formats a float as
-    ``format(x, ".12g")`` does, and ``"%s"`` an int as ``str``. The rows go
-    to the file a chunk at a time, each chunk formatted by one ``%``."""
+    ``(heading lines, columns)`` table, one line of cells per row and one
+    ``%`` per chunk of rows. The columns are equal-length lists or 1-D arrays
+    of floats or ints; ``"%.12g"`` writes a float as ``_fmt`` does
+    (``format(x, ".12g")``), and ``"%s"`` an int as ``str``."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# multiell {command}\n# resolved-config\n")
         f.writelines(f"# {k} = {mapping[k]}\n" for k in sorted(mapping))

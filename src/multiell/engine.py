@@ -21,7 +21,7 @@ from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
 from .geometry import (DEGENERATE_DELAY_S, _aoa_in_place, _half_angle_ratio,
                        _require_finite_positive, eccentricity_from_delay)
-from .pdp import NormalizedPdp, scale_pdp
+from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
 _MAX_SEED = 2**64
@@ -48,8 +48,6 @@ class PathSet:
 
     ``power_lin`` holds powers after receive-pattern weighting;
     ``raw_power_lin`` holds the pre-weighting powers, which sum to one.
-    An omni receive pattern weights nothing, so :func:`reweight` makes the
-    raw-power array itself the ``power_lin``, shared, not copied.
     """
 
     aoa_deg: np.ndarray
@@ -75,9 +73,7 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _require_finite_positive("txrx_distance_m", self.txrx_distance_m, ConfigError)
-        _require_finite_positive("ds_s", self.ds_s, ConfigError)
-        if not math.isfinite(self.ds_s * self.pdp.taps[-1][0]):
-            raise ConfigError(f"ds_s {self.ds_s} makes the last tap's delay overflow")
+        _require_delay_spread(self.pdp, self.ds_s, ConfigError)
         if not 1 <= self.paths_per_cluster <= _MAX_PATHS_PER_CLUSTER:
             raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
                               f" got {self.paths_per_cluster}")
@@ -100,28 +96,18 @@ def _rice_split(rice_factor_db: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Draws:
-    """Every random draw of one realization, kept apart from the transmit
-    boresight so that one set of draws serves many boresights.
+    """Every random draw of one realization, apart from the transmit
+    boresight: one set of draws serves every boresight (see
+    :func:`~multiell.antenna.draw_aod_offsets`).
 
-    ``angles`` is one buffer with an entry per path. Its head, ``offsets``,
-    is a view with one row of ``paths_per_cluster`` departure draws per
-    geometric cluster, relative to the boresight for a Gaussian pattern
-    (see :func:`~multiell.antenna.draw_aod_offsets`), and ``offset_bound``
-    bounds their magnitude: it is the largest magnitude of any offset, 0
-    for no offsets.
-    ``ratios`` has one row per cluster, the ratio (1 - e) / (1 + e) of the
-    half-angle map (see :func:`~multiell.geometry.aoa_from_aod`) for the
-    cluster's eccentricity e, computed once here rather than at every aim.
-    Its tail, ``tail_aoa``, holds the arrival angles
-    that follow the clusters: local scattering, then the direct path under
-    a Rice factor. ``raw_power_lin`` covers every path and ``sources`` its
-    layout (see :class:`PathSet`); neither depends on a boresight. Under a
-    Rice factor K each row of scattered powers is scaled by 1 / (K + 1) as
-    it is drawn, and the direct path takes K / (K + 1). ``relative``
-    says whether the offsets are taken relative to the transmit boresight
-    (False for an omni transmitter, whose draws are the departures
-    themselves). No draw depends on the boresight, so the draws hold at
-    every one, until :func:`aim_realization` aims them in ``angles``.
+    ``angles`` has an entry per path. Its head, ``offsets``, is a view with
+    one row of ``paths_per_cluster`` departure draws per geometric cluster,
+    relative to the boresight if ``relative`` (an omni transmitter's draws
+    are the departures themselves); ``offset_bound`` bounds their magnitude.
+    Its tail, ``tail_aoa``, holds the arrival angles of local scattering,
+    then of the direct path under a Rice factor. ``ratios`` has one row per
+    cluster, (1 - e) / (1 + e) for its eccentricity e. ``raw_power_lin``
+    and ``sources`` are laid out as in :class:`PathSet`.
     """
 
     relative: bool
@@ -178,13 +164,13 @@ def draw_realization(config: ScenarioConfig,
     clusters = np.flatnonzero(geometric)
     direct = config.rice_factor_db is not None
     if direct:
-        # Each scattered row is scaled right after its budget: the same two
-        # multiplies, in the same order, as a scaling of all rows at the end.
+        # Scaling each scattered row as soon as it is drawn gives every power
+        # the same two multiplies, in the same order, as one pass over all
+        # rows after the loop would, so the powers have that pass's bits.
         scatter_scale, direct_share = _rice_split(config.rice_factor_db)
     raw = np.empty((clusters.size + 1) * n + direct)
     # One row of n per cluster, then local scattering; the direct path is last.
     raw_rows = raw[:raw.size - direct].reshape(-1, n)
-    # The angles follow the same layout as the raw powers.
     angles = np.empty(raw.size)
     offsets = angles[:clusters.size * n].reshape(clusters.size, n)
     ratios = _half_angle_ratio(eccentricity_from_delay(delays[clusters],
@@ -226,28 +212,15 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
     """Write into ``out``, a float array with one entry per path, the arrival
     angles that ``draws`` give with the transmit beam turned to
     ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
-    omni transmitter ignores it), and return ``out``.
-
-    Each departure is the boresight plus its offset, wrapped and mapped
-    through its cluster's ellipse in one pass over all clusters. The angles
-    equal those of :func:`run_realization` of the same config turned to
-    ``boresight_deg``, from the same stream, bit for bit. ``out=draws.angles``
-    aims the draws in their own buffer, which uses them up: aim them only
-    once that way.
-
-    The map skips what cannot change a bit. With every offset in [-m, m]
-    (``m`` the draws' ``offset_bound``), rounding, which is monotonic, keeps
-    every departure ``b + offset`` in [b - m, b + m] as rounded. When that
-    lies in (-180, 180], no departure needs the wrap, and when it also ends
-    below 180, no departure is 180 and needs the fix-up after the map; both
-    are skipped. Only boresights within ``m`` of +-180 wrap. An omni
-    transmitter's bound is 180, so its one aim per draw always wraps (a
-    draw of -180 becomes 180).
+    omni transmitter ignores it), and return ``out``: those of
+    :func:`run_realization` at that boresight, from the same stream, bit
+    for bit. ``out=draws.angles`` aims in the draws' own buffer and uses
+    them up. The wrap and the fix-up at 180 run only where the boresight
+    and ``offset_bound`` reach +-180 (see ``geometry._aoa_in_place``).
     """
     departures = out[:draws.offsets.size].reshape(draws.offsets.shape)
     shift = boresight_deg if draws.relative else 0.0
-    # Adding +0.0, or any other shift, leaves no -0.0 (the map keeps
-    # sgn(0) = +1), and the wrap makes none.
+    # The bounds and the + 0.0 are what _aoa_in_place's skips and signs need.
     np.add(draws.offsets, shift + 0.0, out=departures)
     m = draws.offset_bound
     _aoa_in_place(departures, draws.ratios, (shift - m, shift + m))
@@ -258,12 +231,16 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
 def run_realization(config: ScenarioConfig,
                     rng: np.random.Generator | None = None) -> PathSet:
     """Generate one set of propagation paths for the scenario: the draws of
-    :func:`draw_realization`, aimed at the transmit boresight in their own
-    angle buffer (:func:`aim_realization`), then weighted by the receive
-    pattern (:func:`reweight`). The paths share the draws' arrays.
+    :func:`draw_realization` (``rng`` as there), aimed at the transmit
+    boresight (:func:`aim_realization`), then weighted by the receive
+    pattern (:func:`reweight`).
 
-    ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
-    pass an unused generator for reproducibility when providing one.
+    The paths hold one float array of angles and one of raw powers, plus
+    the weighted powers of a directional receiver: the draws are aimed in
+    their own buffer, and an omni receiver's ``power_lin`` is the raw-power
+    array itself. Neither moves a bit: the aim adds the boresight and maps
+    each angle element by element, so every output reads only its own
+    input, and a gain of exactly 1 would change no power.
     """
     draws = draw_realization(config, rng)
     aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
@@ -276,7 +253,7 @@ def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
     under another receive pattern. The angle and raw-power arrays and the
     ``sources`` are shared with ``paths``; nothing in ``paths`` is modified.
     An omni pattern weights nothing: its ``power_lin`` is
-    ``paths.raw_power_lin`` itself."""
+    ``paths.raw_power_lin`` itself (see :func:`run_realization`)."""
     raw = weighted = paths.raw_power_lin
     if rx_pattern.kind is not PatternKind.OMNI:
         weighted = power_gain(rx_pattern, paths.aoa_deg)

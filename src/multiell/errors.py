@@ -32,7 +32,7 @@ class EmptyProfile(MultiellError):
 
 
 class InvalidDs(MultiellError):
-    """Delay spread must be positive."""
+    """Delay spread is not finite and positive, or overflows the last tap's delay."""
 
 
 class KappaOutOfRange(MultiellError):

@@ -1,12 +1,10 @@
 """Confocal-ellipse link geometry.
 
 Each time-cluster of a power delay profile maps to one ellipse whose foci
-hold the transmitter and receiver: every point on the ellipse gives the same
-total Tx-scatterer-Rx path length, D + c * delay for the cluster's excess
-delay. Only the eccentricity, D over that path length, enters the
-single-bounce angle map, so :func:`eccentricity_from_delay` is the whole
-step from delays to geometry and :func:`aoa_from_aod` maps departures to
-arrivals with it.
+hold the transmitter and receiver, on which every Tx-scatterer-Rx path has
+the length D + c * delay. Only its eccentricity enters the single-bounce
+angle map: :func:`eccentricity_from_delay` takes delays to geometry and
+:func:`aoa_from_aod` maps departures to arrivals.
 
 Coordinate frame: Tx focus at (-D/2, 0), Rx focus at (+D/2, 0), with D the
 Tx-Rx distance. Angles are in degrees on (-180, 180].
@@ -36,13 +34,9 @@ DEGENERATE_DELAY_S = 1e-10
 def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     """Wrap a C-contiguous float array into (-180, 180] in place and return it.
 
-    Values already inside the interval are not touched, so angles far below
-    the 180-degree rounding scale keep full precision. Only the others are
-    read and written, as ``(a + 180) % 360 - 180`` with -180 sent to 180.
-    Its callers are the departure wrap of the angle map, which skips it
-    when the departures' bounds show that none leaves the interval, and
-    :func:`wrap_degrees`; the receive gain takes the shorter arc without it
-    (see ``antenna._gain_in_place``).
+    Values already inside the interval are not written, so they keep every
+    bit; the others become ``(a + 180) % 360 - 180``, with -180 sent to 180.
+    Raises ``ValueError`` for an array that is not C-contiguous.
     """
     if not angles.flags.c_contiguous:
         raise ValueError("wrap_in_place needs a C-contiguous array")
@@ -120,7 +114,7 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     angle array its own ellipse.
     """
     phi = np.asarray(phi_t_deg, dtype=float)
-    # A C-ordered copy with -0.0 turned into +0.0, as _aoa_in_place takes it.
+    # A C-ordered copy; adding 0.0 turns -0.0 into +0.0, as _aoa_in_place needs.
     out = _aoa_in_place(np.add(np.atleast_1d(phi), 0.0, order="C"),
                         _half_angle_ratio(eccentricity))
     return float(out[0]) if phi.ndim == 0 else out
@@ -139,21 +133,22 @@ def _aoa_in_place(angles: np.ndarray, ratio, bounds: tuple[float, float] | None 
                   ) -> np.ndarray:
     # aoa_from_aod on a C-contiguous float array that holds no -0.0,
     # overwriting and returning it; ``ratio`` comes from _half_angle_ratio.
-    # ``bounds``, if given, is a (lo, hi) with lo <= every angle <= hi. When
-    # lo > -180 and hi <= 180 every angle is already in (-180, 180], so the
-    # wrap, which would touch none of them, is skipped; when moreover
-    # hi < 180 no angle is 180, so the fix-up of the angles at 180 is
-    # skipped too. Either way every bit is the one the full map writes.
+    # ``bounds``, if given, is a (lo, hi) with lo <= every angle <= hi; a
+    # caller adding a shift b to values in [-m, m] may pass (b - m, b + m) as
+    # rounded, since rounding is monotonic. When lo > -180 and hi <= 180 the
+    # wrap would touch no angle and is skipped; when moreover hi < 180 no
+    # angle is 180 and the fix-up at 180 is skipped too. Every step of the
+    # map is odd bit for bit (numpy's tan and arctan included), so an angle
+    # maps to sgn(aod) times the map of |aod|, with sgn(0) = +1 as long as no
+    # -0.0 enters. None does: a sum is -0.0 only when both terms are, so
+    # filling the array by adding +0.0 or a nonzero shift makes none, and
+    # the wrap makes none.
     if bounds is None or not (bounds[0] > -180.0 and bounds[1] <= 180.0):
         out = wrap_in_place(angles)
         fix_up = True
     else:
         out = angles
         fix_up = bounds[1] == 180.0
-    # Every step below is odd bit for bit (numpy's tan and arctan included),
-    # so a signed angle maps to sgn(aod) times the map of |aod|. The angles
-    # hold no -0.0 (the callers add 0 as they fill them, and the wrap makes
-    # none), which keeps sgn(0) = +1.
     if fix_up:
         back = out == 180.0
     out *= 0.5  # the same rounding of the same real as out /= 2.0

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyProfile, InvalidDs, MultiellError, ParseError, UnsortedDelays
+from .geometry import _require_finite_positive
 
 BUILTIN_NLOS = "builtin:nlos3gpp"
 
@@ -112,15 +113,22 @@ def resolve_pdp(source: str) -> NormalizedPdp:
     return load_pdp(source)
 
 
+def _require_delay_spread(pdp: NormalizedPdp, ds_s, error: type[Exception]) -> None:
+    _require_finite_positive("ds_s", ds_s, error)
+    if not math.isfinite(float(ds_s) * pdp.taps[-1][0]):
+        raise error(f"ds_s {ds_s} makes the last tap's delay overflow")
+
+
 def scale_pdp(pdp: NormalizedPdp, ds_s: float) -> ScaledPdp:
     """Multiply normalized delays by the delay spread and normalize powers.
 
     Powers convert from dB to linear and are rescaled to sum to one, so the
-    engine can treat cluster powers as a budget. Raises ``MultiellError``
-    when the linear total is zero or overflows.
+    engine can treat cluster powers as a budget. Raises ``InvalidDs`` for a
+    delay spread that is not finite and > 0 or that makes the last tap's
+    delay overflow, and ``MultiellError`` when the linear total is zero or
+    overflows.
     """
-    if ds_s <= 0.0:
-        raise InvalidDs(f"delay spread must be > 0, got {ds_s}")
+    _require_delay_spread(pdp, ds_s, InvalidDs)
     delays = np.array([t[0] for t in pdp.taps], dtype=float) * ds_s
     with np.errstate(over="ignore"):  # an overflow is reported just below
         powers = 10.0 ** (np.array([t[1] for t in pdp.taps], dtype=float) / 10.0)

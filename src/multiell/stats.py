@@ -32,20 +32,18 @@ _MAX_PAS_BINS = 3_600_000
 # larger: each block's temporaries stay a few hundred kB at 0.1-degree bins.
 _PAS_BLOCK = 2**15
 
-# Half the band, in bins, around each PAS bin edge in which an angle's bin
-# by floor is checked against the edges. The floor is exact outside it: the
-# position q = fl(fl(x - lo) * fl(1 / width)) takes three roundings of
-# relative size u = 2**-53, at most 3u * 3.6e6 < 1.2e-9 bins at the most
-# bins allowed, and each edge fl(-180 + fl(width * k)) is off by at most
-# 540u degrees, under 6e-10 bins at the narrowest width (1e-4 degrees).
-# An angle whose q lies more than 1e-6 from every whole number is thus more
-# than 1e-6 - 2e-9 bins from every edge as rounded, a margin above 100x.
+# Half the band, in bins, around each PAS bin edge inside which
+# numpy.histogram's two comparisons against the edges settle an angle's bin.
+# Outside it the floor of the position q = fl(fl(x - lo) * fl(1 / width)) is
+# exact: q takes three roundings of relative size u = 2**-53, at most
+# 3u * 3.6e6 < 1.2e-9 bins at the most bins allowed, and each edge
+# fl(-180 + fl(width * k)) is off by at most 540u degrees, under 6e-10 bins
+# at the narrowest width (1e-4 degrees). A q more than 1e-6 from every whole
+# number is thus more than 1e-6 - 2e-9 bins from every edge as rounded, a
+# margin above 100x. So every bin holds exactly numpy.histogram's angles.
 _EDGE_BAND = 1e-6
 
-# Path powers whose total lies outside this range are divided by the
-# largest of them first. Above it the spread's weighted sums, at most 360**2
-# times the total, or the PAS norm, the total times the bin width, could
-# overflow; below it that norm (the width is at least 1e-4) could underflow.
+# Path-power totals taken as they are; see _total_power.
 _MIN_TOTAL_POWER = 1e-300
 _MAX_TOTAL_POWER = 1e300
 
@@ -55,10 +53,8 @@ _MAX_SWEEP_TRIALS = 10_000
 
 @dataclass(frozen=True)
 class AngularSpectrum:
-    """Power-weighted arrival-angle density on uniform circular bins.
-
-    ``density_per_deg`` integrates to one over (-180, 180].
-    """
+    """Power-weighted arrival-angle density on uniform circular bins;
+    ``density_per_deg`` integrates to one over (-180, 180]."""
 
     bin_centers_deg: np.ndarray
     density_per_deg: np.ndarray
@@ -77,7 +73,10 @@ class SweepResult:
 def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
     # The powers and their total, which must be positive. A total outside
     # [_MIN_TOTAL_POWER, _MAX_TOTAL_POWER] is taken again over the powers
-    # divided by the largest, which then sum to between 1 and the path count.
+    # divided by the largest (a copy), which sum to between 1 and the path
+    # count. Inside the range the spread's weighted sums, at most 360**2
+    # times the total, and the PAS norm, the total times a bin width of at
+    # least 1e-4, neither overflow nor underflow.
     total = power_lin.sum()
     if not total > 0.0:  # NaN fails this too
         raise NoPower(f"total path power is {total}")
@@ -102,16 +101,10 @@ def angular_spread(paths: PathSet) -> float:
     """rms angle spread in degrees: the square root of the power-weighted
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
-    of the definition).
-
-    The moment is centered: the weighted mean first, then the weighted
-    mean square of the deviations from it, so no large second moment
-    cancels against the squared mean. The path powers are left as they
-    are; the deviations take one path-sized array. Powers whose total is
-    above 1e300 or below 1e-300 are divided by the largest of them first
-    (a copy), so the weighted sums neither overflow nor lose their digits.
-    Raises ``NoPower``, naming the path, for a negative, NaN or infinite
-    power, and for a total that is not positive."""
+    of the definition). Takes one path-sized temporary; the precision
+    arguments are at ``_spread_in_place`` and ``_total_power``. Raises
+    ``NoPower``, naming the path, for a negative, NaN or infinite power, and
+    for a total that is not positive."""
     _require_path_powers(paths.power_lin)
     with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
         return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
@@ -120,38 +113,28 @@ def angular_spread(paths: PathSet) -> float:
 def _spread_in_place(phi: np.ndarray, power: np.ndarray, deviation: np.ndarray) -> float:
     # angular_spread of ``power`` at ``phi`` in two passes, overwriting the
     # float array ``deviation`` (shaped like ``phi``) with the squared
-    # deviations from the weighted mean. np.einsum sums the products in the
-    # same order for any thread count; it calls no BLAS, unlike np.dot.
+    # deviations from the weighted mean. Being centered, it cancels no large
+    # second moment against the squared mean, and its second sum adds
+    # products of non-negative weights and squares, so it is never negative.
+    # np.einsum calls no BLAS, so no thread count sets its summation order.
     power, total = _total_power(power)
     mean = np.einsum("i,i->", power, phi) / total
     np.subtract(phi, mean, out=deviation)
     np.square(deviation, out=deviation)
-    return math.sqrt(max(np.einsum("i,i->", power, deviation) / total, 0.0))
+    return math.sqrt(np.einsum("i,i->", power, deviation) / total)
 
 
 def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -> AngularSpectrum:
     """Power-weighted histogram of arrival angles, normalized to unit mass.
 
-    ``bin_width_deg`` must divide 360 evenly, into at most 3,600,000 bins.
-    The bins are ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``:
-    each holds the angles in ``[edges[k], edges[k + 1])``, and the last one
-    holds ``edges[-1]`` too. Angles outside ``[edges[0], edges[-1]]`` and NaN
-    stay out of every bin but still count in the total power. Each bin's
-    power is a sum in path order, block by block, so its bits do not depend
-    on the thread count or the SIMD target.
-
-    An angle's bin is the floor of its offset from ``edges[0]`` times the
-    reciprocal width. That floor is exact unless the angle lies within
-    1e-6 bins of an edge: the roundings of the offset, the reciprocal, the
-    product and the edges add up to under 2e-9 bins at any allowed width.
-    The few angles within that band are placed by numpy.histogram's own
-    comparisons against the edges, so every bin holds exactly
-    numpy.histogram's angles.
-
-    Powers whose total is above 1e300 or below 1e-300 are divided by the
-    largest of them first, so that the total times the bin width neither
-    overflows nor underflows. Raises ``NoPower``, naming the path, for a
-    negative, NaN or infinite power, and for a total that is not positive.
+    ``bin_width_deg`` must be finite and divide 360 evenly, into at most
+    3,600,000 bins, or ``BadBinWidth`` is raised. The bins are
+    ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``, exactly
+    (see ``_EDGE_BAND``); angles outside the edges and NaN count in the
+    total power only. Each bin's power is a sum in path order, block by
+    block, whatever the thread count or SIMD target. Raises ``NoPower``,
+    naming the path, for a negative, NaN or infinite power, and for a total
+    that is not positive (see ``_total_power`` for totals near the limits).
     """
     if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
         raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
@@ -175,11 +158,8 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
 
 def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
                width: float) -> np.ndarray:
-    # Per-bin sums of ``power`` over the bins estimate_pas documents. An
-    # angle's bin is the floor of its position in bins, q = (x - lo) * (1 /
-    # width), except within _EDGE_BAND of an edge, where numpy.histogram's
-    # two comparisons against ``edges`` settle it. The buffers are made once
-    # per call, no larger than the angles.
+    # Sums of ``power`` per bin of estimate_pas: the floor of
+    # q = (x - lo) * (1 / width), settled against ``edges`` near an edge.
     n_bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     block = max(_PAS_BLOCK, n_bins)
@@ -225,19 +205,14 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     For each angle the corresponding boresight is overridden and
     ``trials`` independent realizations are run; rows are emitted
     angle-major, trial-minor. Aggregates report the mean and sample standard
-    deviation (0 for a single trial) per angle.
+    deviation (0 for a single trial) per angle. Raises ``ConfigError`` for
+    no angles and for ``trials`` outside [1, 10,000].
 
-    Each trial's stream is shared by every angle, and no draw depends on
-    either boresight, so one loop serves both axes. Each trial is drawn once.
-    Every trial has the same path count, so the sweep allocates three
-    path-sized buffers once: the arrival angles, re-aimed only when the
-    transmit boresight changes and only once per trial for an omni
-    transmitter (:func:`~multiell.engine.aim_realization`), the weighted
-    powers of a directional receiver, and a scratch array. The scratch
-    holds the receive gain's wrap candidate, then the spread's squared
-    deviations from the weighted mean (the centered reduction of
-    :func:`angular_spread`, bit for bit). An omni receiver weights nothing:
-    the spread reads the raw powers themselves.
+    Every spread equals :func:`angular_spread` of ``run_realization`` at that
+    point, from the trial's stream, bit for bit. Every angle shares that
+    stream, so each trial is drawn once (``antenna.draw_aod_offsets``) and
+    aimed again only when the transmit boresight changes, into three
+    path-sized buffers allocated once per sweep.
     """
     angles = [float(a) for a in angles_deg]
     if trials < 1:
@@ -253,11 +228,10 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     else:
         points = [(tx, rx.pointed_at(a)) for a in angles]
     spreads = np.empty((len(angles), trials))
-    # The gain kernel needs a range that bounds the aimed angles. Those lie
-    # in [-180, 180], and at a receive boresight of +-0 that range calls for
-    # no wrap candidate, like the scanned one, so the gains have the same
-    # bits; only a directional receiver turned off 0 somewhere scans the
-    # angles, once per aim.
+    # The gain kernel needs a span bounding the aimed angles, which lie in
+    # [-180, 180]. At a receive boresight of +-0 neither (-180, 180) nor a
+    # scanned span calls for a wrap candidate, so both give the same bits:
+    # only a directional receiver turned off 0 somewhere scans, once per aim.
     directional = rx.kind is not PatternKind.OMNI
     ranged = directional and any(rx_j.boresight_deg != 0.0 for _, rx_j in points)
     span = (-180.0, 180.0)

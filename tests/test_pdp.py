@@ -117,10 +117,11 @@ def test_scale_single_tap_unit_sum():
 
 
 def test_scale_rejects_bad_ds():
-    pdp = loads_pdp("0.0 0\n")
-    for bad in (0.0, -1e-9):
-        with pytest.raises(InvalidDs):
+    pdp = builtin_nlos_profile()  # 1e308 overflows its last delay, 4.7834 ds_s
+    for bad in (0.0, -1e-9, math.nan, math.inf, -math.inf, 1e308, 10**400):
+        with pytest.raises(InvalidDs) as caught:
             scale_pdp(pdp, bad)
+        assert len(str(caught.value)) < 100  # the value, not 401 digits
 
 
 def test_scale_preserves_count_order_and_mass(rng):
