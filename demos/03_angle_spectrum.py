@@ -1,6 +1,7 @@
 """Power angular spectrum of one realization.
 
-Antenna A at both ends, transmitter turned away from the receiver (180 deg).
+Antenna A at both ends, the transmit beam pointed at the receiver (180 deg;
+in the geometry's frame a departure at 0 heads away from the receiver).
 With the receiver looking at the transmitter the spectrum is a narrow lump;
 removing the receive pattern (omni) exposes the full angular field, which is
 far wider. The spectrum CSV written here is plot-ready for any tool.

@@ -58,10 +58,6 @@ class AntennaPattern:
         return AntennaPattern(PatternKind.GAUSSIAN, gain_dbi=gain_dbi,
                               hpbw_deg=hpbw_deg, boresight_deg=boresight_deg)
 
-    def pointed_at(self, boresight_deg: float) -> "AntennaPattern":
-        """Copy of this pattern with a new boresight."""
-        return AntennaPattern(self.kind, self.gain_dbi, self.hpbw_deg, boresight_deg)
-
 
 def sigma_from_hpbw(hpbw_deg: float) -> float:
     """Standard deviation of the Gaussian power shape exp(-phi^2 / (2 sigma^2))

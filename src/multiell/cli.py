@@ -24,7 +24,7 @@ import numpy as np
 from .antenna import AntennaPattern, PatternKind
 from .engine import ScenarioConfig, run_realization
 from .errors import BadBinWidth, ConfigError, MultiellError
-from .pdp import BUILTIN_NLOS, resolve_pdp
+from .pdp import BUILTIN_NLOS, builtin_nlos_profile, resolve_pdp
 from .presets import (ANTENNAS, DS_BY_BAND, FIG_SWEEP_DEG, TXRX_DISTANCE_M, antenna_pattern,
                       fig_presets)
 from .scattering import VonMisesParams
@@ -114,23 +114,12 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     },
 }
 
-# Flags that set one config key each; the header echoes the result.
-_FLAG_KEYS = {
-    "seed": "scenario.seed",
-    "sweep": "sweep.axis",
-    "from_deg": "sweep.from_deg",
-    "to_deg": "sweep.to_deg",
-    "step_deg": "sweep.step_deg",
-    "trials": "sweep.trials",
-    "bin_width": "pas.bin_width_deg",
-}
-
 _RANGE_KEYS = ("sweep.from_deg", "sweep.to_deg", "sweep.step_deg")
 
 # No tx.preset or rx.preset: _resolve_mapping writes each into its end's keys.
 _KNOWN_KEYS = frozenset(
     {f"{section}.{name}" for section, fields in _SCHEMA.items() for name in fields}
-    | {"pdp.source"} | set(_FLAG_KEYS.values()))
+    | {"pdp.source", "sweep.axis", *_RANGE_KEYS, "sweep.trials", "pas.bin_width_deg"})
 
 
 def _value(m: dict[str, str], key: str, parse, default=None):
@@ -154,10 +143,16 @@ def _section(m: dict[str, str], section: str) -> dict:
     return values
 
 
-def config_to_mapping(cfg: ScenarioConfig, pdp_source: str = BUILTIN_NLOS) -> dict[str, str]:
+def config_to_mapping(cfg: ScenarioConfig) -> dict[str, str]:
+    """The mapping that ``mapping_to_config`` turns back into ``cfg``. Raises
+    ``ConfigError`` for a profile other than the bundled one, the only
+    profile a ``pdp.source`` value names without a file."""
+    if cfg.pdp != builtin_nlos_profile():
+        raise ConfigError(f"profile {cfg.pdp.name!r} is not {BUILTIN_NLOS}, the one"
+                          " pdp.source a mapping can name")
     parts = {"scenario": cfg, "tx": cfg.tx_pattern, "rx": cfg.rx_pattern,
              "local_scattering": cfg.local_scattering}
-    out = {"pdp.source": pdp_source}
+    out = {"pdp.source": BUILTIN_NLOS}
     for section, fields in _SCHEMA.items():
         for name, field in fields.items():
             value = getattr(parts[section], name)
@@ -220,6 +215,9 @@ def _resolve_mapping(args) -> dict[str, str]:
         mapping = _parse_config_text(path.read_text(encoding="utf-8"), str(path))
     else:
         raise FlagError("one of --config or --preset is required")
+    # The variable comes after a config file's seed but before a preset's.
+    if os.environ.get(ENV_SEED) and (args.preset or "scenario.seed" not in mapping):
+        mapping["scenario.seed"] = os.environ[ENV_SEED]
 
     for item in args.set or []:
         if "=" not in item:
@@ -227,11 +225,10 @@ def _resolve_mapping(args) -> dict[str, str]:
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
 
-    for dest, key in _FLAG_KEYS.items():
-        if getattr(args, dest, None) is not None:
-            mapping[key] = _fmt(getattr(args, dest))
-    if "scenario.seed" not in mapping and os.environ.get(ENV_SEED):
-        mapping["scenario.seed"] = os.environ[ENV_SEED]
+    # A flag that sets a config key has that key as its dest.
+    for key, value in vars(args).items():
+        if key in _KNOWN_KEYS and value is not None:
+            mapping[key] = _fmt(value)
 
     # A named antenna sets its end's kind, width and gain over any given, so
     # the header echoes the beam that runs.
@@ -255,19 +252,18 @@ def _resolve_mapping(args) -> dict[str, str]:
 def _write_csv(path: str, command: str, mapping: dict[str, str], *tables) -> None:
     """Write a title line, the resolved ``mapping`` as ``#`` lines, then each
     ``(heading lines, columns)`` table, one line of cells per row and one
-    ``%`` per chunk of rows. The columns are equal-length lists or 1-D arrays
-    of floats or ints; ``"%.12g"`` writes a float as ``_fmt`` does
+    ``%`` per chunk of rows. The columns are equal-length 1-D arrays of
+    floats or ints; ``"%.12g"`` writes a float as ``_fmt`` does
     (``format(x, ".12g")``), and ``"%s"`` an int as ``str``."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# multiell {command}\n# resolved-config\n")
         f.writelines(f"# {k} = {mapping[k]}\n" for k in sorted(mapping))
         for heading, columns in tables:
             f.writelines(f"{line}\n" for line in heading)
-            for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-                cells = [column[start:start + _CSV_CHUNK_ROWS] for column in columns]
-                cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
-                fmt = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in cells)
-                f.write(f"{fmt}\n" * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+            fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+            for start in range(0, columns[0].size, _CSV_CHUNK_ROWS):
+                cells = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
+                f.write(fmt * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _angle_list(mapping: dict[str, str]) -> list[float]:
@@ -296,9 +292,14 @@ def cmd_sweep(args) -> int:
     trials = _value(mapping, "sweep.trials", int, DEFAULT_TRIALS)
     config = mapping_to_config(mapping)
     result = sweep_as(config, _AXIS_BY_NAME[axis_name], angles, trials=trials)
+    # One row per (angle, trial), angle-major, as as_deg lies in memory.
     _write_csv(args.out, "sweep", mapping,
-               (["alpha_t_deg,alpha_r_deg,trial,as_deg"], list(zip(*result.rows))),
-               (["# aggregate", "angle,mean_as_deg,std_as_deg"], list(zip(*result.aggregate))))
+               (["alpha_t_deg,alpha_r_deg,trial,as_deg"],
+                (np.repeat(result.tx_boresight_deg, trials),
+                 np.repeat(result.rx_boresight_deg, trials),
+                 np.tile(np.arange(trials), len(angles)), result.as_deg.ravel())),
+               (["# aggregate", "angle,mean_as_deg,std_as_deg"],
+                (result.angles_deg, result.mean_as_deg, result.std_as_deg)))
     return 0
 
 
@@ -334,21 +335,25 @@ def cmd_presets(_args=None) -> int:
 def _add_common(sub: argparse.ArgumentParser, with_sweep: bool) -> None:
     sub.add_argument("--config", help="path to a key=value scenario file")
     sub.add_argument("--preset", help="bundled preset name (see 'multiell presets')")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"master seed (fallback: config, then ${ENV_SEED})")
+    sub.add_argument("--seed", dest="scenario.seed", metavar="SEED", type=int,
+                     help=f"master seed (fallback: config file, then ${ENV_SEED}, then preset)")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one resolved-config entry (repeatable)")
     sub.add_argument("--out", required=True, help="output CSV path")
     if with_sweep:
-        sub.add_argument("--sweep", choices=tuple(_AXIS_BY_NAME),
+        sub.add_argument("--sweep", dest="sweep.axis", choices=tuple(_AXIS_BY_NAME),
                          help="orientation axis to sweep")
-        sub.add_argument("--from", dest="from_deg", type=float, help="sweep start, degrees")
-        sub.add_argument("--to", dest="to_deg", type=float, help="sweep stop, degrees")
-        sub.add_argument("--step", dest="step_deg", type=float, help="sweep step, degrees")
-        sub.add_argument("--trials", type=int, help="realizations per sweep point")
+        sub.add_argument("--from", dest="sweep.from_deg", metavar="FROM_DEG", type=float,
+                         help="sweep start, degrees")
+        sub.add_argument("--to", dest="sweep.to_deg", metavar="TO_DEG", type=float,
+                         help="sweep stop, degrees")
+        sub.add_argument("--step", dest="sweep.step_deg", metavar="STEP_DEG", type=float,
+                         help="sweep step, degrees")
+        sub.add_argument("--trials", dest="sweep.trials", metavar="TRIALS", type=int,
+                         help="realizations per sweep point")
     else:
-        sub.add_argument("--bin-width", dest="bin_width", type=float,
-                         help="histogram bin width in degrees (must divide 360)")
+        sub.add_argument("--bin-width", dest="pas.bin_width_deg", metavar="BIN_WIDTH",
+                         type=float, help="histogram bin width in degrees (must divide 360)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -58,7 +58,8 @@ class PathSet:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description for one link."""
+    """Full experiment description for one link; building one with a field
+    out of range raises ``ConfigError``."""
 
     pdp: NormalizedPdp
     ds_s: float
@@ -71,7 +72,7 @@ class ScenarioConfig:
     seed: int = 0
     frequency_label: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_finite_positive("txrx_distance_m", self.txrx_distance_m, ConfigError)
         _require_delay_spread(self.pdp, self.ds_s, ConfigError)
         if not 1 <= self.paths_per_cluster <= _MAX_PATHS_PER_CLUSTER:
@@ -138,7 +139,6 @@ def draw_realization(config: ScenarioConfig,
     ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
     pass an unused generator for reproducibility when providing one.
     """
-    config.validate()
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
 

@@ -91,7 +91,8 @@ def fig_presets() -> dict[str, SweepPreset]:
     """Named figure-reproduction sweeps, each over ``FIG_SWEEP_DEG``.
 
     fig1/fig2: spread vs Tx orientation at fixed Rx (60 then 6 GHz);
-    fig4/fig5: spread vs Rx orientation with the Tx turned away (180 deg);
+    fig4/fig5: spread vs Rx orientation with the Tx beam pointed at the Rx
+    (180 deg; a departure at 0 heads away from the Rx, see ``geometry``);
     fig7/fig8 show a single off-axis fixed orientation (90 deg) for antenna A.
     """
     tx_axis, rx_axis = SweepAxis.TX_ORIENTATION, SweepAxis.RX_ORIENTATION

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,13 +61,20 @@ class AngularSpectrum:
     bin_width_deg: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-(angle, trial) angle spreads plus per-angle aggregates."""
+    """Angle spreads of an orientation sweep: ``as_deg[j, t]`` is trial
+    ``t``'s spread at ``angles_deg[j]``. Per angle, the transmit and receive
+    boresights that ran (wrapped into (-180, 180]), and the mean and sample
+    standard deviation of its row (0 for a single trial)."""
 
     axis: SweepAxis
-    rows: list[tuple[float, float, int, float]]  # (alpha_t, alpha_r, trial, as_deg)
-    aggregate: list[tuple[float, float, float]]  # (angle, mean_as_deg, std_as_deg)
+    angles_deg: np.ndarray
+    tx_boresight_deg: np.ndarray
+    rx_boresight_deg: np.ndarray
+    mean_as_deg: np.ndarray
+    std_as_deg: np.ndarray
+    as_deg: np.ndarray
 
 
 def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
@@ -203,10 +210,9 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     """Angle spread versus one antenna orientation.
 
     For each angle the corresponding boresight is overridden and
-    ``trials`` independent realizations are run; rows are emitted
-    angle-major, trial-minor. Aggregates report the mean and sample standard
-    deviation (0 for a single trial) per angle. Raises ``ConfigError`` for
-    no angles and for ``trials`` outside [1, 10,000].
+    ``trials`` independent realizations are run, one row of
+    ``SweepResult.as_deg`` per angle. Raises ``ConfigError`` for no angles
+    and for ``trials`` outside [1, 10,000].
 
     Every spread equals :func:`angular_spread` of ``run_realization`` at that
     point, from the trial's stream, bit for bit. Every angle shares that
@@ -224,9 +230,9 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
 
     tx, rx = config.tx_pattern, config.rx_pattern
     if axis is SweepAxis.TX_ORIENTATION:
-        points = [(tx.pointed_at(a), rx) for a in angles]
+        points = [(replace(tx, boresight_deg=a), rx) for a in angles]
     else:
-        points = [(tx, rx.pointed_at(a)) for a in angles]
+        points = [(tx, replace(rx, boresight_deg=a)) for a in angles]
     spreads = np.empty((len(angles), trials))
     # The gain kernel needs a span bounding the aimed angles, which lie in
     # [-180, 180]. At a receive boresight of +-0 neither (-180, 180) nor a
@@ -255,11 +261,8 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
                 power *= raw
             spreads[j, trial] = _spread_in_place(aoa, power, scratch)
 
-    rows: list[tuple[float, float, int, float]] = []
-    aggregate: list[tuple[float, float, float]] = []
-    for angle, (tx_j, rx_j), row in zip(angles, points, spreads):
-        rows.extend((tx_j.boresight_deg, rx_j.boresight_deg, trial, float(row[trial]))
-                    for trial in range(trials))
-        std = float(row.std(ddof=1)) if trials > 1 else 0.0
-        aggregate.append((angle, float(row.mean()), std))
-    return SweepResult(axis=axis, rows=rows, aggregate=aggregate)
+    std = spreads.std(axis=1, ddof=1) if trials > 1 else np.zeros(len(angles))
+    return SweepResult(axis=axis, angles_deg=np.array(angles),
+                       tx_boresight_deg=np.array([tx_j.boresight_deg for tx_j, _ in points]),
+                       rx_boresight_deg=np.array([rx_j.boresight_deg for _, rx_j in points]),
+                       mean_as_deg=spreads.mean(axis=1), std_as_deg=std, as_deg=spreads)

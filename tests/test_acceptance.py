@@ -42,7 +42,7 @@ def check(ok: bool, number: int, description: str, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def rx_sweeps():
-    """Per-antenna sweep of the receive orientation, Tx turned to 180 deg,
+    """Per-antenna sweep of the receive orientation, Tx beam on the Rx (180 deg),
     grid 0..120 deg step 1 (121 points), 10 trials. Serves criteria 3 and 5."""
     out = {}
     for name in "ABCD":
@@ -64,7 +64,7 @@ def rx_curves_full():
         cfg = scenario(name, "same", alpha_t_deg=180.0,
                        paths_per_cluster=N_PATHS, seed=MASTER_SEED)
         result = sweep_as(cfg, SweepAxis.RX_ORIENTATION, angles, trials=TRIALS)
-        out[name] = (np.array(angles), np.array([m for _, m, _ in result.aggregate]))
+        out[name] = (np.array(angles), result.mean_as_deg)
     return out
 
 
@@ -99,8 +99,8 @@ def test_criterion_03_plateau_at_half_hpbw(rx_sweeps):
     details, ok = [], True
     for name in "ABCD":
         result, elapsed = rx_sweeps[name]
-        means = [m for angle, m, _ in result.aggregate if angle > 60.0]
-        lo, hi = min(means), max(means)
+        means = result.mean_as_deg[result.angles_deg > 60.0]
+        lo, hi = float(means.min()), float(means.max())
         inside = (REPORTED_PLATEAU[name] - 2.0 <= lo) and (hi <= REPORTED_PLATEAU[name] + 2.0)
         ok &= inside and elapsed < 60.0
         details.append(f"{name}: [{lo:.2f},{hi:.2f}] vs {REPORTED_PLATEAU[name]}+-2, {elapsed:.1f}s")
@@ -114,7 +114,7 @@ def test_criterion_04_boresight_minima():
         cfg = scenario(name, "same", alpha_t_deg=0.0, alpha_r_deg=0.0,
                        paths_per_cluster=N_PATHS, seed=MASTER_SEED)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=TRIALS)
-        means[name] = result.aggregate[0][1]
+        means[name] = float(result.mean_as_deg[0])
     ok = all(means[n] <= 3.0 for n in "ABCD")
     ok &= means["B"] < means["A"] and means["D"] < means["C"]
     check(ok, 4, "facing-axis minima below 3 deg, ordered by beamwidth",
@@ -125,12 +125,12 @@ def test_criterion_05_rx_boresight_values(rx_sweeps):
     details, ok = [], True
     for name in "ABCD":
         result, _ = rx_sweeps[name]
-        angle, mean, _ = result.aggregate[0]
+        angle, mean = float(result.angles_deg[0]), float(result.mean_as_deg[0])
         assert angle == 0.0
         inside = abs(mean - REPORTED_RX0[name]) <= 2.5
         ok &= inside
         details.append(f"{name}={mean:.2f} vs {REPORTED_RX0[name]}+-2.5")
-    check(ok, 5, "rx-facing minima of the turned-away-tx sweeps", "; ".join(details))
+    check(ok, 5, "rx-facing minima of the sweeps with the tx beam on the rx", "; ".join(details))
 
 
 def test_criterion_06_omni_rx_frequency_ordering():
@@ -139,7 +139,7 @@ def test_criterion_06_omni_rx_frequency_ordering():
         cfg = scenario(name, "omni", alpha_t_deg=180.0,
                        paths_per_cluster=N_PATHS, seed=MASTER_SEED)
         result = sweep_as(cfg, SweepAxis.RX_ORIENTATION, [0.0], trials=TRIALS)
-        means[name] = result.aggregate[0][1]
+        means[name] = float(result.mean_as_deg[0])
     ordering = means["C"] > means["A"] and means["D"] > means["B"]
     windows = all(abs(means[n] - REPORTED_OMNI[n]) <= 0.3 * REPORTED_OMNI[n] for n in "ABCD")
     detail = (", ".join(f"{n}={means[n]:.1f} vs {REPORTED_OMNI[n]}+-30%" for n in "ABCD")
@@ -186,10 +186,7 @@ def test_criterion_08_omni_rx_orientation_invariance():
     cfg = scenario("A", "omni", alpha_t_deg=180.0, paths_per_cluster=500, seed=77)
     result = sweep_as(cfg, SweepAxis.RX_ORIENTATION,
                       [-150.0, -60.0, 0.0, 45.0, 120.0, 180.0], trials=3)
-    by_trial = {}
-    for _, _, trial, as_deg in result.rows:
-        by_trial.setdefault(trial, set()).add(as_deg)
-    ok = all(len(values) == 1 for values in by_trial.values())
+    ok = all(len(set(values.tolist())) == 1 for values in result.as_deg.T)
     check(ok, 8, "omni-rx angle spread bit-identical across rx orientations")
 
 

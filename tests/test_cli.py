@@ -13,7 +13,8 @@ from multiell.antenna import AntennaPattern
 from multiell.cli import (_CSV_CHUNK_ROWS, _fmt, _resolve_mapping, _write_csv, build_parser,
                           config_to_mapping, main, mapping_to_config)
 from multiell.engine import ScenarioConfig, run_realization
-from multiell.pdp import builtin_nlos_profile
+from multiell.errors import ConfigError
+from multiell.pdp import builtin_nlos_profile, loads_pdp
 from multiell.presets import SweepPreset, fig_presets
 from multiell.scattering import VonMisesParams
 from multiell.stats import estimate_pas, sweep_as
@@ -179,6 +180,34 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert "# scenario.seed = 99" in read(out)
 
+    @pytest.mark.parametrize("command", [["pas", "--bin-width", "90"],
+                                         ["sweep", "--from", "0", "--to", "0", "--trials", "1"]])
+    def test_env_seed_replaces_the_preset_seed(self, tmp_path, monkeypatch, command):
+        # The preset's seed of 1 once shadowed the variable.
+        name, *flags = command
+        argv = [name, "--preset", "fig4-A", *flags, "--set", "scenario.paths_per_cluster=20"]
+        flagged, seeded = tmp_path / "flagged.csv", tmp_path / "seeded.csv"
+        assert main([*argv, "--seed", "7", "--out", str(flagged)]) == 0
+        monkeypatch.setenv("MULTIELL_SEED", "7")
+        assert main([*argv, "--out", str(seeded)]) == 0
+        assert "# scenario.seed = 7\n" in read(seeded)
+        assert seeded.read_bytes() == flagged.read_bytes()
+
+    def test_seed_order_flag_set_config_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MULTIELL_SEED", "99")
+        cfg = write_config(tmp_path)  # scenario.seed = 7
+        base = ["pas", "--config", str(cfg), "--bin-width", "90"]
+        for extra, seed in (([], "7"), (["--set", "scenario.seed=8"], "8"),
+                            (["--set", "scenario.seed=8", "--seed", "9"], "9")):
+            out = tmp_path / f"{seed}.csv"
+            assert main([*base, *extra, "--out", str(out)]) == 0
+            assert f"# scenario.seed = {seed}\n" in read(out)
+        out = tmp_path / "preset.csv"
+        assert main(["pas", "--preset", "fig4-A", "--bin-width", "90", "--set",
+                     "scenario.paths_per_cluster=20", "--set", "scenario.seed=8",
+                     "--out", str(out)]) == 0
+        assert "# scenario.seed = 8\n" in read(out)
+
 
 class TestPasCommand:
     def test_density_integrates_to_one(self, tmp_path):
@@ -263,13 +292,14 @@ class TestCsvWriter:
     def test_chunked_mixed_columns_equal_the_reference(self, tmp_path):
         n = 2 * _CSV_CHUNK_ROWS + 3  # two full chunks and a short one
         floats = np.resize(np.array(self.EDGE_FLOATS), n)
-        ints = list(range(-5, n - 5))
+        ints = np.arange(-5, n - 5)
         ints[1] = 10**15  # "%s", not "%.12g", which would print 1e+15
         mapping = {"b.key": "2", "a.key": "1"}
-        tables = ((["x,k,y"], (floats, ints, floats[::-1].copy())), (["# empty", "z"], ([],)))
+        tables = ((["x,k,y"], (floats, ints, floats[::-1].copy())),
+                  (["# empty", "z"], (np.array([]),)))
         out = tmp_path / "t.csv"
         _write_csv(str(out), "test", mapping, *tables)
-        rows = list(zip(floats.tolist(), ints, floats[::-1].tolist()))
+        rows = list(zip(floats.tolist(), ints.tolist(), floats[::-1].tolist()))
         assert out.read_bytes() == written_cell_by_cell("test", mapping,
                                                         (["x,k,y"], rows), (["# empty", "z"], []))
 
@@ -281,9 +311,15 @@ class TestCsvWriter:
         mapping = _resolve_mapping(build_parser().parse_args([*argv, "--out", str(out)]))
         result = sweep_as(mapping_to_config(mapping), fig_presets()["fig4-A"].axis,
                           np.arange(0.0, 171.0, 10.0), trials=3)
+        tx, rx = result.tx_boresight_deg.tolist(), result.rx_boresight_deg.tolist()
+        rows = [(tx[j], rx[j], trial, as_deg)
+                for j, spreads in enumerate(result.as_deg.tolist())
+                for trial, as_deg in enumerate(spreads)]
+        aggregate = zip(result.angles_deg.tolist(), result.mean_as_deg.tolist(),
+                        result.std_as_deg.tolist())
         assert out.read_bytes() == written_cell_by_cell(
-            "sweep", mapping, (["alpha_t_deg,alpha_r_deg,trial,as_deg"], result.rows),
-            (["# aggregate", "angle,mean_as_deg,std_as_deg"], result.aggregate))
+            "sweep", mapping, (["alpha_t_deg,alpha_r_deg,trial,as_deg"], rows),
+            (["# aggregate", "angle,mean_as_deg,std_as_deg"], aggregate))
 
     def test_pas_of_360000_bins_equals_the_reference(self, tmp_path):
         cfg = write_config(tmp_path, **{"rx.preset": "A", "rx.boresight_deg": "30"})
@@ -522,6 +558,13 @@ class TestConfigComments:
         out = tmp_path / "pas.csv"
         assert main(["pas", "--config", str(cfg), "--out", str(out)]) == 0
         assert f"# pdp.source = {pdp}\n" in read(out)
+
+
+def test_config_to_mapping_names_only_the_bundled_profile():
+    # Another profile once came back as the bundled one, without an error.
+    cfg = dataclasses.replace(fig_presets()["fig4-A"].config, pdp=loads_pdp("0 0\n1 -3\n"))
+    with pytest.raises(ConfigError, match="pdp.source"):
+        config_to_mapping(cfg)
 
 
 def assert_round_trip(cfg):

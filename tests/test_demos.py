@@ -84,3 +84,16 @@ def test_readme_caps_equal_their_constants(phrase, module, constant):
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     stated = int(re.search(phrase, text).group(1).replace(",", ""))
     assert stated == getattr(importlib.import_module(f"multiell.{module}"), constant)
+
+
+@pytest.mark.parametrize("code, exits_0", [
+    ("import numpy as np; np.exp(np.float64(1000.0))", False),  # overflow: RuntimeWarning
+    ("import warnings; warnings.warn('mypy_extensions.TypedDict is deprecated',"
+     " DeprecationWarning)", True),  # the one message the suite ignores
+], ids=["runtime-warning", "ignored-message"])
+def test_child_interpreters_take_the_suite_warning_filters(code, exits_0):
+    # pytest's filterwarnings setting does not reach a child interpreter, so
+    # a demo or CLI child once warned without failing its test.
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode == 0) == exits_0, result.stderr

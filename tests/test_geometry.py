@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from multiell.errors import InvalidGeometry
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
                                eccentricity_from_delay, wrap_degrees, wrap_in_place)
+from multiell.pdp import builtin_nlos_profile, scale_pdp
+from multiell.presets import DS_BY_BAND, TXRX_DISTANCE_M
 
 ECC = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 ANGLE = st.floats(min_value=-179.9999, max_value=180.0, allow_nan=False)
@@ -431,6 +433,33 @@ class TestWrapDegreesOracle:
         assert not np.shares_memory(out, a)
         out[...] = 1.0
         assert np.array_equal(a, before)
+
+
+class TestBoresightFrame:
+    """The package's frame, on the bundled profile's ellipses: a departure
+    at 0 heads away from the receiver. So the boresight ray at 180 bounces
+    at the far vertex (x = a, behind the receiver) and arrives from 180, and
+    the ray at 0 bounces at the near vertex (x = -a, behind the transmitter)
+    and arrives from 0. Only the boresight ray is tested, not the beam: on
+    a short-delay ellipse (e = 0.99) a departure 10 deg off 180 already
+    bounces between the two ends."""
+
+    @pytest.mark.parametrize("ds_s", sorted(DS_BY_BAND.values()))
+    @pytest.mark.parametrize("boresight, vertex", [(180.0, 1.0), (0.0, -1.0)],
+                             ids=["far", "near"])
+    def test_boresight_ray_bounces_at_the_vertex_it_points_to(self, ds_s, boresight, vertex):
+        d = TXRX_DISTANCE_M
+        delays = scale_pdp(builtin_nlos_profile(), ds_s).excess_delays_s
+        delays = delays[delays > DEGENERATE_DELAY_S]
+        assert delays.size == 22
+        for delay, e in zip(delays, eccentricity_from_delay(delays, d)):
+            ell = ellipse_with(e, (d + SPEED_OF_LIGHT_M_S * delay) / 2.0)
+            a = ell.semi_major_m
+            x, y = reflection_point(180.0 - boresight, ell)  # the ray of oracle_aoa
+            assert x == pytest.approx(vertex * a, rel=1e-12)
+            assert abs(y) <= 1e-12 * a
+            assert arrival_bearing((x, y), ell) == pytest.approx(boresight, abs=1e-9)
+            assert aoa_from_aod(boresight, e) == boresight
 
 
 class TestPublicSurface:

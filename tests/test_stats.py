@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 
 import numpy as np
@@ -13,8 +13,8 @@ from multiell.engine import aim_realization, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
-from multiell.stats import (_PAS_BLOCK, SweepAxis, _bin_power, _point_rng, angular_spread,
-                            estimate_pas, sweep_as)
+from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, _point_rng,
+                            angular_spread, estimate_pas, sweep_as)
 
 from conftest import make_pathset
 
@@ -333,30 +333,29 @@ class TestSweepAs:
         cfg = scenario("A", "omni", alpha_t_deg=135.0, seed=21, paths_per_cluster=200)
         result = sweep_as(cfg, SweepAxis.RX_ORIENTATION,
                           [-120.0, -30.0, 0.0, 45.0, 170.0], trials=3)
-        by_trial = {}
-        for _, _, trial, as_deg in result.rows:
-            by_trial.setdefault(trial, []).append(as_deg)
-        for values in by_trial.values():
-            assert len(set(values)) == 1  # bit-identical
+        for values in result.as_deg.T:  # one trial's spreads at every angle
+            assert len(set(values.tolist())) == 1  # bit-identical
 
     def test_deterministic_repeat(self):
         cfg = scenario("B", "same", alpha_t_deg=180.0, seed=5, paths_per_cluster=100)
         a = sweep_as(cfg, SweepAxis.RX_ORIENTATION, [0.0, 40.0, 90.0], trials=2)
         b = sweep_as(cfg, SweepAxis.RX_ORIENTATION, [0.0, 40.0, 90.0], trials=2)
-        assert a.rows == b.rows
-        assert a.aggregate == b.aggregate
+        assert_same_sweep(a, b)
 
     def test_row_ordering_angle_major(self):
         cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [10.0, 20.0], trials=3)
-        keys = [(row[0], row[2]) for row in result.rows]
-        assert keys == [(10.0, 0), (10.0, 1), (10.0, 2), (20.0, 0), (20.0, 1), (20.0, 2)]
+        assert result.as_deg.shape == (2, 3)
+        assert result.tx_boresight_deg.tolist() == [10.0, 20.0]
+        for j, angle in enumerate([10.0, 20.0]):  # row j holds angle j's trials
+            alone = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [angle], trials=3)
+            assert same_bits(result.as_deg[j], alone.as_deg[0])
 
     def test_aggregate_mean_and_std(self):
         cfg = scenario("A", "same", seed=1, paths_per_cluster=50)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=5)
-        values = [row[3] for row in result.rows]
-        angle, mean, std = result.aggregate[0]
+        values = result.as_deg[0]
+        angle, mean, std = result.angles_deg[0], result.mean_as_deg[0], result.std_as_deg[0]
         assert angle == 0.0
         assert mean == pytest.approx(np.mean(values), rel=1e-12)
         assert std == pytest.approx(np.std(values, ddof=1), rel=1e-12)
@@ -364,13 +363,13 @@ class TestSweepAs:
     def test_single_trial_std_zero(self):
         cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=1)
-        assert result.aggregate[0][2] == 0.0
+        assert result.std_as_deg.tolist() == [0.0]
 
     def test_tx_sweep_overrides_tx_boresight(self):
         cfg = scenario("A", "same", alpha_t_deg=0.0, seed=1, paths_per_cluster=20)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [45.0], trials=1)
-        alpha_t, alpha_r, _, _ = result.rows[0]
-        assert alpha_t == 45.0 and alpha_r == 0.0
+        assert result.tx_boresight_deg.tolist() == [45.0]
+        assert result.rx_boresight_deg.tolist() == [0.0]
 
     def test_invalid_arguments(self):
         cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
@@ -386,12 +385,27 @@ class TestSweepAs:
         with pytest.raises(ConfigError, match=f"trials {trials} exceeds the limit of 10000"):
             sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=trials)
 
+    def test_result_keeps_only_its_arrays(self):
+        # One Python tuple per (angle, trial) and per angle once kept 14x the
+        # spread matrix: 832 kB against 57.8 kB here.
+        cfg = replace(fig_presets()["fig4-A"].config, paths_per_cluster=1)
+        angles = np.arange(-180.0, 181.0)
+        sweep_as(cfg, SweepAxis.RX_ORIENTATION, angles[:1], trials=1)  # fills the caches
+        tracemalloc.start()
+        try:
+            result = sweep_as(cfg, SweepAxis.RX_ORIENTATION, angles, trials=20)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.as_deg.shape == (361, 20)
+        assert kept < 4 * result.as_deg.nbytes
+
     def test_boresight_minimum_scenario(self):
         # antenna A at both ends, both pointing along the axis: spread within
         # a couple degrees (the documented minimum for this geometry)
         cfg = scenario("A", "same", alpha_t_deg=0.0, alpha_r_deg=0.0, seed=8)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=3)
-        assert result.aggregate[0][1] == pytest.approx(1.5, abs=1.5)
+        assert result.mean_as_deg[0] == pytest.approx(1.5, abs=1.5)
 
 
 def long_double_spread(phi, power):
@@ -448,43 +462,50 @@ class TestSpreadPrecision:
             cfg = replace(preset.config, paths_per_cluster=500, seed=5)
             points.clear()
             result = sweep_as(cfg, preset.axis, self.ANGLES, trials=self.TRIALS)
-            # the sweep runs trial-major; its rows are angle-major
-            by_row = [points[t * n + j] for j in range(n) for t in range(self.TRIALS)]
-            assert len(points) == len(result.rows) == n * self.TRIALS
-            for row, (value, one_pass, reference) in zip(result.rows, by_row):
-                assert row[3] == value
+            assert len(points) == result.as_deg.size == n * self.TRIALS
+            for k, (value, one_pass, reference) in enumerate(points):
+                t, j = divmod(k, n)  # the sweep runs trial-major
+                point = (name, float(self.ANGLES[j]), t)
+                assert result.as_deg[j, t] == value
                 if _fmt(value) != _fmt(reference):
-                    assert twelve_digit_tie_distance(reference) < self.TIE_REL, (name, row)
+                    assert twelve_digit_tie_distance(reference) < self.TIE_REL, point
                 one_pass_misprints += _fmt(one_pass) != _fmt(reference)
-                assert abs(value - one_pass) <= self.ONE_PASS_REL * value, (name, row)
+                assert abs(value - one_pass) <= self.ONE_PASS_REL * value, point
         # The check can fail: the one-pass reduction misprints 81 of these
         # points (66 of fig8-A's 219).
         assert one_pass_misprints > 0
 
 
 def reference_sweep(config, axis, angles_deg, trials):
-    """One full realization per (angle, trial), each from that trial's stream."""
-    rows, aggregate = [], []
-    for angle in angles_deg:
-        angle = float(angle)
-        if axis is SweepAxis.TX_ORIENTATION:
-            cfg = replace(config, tx_pattern=config.tx_pattern.pointed_at(angle))
-        else:
-            cfg = replace(config, rx_pattern=config.rx_pattern.pointed_at(angle))
-        spreads = np.empty(trials)
+    """One full realization per (angle, trial), each from that trial's
+    stream, and each angle's mean and standard deviation taken over its own
+    row, as a SweepResult."""
+    angles = [float(a) for a in angles_deg]
+    end = "tx_pattern" if axis is SweepAxis.TX_ORIENTATION else "rx_pattern"
+    spreads = np.empty((len(angles), trials))
+    tx, rx, mean, std = [], [], [], []
+    for row, angle in zip(spreads, angles):
+        cfg = replace(config, **{end: replace(getattr(config, end), boresight_deg=angle)})
         for trial in range(trials):
-            paths = run_realization(cfg, _point_rng(config.seed, axis, trial))
-            spreads[trial] = angular_spread(paths)
-            rows.append((cfg.tx_pattern.boresight_deg, cfg.rx_pattern.boresight_deg,
-                         trial, float(spreads[trial])))
-        std = float(spreads.std(ddof=1)) if trials > 1 else 0.0
-        aggregate.append((angle, float(spreads.mean()), std))
-    return rows, aggregate
+            row[trial] = angular_spread(run_realization(cfg, _point_rng(config.seed, axis,
+                                                                         trial)))
+        tx.append(cfg.tx_pattern.boresight_deg)
+        rx.append(cfg.rx_pattern.boresight_deg)
+        mean.append(float(row.mean()))
+        std.append(float(row.std(ddof=1)) if trials > 1 else 0.0)
+    return SweepResult(axis, np.array(angles), np.array(tx), np.array(rx), np.array(mean),
+                       np.array(std), spreads)
 
 
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_same_sweep(got, expected):
+    assert got.axis is expected.axis
+    for field in fields(SweepResult)[1:]:
+        assert same_bits(getattr(got, field.name), getattr(expected, field.name)), field.name
 
 
 PATH_ARRAYS = ("aoa_deg", "raw_power_lin", "power_lin")
@@ -508,9 +529,7 @@ class TestSweepEquivalence:
                        paths_per_cluster=40)
         angles = [-180.0, 0.0, 180.0, 400.0, 0.0]
         result = sweep_as(cfg, axis, angles, trials=trials)
-        rows, aggregate = reference_sweep(cfg, axis, angles, trials)
-        assert result.rows == rows
-        assert result.aggregate == aggregate
+        assert_same_sweep(result, reference_sweep(cfg, axis, angles, trials))
 
     @pytest.mark.parametrize("rx_b", [AntennaPattern.gaussian(12.0, boresight_deg=-75.0),
                                       AntennaPattern.omni()])
@@ -597,9 +616,7 @@ class TestSweepEquivalence:
             assert span[0] <= scanned[0] and scanned[1] <= span[1]
             assert span == (scanned if scans else (-180.0, 180.0))
         monkeypatch.undo()
-        rows, aggregate = reference_sweep(cfg, axis, angles, 2)
-        assert result.rows == rows
-        assert result.aggregate == aggregate
+        assert_same_sweep(result, reference_sweep(cfg, axis, angles, 2))
 
     def test_narrow_tx_sweep_wraps_only_where_the_bound_crosses_the_half_turn(
             self, monkeypatch):
@@ -632,9 +649,7 @@ class TestSweepEquivalence:
             assert 0.0 < bound < 30.0
             assert wrapped == (boresight - bound <= -180.0 or boresight + bound > 180.0)
         assert 0 < sum(wrapped for *_, wrapped in aims) <= 2 * 12
-        rows, aggregate = reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 2)
-        assert result.rows == rows
-        assert result.aggregate == aggregate
+        assert_same_sweep(result, reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 2))
 
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
         # An omni transmitter's draws are the departures themselves.
@@ -652,9 +667,7 @@ class TestSweepEquivalence:
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=3)
         monkeypatch.undo()
         assert len(aimed) == 3
-        rows, aggregate = reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 3)
-        assert result.rows == rows
-        assert result.aggregate == aggregate
+        assert_same_sweep(result, reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 3))
 
     @given(tx=BEAMS, rx=BEAMS, rice=st.none() | st.floats(-20.0, 20.0),
            n=st.integers(1, 40), angles=SWEEP_ANGLES, axis=st.sampled_from(SweepAxis),
@@ -665,14 +678,12 @@ class TestSweepEquivalence:
         cfg = replace(scenario("A", seed=seed, paths_per_cluster=n, rice_factor_db=rice),
                       tx_pattern=tx, rx_pattern=rx)
         try:
-            rows, aggregate = reference_sweep(cfg, axis, angles, trials)
+            expected = reference_sweep(cfg, axis, angles, trials)
         except MultiellError as exc:  # a narrow rx beam can miss every path
             with pytest.raises(type(exc)):
                 sweep_as(cfg, axis, angles, trials=trials)
             return
-        result = sweep_as(cfg, axis, angles, trials=trials)
-        assert result.rows == rows
-        assert result.aggregate == aggregate
+        assert_same_sweep(sweep_as(cfg, axis, angles, trials=trials), expected)
 
     @pytest.mark.parametrize("axis", list(SweepAxis))
     @pytest.mark.parametrize("tx", [AntennaPattern.gaussian(330.0, boresight_deg=150.0),
@@ -693,7 +704,5 @@ class TestSweepEquivalence:
         angles = [-180.0, -90.0, 0.0, 150.0, 180.0, 400.0]
         result = sweep_as(cfg, axis, angles, trials=3)
         monkeypatch.undo()
-        rows, aggregate = reference_sweep(cfg, axis, angles, 3)
-        assert result.rows == rows
-        assert result.aggregate == aggregate
+        assert_same_sweep(result, reference_sweep(cfg, axis, angles, 3))
         assert full_runs == []
