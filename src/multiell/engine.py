@@ -3,16 +3,18 @@ shaped departure angles, the single-bounce map to arrival angles, per-path
 powers, receive-pattern weighting, local scattering, and an optional direct
 path controlled by a Rice factor.
 
-Randomness: one seedable generator is split into independent substreams, one
-per profile tap plus one for local scattering, so changing the path count of
-one cluster never perturbs another cluster's draws. :class:`PathSet` states
-the fixed path layout.
+Randomness: each realization's generator is seeded from the config's seed
+and a stream key (see :func:`draw_realization`), then split into independent
+substreams, one per profile tap plus one for local scattering, so changing
+the path count of one cluster never perturbs another cluster's draws.
+:class:`PathSet` states the fixed path layout.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +77,21 @@ class ScenarioConfig:
     def __post_init__(self):
         _require_finite_positive("txrx_distance_m", self.txrx_distance_m, ConfigError)
         _require_delay_spread(self.pdp, self.ds_s, ConfigError)
-        if not 1 <= self.paths_per_cluster <= _MAX_PATHS_PER_CLUSTER:
+        if not 1 <= _as_int("paths_per_cluster", self.paths_per_cluster) <= _MAX_PATHS_PER_CLUSTER:
             raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
                               f" got {self.paths_per_cluster}")
-        if not 0 <= int(self.seed) < _MAX_SEED:
+        if not 0 <= _as_int("seed", self.seed) < _MAX_SEED:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.rice_factor_db is not None and math.isnan(self.rice_factor_db):
             raise ConfigError("rice_factor_db must be a number or None")
+
+
+def _as_int(name: str, value) -> int:
+    # ``value`` as a Python int if it is an integer, Python or numpy.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _rice_split(rice_factor_db: float) -> tuple[float, float]:
@@ -124,8 +134,7 @@ class Draws:
         return self.angles[self.offsets.size:]
 
 
-def draw_realization(config: ScenarioConfig,
-                     rng: np.random.Generator | None = None) -> Draws:
+def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> Draws:
     """Make every random draw of one realization of ``config``.
 
     Per non-degenerate cluster i, exactly ``paths_per_cluster`` departure
@@ -136,25 +145,26 @@ def draw_realization(config: ScenarioConfig,
     von Mises paths. Under a finite Rice factor one direct path at 0 degrees
     takes K/(K+1) of the total. Pre-weighting powers always sum to one.
 
-    ``rng`` defaults to a fresh PCG64 generator seeded from ``config.seed``;
-    pass an unused generator for reproducibility when providing one.
+    The draws come from one PCG64 generator whose seed entropy is
+    ``(config.seed, *stream_key)``, the one place a seed is read; the empty
+    key gives the stream of ``config.seed`` alone. Each key entry must be an
+    integer >= 0, or ``ConfigError`` is raised.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    if not all(_as_int("stream_key entry", k) >= 0 for k in stream_key):
+        raise ConfigError(f"stream_key entries must be >= 0, got {tuple(stream_key)}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, *stream_key))))
 
     scaled = scale_pdp(config.pdp, config.ds_s)
     n = config.paths_per_cluster
     delays = scaled.excess_delays_s
     powers = scaled.powers_lin
     geometric = delays > DEGENERATE_DELAY_S
-    routed_power = float(powers[~geometric].sum())
 
     share = config.local_scattering.power_share
     if not geometric.any():
         share = 1.0
-        budgets = powers * 0.0
     elif share is None:
-        share = routed_power
+        share = float(powers[~geometric].sum())
         budgets = powers
     else:
         budgets = powers * ((1.0 - share) / float(powers[geometric].sum()))
@@ -228,10 +238,9 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
     return out
 
 
-def run_realization(config: ScenarioConfig,
-                    rng: np.random.Generator | None = None) -> PathSet:
+def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> PathSet:
     """Generate one set of propagation paths for the scenario: the draws of
-    :func:`draw_realization` (``rng`` as there), aimed at the transmit
+    :func:`draw_realization` (``stream_key`` as there), aimed at the transmit
     boresight (:func:`aim_realization`), then weighted by the receive
     pattern (:func:`reweight`).
 
@@ -242,7 +251,7 @@ def run_realization(config: ScenarioConfig,
     each angle element by element, so every output reads only its own
     input, and a gain of exactly 1 would change no power.
     """
-    draws = draw_realization(config, rng)
+    draws = draw_realization(config, stream_key)
     aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
     raw = draws.raw_power_lin
     return reweight(PathSet(aoa, raw, raw, draws.sources), config.rx_pattern)

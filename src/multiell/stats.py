@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import PatternKind, _gain_in_place
-from .engine import PathSet, ScenarioConfig, aim_realization, draw_realization
+from .engine import PathSet, ScenarioConfig, _as_int, aim_realization, draw_realization
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -198,30 +198,28 @@ def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
     return sums
 
 
-def _point_rng(seed: int, axis: SweepAxis, trial: int) -> np.random.Generator:
-    # One stream per (seed, axis, trial); sweep angles share it so that an
-    # omni receiver yields bit-identical paths across orientations.
-    ss = np.random.SeedSequence((int(seed), _AXIS_CODE[axis], int(trial)))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
              trials: int = DEFAULT_TRIALS) -> SweepResult:
     """Angle spread versus one antenna orientation.
 
     For each angle the corresponding boresight is overridden and
     ``trials`` independent realizations are run, one row of
-    ``SweepResult.as_deg`` per angle. Raises ``ConfigError`` for no angles
-    and for ``trials`` outside [1, 10,000].
+    ``SweepResult.as_deg`` per angle. Raises ``ConfigError`` for an ``axis``
+    that is not a ``SweepAxis``, no angles, and ``trials`` that is not an
+    integer in [1, 10,000].
 
-    Every spread equals :func:`angular_spread` of ``run_realization`` at that
-    point, from the trial's stream, bit for bit. Every angle shares that
+    Trial t's spread at an angle equals
+    ``angular_spread(run_realization(point_config, (code, t)))`` bit for bit,
+    where ``point_config`` is ``config`` with that boresight and ``code`` is
+    1 for the tx axis and 2 for the rx axis. Every angle shares the trial's
     stream, so each trial is drawn once (``antenna.draw_aod_offsets``) and
     aimed again only when the transmit boresight changes, into three
     path-sized buffers allocated once per sweep.
     """
+    if not isinstance(axis, SweepAxis):
+        raise ConfigError(f"axis must be a SweepAxis, got {axis!r}")
     angles = [float(a) for a in angles_deg]
-    if trials < 1:
+    if _as_int("trials", trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trials > _MAX_SWEEP_TRIALS:
         raise ConfigError(f"trials {trials} exceeds the limit of {_MAX_SWEEP_TRIALS}")
@@ -243,7 +241,7 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     span = (-180.0, 180.0)
     aoa = None
     for trial in range(trials):
-        draws = draw_realization(config, _point_rng(config.seed, axis, trial))
+        draws = draw_realization(config, (_AXIS_CODE[axis], trial))
         raw = draws.raw_power_lin
         if aoa is None:
             aoa, weighted, scratch = np.empty((3, raw.size))

@@ -117,7 +117,8 @@ def test_criterion_04_boresight_minima():
         means[name] = float(result.mean_as_deg[0])
     ok = all(means[n] <= 3.0 for n in "ABCD")
     ok &= means["B"] < means["A"] and means["D"] < means["C"]
-    check(ok, 4, "facing-axis minima below 3 deg, ordered by beamwidth",
+    check(ok, 4, "minima with both boresights at 0 deg (tx beam pointing away from the rx,"
+          " rx facing the tx) below 3 deg, ordered by beamwidth",
           ", ".join(f"{n}={means[n]:.2f}" for n in "ABCD"))
 
 

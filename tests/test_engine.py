@@ -316,6 +316,11 @@ class TestValidation:
             dict(ds_s=1e308),  # the last tap's delay overflows
             dict(txrx_distance_m=10**400),  # an int beyond the float range
             dict(ds_s=10**400),
+            dict(seed=1.5),  # integers only, Python or numpy
+            dict(seed=2.0),
+            dict(seed="3"),
+            dict(paths_per_cluster=2.5),
+            dict(paths_per_cluster=20.0),
         ):
             with pytest.raises(ConfigError) as caught:
                 replace(good, **bad)
@@ -324,6 +329,20 @@ class TestValidation:
     def test_path_count_ceiling_is_inclusive(self):
         from dataclasses import replace
         replace(scenario("A", "same"), paths_per_cluster=1_000_000)
+
+    @pytest.mark.parametrize("key", [(-1,), (1, -2), (1.5,), ("0",)])
+    def test_bad_stream_key_raises(self, key):
+        with pytest.raises(ConfigError):
+            draw_realization(scenario("A", "same", paths_per_cluster=20), key)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint32(5)])
+    def test_numpy_integer_seed_is_the_python_int(self, seed):
+        cfg = scenario("A", "same", seed=5, paths_per_cluster=50)
+        for key in ((), (2, 3)):
+            got = run_realization(replace(cfg, seed=seed), key)
+            expected = run_realization(cfg, key)
+            for name in ("aoa_deg", "raw_power_lin", "power_lin"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def per_cluster_draws(cfg, rng):

@@ -13,8 +13,8 @@ from multiell.engine import aim_realization, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
-from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, _point_rng,
-                            angular_spread, estimate_pas, sweep_as)
+from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
+                            estimate_pas, sweep_as)
 
 from conftest import make_pathset
 
@@ -378,6 +378,17 @@ class TestSweepAs:
         with pytest.raises(ConfigError):
             sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=0)
 
+    @pytest.mark.parametrize("axis, trials", [
+        ("rx", 1),  # the CLI's name for the axis, not a SweepAxis
+        (SweepAxis.TX_ORIENTATION, 2.5),
+        (SweepAxis.TX_ORIENTATION, 2.0),
+        (SweepAxis.TX_ORIENTATION, "2"),
+    ])
+    def test_bad_axis_or_trial_count_rejected(self, axis, trials):
+        cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
+        with pytest.raises(ConfigError):
+            sweep_as(cfg, axis, [0.0], trials=trials)
+
     @pytest.mark.parametrize("trials", [10_001, 10**8, 10**12])
     def test_trial_count_above_ceiling_rejected(self, trials):
         # 1e12 once died in np.empty, and 1e8 would have run for hours
@@ -478,17 +489,17 @@ class TestSpreadPrecision:
 
 def reference_sweep(config, axis, angles_deg, trials):
     """One full realization per (angle, trial), each from that trial's
-    stream, and each angle's mean and standard deviation taken over its own
-    row, as a SweepResult."""
+    stream key (1, trial) on the tx axis and (2, trial) on the rx axis, and
+    each angle's mean and standard deviation taken over its own row, as a
+    SweepResult."""
     angles = [float(a) for a in angles_deg]
-    end = "tx_pattern" if axis is SweepAxis.TX_ORIENTATION else "rx_pattern"
+    end, code = ("tx_pattern", 1) if axis is SweepAxis.TX_ORIENTATION else ("rx_pattern", 2)
     spreads = np.empty((len(angles), trials))
     tx, rx, mean, std = [], [], [], []
     for row, angle in zip(spreads, angles):
         cfg = replace(config, **{end: replace(getattr(config, end), boresight_deg=angle)})
         for trial in range(trials):
-            row[trial] = angular_spread(run_realization(cfg, _point_rng(config.seed, axis,
-                                                                         trial)))
+            row[trial] = angular_spread(run_realization(cfg, (code, trial)))
         tx.append(cfg.tx_pattern.boresight_deg)
         rx.append(cfg.rx_pattern.boresight_deg)
         mean.append(float(row.mean()))
