@@ -12,7 +12,7 @@ from .pdp import (BUILTIN_NLOS, NormalizedPdp, ScaledPdp, builtin_nlos_profile,
                   load_pdp, loads_pdp, resolve_pdp, scale_pdp)
 from .scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 from .stats import (AngularSpectrum, SweepAxis, SweepResult, angular_spread,
-                    estimate_pas, sweep_as)
+                    estimate_pas, realization_pas, sweep_as)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "loads_pdp", "resolve_pdp", "scale_pdp",
     "VonMisesParams", "sample_von_mises", "von_mises_pdf",
     "AngularSpectrum", "SweepAxis", "SweepResult", "angular_spread", "estimate_pas",
-    "sweep_as",
+    "realization_pas", "sweep_as",
     "__version__",
 ]

@@ -22,13 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .antenna import AntennaPattern, PatternKind
-from .engine import ScenarioConfig, run_realization
+from .engine import ScenarioConfig
 from .errors import BadBinWidth, ConfigError, MultiellError
 from .pdp import BUILTIN_NLOS, builtin_nlos_profile, resolve_pdp
 from .presets import (ANTENNAS, DS_BY_BAND, FIG_SWEEP_DEG, TXRX_DISTANCE_M, antenna_pattern,
                       fig_presets)
 from .scattering import VonMisesParams
-from .stats import DEFAULT_BIN_WIDTH_DEG, DEFAULT_TRIALS, SweepAxis, estimate_pas, sweep_as
+from .stats import DEFAULT_BIN_WIDTH_DEG, DEFAULT_TRIALS, SweepAxis, realization_pas, sweep_as
 
 ENV_SEED = "MULTIELL_SEED"
 
@@ -307,7 +307,7 @@ def cmd_pas(args) -> int:
     mapping = _resolve_mapping(args)
     config = mapping_to_config(mapping)
     bin_width = _value(mapping, "pas.bin_width_deg", float, DEFAULT_BIN_WIDTH_DEG)
-    spectrum = estimate_pas(run_realization(config), bin_width_deg=bin_width)
+    spectrum = realization_pas(config, bin_width_deg=bin_width)
     _write_csv(args.out, "pas", mapping,
                (["angle_deg,density_per_deg"],
                 (spectrum.bin_centers_deg, spectrum.density_per_deg)))

@@ -28,7 +28,8 @@ from .scattering import VonMisesParams, sample_von_mises
 
 _MAX_SEED = 2**64
 # 5x the densest benchmark run; with the bundled profile that is 23M paths,
-# 184 MB per float array.
+# 184 MB per float array. A `pas` run (stats.realization_pas) holds one such
+# array; run_realization holds two, three under a directional receiver.
 _MAX_PATHS_PER_CLUSTER = 1_000_000
 
 
@@ -147,12 +148,35 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
 
     The draws come from one PCG64 generator whose seed entropy is
     ``(config.seed, *stream_key)``, the one place a seed is read; the empty
-    key gives the stream of ``config.seed`` alone. Each key entry must be an
-    integer >= 0, or ``ConfigError`` is raised.
+    key gives the stream of ``config.seed`` alone. The key must be a
+    sequence of integers >= 0, or ``ConfigError`` is raised.
     """
-    if not all(_as_int("stream_key entry", k) >= 0 for k in stream_key):
-        raise ConfigError(f"stream_key entries must be >= 0, got {tuple(stream_key)}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, *stream_key))))
+    rows = _draw_rows(config, stream_key, stacked=True)
+    raw, angles, ratios = next(rows)
+    offset_bound = 0.0
+    sources = []
+    for kind, tap, paths, _, bound in rows:
+        offset_bound = max(offset_bound, bound)
+        sources.append((kind, tap, paths))
+    n = config.paths_per_cluster
+    offsets = angles[:ratios.size * n].reshape(ratios.size, n)
+    return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
+                 offsets=offsets, offset_bound=offset_bound, ratios=ratios,
+                 raw_power_lin=raw, sources=tuple(sources))
+
+
+def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
+    # The draw loop of draw_realization, one source row at a time in stream
+    # order, as a generator. Its first item is (raw, angles, ratios): the raw
+    # powers, one per path, which each row fills in as it is drawn; the angle
+    # buffer, one entry per path if ``stacked``, else one row's worth that
+    # every row reuses; and each cluster's half-angle ratio, shaped
+    # (clusters, 1). Then, as each row is filled, (kind, tap, paths, angles,
+    # bound): its entry of PathSet.sources, its view of the angle buffer, and
+    # for a cluster row the bound on its departure offsets; the other rows
+    # hold arrival angles and the bound 0.
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        (config.seed, *_stream_key_entries(stream_key)))))
 
     scaled = scale_pdp(config.pdp, config.ds_s)
     n = config.paths_per_cluster
@@ -178,44 +202,54 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
         # the same two multiplies, in the same order, as one pass over all
         # rows after the loop would, so the powers have that pass's bits.
         scatter_scale, direct_share = _rice_split(config.rice_factor_db)
-    raw = np.empty((clusters.size + 1) * n + direct)
     # One row of n per cluster, then local scattering; the direct path is last.
-    raw_rows = raw[:raw.size - direct].reshape(-1, n)
-    angles = np.empty(raw.size)
-    offsets = angles[:clusters.size * n].reshape(clusters.size, n)
+    raw = np.empty((clusters.size + 1) * n + direct)
+    angles = np.empty(raw.size if stacked else n)
     ratios = _half_angle_ratio(eccentricity_from_delay(delays[clusters],
                                                        config.txrx_distance_m).reshape(-1, 1))
-    offset_bound = 0.0
-    sources = []
-    for row, i in enumerate(clusters):
-        offset_bound = max(offset_bound,
-                           draw_aod_offsets(config.tx_pattern, streams[i], offsets[row]))
-        u = streams[i].random(out=raw_rows[row])
+    yield raw, angles, ratios
+
+    def row(start: int, stop: int) -> tuple[slice, np.ndarray]:
+        paths = slice(start, stop)
+        return paths, angles[paths] if stacked else angles[:stop - start]
+
+    for r, i in enumerate(clusters):
+        paths, offsets = row(r * n, (r + 1) * n)
+        bound = draw_aod_offsets(config.tx_pattern, streams[i], offsets)
+        u = streams[i].random(out=raw[paths])
         u *= float(budgets[i]) / u.sum()
         if direct:
             u *= scatter_scale
-        sources.append((SourceKind.CLUSTER, int(i) + 1, slice(row * n, (row + 1) * n)))
+        yield SourceKind.CLUSTER, int(i) + 1, paths, offsets, bound
 
     local_rng = streams[-1]
-    tail_aoa = angles[offsets.size:]
-    tail_aoa[:n] = sample_von_mises(config.local_scattering, local_rng, size=n)
-    u = local_rng.random(out=raw_rows[-1])
+    paths, aoa = row(clusters.size * n, (clusters.size + 1) * n)
+    aoa[:] = sample_von_mises(config.local_scattering, local_rng, size=n)
+    u = local_rng.random(out=raw[paths])
     if share > 0.0:
         u *= share / u.sum()
         if direct:
             u *= scatter_scale
     else:
         u[:] = 0.0
-    sources.append((SourceKind.LOCAL_SCATTER, -1, slice(offsets.size, offsets.size + n)))
+    yield SourceKind.LOCAL_SCATTER, -1, paths, aoa, 0.0
 
     if direct:
-        raw[-1] = direct_share
-        tail_aoa[-1] = 0.0
-        sources.append((SourceKind.LOS, -1, slice(raw.size - 1, raw.size)))
+        paths, aoa = row(raw.size - 1, raw.size)
+        raw[paths] = direct_share
+        aoa[:] = 0.0
+        yield SourceKind.LOS, -1, paths, aoa, 0.0
 
-    return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
-                 offsets=offsets, offset_bound=offset_bound, ratios=ratios,
-                 raw_power_lin=raw, sources=tuple(sources))
+
+def _stream_key_entries(stream_key) -> list[int]:
+    # The entries of ``stream_key`` as Python ints, each of them >= 0.
+    try:
+        entries = [operator.index(k) for k in stream_key]
+    except TypeError:  # not iterable, or an entry that is not an integer
+        entries = None
+    if entries is None or min(entries, default=0) < 0:
+        raise ConfigError(f"stream_key must be a sequence of integers >= 0, got {stream_key!r}")
+    return entries
 
 
 def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.ndarray:
@@ -229,13 +263,22 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
     and ``offset_bound`` reach +-180 (see ``geometry._aoa_in_place``).
     """
     departures = out[:draws.offsets.size].reshape(draws.offsets.shape)
-    shift = boresight_deg if draws.relative else 0.0
-    # The bounds and the + 0.0 are what _aoa_in_place's skips and signs need.
-    np.add(draws.offsets, shift + 0.0, out=departures)
-    m = draws.offset_bound
-    _aoa_in_place(departures, draws.ratios, (shift - m, shift + m))
+    _aim(draws.offsets, draws.ratios, draws.offset_bound, draws.relative, boresight_deg,
+         departures)
     out[draws.offsets.size:] = draws.tail_aoa
     return out
+
+
+def _aim(offsets: np.ndarray, ratios: np.ndarray, bound: float, relative: bool,
+         boresight_deg: float, out: np.ndarray) -> np.ndarray:
+    # Writes into ``out`` (shaped like ``offsets``, which may be ``out``
+    # itself) the arrival angles of departure ``offsets``, each at most
+    # ``bound`` in magnitude, taken from the boresight if ``relative`` and
+    # as they are otherwise; ``ratios`` broadcasts against them.
+    shift = boresight_deg if relative else 0.0
+    # The bounds and the + 0.0 are what _aoa_in_place's skips and signs need.
+    np.add(offsets, shift + 0.0, out=out)
+    return _aoa_in_place(out, ratios, (shift - bound, shift + bound))
 
 
 def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> PathSet:
@@ -255,6 +298,32 @@ def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) ->
     aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
     raw = draws.raw_power_lin
     return reweight(PathSet(aoa, raw, raw, draws.sources), config.rx_pattern)
+
+
+def _realization_rows(config: ScenarioConfig):
+    # run_realization(config) a source row at a time, in one reused row
+    # buffer: (power, rows), where ``power`` becomes the paths' power_lin,
+    # filled in row by row as the generator ``rows`` yields each row's
+    # arrival angles, in path order. The bits are run_realization's: the aim
+    # and the gain act element by element, and a row's own offset bound and
+    # angle span, within the whole realization's, skip only work that would
+    # change no bit (see _aoa_in_place and antenna._gain_in_place).
+    rows = _draw_rows(config, (), stacked=False)
+    power, _, ratios = next(rows)
+    tx, rx = config.tx_pattern, config.rx_pattern
+    relative = tx.kind is not PatternKind.OMNI
+    directional = rx.kind is not PatternKind.OMNI
+
+    def aimed():
+        for r, (kind, _, paths, angles, bound) in enumerate(rows):
+            if kind is SourceKind.CLUSTER:
+                _aim(angles, ratios[r], bound, relative, tx.boresight_deg, angles)
+            if directional:
+                # The gain times the raw power, as reweight multiplies them.
+                np.multiply(power_gain(rx, angles), power[paths], out=power[paths])
+            yield angles
+
+    return power, aimed()
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:

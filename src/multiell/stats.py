@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import PatternKind, _gain_in_place
-from .engine import PathSet, ScenarioConfig, _as_int, aim_realization, draw_realization
+from .engine import (PathSet, ScenarioConfig, _as_int, _realization_rows, aim_realization,
+                     draw_realization)
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -143,6 +144,38 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     naming the path, for a negative, NaN or infinite power, and for a total
     that is not positive (see ``_total_power`` for totals near the limits).
     """
+    edges = _pas_edges(bin_width_deg)
+    _require_path_powers(paths.power_lin)
+    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
+        power, total = _total_power(paths.power_lin)
+    return _spectrum(_bin_power((paths.aoa_deg,), power, edges, bin_width_deg), total, edges,
+                     bin_width_deg)
+
+
+def realization_pas(config: ScenarioConfig,
+                    bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -> AngularSpectrum:
+    """``estimate_pas(run_realization(config), bin_width_deg)``, bit for bit,
+    holding one path-sized float array where that holds two or three: each
+    source row of the realization is drawn, aimed and weighted in one reused
+    row buffer, its powers kept and its angles binned as it comes. Raises
+    as ``estimate_pas`` does, ``BadBinWidth`` before any draw.
+    """
+    edges = _pas_edges(bin_width_deg)
+    power, rows = _realization_rows(config)
+    sums = _bin_power(rows, power, edges, bin_width_deg)
+    _require_path_powers(power)
+    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
+        weights, total = _total_power(power)
+    if weights is not power:
+        # estimate_pas bins these powers, divided by the largest, so the
+        # angles are drawn again, from the same stream, to bin them with.
+        del power, rows
+        sums = _bin_power(_realization_rows(config)[1], weights, edges, bin_width_deg)
+    return _spectrum(sums, total, edges, bin_width_deg)
+
+
+def _pas_edges(bin_width_deg: float) -> np.ndarray:
+    # The PAS bin edges -180 + k * bin_width_deg; BadBinWidth as estimate_pas states.
     if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
         raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
     if bin_width_deg < 360.0 / _MAX_PAS_BINS:
@@ -150,33 +183,33 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     n_bins = 360.0 / bin_width_deg
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")
-    n_bins = int(round(n_bins))
-
-    _require_path_powers(paths.power_lin)
-    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
-        power, total = _total_power(paths.power_lin)
-    edges = -180.0 + bin_width_deg * np.arange(n_bins + 1)
-    density = _bin_power(paths.aoa_deg, power, edges, bin_width_deg)
-    density /= total * bin_width_deg
-    centers = edges[:-1] + bin_width_deg / 2.0
-    return AngularSpectrum(bin_centers_deg=centers, density_per_deg=density,
-                           bin_width_deg=float(bin_width_deg))
+    return -180.0 + bin_width_deg * np.arange(int(round(n_bins)) + 1)
 
 
-def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
-               width: float) -> np.ndarray:
+def _spectrum(sums: np.ndarray, total: float, edges: np.ndarray,
+              bin_width_deg: float) -> AngularSpectrum:
+    # The spectrum of per-bin power ``sums`` (used up) out of ``total``.
+    sums /= total * bin_width_deg
+    return AngularSpectrum(bin_centers_deg=edges[:-1] + bin_width_deg / 2.0,
+                           density_per_deg=sums, bin_width_deg=float(bin_width_deg))
+
+
+def _bin_power(chunks, power: np.ndarray, edges: np.ndarray, width: float) -> np.ndarray:
     # Sums of ``power`` per bin of estimate_pas: the floor of
     # q = (x - lo) * (1 / width), settled against ``edges`` near an edge.
+    # ``chunks`` yields the paths' angles in order, in pieces of any size;
+    # a block of ``power`` is read once its last angle has come. The blocks
+    # fall on the same paths however the angles are cut (see _blocks), so
+    # every bin is summed in the same order.
     n_bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     block = max(_PAS_BLOCK, n_bins)
     scale = 1.0 / width
-    q, k = np.empty((2, min(block, angles.size)))
+    q, k, held = np.empty((3, min(block, power.size)))
     idx = np.empty(q.size, dtype=np.intp)
     sums = np.zeros(n_bins)
-    for start in range(0, angles.size, block):
-        x = angles[start:start + block]
-        w = power[start:start + block]
+    for start, x in _blocks(chunks, power.size, block, held):
+        w = power[start:start + x.size]
         if not (x.min() >= lo and x.max() <= hi):  # NaN fails this too
             inside = (x >= lo) & (x <= hi)
             x, w = x[inside], w[inside]
@@ -196,6 +229,36 @@ def _bin_power(angles: np.ndarray, power: np.ndarray, edges: np.ndarray,
             ib[near] = i
         sums += np.bincount(ib, weights=w, minlength=n_bins)
     return sums
+
+
+def _blocks(chunks, size: int, block: int, held: np.ndarray):
+    # The ``size`` angles that ``chunks`` holds, in order, cut after every
+    # ``block``-th: yields (start, the angles from path start on), each
+    # ``block`` long but the last. One that lies in a single chunk is a view
+    # of it; one that spans chunks is gathered into ``held``. Raises
+    # ValueError if the chunks hold more or fewer than ``size`` angles.
+    start = filled = 0
+    for chunk in chunks:
+        pos = 0
+        while pos < chunk.size:
+            length = min(block, size - start)
+            if length == 0:
+                raise ValueError(f"more than {size} angles for {size} path powers")
+            take = min(length - filled, chunk.size - pos)
+            piece = chunk[pos:pos + take]
+            pos += take
+            if take == length:
+                yield start, piece
+            else:
+                held[filled:filled + take] = piece
+                filled += take
+                if filled < length:
+                    break  # the chunk is used up
+                yield start, held[:length]
+                filled = 0
+            start += length
+    if start != size:
+        raise ValueError(f"{start + filled} angles for {size} path powers")
 
 
 def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,

@@ -352,6 +352,14 @@ class TestNonFiniteInputs:
         assert proc.returncode == 1
         assert "kappa" in proc.stderr
 
+    def test_zero_received_power_exits_1(self, tmp_path, capsys):
+        # Every path of fig2-D at seed 1 gets a gain that rounds to 0 under
+        # this beam.
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig2-D", "--set", "rx.hpbw_deg=7",
+                     "--set", "rx.boresight_deg=180", "--out", str(out)]) == 1
+        assert "total path power is 0.0" in capsys.readouterr().err
+
     def test_nan_delay_spread_exits_1(self, tmp_path, capsys):
         out = tmp_path / "pas.csv"
         assert main([*self.PAS, "--set", "scenario.ds_s=nan", "--out", str(out)]) == 1

@@ -16,6 +16,7 @@ from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, sample_von_mises
+from multiell.stats import realization_pas
 
 TAP1_SHARE = 0.14098344168360796  # zero-delay tap's linear share of the builtin profile
 
@@ -330,10 +331,15 @@ class TestValidation:
         from dataclasses import replace
         replace(scenario("A", "same"), paths_per_cluster=1_000_000)
 
-    @pytest.mark.parametrize("key", [(-1,), (1, -2), (1.5,), ("0",)])
+    @pytest.mark.parametrize("key", [(-1,), (1, -2), (1.5,), ("0",), 5, 2.5, None,
+                                     np.random.default_rng(0), "12"])
     def test_bad_stream_key_raises(self, key):
-        with pytest.raises(ConfigError):
-            draw_realization(scenario("A", "same", paths_per_cluster=20), key)
+        # A key that is not a sequence raised a bare TypeError, and "12", read
+        # entry by entry, was named by its first entry alone.
+        for draw in (draw_realization, run_realization):
+            with pytest.raises(ConfigError) as caught:
+                draw(scenario("A", "same", paths_per_cluster=20), key)
+            assert f"got {key!r}" in str(caught.value)
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint32(5)])
     def test_numpy_integer_seed_is_the_python_int(self, seed):
@@ -612,3 +618,22 @@ class TestRealizationMemory:
             tracemalloc.stop()
         assert result.aoa_deg.size == paths
         assert peak < bound
+
+    @pytest.mark.parametrize("name, changes", [("fig2-C-omni", {"rice_factor_db": 6.0}),
+                                               ("fig4-A", {})])
+    def test_pas_route_holds_one_float_array(self, name, changes):
+        # The streamed PAS keeps the path powers whole, for their total, and
+        # bins each source row's angles as the row is drawn: 1.44 float
+        # arrays traced with a row buffer, the binner's blocks and the draws'
+        # temporaries. The realization and estimate_pas hold 2.31 (omni rx)
+        # and 3.31 (directional rx, fig4-A).
+        cfg = replace(fig_presets()[name].config, paths_per_cluster=20_000, **changes)
+        floats = 8 * (23 * 20_000 + ("rice_factor_db" in changes))
+        realization_pas(cfg)  # first call outside the trace: caches and imports
+        tracemalloc.start()
+        try:
+            realization_pas(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * floats

@@ -14,7 +14,7 @@ from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
 from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
-                            estimate_pas, sweep_as)
+                            estimate_pas, realization_pas, sweep_as)
 
 from conftest import make_pathset
 
@@ -300,7 +300,7 @@ class TestPasBinsByFloor:
                            x[::2].size)
         w = rng.random(x.size)
         expected = _bin_power_by_gathers(x, w, edges, width)
-        assert _bin_power(x, w, edges, width).tobytes() == expected.tobytes()
+        assert _bin_power((x,), w, edges, width).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("width", [1 / 3, 7.2])
     def test_bits_equal_the_gathers_with_a_block_of_edge_angles_only(self, width, rng):
@@ -312,7 +312,7 @@ class TestPasBinsByFloor:
                             SPECIAL_ANGLES, rng.uniform(-180.0, 180.0, 500)])
         w = rng.random(x.size)
         expected = _bin_power_by_gathers(x, w, edges, width)
-        assert _bin_power(x, w, edges, width).tobytes() == expected.tobytes()
+        assert _bin_power((x,), w, edges, width).tobytes() == expected.tobytes()
 
     def test_buffers_are_sized_by_the_path_count(self, rng):
         # At 1e-4-degree bins a block is the 3.6M-bin count; buffers that size
@@ -321,11 +321,83 @@ class TestPasBinsByFloor:
         x = rng.uniform(-180.0, 180.0, 1000)
         tracemalloc.start()
         try:
-            _bin_power(x, np.ones(x.size), edges, 1e-4)
+            _bin_power((x,), np.ones(x.size), edges, 1e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * (edges.size - 1) + 1_000_000
+
+    @pytest.mark.parametrize("width", [1 / 3, 7.2])
+    def test_chunked_angles_give_the_bits_of_one_array(self, width, rng):
+        # The streamed PAS feeds the angles a source row at a time: cut
+        # anywhere, they are binned on the blocks of one array.
+        edges = _bin_edges(width)
+        b = max(_PAS_BLOCK, edges.size - 1)
+        sizes = [0, 1, b - 1, b + 1, 3 * b + 7]
+        x = rng.uniform(-180.0, 180.0, sum(sizes))
+        x[::2] = np.resize(np.concatenate([_edge_angles(width), SPECIAL_ANGLES]),
+                           x[::2].size)
+        w = rng.random(x.size)
+        chunks = np.split(x, np.cumsum(sizes)[:-1])
+        assert [c.size for c in chunks] == sizes
+        got = _bin_power(iter(chunks), w, edges, width).tobytes()
+        assert got == _bin_power((x,), w, edges, width).tobytes()
+        assert got == _bin_power_by_gathers(x, w, edges, width).tobytes()
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (3, 2), (0,)])
+    def test_angle_count_must_equal_the_power_count(self, sizes):
+        x = np.zeros(sum(sizes))
+        with pytest.raises(ValueError):
+            _bin_power(np.split(x, np.cumsum(sizes)[:-1]), np.ones(6), _bin_edges(1.0), 1.0)
+
+
+def same_spectrum(got, expected):
+    return all(getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+               for name in ("bin_centers_deg", "density_per_deg")) and (
+        got.bin_width_deg == expected.bin_width_deg)
+
+
+class TestRealizationPas:
+    """The streamed PAS of the pas command gives estimate_pas(run_realization)
+    byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(fig_presets()))
+    def test_every_preset_and_rice_factor(self, name):
+        for rice in (None, 6.0, 4000.0):  # 4000 dB: K = inf, the direct path alone
+            cfg = replace(fig_presets()[name].config, paths_per_cluster=200,
+                          rice_factor_db=rice)
+            paths = run_realization(cfg)
+            for width in (1.0, 0.1, 7.2):
+                assert same_spectrum(realization_pas(cfg, width), estimate_pas(paths, width))
+
+    def test_rows_straddle_blocks(self):
+        # 50,000-path rows over 32,768-path blocks, under a directional rx.
+        cfg = replace(fig_presets()["fig4-A"].config, paths_per_cluster=50_000,
+                      rice_factor_db=6.0)
+        assert same_spectrum(realization_pas(cfg, 0.1), estimate_pas(run_realization(cfg), 0.1))
+
+    def fig2_d(self, hpbw, boresight):
+        cfg = fig_presets()["fig2-D"].config
+        return replace(cfg, rx_pattern=replace(cfg.rx_pattern, hpbw_deg=hpbw,
+                                               boresight_deg=boresight))
+
+    def test_total_below_the_range_bins_the_rescaled_powers(self):
+        cfg = self.fig2_d(6.0, 150.0)
+        paths = run_realization(cfg)
+        assert 0.0 < paths.power_lin.sum() < 1e-300  # 2.76e-307 at seed 1
+        assert same_spectrum(realization_pas(cfg), estimate_pas(paths))
+
+    def test_zero_total_raises(self):
+        cfg = self.fig2_d(7.0, 180.0)
+        assert run_realization(cfg).power_lin.sum() == 0.0
+        with pytest.raises(NoPower):
+            realization_pas(cfg)
+
+    def test_bad_bin_width_raises_before_any_draw(self, monkeypatch):
+        import multiell.stats
+        monkeypatch.setattr(multiell.stats, "_realization_rows", None)
+        with pytest.raises(BadBinWidth):
+            realization_pas(scenario("A", "same"), 7.0)
 
 
 class TestSweepAs:
