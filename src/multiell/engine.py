@@ -21,15 +21,15 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import (DEGENERATE_DELAY_S, _aoa_in_place, _half_angle_ratio,
-                       _require_finite_positive, eccentricity_from_delay)
+from .geometry import (DEGENERATE_DELAY_S, _half_angle_ratio, _require_finite_positive,
+                       eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
 _MAX_SEED = 2**64
 # 5x the densest benchmark run; with the bundled profile that is 23M paths,
 # 184 MB per float array. A `pas` run (stats.realization_pas) holds one such
-# array; run_realization holds two, three under a directional receiver.
+# array; run_realization two, three aimed off 0 or under a directional rx.
 _MAX_PATHS_PER_CLUSTER = 1_000_000
 
 
@@ -112,27 +112,27 @@ class Draws:
     boresight: one set of draws serves every boresight (see
     :func:`~multiell.antenna.draw_aod_offsets`).
 
-    ``angles`` has an entry per path. Its head, ``offsets``, is a view with
-    one row of ``paths_per_cluster`` departure draws per geometric cluster,
-    relative to the boresight if ``relative`` (an omni transmitter's draws
-    are the departures themselves); ``offset_bound`` bounds their magnitude.
-    Its tail, ``tail_aoa``, holds the arrival angles of local scattering,
-    then of the direct path under a Rice factor. ``ratios`` has one row per
+    ``angles`` has an entry per path. Its head, ``tangents``, is a view with
+    one row of ``paths_per_cluster`` entries per geometric cluster: the
+    half-angle tangent tan(o / 2) of each departure draw o, taken one
+    ``tan`` per path when drawn; o is relative to the boresight if
+    ``relative`` (an omni transmitter's o is the departure itself). Its
+    tail, ``tail_aoa``, holds the arrival angles of local scattering, then
+    of the direct path under a Rice factor. ``ratios`` has one row per
     cluster, (1 - e) / (1 + e) for its eccentricity e. ``raw_power_lin``
     and ``sources`` are laid out as in :class:`PathSet`.
     """
 
     relative: bool
     angles: np.ndarray
-    offsets: np.ndarray
-    offset_bound: float
+    tangents: np.ndarray
     ratios: np.ndarray
     raw_power_lin: np.ndarray
     sources: tuple[tuple[SourceKind, int, slice], ...]
 
     @property
     def tail_aoa(self) -> np.ndarray:
-        return self.angles[self.offsets.size:]
+        return self.angles[self.tangents.size:]
 
 
 def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> Draws:
@@ -153,16 +153,11 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
     """
     rows = _draw_rows(config, stream_key, stacked=True)
     raw, angles, ratios = next(rows)
-    offset_bound = 0.0
-    sources = []
-    for kind, tap, paths, _, bound in rows:
-        offset_bound = max(offset_bound, bound)
-        sources.append((kind, tap, paths))
+    sources = tuple((kind, tap, paths) for kind, tap, paths, _ in rows)
     n = config.paths_per_cluster
-    offsets = angles[:ratios.size * n].reshape(ratios.size, n)
     return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
-                 offsets=offsets, offset_bound=offset_bound, ratios=ratios,
-                 raw_power_lin=raw, sources=tuple(sources))
+                 tangents=angles[:ratios.size * n].reshape(ratios.size, n), ratios=ratios,
+                 raw_power_lin=raw, sources=sources)
 
 
 def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
@@ -171,10 +166,9 @@ def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
     # powers, one per path, which each row fills in as it is drawn; the angle
     # buffer, one entry per path if ``stacked``, else one row's worth that
     # every row reuses; and each cluster's half-angle ratio, shaped
-    # (clusters, 1). Then, as each row is filled, (kind, tap, paths, angles,
-    # bound): its entry of PathSet.sources, its view of the angle buffer, and
-    # for a cluster row the bound on its departure offsets; the other rows
-    # hold arrival angles and the bound 0.
+    # (clusters, 1). Then, as each row is filled, (kind, tap, paths, angles):
+    # its entry of PathSet.sources and its view of the angle buffer, which
+    # holds Draws.tangents for a cluster row and arrival angles otherwise.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         (config.seed, *_stream_key_entries(stream_key)))))
 
@@ -214,13 +208,15 @@ def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
         return paths, angles[paths] if stacked else angles[:stop - start]
 
     for r, i in enumerate(clusters):
-        paths, offsets = row(r * n, (r + 1) * n)
-        bound = draw_aod_offsets(config.tx_pattern, streams[i], offsets)
+        paths, tangents = row(r * n, (r + 1) * n)
+        draw_aod_offsets(config.tx_pattern, streams[i], tangents)
+        tangents *= math.pi / 360.0
+        np.tan(tangents, out=tangents)
         u = streams[i].random(out=raw[paths])
         u *= float(budgets[i]) / u.sum()
         if direct:
             u *= scatter_scale
-        yield SourceKind.CLUSTER, int(i) + 1, paths, offsets, bound
+        yield SourceKind.CLUSTER, int(i) + 1, paths, tangents
 
     local_rng = streams[-1]
     paths, aoa = row(clusters.size * n, (clusters.size + 1) * n)
@@ -232,13 +228,13 @@ def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
             u *= scatter_scale
     else:
         u[:] = 0.0
-    yield SourceKind.LOCAL_SCATTER, -1, paths, aoa, 0.0
+    yield SourceKind.LOCAL_SCATTER, -1, paths, aoa
 
     if direct:
         paths, aoa = row(raw.size - 1, raw.size)
         raw[paths] = direct_share
         aoa[:] = 0.0
-        yield SourceKind.LOS, -1, paths, aoa, 0.0
+        yield SourceKind.LOS, -1, paths, aoa
 
 
 def _stream_key_entries(stream_key) -> list[int]:
@@ -258,27 +254,43 @@ def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.n
     ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
     omni transmitter ignores it), and return ``out``: those of
     :func:`run_realization` at that boresight, from the same stream, bit
-    for bit. ``out=draws.angles`` aims in the draws' own buffer and uses
-    them up. The wrap and the fix-up at 180 run only where the boresight
-    and ``offset_bound`` reach +-180 (see ``geometry._aoa_in_place``).
+    for bit, each in (-180, 180]. ``out=draws.angles`` aims in the draws'
+    own buffer and uses them up. A beam turned off +-0 holds one more array
+    of the tangents' size while it is aimed (see ``_aim``).
     """
-    departures = out[:draws.offsets.size].reshape(draws.offsets.shape)
-    _aim(draws.offsets, draws.ratios, draws.offset_bound, draws.relative, boresight_deg,
-         departures)
-    out[draws.offsets.size:] = draws.tail_aoa
+    tangents = draws.tangents
+    _aim(tangents, draws.ratios, draws.relative, boresight_deg,
+         out[:tangents.size].reshape(tangents.shape))
+    out[tangents.size:] = draws.tail_aoa
     return out
 
 
-def _aim(offsets: np.ndarray, ratios: np.ndarray, bound: float, relative: bool,
-         boresight_deg: float, out: np.ndarray) -> np.ndarray:
-    # Writes into ``out`` (shaped like ``offsets``, which may be ``out``
-    # itself) the arrival angles of departure ``offsets``, each at most
-    # ``bound`` in magnitude, taken from the boresight if ``relative`` and
-    # as they are otherwise; ``ratios`` broadcasts against them.
-    shift = boresight_deg if relative else 0.0
-    # The bounds and the + 0.0 are what _aoa_in_place's skips and signs need.
-    np.add(offsets, shift + 0.0, out=out)
-    return _aoa_in_place(out, ratios, (shift - bound, shift + bound))
+def _aim(tangents: np.ndarray, ratios: np.ndarray, relative: bool, boresight_deg: float,
+         out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    # Writes into ``out`` (shaped like ``tangents``, which may be ``out``
+    # itself) the arrival angles of departures b + o, where ``tangents``
+    # holds t = tan(o / 2) and b is the boresight if ``relative``, else 0;
+    # ``ratios`` broadcasts against them. By tangent addition tan((b + o) / 2)
+    # = (t + t_b) / (1 - t_b * t) with t_b = tan(b / 2), and tan(aoa / 2) is r
+    # times that: both have period 360 degrees in b + o, so no departure is
+    # wrapped. At t_b = +-0 the quotient is t. ``scratch``, shaped like ``out``
+    # and apart from ``tangents``, takes its denominator; or one is made.
+    t_b = math.tan(boresight_deg * (math.pi / 360.0)) if relative else 0.0
+    quotient = tangents
+    if t_b:
+        denominator = np.multiply(tangents, -t_b, out=scratch)
+        denominator += 1.0
+        quotient = np.add(tangents, t_b, out=out)
+        with np.errstate(divide="ignore"):  # a zero denominator: +-inf, a half turn
+            quotient /= denominator
+    np.multiply(quotient, ratios, out=out)
+    np.arctan(out, out=out)
+    out *= 360.0 / math.pi
+    # arctan is at most pi / 2 as rounded, which scales to 180 exactly: the
+    # half turn arrives as 180 or -180, and -180 is sent to 180.
+    if out.min(initial=0.0) == -180.0:
+        out[out == -180.0] = 180.0
+    return out
 
 
 def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> PathSet:
@@ -290,9 +302,9 @@ def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) ->
     The paths hold one float array of angles and one of raw powers, plus
     the weighted powers of a directional receiver: the draws are aimed in
     their own buffer, and an omni receiver's ``power_lin`` is the raw-power
-    array itself. Neither moves a bit: the aim adds the boresight and maps
-    each angle element by element, so every output reads only its own
-    input, and a gain of exactly 1 would change no power.
+    array itself. Neither moves a bit: the aim maps each tangent element by
+    element, so every output reads only its own input, and a gain of
+    exactly 1 would change no power.
     """
     draws = draw_realization(config, stream_key)
     aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
@@ -305,9 +317,9 @@ def _realization_rows(config: ScenarioConfig):
     # buffer: (power, rows), where ``power`` becomes the paths' power_lin,
     # filled in row by row as the generator ``rows`` yields each row's
     # arrival angles, in path order. The bits are run_realization's: the aim
-    # and the gain act element by element, and a row's own offset bound and
-    # angle span, within the whole realization's, skip only work that would
-    # change no bit (see _aoa_in_place and antenna._gain_in_place).
+    # and the gain act element by element, and a row's own angle span,
+    # within the whole realization's, skips only work that would change no
+    # bit (see antenna._gain_in_place).
     rows = _draw_rows(config, (), stacked=False)
     power, _, ratios = next(rows)
     tx, rx = config.tx_pattern, config.rx_pattern
@@ -315,9 +327,9 @@ def _realization_rows(config: ScenarioConfig):
     directional = rx.kind is not PatternKind.OMNI
 
     def aimed():
-        for r, (kind, _, paths, angles, bound) in enumerate(rows):
+        for r, (kind, _, paths, angles) in enumerate(rows):
             if kind is SourceKind.CLUSTER:
-                _aim(angles, ratios[r], bound, relative, tx.boresight_deg, angles)
+                _aim(angles, ratios[r], relative, tx.boresight_deg, angles)
             if directional:
                 # The gain times the raw power, as reweight multiplies them.
                 np.multiply(power_gain(rx, angles), power[paths], out=power[paths])

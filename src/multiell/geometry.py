@@ -114,52 +114,29 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     angle array its own ellipse.
     """
     phi = np.asarray(phi_t_deg, dtype=float)
-    # A C-ordered copy; adding 0.0 turns -0.0 into +0.0, as _aoa_in_place needs.
-    out = _aoa_in_place(np.add(np.atleast_1d(phi), 0.0, order="C"),
-                        _half_angle_ratio(eccentricity))
+    # A wrapped C-ordered copy. Every step of the map is odd bit for bit
+    # (numpy's tan and arctan included), so an angle maps to sgn(aod) times
+    # the map of |aod|, with sgn(0) = +1 as long as no -0.0 enters. None
+    # does: adding +0.0 turns -0.0 into +0.0, and the wrap makes none.
+    out = wrap_in_place(np.add(np.atleast_1d(phi), 0.0, order="C"))
+    back = out == 180.0
+    out *= 0.5  # the same rounding of the same real as out /= 2.0
+    out *= np.pi / 180.0  # np.radians, bit for bit
+    np.tan(out, out=out)
+    out *= _half_angle_ratio(eccentricity)
+    np.arctan(out, out=out)
+    out *= 180.0 / np.pi  # np.degrees, bit for bit
+    out *= 2.0
+    # tan(pi / 2) is finite in floating point, so a small ratio pulls 180
+    # below itself.
+    out[back] = 180.0
     return float(out[0]) if phi.ndim == 0 else out
 
 
 def _half_angle_ratio(eccentricity):
     # The ratio r = (1 - e) / (1 + e) of the half-angle map, the only form
-    # of the eccentricity that _aoa_in_place reads, for e in [0, 1).
+    # of the eccentricity that the map reads, for e in [0, 1).
     e = np.asarray(eccentricity, dtype=float)
     if not np.all((e >= 0.0) & (e < 1.0)):
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
     return (1.0 - e) / (1.0 + e)
-
-
-def _aoa_in_place(angles: np.ndarray, ratio, bounds: tuple[float, float] | None = None
-                  ) -> np.ndarray:
-    # aoa_from_aod on a C-contiguous float array that holds no -0.0,
-    # overwriting and returning it; ``ratio`` comes from _half_angle_ratio.
-    # ``bounds``, if given, is a (lo, hi) with lo <= every angle <= hi; a
-    # caller adding a shift b to values in [-m, m] may pass (b - m, b + m) as
-    # rounded, since rounding is monotonic. When lo > -180 and hi <= 180 the
-    # wrap would touch no angle and is skipped; when moreover hi < 180 no
-    # angle is 180 and the fix-up at 180 is skipped too. Every step of the
-    # map is odd bit for bit (numpy's tan and arctan included), so an angle
-    # maps to sgn(aod) times the map of |aod|, with sgn(0) = +1 as long as no
-    # -0.0 enters. None does: a sum is -0.0 only when both terms are, so
-    # filling the array by adding +0.0 or a nonzero shift makes none, and
-    # the wrap makes none.
-    if bounds is None or not (bounds[0] > -180.0 and bounds[1] <= 180.0):
-        out = wrap_in_place(angles)
-        fix_up = True
-    else:
-        out = angles
-        fix_up = bounds[1] == 180.0
-    if fix_up:
-        back = out == 180.0
-    out *= 0.5  # the same rounding of the same real as out /= 2.0
-    out *= np.pi / 180.0  # np.radians, bit for bit
-    np.tan(out, out=out)
-    out *= ratio
-    np.arctan(out, out=out)
-    out *= 180.0 / np.pi  # np.degrees, bit for bit
-    out *= 2.0
-    if fix_up:
-        # tan(pi / 2) is finite in floating point, so a small ratio pulls 180
-        # below itself.
-        out[back] = 180.0
-    return out

@@ -10,8 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import PatternKind, _gain_in_place
-from .engine import (PathSet, ScenarioConfig, _as_int, _realization_rows, aim_realization,
-                     draw_realization)
+from .engine import PathSet, ScenarioConfig, _aim, _as_int, _realization_rows, draw_realization
 from .errors import BadBinWidth, ConfigError, NoPower
 
 
@@ -275,9 +274,12 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     ``angular_spread(run_realization(point_config, (code, t)))`` bit for bit,
     where ``point_config`` is ``config`` with that boresight and ``code`` is
     1 for the tx axis and 2 for the rx axis. Every angle shares the trial's
-    stream, so each trial is drawn once (``antenna.draw_aod_offsets``) and
-    aimed again only when the transmit boresight changes, into three
-    path-sized buffers allocated once per sweep.
+    stream, so each trial is drawn once (``antenna.draw_aod_offsets``). It
+    is aimed once, in the draws' own buffer, where the transmit boresight
+    never changes, and otherwise again at each new boresight into a buffer
+    of arrival angles. Besides the draws, a sweep holds at most three
+    path-sized buffers, allocated once: that one, the weighted powers and
+    the deviations, which share one buffer under an omni receiver.
     """
     if not isinstance(axis, SweepAxis):
         raise ConfigError(f"axis must be a SweepAxis, got {axis!r}")
@@ -302,18 +304,26 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     directional = rx.kind is not PatternKind.OMNI
     ranged = directional and any(rx_j.boresight_deg != 0.0 for _, rx_j in points)
     span = (-180.0, 180.0)
-    aoa = None
+    # The beam turns only where a directional transmitter takes more than
+    # one boresight: omni draws are the departures themselves.
+    turns = tx.kind is not PatternKind.OMNI and len({t.boresight_deg for t, _ in points}) > 1
+    weighted = None
     for trial in range(trials):
         draws = draw_realization(config, (_AXIS_CODE[axis], trial))
-        raw = draws.raw_power_lin
-        if aoa is None:
-            aoa, weighted, scratch = np.empty((3, raw.size))
+        raw, tangents = draws.raw_power_lin, draws.tangents
+        if weighted is None:
+            weighted = np.empty(raw.size)
+            scratch = np.empty(raw.size) if directional else weighted
+            turned = np.empty(raw.size) if turns else None
+        aoa = turned if turns else draws.angles
+        aoa[tangents.size:] = draws.tail_aoa  # onto itself where the beam never turns
         aimed = None
         for j, (tx_j, rx_j) in enumerate(points):
-            # Omni draws are the departures themselves: one aim serves all.
-            if aimed is None or draws.relative and tx_j.boresight_deg != aimed:
+            if aimed is None or turns and tx_j.boresight_deg != aimed:
                 aimed = tx_j.boresight_deg
-                aim_realization(draws, aimed, aoa)
+                _aim(tangents, draws.ratios, draws.relative, aimed,
+                     aoa[:tangents.size].reshape(tangents.shape),
+                     weighted[:tangents.size].reshape(tangents.shape))
                 if ranged:
                     span = (float(aoa.min()), float(aoa.max()))
             power = raw
@@ -321,6 +331,7 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
                 power = _gain_in_place(rx_j, aoa, span, weighted, scratch)
                 power *= raw
             spreads[j, trial] = _spread_in_place(aoa, power, scratch)
+        del draws, raw, tangents, aoa, power  # the next trial's draws replace these
 
     std = spreads.std(axis=1, ddof=1) if trials > 1 else np.zeros(len(angles))
     return SweepResult(axis=axis, angles_deg=np.array(angles),

@@ -632,10 +632,11 @@ class TestPinnedOutputs:
     # recorded when the omni transmitter's departures still had an array of
     # their own, apart from the arrival angles
     OMNI_TX_PAS_SHA256 = "fabd53af60207b69b9ec67e081a73a5160a475284e0c01602b047709c0e40163"
-    # recorded when the spread became a centered two-pass reduction; the
-    # full circle takes both wrap sides (negative boresights, 180, -180/180)
+    # re-recorded when the aim moved to tangent addition (three aggregate
+    # standard deviations moved in their last digit); the full circle takes
+    # both wrap sides (negative boresights, 180, -180/180)
     FULL_CIRCLE_RX_SWEEP_SHA256 = (
-        "2a89862df0a03e79534ba20112cb27f6a160e8ea92ae0961b3bee6326f3772e1")
+        "54bfa5ebefbd4790ed29779f38bf2dcb125ee7aea5252648043236886a0239fe")
 
     def test_sweep_bytes(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -692,10 +693,10 @@ class TestPinnedTxSweeps:
 class TestZeroShareTwins:
     # sha256 of each pinned command above with a zero local-scattering share,
     # recorded while the von Mises sampler was still hand-written (the two
-    # sweeps marked below when the spread became a centered two-pass
-    # reduction). With no power on the local-scattering paths their angles
-    # cannot reach the bytes, so these hold across any change to that one
-    # stream.
+    # sweeps marked below when the aim moved to tangent addition, which
+    # moved last digits of each). With no power on the local-scattering
+    # paths their angles cannot reach the bytes, so these hold across any
+    # change to that one stream.
     ZERO_SHARE = ["--set", "local_scattering.power_share=0"]
     TWINS = {
         "sweep": (["sweep", "--preset", "fig4-A", "--from", "0", "--to", "20", "--step", "10",
@@ -704,7 +705,7 @@ class TestZeroShareTwins:
         "full-circle-rx-sweep": (
             ["sweep", "--preset", "fig4-A", "--from=-180", "--to", "180", "--step", "5",
              "--trials", "2", "--seed", "1", "--set", "scenario.paths_per_cluster=200"],
-            "12648288346a7e13c9c6587ecf59e4ffc3bfdcf885e85fcb7e5efca9188526e2"),  # centered
+            "771db4ffae2f311cbdd46195c15d43d8613406f217a7a27a23c50bb032c0a0a5"),  # tangents
         "pas": (["pas", "--preset", "fig2-C-omni", "--bin-width", "10", "--seed", "1",
                  "--set", "scenario.paths_per_cluster=30", "--set", "scenario.rice_factor_db=6"],
                 "810f380ae698aa31fad58865275d508e9a32f45d900f2e840f6582feaada6f26"),
@@ -713,7 +714,7 @@ class TestZeroShareTwins:
                          "--set", "scenario.rice_factor_db=6", "--set", "tx.kind=omni"],
                         "71544db481d6d36251cdca587adbc7dfa0254c3d2994bf9a73383a279eb6993b"),
         "tx-sweep": (["sweep", "--preset", "fig2-D", *TestPinnedTxSweeps.GRID, "--seed", "1"],
-                     "dac24bb3afae0ef19af17cdbd69f2572e40412285768b8ac9064923c59f41281"),  # centered
+                     "d0cd82f0a5f1c08a4182f444d6bf71a67d8f3ba1f68df2382d1be490e25897eb"),  # tangents
         "wide-tx-sweep": (["sweep", "--preset", "fig1-A-omni", *TestPinnedTxSweeps.GRID,
                            "--seed", "3", "--set", "tx.hpbw_deg=330"],
                           "e712cb24949738423a2ecbfd8e5eeaf146e7d2088d7965621418bb3bb38eac96"),
@@ -729,16 +730,16 @@ class TestZeroShareTwins:
 
 class TestBenchmarkCommandBytes:
     # The three benchmark commands at full size, seed 1, with the sha256 of
-    # each output as recorded before the angle map learned to skip its wrap
-    # and its fix-up at 180 when the departures' bound rules them out. The
-    # goldens above use at most 200 paths per cluster; these runs reach the
-    # skip branches at every size the benchmark times. The argument lists
-    # are copies of the benchmark's, kept here so the test stands alone.
+    # each output; rx-sweep's was re-recorded when the aim moved to tangent
+    # addition (one aggregate standard deviation moved in its last digit).
+    # The goldens above use at most 200 paths per cluster; these runs reach
+    # the sizes the benchmark times. The argument lists are copies of the
+    # benchmark's, kept here so the test stands alone.
     COMMANDS = {
         "rx-sweep": (["sweep", "--preset", "fig4-A", "--from", "0", "--to", "120",
                       "--step", "1", "--trials", "10",
                       "--set", "scenario.paths_per_cluster=2000"],
-                     "4875ec1b5079c145fbfe924bf8619d3deb3d90508d131f3382d610ed1f12f8e4"),
+                     "75252decfdab5f777ddf910666cfec55a645871d3d027c0aba8d8abb5f97b72b"),
         "tx-sweep": (["sweep", "--preset", "fig2-D", "--step", "5", "--trials", "10"],
                      "ae32632378c3928b95ac61e873a54a584894ab62c5f72d3d30c41bd61eecfa38"),
         "pas-dense": (["pas", "--preset", "fig2-C-omni", "--set", "scenario.rice_factor_db=6",

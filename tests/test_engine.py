@@ -16,7 +16,7 @@ from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, sample_von_mises
-from multiell.stats import realization_pas
+from multiell.stats import realization_pas, sweep_as
 
 TAP1_SHARE = 0.14098344168360796  # zero-delay tap's linear share of the builtin profile
 
@@ -351,6 +351,11 @@ class TestValidation:
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
 
+def at_boresight_0(cfg):
+    """``cfg`` with its transmit beam turned to 0 degrees."""
+    return replace(cfg, tx_pattern=replace(cfg.tx_pattern, boresight_deg=0.0))
+
+
 def per_cluster_draws(cfg, rng):
     """The engine's sampling as it ran cluster by cluster before the draw
     stage: per geometric tap, ``rng.normal`` around the tx boresight with
@@ -394,10 +399,11 @@ class TestDrawStage:
     ], ids=["narrow-tx", "wide-tx", "omni-tx"])
     def test_matches_per_cluster_sampler(self, cfg):
         draws = draw_realization(cfg)
-        aods, uniforms, redrawn = per_cluster_draws(cfg, np.random.default_rng(
+        # Drawn around a boresight of 0, the departures are the offsets,
+        # which the draws hold as half-angle tangents.
+        offsets, uniforms, redrawn = per_cluster_draws(at_boresight_0(cfg), np.random.default_rng(
             np.random.SeedSequence(cfg.seed)))
-        shift = 0.0 if cfg.tx_pattern.hpbw_deg is None else cfg.tx_pattern.boresight_deg
-        assert np.array_equal((draws.offsets + shift).view(np.int64), aods.view(np.int64))
+        assert draws.tangents.tobytes() == np.tan(offsets * (np.pi / 360.0)).tobytes()
         powers = scale_pdp(cfg.pdp, cfg.ds_s).powers_lin[1:]  # tap 1 is routed away
         rows = draws.raw_power_lin.reshape(-1, cfg.paths_per_cluster)[:-1]  # last: local
         for row, u, budget in zip(rows, uniforms, powers, strict=True):
@@ -406,7 +412,7 @@ class TestDrawStage:
         # both from the last spawned stream
         n, taps = cfg.paths_per_cluster, scale_pdp(cfg.pdp, cfg.ds_s).powers_lin
         local = np.random.default_rng(np.random.SeedSequence(cfg.seed)).spawn(taps.size + 1)[-1]
-        tail = draws.angles[draws.offsets.size:]
+        tail = draws.angles[draws.tangents.size:]
         assert tail[:n].tobytes() == sample_von_mises(cfg.local_scattering, local, n).tobytes()
         u = local.random(n)
         share = float(taps[0])  # the auto share is the routed tap's power
@@ -452,13 +458,27 @@ class TestAimStage:
         assert got.tobytes() == expected.tobytes()
         assert got.tobytes() == run_realization(cfg).aoa_deg.tobytes()
 
+    @pytest.mark.parametrize("tx", [AntennaPattern.gaussian(20.0, boresight_deg=150.0),
+                                    AntennaPattern.omni()], ids=["gaussian-tx", "omni-tx"])
+    def test_other_ratios_give_the_realization_at_another_delay_spread(self, tx):
+        # Above about 0.93 ns every tap of the bundled profile but the first
+        # stays geometric, so a trial's draws depend on the delay spread only
+        # through the ratios: a delay-spread sweep can draw once and aim again.
+        base = replace(scenario("A", "same", seed=7, paths_per_cluster=200), tx_pattern=tx)
+        drawn, other = replace(base, ds_s=50e-9), replace(base, ds_s=700e-9)
+        draws = replace(draw_realization(drawn), ratios=draw_realization(other).ratios)
+        expected = run_realization(other)
+        got = aim_realization(draws, tx.boresight_deg, np.empty(draws.angles.size))
+        assert got.tobytes() == expected.aoa_deg.tobytes()
+        assert draws.raw_power_lin.tobytes() == expected.raw_power_lin.tobytes()
+
     def test_draws_share_one_angle_buffer(self):
         draws = draw_realization(scenario("C", "same", seed=8, paths_per_cluster=50,
                                           rice_factor_db=3.0))
         assert draws.angles.size == draws.raw_power_lin.size
-        assert np.shares_memory(draws.offsets, draws.angles)
+        assert np.shares_memory(draws.tangents, draws.angles)
         assert np.shares_memory(draws.tail_aoa, draws.angles)
-        assert draws.offsets.size + draws.tail_aoa.size == draws.angles.size
+        assert draws.tangents.size + draws.tail_aoa.size == draws.angles.size
 
 
 def cluster_eccentricities(cfg):
@@ -469,22 +489,21 @@ def cluster_eccentricities(cfg):
 
 
 def always_wrapping_aim(draws, boresight_deg, eccentricities):
-    """The arrival angles of ``draws`` at ``boresight_deg`` with the departure
-    wrap and the fix-up at 180 always run, the ratio taken from the
-    eccentricities and the half angle taken by division."""
-    out = wrap_degrees(draws.offsets + boresight_deg if draws.relative else draws.offsets)
+    """The arrival angles of ``draws`` at ``boresight_deg`` by tangent
+    addition with every pass always run: the quotient even where the
+    boresight's half-angle tangent is 0, and the wrap of every arrival into
+    (-180, 180]; the ratio is taken from the eccentricities."""
+    t = draws.tangents
+    t_b = math.tan(boresight_deg * (math.pi / 360.0)) if draws.relative else 0.0
     ratio = (1.0 - eccentricities) / (1.0 + eccentricities)
-    out += 0.0
-    back = out == 180.0
-    out /= 2.0
-    np.radians(out, out=out)
-    np.tan(out, out=out)
-    out *= ratio
-    np.arctan(out, out=out)
-    np.degrees(out, out=out)
-    out *= 2.0
-    out[back] = 180.0
-    return np.concatenate([out.reshape(-1), draws.tail_aoa])
+    with np.errstate(divide="ignore"):
+        out = np.arctan(ratio * ((t + t_b) / (1.0 - t_b * t))) * (360.0 / math.pi)
+    return np.concatenate([wrap_degrees(out).reshape(-1), draws.tail_aoa])
+
+
+def circle_error_deg(got, reference):
+    """|got - reference| in degrees, taken on the circle."""
+    return abs((got - reference + 180.0) % 360.0 - 180.0)
 
 
 # +-0, +-180 and their neighbours, and a boresight either side of 0.
@@ -493,8 +512,10 @@ EDGE_BORESIGHTS = [0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0, np.nextafter(180.0
 
 
 class TestAimSkips:
-    """aim_realization skips the departure wrap and the fix-up at 180 where
-    the draws' offset bound rules them out; the angles keep every bit."""
+    """aim_realization skips the quotient of the tangent addition where the
+    boresight's half-angle tangent is +-0, wraps no departure, and sends an
+    arrival of -180 to 180 only where one occurs; the angles keep every bit
+    of the aim that always runs every pass."""
 
     CONFIGS = {
         "narrow-tx": scenario("D", "same", seed=6, paths_per_cluster=300, rice_factor_db=3.0),
@@ -507,16 +528,14 @@ class TestAimSkips:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_offsets_lie_within_the_bound(self, name):
+        # Every offset lies within the redraw rule's bound of 180, so every
+        # tangent is at most tan(90 degrees) as rounded.
         cfg = self.CONFIGS[name]
         draws = draw_realization(cfg)
-        largest = float(np.abs(draws.offsets).max())
-        assert largest <= draws.offset_bound <= 180.0
-        if draws.relative:  # a Gaussian's bound is its largest offset
-            assert draws.offset_bound == largest
-        else:
-            assert draws.offset_bound == 180.0
-        _, _, redrawn = per_cluster_draws(cfg, np.random.default_rng(
+        assert np.abs(draws.tangents).max() <= np.tan(np.pi / 2.0)
+        offsets, _, redrawn = per_cluster_draws(at_boresight_0(cfg), np.random.default_rng(
             np.random.SeedSequence(cfg.seed)))
+        assert np.abs(offsets).max() <= 180.0
         assert redrawn == (name == "wide-tx")
 
     def test_ratios_are_computed_from_the_eccentricities(self):
@@ -535,46 +554,87 @@ class TestAimSkips:
 
     @pytest.mark.parametrize("boresight", EDGE_BORESIGHTS)
     def test_departures_on_the_half_turn(self, boresight):
-        # One offset puts its departure on 180 or -180 exactly; where it is
-        # the largest offset (at 90, say), the bound itself reaches 180.
+        # One offset puts its departure on 180 or -180 exactly, in the
+        # cluster of the smallest ratio, where the map is steepest there.
         cfg = self.CONFIGS["narrow-tx"]
         draws = draw_realization(cfg)
-        draws.offsets[0, 0] = 180.0 - boresight if boresight >= 0.0 else -180.0 - boresight
-        draws.offsets[1, 0] = 0.0
-        departure = draws.offsets[0, 0] + boresight
-        assert abs(departure) == 180.0
-        draws = replace(draws, offset_bound=float(np.abs(draws.offsets).max()))
+        offset = 180.0 - boresight if boresight >= 0.0 else -180.0 - boresight
+        assert abs(offset + boresight) == 180.0
+        draws.tangents[0, 0] = np.tan(offset * (np.pi / 360.0))
         expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
         got = aim_realization(draws, boresight, np.full(draws.angles.size, np.nan))
         assert got.tobytes() == expected.tobytes()
-        assert got[0] == 180.0  # the wrap sends -180 to 180, which maps to itself
+        assert -180.0 < got[0] <= 180.0 and circle_error_deg(got[0], 180.0) < 1e-12
 
     def test_omni_draw_of_minus_180(self):
         cfg = self.CONFIGS["omni-tx"]
         draws = draw_realization(cfg)
-        draws.offsets[0, 0] = -180.0  # what a uniform draw of 0 gives
+        draws.tangents[0, 0] = np.tan(-180.0 * (np.pi / 360.0))  # a uniform draw of 0
         expected = always_wrapping_aim(draws, 0.0, cluster_eccentricities(cfg))
         got = aim_realization(draws, 0.0, np.full(draws.angles.size, np.nan))
         assert got.tobytes() == expected.tobytes()
-        assert got[0] == 180.0
+        assert -180.0 < got[0] <= 180.0 and circle_error_deg(got[0], 180.0) < 1e-12
 
     @pytest.mark.parametrize("boresight", [0.0, -0.0])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_signed_zero_departures_map_to_plus_zero(self, name, boresight):
+    def test_signed_zero_departures_keep_their_sign(self, name, boresight):
         # Offsets of -0 and +0 at a boresight of +-0 (for an omni transmitter
-        # departures of -0 and +0): every departure of 0 arrives at +0, as in
-        # the map that adds 0 after the wrap, aimed into another buffer or
-        # into the draws' own.
+        # departures of -0 and +0) have tangents of their own sign, which the
+        # skipped quotient leaves as they are: each arrives at a zero of its
+        # departure's sign, aimed into another buffer or into the draws' own.
         cfg = self.CONFIGS[name]
         draws = draw_realization(cfg)
-        draws.offsets[:, 0] = -0.0
-        draws.offsets[:, 1] = 0.0
-        expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
+        draws.tangents[:, 0] = np.tan(-0.0)
+        draws.tangents[:, 1] = np.tan(0.0)
         got = aim_realization(draws, boresight, np.full(draws.angles.size, np.nan))
-        assert got.tobytes() == expected.tobytes()
-        assert aim_realization(draws, boresight, draws.angles).tobytes() == expected.tobytes()
-        zeros = expected[:draws.offsets.size].reshape(draws.offsets.shape)[:, :2]
-        assert not np.signbit(zeros).any()
+        assert aim_realization(draws, boresight, draws.angles).tobytes() == got.tobytes()
+        zeros = got[:draws.tangents.size].reshape(draws.tangents.shape)[:, :2]
+        assert (zeros == 0.0).all()
+        assert np.signbit(zeros[:, 0]).all() and not np.signbit(zeros[:, 1]).any()
+
+
+class TestAimAccuracy:
+    """The tangent-addition aim against the single-bounce map taken at 40
+    significant digits: aoa = 2 atan(r tan((b + o) / 2)) for the departure
+    b + o as an exact sum, at the float ratios r the draws hold."""
+
+    # Offsets on both ends of the redraw bound, their neighbours, +-0 and
+    # the smallest subnormals, in every cluster.
+    EDGE_OFFSETS = [180.0, -180.0, np.nextafter(180.0, 0.0), np.nextafter(-180.0, 0.0), 0.0,
+                    -0.0, 5e-324, -5e-324, 90.0, -90.0]
+    BORESIGHTS = [*np.linspace(-180.0, 180.0, 9), -0.0, np.nextafter(180.0, 0.0),
+                  np.nextafter(-180.0, 0.0), 5e-324, -5e-324]
+
+    @pytest.mark.parametrize("tx", [AntennaPattern.gaussian(20.0), AntennaPattern.omni()],
+                             ids=["gaussian-tx", "omni-tx"])
+    def test_arrivals_within_1e_12_degrees_of_the_reference(self, tx):
+        mp = pytest.importorskip("mpmath")
+        n = 100
+        cfg = replace(scenario("A", "omni", seed=4, paths_per_cluster=n), tx_pattern=tx)
+        draws = draw_realization(cfg)
+        rng = np.random.default_rng(12)
+        offsets = np.concatenate([
+            np.tile(self.EDGE_OFFSETS, (draws.ratios.size, 1)),
+            rng.uniform(-180.0, 180.0, (draws.ratios.size, n // 2)),
+            rng.normal(0.0, 10.0, (draws.ratios.size, n // 2 - len(self.EDGE_OFFSETS)))],
+            axis=1)
+        draws.tangents[:] = np.tan(offsets * (np.pi / 360.0))
+        out = np.empty(draws.angles.size)
+        worst = 0.0
+        with mp.workdps(40):
+            ratios = [mp.mpf(float(r)) for r in draws.ratios[:, 0]]
+            for boresight in self.BORESIGHTS if draws.relative else [0.0]:
+                got = aim_realization(draws, boresight, out)[:offsets.size].reshape(offsets.shape)
+                assert np.all((got > -180.0) & (got <= 180.0)), boresight
+                for r, row, arrivals in zip(ratios, offsets, got):
+                    for o, aoa in zip(row, arrivals):
+                        departure = mp.mpf(float(boresight)) + mp.mpf(float(o))
+                        exact = 2 * mp.atan(r * mp.tan(departure * mp.pi / 360)) * 180 / mp.pi
+                        error = abs((mp.mpf(float(aoa)) - exact + 180) % 360 - 180)
+                        worst = max(worst, float(error))
+        # The aim that added the boresight, wrapped and took the tangent of
+        # each departure measured 1.8e-12 here; this one 7.1e-13.
+        assert worst < 1e-12
 
 
 class TestOmniReweight:
@@ -637,3 +697,23 @@ class TestRealizationMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * floats
+
+    @pytest.mark.parametrize("name, bound", [("fig4-A", 4.5), ("fig2-D", 5.5)])
+    def test_sweep_holds_the_draws_and_at_most_three_buffers(self, name, bound):
+        # An rx sweep (fig4-A) aims each trial once, in the draws' own
+        # buffer: the draws' two float arrays plus the weighted powers and
+        # the deviations, 4.11 arrays traced with the next trial's draw
+        # temporaries. A tx sweep (fig2-D) turning the beam adds a buffer of
+        # arrival angles: 5.11. Holding the last trial's draws while drawing
+        # the next, and an arrival buffer in every sweep, made 7.11 in both.
+        preset = fig_presets()[name]
+        cfg = replace(preset.config, paths_per_cluster=20_000)
+        floats = 8 * 23 * 20_000
+        sweep_as(cfg, preset.axis, [30.0, 60.0], trials=2)  # caches and imports
+        tracemalloc.start()
+        try:
+            sweep_as(cfg, preset.axis, [30.0, 60.0], trials=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * floats

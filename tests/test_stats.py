@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, _gain_in_place
 from multiell.cli import _fmt
-from multiell.engine import aim_realization, reweight, run_realization
+from multiell.engine import _aim, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
@@ -637,7 +637,9 @@ class TestSweepEquivalence:
                                                             monkeypatch):
         # A fresh path-sized array per angle made the sweep's speed depend on
         # whether the C allocator trimmed the heap after each one; one per
-        # trial cost peak memory.
+        # trial cost peak memory. The aim's scratch is the weighted powers'
+        # buffer, and where the beam never turns (the rx sweep) each trial is
+        # aimed in its draws' own buffer.
         import multiell.stats
         weighted, aimed = [], []
 
@@ -645,28 +647,36 @@ class TestSweepEquivalence:
             weighted.append((phi, out, scratch))
             return _gain_in_place(pattern, phi, span, out, scratch)
 
-        def recording_aim(draws, boresight_deg, out):
-            aimed.append((boresight_deg, out))
-            return aim_realization(draws, boresight_deg, out)
+        def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
+            aimed.append((boresight_deg, tangents, out, scratch))
+            return _aim(tangents, ratios, relative, boresight_deg, out, scratch)
 
         monkeypatch.setattr(multiell.stats, "_gain_in_place", recording_gain)
-        monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
+        monkeypatch.setattr(multiell.stats, "_aim", recording_aim)
         cfg = scenario("A", "same", alpha_t_deg=30.0, paths_per_cluster=30, seed=4)
         sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
-        assert [b for b, _ in aimed] == boresights * 2
+        assert [b for b, *_ in aimed] == boresights * 2
         assert len(weighted) == 6
         _, out, scratch = weighted[0]
-        angles = aimed[0][1]
-        assert out is not None and scratch is not None
-        assert all(p is angles and o is out and s is scratch for p, o, s in weighted)
-        assert all(a is angles for _, a in aimed)
-        assert len({id(angles), id(out), id(scratch)}) == 3
+        assert out is not None and scratch is not None and out is not scratch
+        assert all(o is out and s is scratch for _, o, s in weighted)
+        assert all(np.shares_memory(s, out) for *_, s in aimed)
+        # the gain reads the angles the last aim wrote
+        per_trial = len(weighted) // 2
+        for trial, (_, tangents, departures, _) in enumerate(aimed[::len(boresights)]):
+            angles = weighted[trial * per_trial][0]
+            assert all(p is angles for p, _, _ in weighted[trial * per_trial:][:per_trial])
+            assert np.shares_memory(departures, angles)
+            assert np.shares_memory(tangents, angles) == (axis is SweepAxis.RX_ORIENTATION)
+            assert not np.shares_memory(angles, out) and not np.shares_memory(angles, scratch)
+        if axis is SweepAxis.TX_ORIENTATION:  # one buffer of arrival angles serves the sweep
+            assert weighted[0][0] is weighted[-1][0]
         # An omni receiver weights nothing: no gain is computed.
         weighted.clear()
         aimed.clear()
         sweep_as(replace(cfg, rx_pattern=AntennaPattern.omni()), axis, [-180.0, 180.0, 0.0],
                  trials=2)
-        assert [b for b, _ in aimed] == boresights * 2
+        assert [b for b, *_ in aimed] == boresights * 2
         assert weighted == []
 
     @pytest.mark.parametrize("axis, rx, alpha_r, angles, scans", [
@@ -701,37 +711,32 @@ class TestSweepEquivalence:
         monkeypatch.undo()
         assert_same_sweep(result, reference_sweep(cfg, axis, angles, 2))
 
-    def test_narrow_tx_sweep_wraps_only_where_the_bound_crosses_the_half_turn(
-            self, monkeypatch):
-        # A departure leaves (-180, 180] only if the boresight b and the
-        # draws' offset bound m give b - m <= -180 or b + m > 180; at every
-        # other aim the departure wrap is skipped.
+    def test_narrow_tx_sweep_wraps_no_departure(self, monkeypatch):
+        # The half-angle tangent has period 360 degrees in the departure, so
+        # no aim wraps one, even where the beam straddles the half turn.
         import multiell.geometry
         import multiell.stats
-        aims = []
+        aims, wrapped = [], []
         real_wrap = multiell.geometry.wrap_in_place
 
-        def recording_aim(draws, boresight_deg, out):
-            aims.append([boresight_deg, draws.offset_bound, False])
-            return aim_realization(draws, boresight_deg, out)
+        def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
+            before = len(wrapped)
+            _aim(tangents, ratios, relative, boresight_deg, out, scratch)
+            aims.append(len(wrapped) - before)
+            return out
 
         def recording_wrap(angles):
-            if angles.ndim == 2:  # the departures; wrap_degrees passes 0-d arrays
-                aims[-1][2] = True
+            wrapped.append(angles.shape)
             return real_wrap(angles)
 
-        monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
+        monkeypatch.setattr(multiell.stats, "_aim", recording_aim)
         monkeypatch.setattr(multiell.geometry, "wrap_in_place", recording_wrap)
         cfg = replace(scenario("D", "same", seed=2, paths_per_cluster=200),
                       tx_pattern=AntennaPattern.gaussian(9.0))
         angles = np.arange(-180.0, 181.0, 5.0)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=2)
         monkeypatch.undo()
-        assert len(aims) == 2 * angles.size
-        for boresight, bound, wrapped in aims:
-            assert 0.0 < bound < 30.0
-            assert wrapped == (boresight - bound <= -180.0 or boresight + bound > 180.0)
-        assert 0 < sum(wrapped for *_, wrapped in aims) <= 2 * 12
+        assert aims == [0] * (2 * angles.size)
         assert_same_sweep(result, reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 2))
 
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
@@ -739,11 +744,11 @@ class TestSweepEquivalence:
         import multiell.stats
         aimed = []
 
-        def recording_aim(draws, boresight_deg, out):
+        def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
             aimed.append(boresight_deg)
-            return aim_realization(draws, boresight_deg, out)
+            return _aim(tangents, ratios, relative, boresight_deg, out, scratch)
 
-        monkeypatch.setattr(multiell.stats, "aim_realization", recording_aim)
+        monkeypatch.setattr(multiell.stats, "_aim", recording_aim)
         cfg = replace(fig_presets()["fig4-A"].config, tx_pattern=AntennaPattern.omni(),
                       paths_per_cluster=40, seed=6)
         angles = [-180.0, -90.0, 0.0, 45.0, 180.0, 400.0]
