@@ -145,34 +145,30 @@ def _gain_in_place(pattern: AntennaPattern, phi: np.ndarray, span: tuple[float, 
 
 
 def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
-                     out: np.ndarray) -> float:
-    """Fill ``out`` with departure draws taken relative to the boresight, and
-    return a bound on their magnitude: every ``abs(out)`` is at most it.
+                     out: np.ndarray) -> None:
+    """Fill ``out`` with departure draws taken relative to the boresight.
 
-    Omni: the departures themselves, uniform on [-180, 180), bound 180.
+    Omni: the departures themselves, uniform on [-180, 180).
     Gaussian: sigma * z with z standard normal, what ``rng.normal(boresight,
     sigma)`` adds to the boresight, bit for bit and from the same stream; an
     offset beyond +-180 is drawn again (the normal truncated to boresight
     +-180), and ``MultiellError`` is raised after ``_MAX_REDRAW_ROUNDS``
     rounds. The rule reads only the offset, never the boresight, so the
-    draws hold at every boresight. The bound is the larger of the largest
-    draw and minus the smallest (0 for an empty ``out``), which the redraw
-    check takes anyway: negation is exact, so it is the largest magnitude.
+    draws hold at every boresight.
     """
     if pattern.kind is PatternKind.OMNI:
         rng.random(out=out)
         out *= 360.0
         out -= 180.0
-        return 180.0
+        return
     sigma = sigma_from_hpbw(pattern.hpbw_deg)
     rng.standard_normal(out=out)
     out *= sigma
     rounds = 0
-    while (bound := float(max(out.max(initial=0.0), -out.min(initial=0.0)))) > 180.0:
+    while max(out.max(initial=0.0), -out.min(initial=0.0)) > 180.0:
         if rounds == _MAX_REDRAW_ROUNDS:
             raise MultiellError(f"departure draws still beyond 180 degrees after"
                                 f" {_MAX_REDRAW_ROUNDS} redraw rounds")
         rounds += 1
         bad = np.abs(out) > 180.0
         out[bad] = sigma * rng.standard_normal(int(bad.sum()))
-    return bound

@@ -28,8 +28,9 @@ from .scattering import VonMisesParams, sample_von_mises
 
 _MAX_SEED = 2**64
 # 5x the densest benchmark run; with the bundled profile that is 23M paths,
-# 184 MB per float array. A `pas` run (stats.realization_pas) holds one such
-# array; run_realization two, three aimed off 0 or under a directional rx.
+# 184 MB per float array. run_realization holds two such arrays, three aimed
+# off 0 or under a directional rx; a `pas` run (stats.realization_pas) holds
+# none, only row-sized buffers: two of 8 MB each, with a few temporaries.
 _MAX_PATHS_PER_CLUSTER = 1_000_000
 
 
@@ -152,8 +153,8 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
     sequence of integers >= 0, or ``ConfigError`` is raised.
     """
     rows = _draw_rows(config, stream_key, stacked=True)
-    raw, angles, ratios = next(rows)
-    sources = tuple((kind, tap, paths) for kind, tap, paths, _ in rows)
+    _, raw, angles, ratios = next(rows)
+    sources = tuple((kind, tap, paths) for kind, tap, paths, _, _ in rows)
     n = config.paths_per_cluster
     return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
                  tangents=angles[:ratios.size * n].reshape(ratios.size, n), ratios=ratios,
@@ -162,13 +163,13 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
 
 def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
     # The draw loop of draw_realization, one source row at a time in stream
-    # order, as a generator. Its first item is (raw, angles, ratios): the raw
-    # powers, one per path, which each row fills in as it is drawn; the angle
-    # buffer, one entry per path if ``stacked``, else one row's worth that
-    # every row reuses; and each cluster's half-angle ratio, shaped
-    # (clusters, 1). Then, as each row is filled, (kind, tap, paths, angles):
-    # its entry of PathSet.sources and its view of the angle buffer, which
-    # holds Draws.tangents for a cluster row and arrival angles otherwise.
+    # order, as a generator. Its first item is (size, raw, angles, ratios):
+    # the path count; the raw-power and angle buffers, one entry per path if
+    # ``stacked``, else one row's worth that every row reuses; and each
+    # cluster's half-angle ratio, shaped (clusters, 1). Then, as each row is
+    # filled, (kind, tap, paths, angles, raw): its entry of PathSet.sources
+    # and its views of the two buffers; the angles are Draws.tangents for a
+    # cluster row and arrival angles otherwise.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         (config.seed, *_stream_key_entries(stream_key)))))
 
@@ -197,44 +198,46 @@ def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
         # rows after the loop would, so the powers have that pass's bits.
         scatter_scale, direct_share = _rice_split(config.rice_factor_db)
     # One row of n per cluster, then local scattering; the direct path is last.
-    raw = np.empty((clusters.size + 1) * n + direct)
-    angles = np.empty(raw.size if stacked else n)
+    size = (clusters.size + 1) * n + direct
+    raw = np.empty(size if stacked else n)
+    angles = np.empty(raw.size)
     ratios = _half_angle_ratio(eccentricity_from_delay(delays[clusters],
                                                        config.txrx_distance_m).reshape(-1, 1))
-    yield raw, angles, ratios
+    yield size, raw, angles, ratios
 
-    def row(start: int, stop: int) -> tuple[slice, np.ndarray]:
+    def row(start: int, stop: int) -> tuple[slice, np.ndarray, np.ndarray]:
         paths = slice(start, stop)
-        return paths, angles[paths] if stacked else angles[:stop - start]
+        held = paths if stacked else slice(stop - start)
+        return paths, angles[held], raw[held]
 
     for r, i in enumerate(clusters):
-        paths, tangents = row(r * n, (r + 1) * n)
+        paths, tangents, u = row(r * n, (r + 1) * n)
         draw_aod_offsets(config.tx_pattern, streams[i], tangents)
         tangents *= math.pi / 360.0
         np.tan(tangents, out=tangents)
-        u = streams[i].random(out=raw[paths])
+        streams[i].random(out=u)
         u *= float(budgets[i]) / u.sum()
         if direct:
             u *= scatter_scale
-        yield SourceKind.CLUSTER, int(i) + 1, paths, tangents
+        yield SourceKind.CLUSTER, int(i) + 1, paths, tangents, u
 
     local_rng = streams[-1]
-    paths, aoa = row(clusters.size * n, (clusters.size + 1) * n)
-    aoa[:] = sample_von_mises(config.local_scattering, local_rng, size=n)
-    u = local_rng.random(out=raw[paths])
+    paths, aoa, u = row(clusters.size * n, (clusters.size + 1) * n)
+    sample_von_mises(config.local_scattering, local_rng, aoa)
+    local_rng.random(out=u)
     if share > 0.0:
         u *= share / u.sum()
         if direct:
             u *= scatter_scale
     else:
         u[:] = 0.0
-    yield SourceKind.LOCAL_SCATTER, -1, paths, aoa
+    yield SourceKind.LOCAL_SCATTER, -1, paths, aoa, u
 
     if direct:
-        paths, aoa = row(raw.size - 1, raw.size)
-        raw[paths] = direct_share
+        paths, aoa, u = row(size - 1, size)
+        u[:] = direct_share
         aoa[:] = 0.0
-        yield SourceKind.LOS, -1, paths, aoa
+        yield SourceKind.LOS, -1, paths, aoa, u
 
 
 def _stream_key_entries(stream_key) -> list[int]:
@@ -313,29 +316,30 @@ def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) ->
 
 
 def _realization_rows(config: ScenarioConfig):
-    # run_realization(config) a source row at a time, in one reused row
-    # buffer: (power, rows), where ``power`` becomes the paths' power_lin,
-    # filled in row by row as the generator ``rows`` yields each row's
-    # arrival angles, in path order. The bits are run_realization's: the aim
-    # and the gain act element by element, and a row's own angle span,
-    # within the whole realization's, skips only work that would change no
-    # bit (see antenna._gain_in_place).
+    # run_realization(config) a source row at a time, in two reused row
+    # buffers: (size, rows), where ``size`` is the path count and the
+    # generator ``rows`` yields each row's (angles, powers) in path order,
+    # views of the buffers that the next row overwrites: its arrival angles
+    # and its power_lin. The bits are run_realization's: the aim and the gain
+    # act element by element, and a row's own angle span, within the whole
+    # realization's, skips only work that would change no bit (see
+    # antenna._gain_in_place).
     rows = _draw_rows(config, (), stacked=False)
-    power, _, ratios = next(rows)
+    size, _, _, ratios = next(rows)
     tx, rx = config.tx_pattern, config.rx_pattern
     relative = tx.kind is not PatternKind.OMNI
     directional = rx.kind is not PatternKind.OMNI
 
     def aimed():
-        for r, (kind, _, paths, angles) in enumerate(rows):
+        for r, (kind, _, _, angles, powers) in enumerate(rows):
             if kind is SourceKind.CLUSTER:
                 _aim(angles, ratios[r], relative, tx.boresight_deg, angles)
             if directional:
                 # The gain times the raw power, as reweight multiplies them.
-                np.multiply(power_gain(rx, angles), power[paths], out=power[paths])
-            yield angles
+                np.multiply(power_gain(rx, angles), powers, out=powers)
+            yield angles, powers
 
-    return power, aimed()
+    return size, aimed()
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KappaOutOfRange
-from .geometry import wrap_degrees
+from .geometry import wrap_degrees, wrap_in_place
 
 _KAPPA_MAX = 500.0
 
@@ -51,13 +51,16 @@ def von_mises_pdf(phi_deg, params: VonMisesParams):
 
 
 def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
-                     size: int) -> np.ndarray:
-    """Draw ``size`` azimuths in degrees, wrapped to (-180, 180], from the von
-    Mises distribution about ``params.mu_deg`` (degrees).
+                     out: np.ndarray) -> None:
+    """Fill ``out``, a C-contiguous float array, with azimuths in degrees,
+    wrapped to (-180, 180], drawn from the von Mises distribution about
+    ``params.mu_deg`` (degrees).
 
     numpy's :meth:`~numpy.random.Generator.vonmises` draws the offsets in
     radians about 0 with Best and Fisher's (1979) wrapped-Cauchy rejection
     sampler (uniform for kappa below 1e-8, a series for its constant below
     1e-5); they are then turned into degrees and shifted by the mean.
     """
-    return wrap_degrees(params.mu_deg + np.degrees(rng.vonmises(0.0, params.kappa, size)))
+    np.degrees(rng.vonmises(0.0, params.kappa, out.size), out=out)
+    out += params.mu_deg
+    wrap_in_place(out)

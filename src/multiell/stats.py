@@ -85,23 +85,36 @@ def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
     # times the total, and the PAS norm, the total times a bin width of at
     # least 1e-4, neither overflow nor underflow.
     total = power_lin.sum()
-    if not total > 0.0:  # NaN fails this too
-        raise NoPower(f"total path power is {total}")
-    if _MIN_TOTAL_POWER <= total <= _MAX_TOTAL_POWER:
+    if _in_range(total):
         return power_lin, total
     peak = power_lin.max()
     if peak == math.inf:
-        raise NoPower(f"path {int(power_lin.argmax())} has power inf, not a finite number")
+        raise _infinite_power(int(power_lin.argmax()))
     power_lin = power_lin / peak
     return power_lin, power_lin.sum()
 
 
-def _require_path_powers(power_lin: np.ndarray) -> None:
+def _in_range(total: float) -> bool:
+    # Whether a path-power total is taken as it is (see _total_power);
+    # NoPower if it is not positive.
+    if not total > 0.0:  # NaN fails this too
+        raise NoPower(f"total path power is {total}")
+    return _MIN_TOTAL_POWER <= total <= _MAX_TOTAL_POWER
+
+
+def _infinite_power(path: int) -> NoPower:
+    # The error for a total out of range whose largest power, first at
+    # ``path``, is inf, so that no rescaling helps.
+    return NoPower(f"path {path} has power inf, not a finite number")
+
+
+def _require_path_powers(power_lin: np.ndarray, start: int = 0) -> None:
     # A negative power would pass a positive total and give a garbage
     # result. The sweep's weights, gain times raw power, need no check.
+    # ``power_lin`` holds the powers of the paths from ``start`` on.
     if power_lin.size and not power_lin.min() >= 0.0:  # NaN fails this too
         i = int(np.flatnonzero(~(power_lin >= 0.0))[0])
-        raise NoPower(f"path {i} has power {power_lin[i]}, not a number >= 0")
+        raise NoPower(f"path {start + i} has power {power_lin[i]}, not a number >= 0")
 
 
 def angular_spread(paths: PathSet) -> float:
@@ -144,33 +157,69 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     that is not positive (see ``_total_power`` for totals near the limits).
     """
     edges = _pas_edges(bin_width_deg)
-    _require_path_powers(paths.power_lin)
-    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
-        power, total = _total_power(paths.power_lin)
-    return _spectrum(_bin_power((paths.aoa_deg,), power, edges, bin_width_deg), total, edges,
-                     bin_width_deg)
+    chunk = (paths.aoa_deg, paths.power_lin)
+    return _pas(lambda: (chunk[1].size, (chunk,)), edges, bin_width_deg)
 
 
 def realization_pas(config: ScenarioConfig,
                     bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -> AngularSpectrum:
     """``estimate_pas(run_realization(config), bin_width_deg)``, bit for bit,
-    holding one path-sized float array where that holds two or three: each
-    source row of the realization is drawn, aimed and weighted in one reused
-    row buffer, its powers kept and its angles binned as it comes. Raises
-    as ``estimate_pas`` does, ``BadBinWidth`` before any draw.
+    holding no path-sized array where that holds two or three: each source
+    row of the realization is drawn, aimed and weighted in two reused row
+    buffers, and its angles and powers are binned, and its powers summed,
+    as it comes. Raises as ``estimate_pas`` does, ``BadBinWidth`` before any
+    draw.
     """
     edges = _pas_edges(bin_width_deg)
-    power, rows = _realization_rows(config)
-    sums = _bin_power(rows, power, edges, bin_width_deg)
-    _require_path_powers(power)
+    return _pas(lambda: _realization_rows(config), edges, bin_width_deg)
+
+
+def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
+    # The spectrum of estimate_pas for the paths of ``stream()``, which
+    # gives (size, chunks) afresh at each call: the path count and an
+    # iterable of (angles, powers) pieces in path order, each read before
+    # the next is asked for. Their total has the bits of one ndarray.sum
+    # (_PairwiseSum), their largest power is kept, and NoPower names the
+    # first negative or NaN power as its piece passes. A total out of range
+    # (_total_power) is taken again over the powers divided by the largest,
+    # with the paths binned again from a second stream() that gives the same
+    # pieces.
+    size, chunks = stream()
+    summed = _PairwiseSum(size)
+    peak, inf_at = 0.0, None
+
+    def tallied():
+        nonlocal peak, inf_at
+        start = 0
+        for angles, powers in chunks:
+            _require_path_powers(powers, start)
+            summed.add(powers)
+            top = float(powers.max(initial=0.0))
+            if top > peak:
+                if top == math.inf:
+                    inf_at = start + int(powers.argmax())
+                peak = top
+            start += powers.size
+            yield angles, powers
+
     with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
-        weights, total = _total_power(power)
-    if weights is not power:
-        # estimate_pas bins these powers, divided by the largest, so the
-        # angles are drawn again, from the same stream, to bin them with.
-        del power, rows
-        sums = _bin_power(_realization_rows(config)[1], weights, edges, bin_width_deg)
-    return _spectrum(sums, total, edges, bin_width_deg)
+        sums = _bin_power(tallied(), size, edges, width)
+        total = summed.total()
+        if not _in_range(total):
+            if peak == math.inf:
+                raise _infinite_power(inf_at)
+            size, chunks = stream()
+            summed = _PairwiseSum(size)
+
+            def rescaled():
+                for angles, powers in chunks:
+                    powers = powers / peak
+                    summed.add(powers)
+                    yield angles, powers
+
+            sums = _bin_power(rescaled(), size, edges, width)
+            total = summed.total()
+    return _spectrum(sums, total, edges, width)
 
 
 def _pas_edges(bin_width_deg: float) -> np.ndarray:
@@ -193,22 +242,20 @@ def _spectrum(sums: np.ndarray, total: float, edges: np.ndarray,
                            density_per_deg=sums, bin_width_deg=float(bin_width_deg))
 
 
-def _bin_power(chunks, power: np.ndarray, edges: np.ndarray, width: float) -> np.ndarray:
-    # Sums of ``power`` per bin of estimate_pas: the floor of
+def _bin_power(chunks, size: int, edges: np.ndarray, width: float) -> np.ndarray:
+    # Sums of the powers per bin of estimate_pas: the floor of
     # q = (x - lo) * (1 / width), settled against ``edges`` near an edge.
-    # ``chunks`` yields the paths' angles in order, in pieces of any size;
-    # a block of ``power`` is read once its last angle has come. The blocks
-    # fall on the same paths however the angles are cut (see _blocks), so
-    # every bin is summed in the same order.
+    # ``chunks`` yields the ``size`` paths' (angles, powers) in order, in
+    # pieces of any size. The blocks fall on the same paths however the
+    # paths are cut (see _blocks), so every bin is summed in the same order.
     n_bins = edges.size - 1
     lo, hi = edges[0], edges[-1]
     block = max(_PAS_BLOCK, n_bins)
     scale = 1.0 / width
-    q, k, held = np.empty((3, min(block, power.size)))
+    q, k, *held = np.empty((4, min(block, size)))
     idx = np.empty(q.size, dtype=np.intp)
     sums = np.zeros(n_bins)
-    for start, x in _blocks(chunks, power.size, block, held):
-        w = power[start:start + x.size]
+    for x, w in _blocks(chunks, size, block, held):
         if not (x.min() >= lo and x.max() <= hi):  # NaN fails this too
             inside = (x >= lo) & (x <= hi)
             x, w = x[inside], w[inside]
@@ -230,34 +277,101 @@ def _bin_power(chunks, power: np.ndarray, edges: np.ndarray, width: float) -> np
     return sums
 
 
-def _blocks(chunks, size: int, block: int, held: np.ndarray):
-    # The ``size`` angles that ``chunks`` holds, in order, cut after every
-    # ``block``-th: yields (start, the angles from path start on), each
-    # ``block`` long but the last. One that lies in a single chunk is a view
-    # of it; one that spans chunks is gathered into ``held``. Raises
-    # ValueError if the chunks hold more or fewer than ``size`` angles.
+def _blocks(chunks, size: int, block: int, held: list[np.ndarray]):
+    # The ``size`` paths that ``chunks`` holds as (angles, powers) pieces,
+    # in order, cut after every ``block``-th: yields each block's (angles,
+    # powers), each ``block`` long but the last. A block that lies in a
+    # single piece is a view of it; one that spans pieces is gathered into
+    # the two buffers ``held``. Raises ValueError if the pieces hold more or
+    # fewer than ``size`` paths.
     start = filled = 0
     for chunk in chunks:
-        pos = 0
-        while pos < chunk.size:
+        pos, chunk_size = 0, chunk[0].size
+        while pos < chunk_size:
             length = min(block, size - start)
             if length == 0:
-                raise ValueError(f"more than {size} angles for {size} path powers")
-            take = min(length - filled, chunk.size - pos)
-            piece = chunk[pos:pos + take]
+                raise ValueError(f"more than {size} paths")
+            take = min(length - filled, chunk_size - pos)
+            pieces = [a[pos:pos + take] for a in chunk]
             pos += take
             if take == length:
-                yield start, piece
+                yield pieces
             else:
-                held[filled:filled + take] = piece
+                for buffer, piece in zip(held, pieces):
+                    buffer[filled:filled + take] = piece
                 filled += take
                 if filled < length:
-                    break  # the chunk is used up
-                yield start, held[:length]
+                    break  # the piece is used up
+                yield [buffer[:length] for buffer in held]
                 filled = 0
             start += length
     if start != size:
-        raise ValueError(f"{start + filled} angles for {size} path powers")
+        raise ValueError(f"{start + filled} paths where {size} were stated")
+
+
+# numpy sums at most this many values of a pairwise sum in one leaf.
+_PAIRWISE_LEAF = 128
+
+
+class _PairwiseSum:
+    """The sum of ``size`` float64 values that are added in pieces, in
+    order, with the bits of ``ndarray.sum`` over all of them at once,
+    holding at most one leaf of them.
+
+    numpy sums a contiguous float64 array of m values pairwise: up to
+    _PAIRWISE_LEAF values make a leaf, summed with 8 accumulators; more are
+    split after the first m // 2 rounded down to a multiple of 8, and the
+    sums of the two parts added. The total is 0.0 plus the sum of the whole.
+    The split depends on m alone, so each node's sum is that of its values
+    as an array of their own, ``np.add.reduce(values, initial=-0.0)`` (-0.0
+    changes no sum, not even a sum of -0.0). A piece sums each node that
+    lies inside it in one call; only the values of a leaf that straddles
+    pieces are copied, into a one-leaf buffer.
+    """
+
+    def __init__(self, size: int):
+        # The nodes not yet summed, in path order from the top: their
+        # lengths, or None where the two sums on top of ``_sums`` are added.
+        self._todo = [size] if size else []
+        self._sums = [] if size else [-0.0]
+        self._leaf = np.empty(min(size, _PAIRWISE_LEAF))
+        self._held = 0  # values of the node on top copied to ``_leaf``
+
+    def add(self, piece: np.ndarray) -> None:
+        todo, sums = self._todo, self._sums
+        pos = 0
+        while todo:
+            length = todo[-1]
+            if length is None:
+                todo.pop()
+                right = sums.pop()
+                sums[-1] += right
+            elif pos == piece.size:
+                break
+            elif not self._held and length <= piece.size - pos:
+                todo.pop()
+                sums.append(np.add.reduce(piece[pos:pos + length], initial=-0.0))
+                pos += length
+            elif length > _PAIRWISE_LEAF:
+                todo.pop()
+                half = length // 2 - length // 2 % 8
+                todo += [None, length - half, half]
+            else:  # a leaf that runs past the piece
+                take = min(length - self._held, piece.size - pos)
+                self._leaf[self._held:self._held + take] = piece[pos:pos + take]
+                self._held += take
+                pos += take
+                if self._held == length:
+                    todo.pop()
+                    sums.append(np.add.reduce(self._leaf[:length], initial=-0.0))
+                    self._held = 0
+        if pos < piece.size:
+            raise ValueError("more values than the stated size")
+
+    def total(self) -> float:
+        if self._todo:
+            raise ValueError("fewer values than the stated size")
+        return float(0.0 + self._sums[0])
 
 
 def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,

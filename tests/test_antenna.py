@@ -339,27 +339,6 @@ class TestSampleAod:
                 expected[bad] = rng.normal(pattern.boresight_deg, sigma, int(bad.sum()))
         assert draws.tobytes() == wrap_degrees(expected).tobytes()
 
-    @pytest.mark.parametrize("pattern", [AntennaPattern.gaussian(9.0, boresight_deg=-170.0),
-                                         AntennaPattern.gaussian(359.0, boresight_deg=60.0),
-                                         AntennaPattern.omni()])
-    def test_returns_a_bound_on_the_offsets(self, pattern):
-        out = np.empty(5000)
-        bound = draw_aod_offsets(pattern, np.random.default_rng(3), out)
-        largest = float(np.abs(out).max())
-        assert largest <= bound <= 180.0
-        gaussian = pattern.kind is PatternKind.GAUSSIAN
-        # a Gaussian's bound is its largest offset, found by the redraw check
-        assert bound == (largest if gaussian else 180.0)
-        empty = draw_aod_offsets(pattern, np.random.default_rng(3), np.empty(0))
-        assert empty == (0.0 if gaussian else 180.0)
-
-    def test_bound_after_redraws_is_the_largest_kept_offset(self):
-        hpbw = 2.0 * math.sqrt(2.0 * math.log(2.0))  # sigma is exactly 1
-        rng = StubNormal([180.0, np.nextafter(-180.0, -np.inf), 3.0, -179.5])
-        assert draw_aod_offsets(AntennaPattern.gaussian(hpbw), rng, np.empty(3)) == 180.0
-        rng = StubNormal([200.0, -7.0, -3.0, -179.5])
-        assert draw_aod_offsets(AntennaPattern.gaussian(hpbw), rng, np.empty(3)) == 179.5
-
     def test_redraw_edge_reads_only_the_offset(self):
         # sigma is exactly 1, so the stub's values are the offsets themselves
         hpbw = 2.0 * math.sqrt(2.0 * math.log(2.0))

@@ -16,7 +16,7 @@ from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, sample_von_mises
-from multiell.stats import realization_pas, sweep_as
+from multiell.stats import _PAS_BLOCK, realization_pas, sweep_as
 
 TAP1_SHARE = 0.14098344168360796  # zero-delay tap's linear share of the builtin profile
 
@@ -413,7 +413,9 @@ class TestDrawStage:
         n, taps = cfg.paths_per_cluster, scale_pdp(cfg.pdp, cfg.ds_s).powers_lin
         local = np.random.default_rng(np.random.SeedSequence(cfg.seed)).spawn(taps.size + 1)[-1]
         tail = draws.angles[draws.tangents.size:]
-        assert tail[:n].tobytes() == sample_von_mises(cfg.local_scattering, local, n).tobytes()
+        expected = np.empty(n)
+        sample_von_mises(cfg.local_scattering, local, expected)
+        assert tail[:n].tobytes() == expected.tobytes()
         u = local.random(n)
         share = float(taps[0])  # the auto share is the routed tap's power
         assert draws.raw_power_lin[-n:].tobytes() == (u * (share / u.sum())).tobytes()
@@ -679,24 +681,28 @@ class TestRealizationMemory:
         assert result.aoa_deg.size == paths
         assert peak < bound
 
+    @pytest.mark.parametrize("paths_per_cluster", [20_000, 200_000])
     @pytest.mark.parametrize("name, changes", [("fig2-C-omni", {"rice_factor_db": 6.0}),
                                                ("fig4-A", {})])
-    def test_pas_route_holds_one_float_array(self, name, changes):
-        # The streamed PAS keeps the path powers whole, for their total, and
-        # bins each source row's angles as the row is drawn: 1.44 float
-        # arrays traced with a row buffer, the binner's blocks and the draws'
-        # temporaries. The realization and estimate_pas hold 2.31 (omni rx)
-        # and 3.31 (directional rx, fig4-A).
-        cfg = replace(fig_presets()[name].config, paths_per_cluster=20_000, **changes)
-        floats = 8 * (23 * 20_000 + ("rice_factor_db" in changes))
-        realization_pas(cfg)  # first call outside the trace: caches and imports
+    def test_pas_route_holds_row_sized_buffers(self, name, changes, paths_per_cluster):
+        # The streamed PAS draws, aims and weights each source row in a row
+        # of angles and a row of powers, bins them and sums the powers as the
+        # row passes: at 0.1-degree bins, 3.88 rows traced at 200,000 paths
+        # per cluster with the draws' and the gain's row temporaries, and the
+        # binner's q, k, bin index and two gather buffers, each a block long,
+        # with a block's temporaries. Keeping the path powers whole for their
+        # total measured 27.1 rows there. The bound grows with the row, not
+        # with the cluster count: 4 rows and 6 blocks of floats.
+        cfg = replace(fig_presets()[name].config, paths_per_cluster=paths_per_cluster, **changes)
+        bound = 4 * 8 * paths_per_cluster + 6 * 8 * _PAS_BLOCK
+        realization_pas(cfg, 0.1)  # first call outside the trace: caches and imports
         tracemalloc.start()
         try:
-            realization_pas(cfg)
+            realization_pas(cfg, 0.1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * floats
+        assert peak < bound
 
     @pytest.mark.parametrize("name, bound", [("fig4-A", 4.5), ("fig2-D", 5.5)])
     def test_sweep_holds_the_draws_and_at_most_three_buffers(self, name, bound):

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from multiell.errors import ConfigError, KappaOutOfRange
+from multiell.geometry import wrap_degrees
 from multiell.scattering import VonMisesParams, sample_von_mises, von_mises_pdf
+
+
+def draw(params, rng, size):
+    out = np.empty(size)
+    sample_von_mises(params, rng, out)
+    return out
 
 
 class TestVonMisesPdf:
@@ -77,7 +84,7 @@ class TestVonMisesPdf:
 
 class TestSampleVonMises:
     def test_uniform_windows_at_kappa_zero(self, rng):
-        draws = sample_von_mises(VonMisesParams(kappa=0.0), rng, size=100_000)
+        draws = draw(VonMisesParams(kappa=0.0), rng, 100_000)
         for lo in (-180.0, -36.0, 100.0):
             frac = np.mean((draws > lo) & (draws <= lo + 36.0))
             assert frac == pytest.approx(0.1, abs=0.01)
@@ -85,20 +92,20 @@ class TestSampleVonMises:
     @pytest.mark.parametrize("kappa", [1e-8, 1.2e-8, 1.5e-8, 1e-6, 9.9e-6])
     def test_near_uniform_at_tiny_kappa(self, rng, kappa):
         # the closed form of the Best-Fisher constants cancels here
-        draws = sample_von_mises(VonMisesParams(kappa=kappa), rng, size=100_000)
+        draws = draw(VonMisesParams(kappa=kappa), rng, 100_000)
         for lo in (-180.0, -36.0, 100.0):
             frac = np.mean((draws > lo) & (draws <= lo + 36.0))
             assert frac == pytest.approx(0.1, abs=0.01)
 
     def test_circular_mean_at_mu(self, rng):
-        draws = sample_von_mises(VonMisesParams(mu_deg=0.0, kappa=10.0), rng, size=100_000)
+        draws = draw(VonMisesParams(mu_deg=0.0, kappa=10.0), rng, 100_000)
         mean_dir = math.degrees(math.atan2(np.sin(np.radians(draws)).mean(),
                                            np.cos(np.radians(draws)).mean()))
         assert abs(mean_dir) < 1.0
 
     def test_histogram_matches_pdf(self, rng):
         params = VonMisesParams(mu_deg=0.0, kappa=2.0)
-        draws = sample_von_mises(params, rng, size=100_000)
+        draws = draw(params, rng, 100_000)
         edges = np.linspace(-180.0, 180.0, 73)  # 5 degree bins
         counts, _ = np.histogram(draws, bins=edges)
         empirical = counts / counts.sum()
@@ -111,7 +118,7 @@ class TestSampleVonMises:
         # independent distribution oracle
         from scipy.stats import vonmises
         params = VonMisesParams(mu_deg=30.0, kappa=4.0)
-        draws = np.radians(sample_von_mises(params, rng, size=100_000))
+        draws = np.radians(draw(params, rng, 100_000))
         edges = np.linspace(-math.pi, math.pi, 73)
         counts, _ = np.histogram(draws, bins=edges)
         empirical = counts / counts.sum()
@@ -121,13 +128,13 @@ class TestSampleVonMises:
         assert tv < 0.02
 
     def test_wrapped_interval(self, rng):
-        draws = sample_von_mises(VonMisesParams(mu_deg=179.0, kappa=5.0), rng, size=20_000)
+        draws = draw(VonMisesParams(mu_deg=179.0, kappa=5.0), rng, 20_000)
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
 
     def test_deterministic_under_seed(self):
         params = VonMisesParams(mu_deg=-20.0, kappa=7.0)
-        a = sample_von_mises(params, np.random.default_rng(3), size=512)
-        b = sample_von_mises(params, np.random.default_rng(3), size=512)
+        a = draw(params, np.random.default_rng(3), 512)
+        b = draw(params, np.random.default_rng(3), 512)
         assert np.array_equal(a, b)
 
     # 0, the smallest subnormal, numpy's two cut-offs with their nextafter
@@ -143,9 +150,12 @@ class TestSampleVonMises:
     def test_finite_wrapped_and_reproducible(self, kappa, mu, size, seed):
         # a numpy RuntimeWarning fails the test (filterwarnings in pyproject.toml)
         params = VonMisesParams(mu_deg=mu, kappa=kappa)
-        draws = sample_von_mises(params, np.random.default_rng(seed), size)
-        again = sample_von_mises(params, np.random.default_rng(seed), size)
+        draws = draw(params, np.random.default_rng(seed), size)
+        again = draw(params, np.random.default_rng(seed), size)
         assert draws.shape == (size,)
         assert np.all(np.isfinite(draws))
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
         assert draws.tobytes() == again.tobytes()
+        # the mean added after the offsets, in place, has the bits of adding them to it
+        offsets = np.degrees(np.random.default_rng(seed).vonmises(0.0, params.kappa, size))
+        assert draws.tobytes() == wrap_degrees(params.mu_deg + offsets).tobytes()

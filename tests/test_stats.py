@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -13,8 +14,8 @@ from multiell.engine import _aim, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
-from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
-                            estimate_pas, realization_pas, sweep_as)
+from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, _PairwiseSum,
+                            angular_spread, estimate_pas, realization_pas, sweep_as)
 
 from conftest import make_pathset
 
@@ -135,7 +136,8 @@ class TestEstimatePas:
 
     def test_matches_von_mises_density(self, rng):
         params = VonMisesParams(mu_deg=0.0, kappa=2.0)
-        draws = sample_von_mises(params, rng, size=100_000)
+        draws = np.empty(100_000)
+        sample_von_mises(params, rng, draws)
         spectrum = estimate_pas(make_pathset(draws, np.ones(draws.size)), bin_width_deg=5.0)
         expected = von_mises_pdf(spectrum.bin_centers_deg, params) * np.radians(5.0)
         expected /= expected.sum()
@@ -300,7 +302,7 @@ class TestPasBinsByFloor:
                            x[::2].size)
         w = rng.random(x.size)
         expected = _bin_power_by_gathers(x, w, edges, width)
-        assert _bin_power((x,), w, edges, width).tobytes() == expected.tobytes()
+        assert _bin_power([(x, w)], x.size, edges, width).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("width", [1 / 3, 7.2])
     def test_bits_equal_the_gathers_with_a_block_of_edge_angles_only(self, width, rng):
@@ -312,7 +314,7 @@ class TestPasBinsByFloor:
                             SPECIAL_ANGLES, rng.uniform(-180.0, 180.0, 500)])
         w = rng.random(x.size)
         expected = _bin_power_by_gathers(x, w, edges, width)
-        assert _bin_power((x,), w, edges, width).tobytes() == expected.tobytes()
+        assert _bin_power([(x, w)], x.size, edges, width).tobytes() == expected.tobytes()
 
     def test_buffers_are_sized_by_the_path_count(self, rng):
         # At 1e-4-degree bins a block is the 3.6M-bin count; buffers that size
@@ -321,7 +323,7 @@ class TestPasBinsByFloor:
         x = rng.uniform(-180.0, 180.0, 1000)
         tracemalloc.start()
         try:
-            _bin_power((x,), np.ones(x.size), edges, 1e-4)
+            _bin_power([(x, np.ones(x.size))], x.size, edges, 1e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -338,17 +340,42 @@ class TestPasBinsByFloor:
         x[::2] = np.resize(np.concatenate([_edge_angles(width), SPECIAL_ANGLES]),
                            x[::2].size)
         w = rng.random(x.size)
-        chunks = np.split(x, np.cumsum(sizes)[:-1])
-        assert [c.size for c in chunks] == sizes
-        got = _bin_power(iter(chunks), w, edges, width).tobytes()
-        assert got == _bin_power((x,), w, edges, width).tobytes()
+        cuts = np.cumsum(sizes)[:-1]
+        chunks = list(zip(np.split(x, cuts), np.split(w, cuts)))
+        assert [c.size for c, _ in chunks] == sizes
+        got = _bin_power(iter(chunks), x.size, edges, width).tobytes()
+        assert got == _bin_power([(x, w)], x.size, edges, width).tobytes()
         assert got == _bin_power_by_gathers(x, w, edges, width).tobytes()
 
     @pytest.mark.parametrize("sizes", [(3, 4), (3, 2), (0,)])
     def test_angle_count_must_equal_the_power_count(self, sizes):
-        x = np.zeros(sum(sizes))
+        # pieces that hold more or fewer paths than the stated six
+        angles = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+        pieces = [(x, np.ones(x.size)) for x in angles]
         with pytest.raises(ValueError):
-            _bin_power(np.split(x, np.cumsum(sizes)[:-1]), np.ones(6), _bin_edges(1.0), 1.0)
+            _bin_power(pieces, 6, _bin_edges(1.0), 1.0)
+
+
+class TestPairwiseSum:
+    """The streamed PAS total: values added in pieces sum to ndarray.sum of
+    them all, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_cut_gives_the_bits_of_one_sum(self, data):
+        size = data.draw(st.integers(0, 300_000), label="size")
+        cuts = []
+        for start in data.draw(st.lists(st.integers(0, size), max_size=12), label="starts"):
+            # from each start, a run of pieces shorter than a leaf, down to one value
+            lengths = data.draw(st.lists(st.integers(1, 127), max_size=6), label="lengths")
+            cuts += [min(start + c, size) for c in itertools.accumulate(lengths, initial=0)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # signed values over 80 binades, so that the order of the sum shows in its bits
+        values = rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size)
+        summed = _PairwiseSum(size)
+        for piece in np.split(values, sorted(cuts)):
+            summed.add(piece)
+        assert np.float64(summed.total()).tobytes() == values.sum().tobytes()
 
 
 def same_spectrum(got, expected):
@@ -363,9 +390,11 @@ class TestRealizationPas:
 
     @pytest.mark.parametrize("name", sorted(fig_presets()))
     def test_every_preset_and_rice_factor(self, name):
-        for rice in (None, 6.0, 4000.0):  # 4000 dB: K = inf, the direct path alone
-            cfg = replace(fig_presets()[name].config, paths_per_cluster=200,
-                          rice_factor_db=rice)
+        # Rows of 1 to 129 paths put the leaves of the pairwise total across
+        # rows, some of them across several.
+        # 4000 dB: K = inf, the direct path alone.
+        for n, rice in itertools.product((1, 7, 8, 127, 128, 129, 200), (None, 6.0, 4000.0)):
+            cfg = replace(fig_presets()[name].config, paths_per_cluster=n, rice_factor_db=rice)
             paths = run_realization(cfg)
             for width in (1.0, 0.1, 7.2):
                 assert same_spectrum(realization_pas(cfg, width), estimate_pas(paths, width))
