@@ -30,7 +30,8 @@ _MAX_SEED = 2**64
 # 5x the densest benchmark run; with the bundled profile that is 23M paths,
 # 184 MB per float array. run_realization holds two such arrays, three aimed
 # off 0 or under a directional rx; a `pas` run (stats.realization_pas) holds
-# none, only row-sized buffers: two of 8 MB each, with a few temporaries.
+# none: it reduces one source row at a time, in two row buffers of 8 MB each,
+# with the binner's few row-sized temporaries.
 _MAX_PATHS_PER_CLUSTER = 1_000_000
 
 
@@ -153,7 +154,7 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
     sequence of integers >= 0, or ``ConfigError`` is raised.
     """
     rows = _draw_rows(config, stream_key, stacked=True)
-    _, raw, angles, ratios = next(rows)
+    raw, angles, ratios = next(rows)
     sources = tuple((kind, tap, paths) for kind, tap, paths, _, _ in rows)
     n = config.paths_per_cluster
     return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
@@ -163,13 +164,13 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
 
 def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
     # The draw loop of draw_realization, one source row at a time in stream
-    # order, as a generator. Its first item is (size, raw, angles, ratios):
-    # the path count; the raw-power and angle buffers, one entry per path if
-    # ``stacked``, else one row's worth that every row reuses; and each
-    # cluster's half-angle ratio, shaped (clusters, 1). Then, as each row is
-    # filled, (kind, tap, paths, angles, raw): its entry of PathSet.sources
-    # and its views of the two buffers; the angles are Draws.tangents for a
-    # cluster row and arrival angles otherwise.
+    # order, as a generator. Its first item is (raw, angles, ratios): the
+    # raw-power and angle buffers, one entry per path if ``stacked``, else
+    # one row's worth that every row reuses; and each cluster's half-angle
+    # ratio, shaped (clusters, 1). Then, as each row is filled, (kind, tap,
+    # paths, angles, raw): its entry of PathSet.sources and its views of the
+    # two buffers; the angles are Draws.tangents for a cluster row and
+    # arrival angles otherwise.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         (config.seed, *_stream_key_entries(stream_key)))))
 
@@ -203,7 +204,7 @@ def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
     angles = np.empty(raw.size)
     ratios = _half_angle_ratio(eccentricity_from_delay(delays[clusters],
                                                        config.txrx_distance_m).reshape(-1, 1))
-    yield size, raw, angles, ratios
+    yield raw, angles, ratios
 
     def row(start: int, stop: int) -> tuple[slice, np.ndarray, np.ndarray]:
         paths = slice(start, stop)
@@ -317,29 +318,24 @@ def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) ->
 
 def _realization_rows(config: ScenarioConfig):
     # run_realization(config) a source row at a time, in two reused row
-    # buffers: (size, rows), where ``size`` is the path count and the
-    # generator ``rows`` yields each row's (angles, powers) in path order,
-    # views of the buffers that the next row overwrites: its arrival angles
-    # and its power_lin. The bits are run_realization's: the aim and the gain
-    # act element by element, and a row's own angle span, within the whole
-    # realization's, skips only work that would change no bit (see
-    # antenna._gain_in_place).
+    # buffers: yields each row's (angles, powers) in path order, one per
+    # entry of PathSet.sources, as views of the buffers that the next row
+    # overwrites: its arrival angles and its power_lin. The bits are
+    # run_realization's: the aim and the gain act element by element, and a
+    # row's own angle span, within the whole realization's, skips only work
+    # that would change no bit (see antenna._gain_in_place).
     rows = _draw_rows(config, (), stacked=False)
-    size, _, _, ratios = next(rows)
+    _, _, ratios = next(rows)
     tx, rx = config.tx_pattern, config.rx_pattern
     relative = tx.kind is not PatternKind.OMNI
     directional = rx.kind is not PatternKind.OMNI
-
-    def aimed():
-        for r, (kind, _, _, angles, powers) in enumerate(rows):
-            if kind is SourceKind.CLUSTER:
-                _aim(angles, ratios[r], relative, tx.boresight_deg, angles)
-            if directional:
-                # The gain times the raw power, as reweight multiplies them.
-                np.multiply(power_gain(rx, angles), powers, out=powers)
-            yield angles, powers
-
-    return size, aimed()
+    for r, (kind, _, _, angles, powers) in enumerate(rows):
+        if kind is SourceKind.CLUSTER:
+            _aim(angles, ratios[r], relative, tx.boresight_deg, angles)
+        if directional:
+            # The gain times the raw power, as reweight multiplies them.
+            np.multiply(power_gain(rx, angles), powers, out=powers)
+        yield angles, powers
 
 
 def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:

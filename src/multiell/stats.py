@@ -151,14 +151,34 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     3,600,000 bins, or ``BadBinWidth`` is raised. The bins are
     ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``, exactly
     (see ``_EDGE_BAND``); angles outside the edges and NaN count in the
-    total power only. Each bin's power is a sum in path order, block by
-    block, whatever the thread count or SIMD target. Raises ``NoPower``,
-    naming the path, for a negative, NaN or infinite power, and for a total
-    that is not positive (see ``_total_power`` for totals near the limits).
+    total power only. The paths are reduced source by source, in
+    ``paths.sources`` order: each bin's power is the sum of the sources'
+    ``np.bincount`` partials, and the total is 0.0 plus the sum of the
+    sources' ``ndarray.sum``, so neither the thread count nor the SIMD target
+    sets an order. Raises ``NoPower``, naming the path, for a negative, NaN
+    or infinite power, and for a total that is not positive (see
+    ``_total_power`` for totals near the limits); ``ValueError`` if the
+    source slices do not tile the paths in order.
     """
     edges = _pas_edges(bin_width_deg)
-    chunk = (paths.aoa_deg, paths.power_lin)
-    return _pas(lambda: (chunk[1].size, (chunk,)), edges, bin_width_deg)
+    pieces = _source_pieces(paths)
+    return _pas(lambda: pieces, edges, bin_width_deg)
+
+
+def _source_pieces(paths: PathSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    # Each source's (angles, powers) of ``paths``, in order; ValueError
+    # unless the sources' slices tile the paths, so that none is left out.
+    size = paths.aoa_deg.size
+    pieces, start = [], 0
+    for _, _, block in paths.sources:
+        if not (block.step is None and block.start == start and block.stop is not None
+                and start <= block.stop <= size):
+            raise ValueError(f"source slice {block} does not continue the sources at path {start}")
+        pieces.append((paths.aoa_deg[block], paths.power_lin[block]))
+        start = block.stop
+    if start != size:
+        raise ValueError(f"the sources cover {start} of {size} paths")
+    return pieces
 
 
 def realization_pas(config: ScenarioConfig,
@@ -166,9 +186,9 @@ def realization_pas(config: ScenarioConfig,
     """``estimate_pas(run_realization(config), bin_width_deg)``, bit for bit,
     holding no path-sized array where that holds two or three: each source
     row of the realization is drawn, aimed and weighted in two reused row
-    buffers, and its angles and powers are binned, and its powers summed,
-    as it comes. Raises as ``estimate_pas`` does, ``BadBinWidth`` before any
-    draw.
+    buffers, and binned and summed as it comes, the row being the source
+    that ``estimate_pas`` reduces. Raises as ``estimate_pas`` does,
+    ``BadBinWidth`` before any draw.
     """
     edges = _pas_edges(bin_width_deg)
     return _pas(lambda: _realization_rows(config), edges, bin_width_deg)
@@ -176,49 +196,36 @@ def realization_pas(config: ScenarioConfig,
 
 def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
     # The spectrum of estimate_pas for the paths of ``stream()``, which
-    # gives (size, chunks) afresh at each call: the path count and an
-    # iterable of (angles, powers) pieces in path order, each read before
-    # the next is asked for. Their total has the bits of one ndarray.sum
-    # (_PairwiseSum), their largest power is kept, and NoPower names the
-    # first negative or NaN power as its piece passes. A total out of range
-    # (_total_power) is taken again over the powers divided by the largest,
-    # with the paths binned again from a second stream() that gives the same
-    # pieces.
-    size, chunks = stream()
-    summed = _PairwiseSum(size)
-    peak, inf_at = 0.0, None
-
-    def tallied():
-        nonlocal peak, inf_at
-        start = 0
-        for angles, powers in chunks:
+    # gives afresh at each call an iterable of (angles, powers) pieces in
+    # path order, one per source, each read before the next is asked for.
+    # Each piece is binned into the per-bin sums and its ndarray.sum added to
+    # the total as it passes; its largest power is kept, and NoPower names
+    # the first negative or NaN power. A total out of range (_total_power) is
+    # taken again over the powers divided by the largest, with the paths
+    # binned again from a second stream() that gives the same pieces.
+    sums = np.zeros(edges.size - 1)
+    total = peak = 0.0
+    start, inf_at = 0, None
+    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
+        for angles, powers in stream():
             _require_path_powers(powers, start)
-            summed.add(powers)
             top = float(powers.max(initial=0.0))
             if top > peak:
                 if top == math.inf:
                     inf_at = start + int(powers.argmax())
                 peak = top
             start += powers.size
-            yield angles, powers
-
-    with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
-        sums = _bin_power(tallied(), size, edges, width)
-        total = summed.total()
+            total += float(powers.sum())
+            _bin_power(angles, powers, edges, width, sums)
         if not _in_range(total):
             if peak == math.inf:
                 raise _infinite_power(inf_at)
-            size, chunks = stream()
-            summed = _PairwiseSum(size)
-
-            def rescaled():
-                for angles, powers in chunks:
-                    powers = powers / peak
-                    summed.add(powers)
-                    yield angles, powers
-
-            sums = _bin_power(rescaled(), size, edges, width)
-            total = summed.total()
+            sums.fill(0.0)
+            total = 0.0
+            for angles, powers in stream():
+                powers = powers / peak
+                total += float(powers.sum())
+                _bin_power(angles, powers, edges, width, sums)
     return _spectrum(sums, total, edges, width)
 
 
@@ -242,20 +249,22 @@ def _spectrum(sums: np.ndarray, total: float, edges: np.ndarray,
                            density_per_deg=sums, bin_width_deg=float(bin_width_deg))
 
 
-def _bin_power(chunks, size: int, edges: np.ndarray, width: float) -> np.ndarray:
-    # Sums of the powers per bin of estimate_pas: the floor of
-    # q = (x - lo) * (1 / width), settled against ``edges`` near an edge.
-    # ``chunks`` yields the ``size`` paths' (angles, powers) in order, in
-    # pieces of any size. The blocks fall on the same paths however the
-    # paths are cut (see _blocks), so every bin is summed in the same order.
-    n_bins = edges.size - 1
+def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width: float,
+               sums: np.ndarray) -> None:
+    # Adds to ``sums`` the powers per bin of estimate_pas of one piece of
+    # paths: the floor of q = (x - lo) * (1 / width), settled against
+    # ``edges`` near an edge. The piece is cut into blocks from its start,
+    # each max(_PAS_BLOCK, bin count) paths but the last, and each block's
+    # np.bincount is added in turn. The buffers are as long as the piece or
+    # a block, whichever is shorter.
+    n_bins = sums.size
     lo, hi = edges[0], edges[-1]
     block = max(_PAS_BLOCK, n_bins)
     scale = 1.0 / width
-    q, k, *held = np.empty((4, min(block, size)))
+    q, k = np.empty((2, min(block, angles.size)))
     idx = np.empty(q.size, dtype=np.intp)
-    sums = np.zeros(n_bins)
-    for x, w in _blocks(chunks, size, block, held):
+    for start in range(0, angles.size, block):
+        x, w = angles[start:start + block], powers[start:start + block]
         if not (x.min() >= lo and x.max() <= hi):  # NaN fails this too
             inside = (x >= lo) & (x <= hi)
             x, w = x[inside], w[inside]
@@ -273,105 +282,15 @@ def _bin_power(chunks, size: int, edges: np.ndarray, width: float) -> np.ndarray
             i -= xs < edges[i]
             i += (xs >= edges[i + 1]) & (i < n_bins - 1)
             ib[near] = i
-        sums += np.bincount(ib, weights=w, minlength=n_bins)
-    return sums
-
-
-def _blocks(chunks, size: int, block: int, held: list[np.ndarray]):
-    # The ``size`` paths that ``chunks`` holds as (angles, powers) pieces,
-    # in order, cut after every ``block``-th: yields each block's (angles,
-    # powers), each ``block`` long but the last. A block that lies in a
-    # single piece is a view of it; one that spans pieces is gathered into
-    # the two buffers ``held``. Raises ValueError if the pieces hold more or
-    # fewer than ``size`` paths.
-    start = filled = 0
-    for chunk in chunks:
-        pos, chunk_size = 0, chunk[0].size
-        while pos < chunk_size:
-            length = min(block, size - start)
-            if length == 0:
-                raise ValueError(f"more than {size} paths")
-            take = min(length - filled, chunk_size - pos)
-            pieces = [a[pos:pos + take] for a in chunk]
-            pos += take
-            if take == length:
-                yield pieces
-            else:
-                for buffer, piece in zip(held, pieces):
-                    buffer[filled:filled + take] = piece
-                filled += take
-                if filled < length:
-                    break  # the piece is used up
-                yield [buffer[:length] for buffer in held]
-                filled = 0
-            start += length
-    if start != size:
-        raise ValueError(f"{start + filled} paths where {size} were stated")
-
-
-# numpy sums at most this many values of a pairwise sum in one leaf.
-_PAIRWISE_LEAF = 128
-
-
-class _PairwiseSum:
-    """The sum of ``size`` float64 values that are added in pieces, in
-    order, with the bits of ``ndarray.sum`` over all of them at once,
-    holding at most one leaf of them.
-
-    numpy sums a contiguous float64 array of m values pairwise: up to
-    _PAIRWISE_LEAF values make a leaf, summed with 8 accumulators; more are
-    split after the first m // 2 rounded down to a multiple of 8, and the
-    sums of the two parts added. The total is 0.0 plus the sum of the whole.
-    The split depends on m alone, so each node's sum is that of its values
-    as an array of their own, ``np.add.reduce(values, initial=-0.0)`` (-0.0
-    changes no sum, not even a sum of -0.0). A piece sums each node that
-    lies inside it in one call; only the values of a leaf that straddles
-    pieces are copied, into a one-leaf buffer.
-    """
-
-    def __init__(self, size: int):
-        # The nodes not yet summed, in path order from the top: their
-        # lengths, or None where the two sums on top of ``_sums`` are added.
-        self._todo = [size] if size else []
-        self._sums = [] if size else [-0.0]
-        self._leaf = np.empty(min(size, _PAIRWISE_LEAF))
-        self._held = 0  # values of the node on top copied to ``_leaf``
-
-    def add(self, piece: np.ndarray) -> None:
-        todo, sums = self._todo, self._sums
-        pos = 0
-        while todo:
-            length = todo[-1]
-            if length is None:
-                todo.pop()
-                right = sums.pop()
-                sums[-1] += right
-            elif pos == piece.size:
-                break
-            elif not self._held and length <= piece.size - pos:
-                todo.pop()
-                sums.append(np.add.reduce(piece[pos:pos + length], initial=-0.0))
-                pos += length
-            elif length > _PAIRWISE_LEAF:
-                todo.pop()
-                half = length // 2 - length // 2 % 8
-                todo += [None, length - half, half]
-            else:  # a leaf that runs past the piece
-                take = min(length - self._held, piece.size - pos)
-                self._leaf[self._held:self._held + take] = piece[pos:pos + take]
-                self._held += take
-                pos += take
-                if self._held == length:
-                    todo.pop()
-                    sums.append(np.add.reduce(self._leaf[:length], initial=-0.0))
-                    self._held = 0
-        if pos < piece.size:
-            raise ValueError("more values than the stated size")
-
-    def total(self) -> float:
-        if self._todo:
-            raise ValueError("fewer values than the stated size")
-        return float(0.0 + self._sums[0])
+        # np.bincount over the block's own span of bins: a bin outside it
+        # would add 0.0, which changes no sum (a sum starts at 0.0 and only
+        # adds partials, so it is never -0.0). So the bits are those of a
+        # count over every bin, at a cost set by the block: a row of one
+        # path at 1e-4-degree bins does not pass over all 3.6M of them.
+        first = int(ib.min(initial=n_bins))
+        ib -= first
+        partial = np.bincount(ib, weights=w)
+        sums[first:first + partial.size] += partial
 
 
 def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,

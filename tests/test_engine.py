@@ -687,14 +687,15 @@ class TestRealizationMemory:
     def test_pas_route_holds_row_sized_buffers(self, name, changes, paths_per_cluster):
         # The streamed PAS draws, aims and weights each source row in a row
         # of angles and a row of powers, bins them and sums the powers as the
-        # row passes: at 0.1-degree bins, 3.88 rows traced at 200,000 paths
-        # per cluster with the draws' and the gain's row temporaries, and the
-        # binner's q, k, bin index and two gather buffers, each a block long,
-        # with a block's temporaries. Keeping the path powers whole for their
-        # total measured 27.1 rows there. The bound grows with the row, not
-        # with the cluster count: 4 rows and 6 blocks of floats.
+        # row passes: at 0.1-degree bins, 3.05 rows traced at 200,000 paths
+        # per cluster and 5.90 at 20,000, with the draws' and the gain's row
+        # temporaries and the binner's q, k and bin index, each as long as the
+        # row or a block, whichever is shorter. Keeping the path powers whole
+        # for their total measured 27.1 rows at 200,000; two more gather
+        # buffers a block long, 11.8 rows at 20,000. The bound grows with the
+        # row, not with the cluster count: 4 rows and the binner's 3 buffers.
         cfg = replace(fig_presets()[name].config, paths_per_cluster=paths_per_cluster, **changes)
-        bound = 4 * 8 * paths_per_cluster + 6 * 8 * _PAS_BLOCK
+        bound = 4 * 8 * paths_per_cluster + 3 * 8 * min(paths_per_cluster, _PAS_BLOCK)
         realization_pas(cfg, 0.1)  # first call outside the trace: caches and imports
         tracemalloc.start()
         try:
@@ -702,6 +703,29 @@ class TestRealizationMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < bound
+
+    def test_pas_route_at_the_finest_bins_holds_three_bin_arrays(self):
+        # At 1e-4-degree bins (3.6M, more than a row) the binner's q, k and
+        # bin index are a row long, not a block of the bin count, and a row's
+        # np.bincount covers only its own span of bins. Traced at 200,000
+        # paths per cluster: 89.6 MB, three bin-count arrays (86.4 MB: the
+        # edges, the per-bin sums and the bin centers) and 2.00 rows. The
+        # bound leaves room for a row whose count spans every bin: three
+        # bin-count arrays and 7 rows. Buffers the bin count long measured
+        # 233.6 MB.
+        cfg = replace(fig_presets()["fig2-C-omni"].config, rice_factor_db=6.0,
+                      paths_per_cluster=200_000)
+        bins = 3_600_000
+        bound = 3 * 8 * (bins + 1) + 7 * 8 * cfg.paths_per_cluster
+        realization_pas(replace(cfg, paths_per_cluster=1), 1e-4)  # caches and imports
+        tracemalloc.start()
+        try:
+            spectrum = realization_pas(cfg, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.density_per_deg.size == bins
         assert peak < bound
 
     @pytest.mark.parametrize("name, bound", [("fig4-A", 4.5), ("fig2-D", 5.5)])

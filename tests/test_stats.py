@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, _gain_in_place
 from multiell.cli import _fmt
-from multiell.engine import _aim, reweight, run_realization
+from multiell.engine import PathSet, SourceKind, _aim, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
-from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, _PairwiseSum,
-                            angular_spread, estimate_pas, realization_pas, sweep_as)
+from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
+                            estimate_pas, realization_pas, sweep_as)
 
 from conftest import make_pathset
 
@@ -185,6 +185,19 @@ class TestEstimatePas:
         with pytest.raises(NoPower):
             estimate_pas(make_pathset([0.0], [0.0]), bin_width_deg=1.0)
 
+    @pytest.mark.parametrize("blocks", [
+        (slice(0, 2), slice(3, 6)),  # a gap: path 2 in no source
+        (slice(0, 4), slice(3, 6)),  # an overlap: path 3 in two
+        (slice(0, 2), slice(2, 5)),  # short: path 5 in none
+        (slice(0, 6), slice(6, 7)),  # past the last path
+        (slice(3, 6), slice(0, 3)),  # out of order
+    ])
+    def test_sources_that_do_not_tile_the_paths_raise(self, blocks):
+        aoa, power = np.zeros(6), np.ones(6)
+        paths = PathSet(aoa, power, power, tuple((SourceKind.CLUSTER, 1, b) for b in blocks))
+        with pytest.raises(ValueError, match="source"):
+            estimate_pas(paths)
+
 
 def _bin_edges(width):
     return -180.0 + width * np.arange(int(round(360.0 / width)) + 1)
@@ -287,9 +300,16 @@ def _edge_angles(width):
     return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
 
 
+def _binned(x, w, edges, width):
+    # _bin_power of one piece into fresh per-bin sums.
+    sums = np.zeros(edges.size - 1)
+    _bin_power(x, w, edges, width, sums)
+    return sums
+
+
 class TestPasBinsByFloor:
     """The floor binning equals the gather-based reduction it replaced, bit for
-    bit, over several blocks."""
+    bit, over several blocks of one piece."""
 
     @pytest.mark.parametrize("width", [1e-4, 1 / 3, 0.36, 7.2, 360.0])
     def test_bits_equal_the_gathers_near_every_edge(self, width, rng):
@@ -302,7 +322,7 @@ class TestPasBinsByFloor:
                            x[::2].size)
         w = rng.random(x.size)
         expected = _bin_power_by_gathers(x, w, edges, width)
-        assert _bin_power([(x, w)], x.size, edges, width).tobytes() == expected.tobytes()
+        assert _binned(x, w, edges, width).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("width", [1 / 3, 7.2])
     def test_bits_equal_the_gathers_with_a_block_of_edge_angles_only(self, width, rng):
@@ -314,7 +334,7 @@ class TestPasBinsByFloor:
                             SPECIAL_ANGLES, rng.uniform(-180.0, 180.0, 500)])
         w = rng.random(x.size)
         expected = _bin_power_by_gathers(x, w, edges, width)
-        assert _bin_power([(x, w)], x.size, edges, width).tobytes() == expected.tobytes()
+        assert _binned(x, w, edges, width).tobytes() == expected.tobytes()
 
     def test_buffers_are_sized_by_the_path_count(self, rng):
         # At 1e-4-degree bins a block is the 3.6M-bin count; buffers that size
@@ -323,59 +343,51 @@ class TestPasBinsByFloor:
         x = rng.uniform(-180.0, 180.0, 1000)
         tracemalloc.start()
         try:
-            _bin_power([(x, np.ones(x.size))], x.size, edges, 1e-4)
+            _binned(x, np.ones(x.size), edges, 1e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * (edges.size - 1) + 1_000_000
 
-    @pytest.mark.parametrize("width", [1 / 3, 7.2])
-    def test_chunked_angles_give_the_bits_of_one_array(self, width, rng):
-        # The streamed PAS feeds the angles a source row at a time: cut
-        # anywhere, they are binned on the blocks of one array.
-        edges = _bin_edges(width)
-        b = max(_PAS_BLOCK, edges.size - 1)
-        sizes = [0, 1, b - 1, b + 1, 3 * b + 7]
-        x = rng.uniform(-180.0, 180.0, sum(sizes))
-        x[::2] = np.resize(np.concatenate([_edge_angles(width), SPECIAL_ANGLES]),
-                           x[::2].size)
+    def test_a_narrow_piece_counts_only_its_own_bins(self, rng):
+        # A count over every bin, for a piece that fills 500 of 3.6M, took
+        # one more bin-count array and a pass over it per piece.
+        edges = _bin_edges(1e-4)
+        x = np.concatenate([rng.uniform(10.0, 10.05, 1000), edges[1_900_000:1_900_500]])
         w = rng.random(x.size)
-        cuts = np.cumsum(sizes)[:-1]
-        chunks = list(zip(np.split(x, cuts), np.split(w, cuts)))
-        assert [c.size for c, _ in chunks] == sizes
-        got = _bin_power(iter(chunks), x.size, edges, width).tobytes()
-        assert got == _bin_power([(x, w)], x.size, edges, width).tobytes()
-        assert got == _bin_power_by_gathers(x, w, edges, width).tobytes()
-
-    @pytest.mark.parametrize("sizes", [(3, 4), (3, 2), (0,)])
-    def test_angle_count_must_equal_the_power_count(self, sizes):
-        # pieces that hold more or fewer paths than the stated six
-        angles = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
-        pieces = [(x, np.ones(x.size)) for x in angles]
-        with pytest.raises(ValueError):
-            _bin_power(pieces, 6, _bin_edges(1.0), 1.0)
+        tracemalloc.start()
+        try:
+            got = _binned(x, w, edges, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == _bin_power_by_gathers(x, w, edges, 1e-4).tobytes()
+        assert peak < 8 * (edges.size - 1) + 1_000_000
 
 
-class TestPairwiseSum:
-    """The streamed PAS total: values added in pieces sum to ndarray.sum of
-    them all, bit for bit."""
+class TestPasOrder:
+    """estimate_pas reduces source by source: each bin adds the sources'
+    np.bincount partials in order, and the total is 0.0 plus the sources'
+    ndarray.sum in order."""
 
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_any_cut_gives_the_bits_of_one_sum(self, data):
-        size = data.draw(st.integers(0, 300_000), label="size")
-        cuts = []
-        for start in data.draw(st.lists(st.integers(0, size), max_size=12), label="starts"):
-            # from each start, a run of pieces shorter than a leaf, down to one value
-            lengths = data.draw(st.lists(st.integers(1, 127), max_size=6), label="lengths")
-            cuts += [min(start + c, size) for c in itertools.accumulate(lengths, initial=0)]
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        # signed values over 80 binades, so that the order of the sum shows in its bits
-        values = rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size)
-        summed = _PairwiseSum(size)
-        for piece in np.split(values, sorted(cuts)):
-            summed.add(piece)
-        assert np.float64(summed.total()).tobytes() == values.sum().tobytes()
+    def test_two_sources_give_the_per_source_reference(self):
+        rng = np.random.default_rng(0)
+        sizes = (3001, 5003)
+        x = rng.uniform(-180.0, 180.0, sum(sizes))
+        w = rng.random(x.size)
+        cut = slice(0, sizes[0]), slice(sizes[0], x.size)
+        paths = PathSet(x, w, w, tuple((SourceKind.CLUSTER, tap, b) for tap, b in
+                                       enumerate(cut, 1)))
+        per_source = 0.0 + w[cut[0]].sum() + w[cut[1]].sum()
+        assert per_source.tobytes() != w.sum().tobytes()  # the order shows
+        width = 1.0
+        edges = _bin_edges(width)
+        bins = _histogram_bins(x, edges)
+        sums = np.zeros(edges.size - 1)
+        for b in cut:
+            sums += np.bincount(bins[b], weights=w[b], minlength=sums.size)
+        expected = sums / (per_source * width)
+        assert estimate_pas(paths, width).density_per_deg.tobytes() == expected.tobytes()
 
 
 def same_spectrum(got, expected):
