@@ -65,13 +65,14 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
 
     Raises ``InvalidHpbw`` outside (0, 360), and for a beam so narrow (below
     about 2.2e-152 degrees) that 2 sigma^2 underflows to 0 or the exponent
-    overflows at 180 degrees off boresight.
+    overflows at 180 degrees off boresight, taken as ``_gain_in_place``
+    takes it: the square times the reciprocal of 2 sigma^2.
     """
     if not 0.0 < hpbw_deg < 360.0:
         raise InvalidHpbw(f"hpbw_deg must be in (0, 360), got {hpbw_deg}")
     sigma = hpbw_deg / _HALF_POWER_FACTOR
     two_var = 2.0 * sigma**2
-    if two_var == 0.0 or math.isinf(180.0**2 / two_var):
+    if two_var == 0.0 or math.isinf(180.0**2 * (1.0 / two_var)):
         raise InvalidHpbw(f"hpbw_deg {hpbw_deg} is too narrow for the Gaussian gain to be"
                           " computed")
     return sigma
@@ -81,9 +82,12 @@ def power_gain(pattern: AntennaPattern, phi_deg):
     """Normalized power gain at azimuth ``phi_deg`` (1 at boresight): a new
     array for an array, a float for a scalar.
 
-    Omni: 1 everywhere. Gaussian: ``exp(-d**2 / (2 sigma**2))`` with ``d``
-    the wrapped difference ``wrap_degrees(phi - boresight)``, bit for bit
-    (the shortest-arc argument is at ``_gain_in_place``).
+    Omni: 1 everywhere. Gaussian: ``exp(d**2 * (-1 / (2 sigma**2)))`` with
+    ``d`` the wrapped difference ``wrap_degrees(phi - boresight)``, bit for
+    bit (the shortest-arc argument is at ``_gain_in_place``). The square is
+    multiplied by one reciprocal rather than divided, so the exponent takes
+    one rounding more than the quotient ``-d**2 / (2 sigma**2)``, and a gain
+    can differ from the quotient's by about ``|exponent| * 2**-52``.
     """
     phi = np.asarray(phi_deg, dtype=float)
     if pattern.kind is PatternKind.OMNI:
@@ -123,7 +127,9 @@ def _gain_in_place(pattern: AntennaPattern, phi: np.ndarray, span: tuple[float, 
     # -180 to 180) the squares are equal. Rounding keeps every d between the
     # differences of the ends of ``span``: when those stay in [-180, 180] no
     # d wraps and no candidate is computed, and a candidate computed where
-    # none is needed is never the smaller one.
+    # none is needed is never the smaller one. At b = +-0 no candidate is
+    # needed, and d = phi - b is phi up to the sign of a zero, which the
+    # square drops (a NaN passes either way): so phi is squared as it is.
     if lo - boresight < -180.0 or hi - boresight > 180.0:
         if scratch is None:
             scratch = np.empty_like(out)
@@ -135,11 +141,16 @@ def _gain_in_place(pattern: AntennaPattern, phi: np.ndarray, span: tuple[float, 
             np.subtract(phi, boresight, out=out)  # d
             np.add(out, 180.0, out=scratch)
             np.subtract(540.0, scratch, out=scratch)
-        np.minimum(out, scratch, out=out)
+        d = np.minimum(out, scratch, out=out)
+    elif boresight == 0.0:
+        d = phi
     else:
-        np.subtract(phi, boresight, out=out)
-    np.square(out, out=out)
-    out /= -(2.0 * sigma**2)
+        d = np.subtract(phi, boresight, out=out)
+    np.square(d, out=out)
+    # A multiply by the reciprocal, cheaper per path than a divide;
+    # sigma_from_hpbw has checked that 180**2 times it is finite, so no
+    # square overflows it.
+    out *= -1.0 / (2.0 * sigma**2)
     np.exp(out, out=out)
     return out
 

@@ -307,12 +307,18 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     ``angular_spread(run_realization(point_config, (code, t)))`` bit for bit,
     where ``point_config`` is ``config`` with that boresight and ``code`` is
     1 for the tx axis and 2 for the rx axis. Every angle shares the trial's
-    stream, so each trial is drawn once (``antenna.draw_aod_offsets``). It
-    is aimed once, in the draws' own buffer, where the transmit boresight
-    never changes, and otherwise again at each new boresight into a buffer
-    of arrival angles. Besides the draws, a sweep holds at most three
-    path-sized buffers, allocated once: that one, the weighted powers and
-    the deviations, which share one buffer under an omni receiver.
+    stream, so each trial is drawn once (``antenna.draw_aod_offsets``). Each
+    distinct point is computed once per trial and its spread copied to the
+    rows that repeat it: a point is its (tx, rx) boresight pair after
+    wrapping, with an omni end's boresight left out, since nothing reads it.
+    So -180 and 180 are one point, and so are +0 and -0 (which the aim and
+    the gain treat alike), and an omni-receiver rx sweep computes one spread
+    per trial. A trial is aimed once, in the draws' own buffer, where the
+    transmit boresight never changes, and otherwise again at each new
+    boresight into a buffer of arrival angles. Besides the draws, a sweep
+    holds at most three path-sized buffers, allocated once: that one, the
+    weighted powers and the deviations, which share one buffer under an
+    omni receiver.
     """
     if not isinstance(axis, SweepAxis):
         raise ConfigError(f"axis must be a SweepAxis, got {axis!r}")
@@ -329,17 +335,29 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         points = [(replace(tx, boresight_deg=a), rx) for a in angles]
     else:
         points = [(tx, replace(rx, boresight_deg=a)) for a in angles]
-    spreads = np.empty((len(angles), trials))
+    # Each distinct point, first as it comes, and each angle's row among them.
+    # A point's key is its (tx, rx) boresights as the patterns hold them,
+    # wrapped, with None for an omni end; +0 and -0 compare and hash alike.
+    keys = [tuple(None if p.kind is PatternKind.OMNI else p.boresight_deg for p in point)
+            for point in points]
+    distinct = {}
+    for key, point in zip(keys, points):
+        distinct.setdefault(key, point)
+    slot = {key: k for k, key in enumerate(distinct)}
+    rows = [slot[key] for key in keys]
+    computed = np.empty((len(distinct), trials))
     # The gain kernel needs a span bounding the aimed angles, which lie in
     # [-180, 180]. At a receive boresight of +-0 neither (-180, 180) nor a
     # scanned span calls for a wrap candidate, so both give the same bits:
-    # only a directional receiver turned off 0 somewhere scans, once per aim.
+    # only a directional receiver turned off 0 somewhere scans, once per aim
+    # (an omni receiver's None, like +-0, is false).
     directional = rx.kind is not PatternKind.OMNI
-    ranged = directional and any(rx_j.boresight_deg != 0.0 for _, rx_j in points)
+    ranged = any(rx_b for _, rx_b in distinct)
     span = (-180.0, 180.0)
     # The beam turns only where a directional transmitter takes more than
-    # one boresight: omni draws are the departures themselves.
-    turns = tx.kind is not PatternKind.OMNI and len({t.boresight_deg for t, _ in points}) > 1
+    # one boresight: omni draws are the departures themselves (and an omni
+    # transmitter's key is None at every point).
+    turns = len({tx_b for tx_b, _ in distinct}) > 1
     weighted = None
     for trial in range(trials):
         draws = draw_realization(config, (_AXIS_CODE[axis], trial))
@@ -351,7 +369,7 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         aoa = turned if turns else draws.angles
         aoa[tangents.size:] = draws.tail_aoa  # onto itself where the beam never turns
         aimed = None
-        for j, (tx_j, rx_j) in enumerate(points):
+        for j, (tx_j, rx_j) in enumerate(distinct.values()):
             if aimed is None or turns and tx_j.boresight_deg != aimed:
                 aimed = tx_j.boresight_deg
                 _aim(tangents, draws.ratios, draws.relative, aimed,
@@ -363,9 +381,10 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
             if directional:
                 power = _gain_in_place(rx_j, aoa, span, weighted, scratch)
                 power *= raw
-            spreads[j, trial] = _spread_in_place(aoa, power, scratch)
+            computed[j, trial] = _spread_in_place(aoa, power, scratch)
         del draws, raw, tangents, aoa, power  # the next trial's draws replace these
 
+    spreads = computed[rows]
     std = spreads.std(axis=1, ddof=1) if trials > 1 else np.zeros(len(angles))
     return SweepResult(axis=axis, angles_deg=np.array(angles),
                        tx_boresight_deg=np.array([tx_j.boresight_deg for tx_j, _ in points]),

@@ -46,6 +46,32 @@ class TestSigmaFromHpbw:
         assert gains.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
+    def test_smallest_accepted_beam_gives_gains_without_overflow(self):
+        # The check takes the kernel's own product 180**2 * (1 / (2 sigma**2)),
+        # so no accepted beam overflows the exponent (the suite makes an
+        # overflow warning an error). Acceptance is monotonic in hpbw, so a
+        # bisection over the float bits finds the smallest accepted one.
+        def accepted(bits):
+            try:
+                sigma_from_hpbw(float(np.int64(bits).view(np.float64)))
+            except InvalidHpbw:
+                return False
+            return True
+
+        lo, hi = (int(np.float64(x).view(np.int64)) for x in (1e-160, 1e-150))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+        hpbw = float(np.int64(hi).view(np.float64))
+        assert hpbw == pytest.approx(2.2354e-152, rel=1e-4)
+        phi = np.array([-180.0, 180.0, 0.0, -0.0])
+        for boresight in (0.0, -0.0, 180.0, -180.0):
+            pattern = AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+            expected = [1.0 if abs(x) == abs(boresight) else 0.0 for x in phi]
+            assert power_gain(pattern, phi).tolist() == expected
+            assert [power_gain(pattern, float(x)) for x in phi] == expected
+
+
 class TestPowerGain:
     def test_boresight_is_one(self):
         p = AntennaPattern.gaussian(20.0, boresight_deg=30.0)
@@ -81,7 +107,7 @@ class TestPowerGain:
         pattern = AntennaPattern.gaussian(20.0, boresight_deg=boresight)
         phi = np.concatenate([rng.uniform(-180.0, 180.0, 20_000), [-180.0, 0.0, 180.0]])
         sigma = sigma_from_hpbw(20.0)
-        expected = np.exp(-np.square(wrap_degrees(phi - boresight)) / (2.0 * sigma**2))
+        expected = np.exp(np.square(wrap_degrees(phi - boresight)) * (-1.0 / (2.0 * sigma**2)))
         assert power_gain(pattern, phi).tobytes() == expected.tobytes()
         assert power_gain(pattern, float(phi[0])) == expected[0]
         out = np.full_like(phi, np.nan)
@@ -103,7 +129,7 @@ class TestPowerGain:
         phi = np.array(data.draw(st.lists(st.sampled_from(edges) | st.floats(-180.0, 180.0),
                                           min_size=1, max_size=40)))
         sigma = sigma_from_hpbw(hpbw)
-        expected = np.exp(-np.square(wrap_degrees(phi - b)) / (2.0 * sigma**2))
+        expected = np.exp(np.square(wrap_degrees(phi - b)) * (-1.0 / (2.0 * sigma**2)))
         assert power_gain(pattern, phi).tobytes() == expected.tobytes()
         # one angle at a time, so that every angle also sets the range alone
         scalars = np.array([power_gain(pattern, float(x)) for x in phi])
@@ -208,14 +234,14 @@ class TestKnownAngleRange:
         # against the angles half a turn from it (exactly where that is a
         # float), their neighbours, +-180 and +-0. Wide beams keep the gains
         # half a turn off boresight above the underflow, so every bit counts.
-        two_var = 2.0 * sigma_from_hpbw(hpbw) ** 2
+        scale = -1.0 / (2.0 * sigma_from_hpbw(hpbw) ** 2)
         for boresight in KNOWN_RANGE_BORESIGHTS + list(np.arange(-180.0, 181.0)):
             pattern = AntennaPattern.gaussian(hpbw, boresight_deg=float(boresight))
             b = pattern.boresight_deg
             phi = [b + 180.0, b - 180.0, 180.0, -180.0, 0.0, -0.0]
             phi += [np.nextafter(x, to) for x in phi for to in (-np.inf, np.inf)]
             phi = np.array([x for x in phi if -180.0 <= x <= 180.0])
-            expected = np.exp(-np.square(wrap_degrees(phi - b)) / two_var)
+            expected = np.exp(np.square(wrap_degrees(phi - b)) * scale)
             assert power_gain(pattern, phi).tobytes() == expected.tobytes(), b
             span = (float(phi.min()), float(phi.max()))
             for angle_range in (span, (-180.0, 180.0)):
@@ -264,6 +290,61 @@ class TestKnownAngleRange:
         b = AntennaPattern.gaussian(20.0, boresight_deg=boresight).boresight_deg
         aoa = aim_realization(draws, b, np.empty_like(draws.angles))
         assert np.all((aoa >= -180.0) & (aoa <= 180.0))
+
+
+class TestGainAccuracy:
+    """The gain against exp(-d**2 / (2 sigma**2)) taken at 40 significant
+    digits, for d the exact wrapped difference of the float angle and
+    boresight and sigma the float sigma_from_hpbw gives."""
+
+    HPBWS = [1e-3, 0.01, 0.5, 9.0, 20.0, 65.0, 120.0, 250.0, 359.0]
+    BORESIGHTS = KNOWN_RANGE_BORESIGHTS + [-123.456]
+
+    def angles(self, b, hpbw, rng):
+        # the half turn from b and its neighbours, +-180, +-0, b itself,
+        # angles a few beamwidths off it, and uniform ones
+        phi = [b + 180.0, b - 180.0, 180.0, -180.0, 0.0, -0.0, 5e-324, b]
+        phi += [b + k * hpbw for k in (-3.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 3.0)]
+        phi += [np.nextafter(x, to) for x in phi for to in (-np.inf, np.inf)]
+        phi += list(rng.uniform(-180.0, 180.0, 10))
+        return np.array([x for x in phi if -180.0 <= x <= 180.0])
+
+    def test_within_the_rounding_bound_of_the_reference(self, rng):
+        # The kernel's d' is the wrapped difference as computed: the
+        # difference phi - b rounds once, by at most u |phi - b| (u = 2**-53),
+        # and a wrap rounds once more, a sum below 540 in magnitude, so
+        # |d' - d| <= u (|phi - b| + 540) (at b = +-0, d' = phi exactly). The
+        # exponent is fl(fl(d'**2) * fl(-1 / (2 fl(sigma**2)))): three
+        # roundings of u and sigma**2 by C pow, within one ulp (2u), so it is
+        # -d'**2 / (2 sigma**2) times (1 + r), |r| <= rho. numpy's float64
+        # exp is within 1 ulp of the rounded exp (its umath accuracy suite),
+        # so within 1.5 ulp of the exact one. The worst error measured is
+        # 0.38 of its bound, the same as the quotient -d'**2 / (2 sigma**2)
+        # gives.
+        mp = pytest.importorskip("mpmath")
+        u = 2.0**-53
+        rho = (1 + u) ** 3 / (1 - 2 * u) - 1
+        with mp.workdps(40):
+            for hpbw in self.HPBWS:
+                sigma = sigma_from_hpbw(hpbw)
+                two_var = 2 * mp.mpf(sigma) ** 2
+                for boresight in self.BORESIGHTS:
+                    pattern = AntennaPattern.gaussian(hpbw, boresight_deg=boresight)
+                    b = pattern.boresight_deg
+                    phi = self.angles(b, hpbw, rng)
+                    gains = power_gain(pattern, phi)
+                    for x, gain in zip(phi, gains):
+                        diff = mp.mpf(float(x)) - mp.mpf(b)
+                        d = diff - 360 if diff > 180 else diff + 360 if diff <= -180 else diff
+                        exponent = -d**2 / two_var
+                        slack = u * (abs(diff) + 540)
+                        # |d'**2 - d**2| <= (2 |d| + slack) slack
+                        dx = (rho * abs(exponent)
+                              + (2 * abs(d) + slack) * slack / two_var * (1 + rho))
+                        exact = mp.exp(exponent)
+                        tol = exact * mp.expm1(dx) + 1.5 * np.spacing(float(exact * mp.exp(dx)))
+                        error = abs(mp.mpf(float(gain)) - exact)
+                        assert error <= tol, (hpbw, b, float(x))
 
 
 @pytest.mark.parametrize("function, parameter, field", [

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiell.antenna import AntennaPattern, _gain_in_place
+from multiell.antenna import AntennaPattern, PatternKind, _gain_in_place
 from multiell.cli import _fmt
 from multiell.engine import PathSet, SourceKind, _aim, reweight, run_realization
 from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
+from multiell.geometry import wrap_degrees
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
 from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
@@ -402,8 +403,9 @@ class TestRealizationPas:
 
     @pytest.mark.parametrize("name", sorted(fig_presets()))
     def test_every_preset_and_rice_factor(self, name):
-        # Rows of 1 to 129 paths put the leaves of the pairwise total across
-        # rows, some of them across several.
+        # Rows of 1 to 200 paths straddle the 8-way unroll and the 128-path
+        # block of numpy's pairwise sum within each row's own total, which
+        # both routes take row by row before adding the totals in order.
         # 4000 dB: K = inf, the direct path alone.
         for n, rice in itertools.product((1, 7, 8, 127, 128, 129, 200), (None, 6.0, 4000.0)):
             cfg = replace(fig_presets()[name].config, paths_per_cluster=n, rice_factor_db=rice)
@@ -560,7 +562,8 @@ def twelve_digit_tie_distance(x: float) -> float:
                     reason="the reference needs a long double wider than float64")
 class TestSpreadPrecision:
     # Every figure preset at 500 paths per cluster, seed 5, 3 trials, every
-    # 5 degrees: 3,942 sweep points.
+    # 5 degrees: 3,942 sweep rows, of which 3,036 are distinct points, each
+    # computed once.
     ANGLES = np.linspace(-180.0, 180.0, 73)
     TRIALS = 3
     # The one-pass reduction's worst error on these points (fig8-A, a spread
@@ -586,18 +589,35 @@ class TestSpreadPrecision:
             cfg = replace(preset.config, paths_per_cluster=500, seed=5)
             points.clear()
             result = sweep_as(cfg, preset.axis, self.ANGLES, trials=self.TRIALS)
-            assert len(points) == result.as_deg.size == n * self.TRIALS
+            firsts = first_of_each_point(cfg, preset.axis, self.ANGLES)
+            assert result.as_deg.size == n * self.TRIALS
+            assert len(points) == len(firsts) * self.TRIALS
             for k, (value, one_pass, reference) in enumerate(points):
-                t, j = divmod(k, n)  # the sweep runs trial-major
+                t, i = divmod(k, len(firsts))  # the sweep runs trial-major
+                j = firsts[i]
                 point = (name, float(self.ANGLES[j]), t)
                 assert result.as_deg[j, t] == value
                 if _fmt(value) != _fmt(reference):
                     assert twelve_digit_tie_distance(reference) < self.TIE_REL, point
                 one_pass_misprints += _fmt(one_pass) != _fmt(reference)
                 assert abs(value - one_pass) <= self.ONE_PASS_REL * value, point
-        # The check can fail: the one-pass reduction misprints 81 of these
-        # points (66 of fig8-A's 219).
+        # The check can fail: the one-pass reduction misprints 77 of these
+        # points (64 of fig8-A's 216).
         assert one_pass_misprints > 0
+
+
+def first_of_each_point(config, axis, angles_deg):
+    """The index of each distinct point's first angle, in sweep order: a
+    point is its wrapped boresights, an omni end's left out, and only the
+    swept end's boresight varies."""
+    swept = config.tx_pattern if axis is SweepAxis.TX_ORIENTATION else config.rx_pattern
+    seen, firsts = set(), []
+    for j, angle in enumerate(angles_deg):
+        key = None if swept.kind is PatternKind.OMNI else wrap_degrees(float(angle))
+        if key not in seen:  # -0.0 == 0.0, and they hash alike
+            seen.add(key)
+            firsts.append(j)
+    return firsts
 
 
 def reference_sweep(config, axis, angles_deg, trials):
@@ -697,7 +717,7 @@ class TestSweepEquivalence:
         cfg = scenario("A", "same", alpha_t_deg=30.0, paths_per_cluster=30, seed=4)
         sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
         assert [b for b, *_ in aimed] == boresights * 2
-        assert len(weighted) == 6
+        assert len(weighted) == 4  # two points per trial: -180 is 180
         _, out, scratch = weighted[0]
         assert out is not None and scratch is not None and out is not scratch
         assert all(o is out and s is scratch for _, o, s in weighted)
@@ -745,12 +765,38 @@ class TestSweepEquivalence:
         cfg = scenario("A", rx, alpha_t_deg=170.0, alpha_r_deg=alpha_r, paths_per_cluster=30,
                        seed=4)
         result = sweep_as(cfg, axis, angles, trials=2)
-        assert len(ranges) == (0 if rx == "omni" else 6)
+        points = len(first_of_each_point(cfg, axis, angles))
+        assert len(ranges) == (0 if rx == "omni" else 2 * points)
         for span, scanned in ranges:
             assert span[0] <= scanned[0] and scanned[1] <= span[1]
             assert span == (scanned if scans else (-180.0, 180.0))
         monkeypatch.undo()
         assert_same_sweep(result, reference_sweep(cfg, axis, angles, 2))
+
+    @pytest.mark.parametrize("axis, rx, points", [
+        (SweepAxis.RX_ORIENTATION, "same", 4), (SweepAxis.RX_ORIENTATION, "omni", 1),
+        (SweepAxis.TX_ORIENTATION, "same", 4), (SweepAxis.TX_ORIENTATION, "omni", 4)],
+        ids=["rx-sweep", "rx-sweep-omni", "tx-sweep", "tx-sweep-omni"])
+    def test_each_distinct_point_once_per_trial(self, axis, rx, points, monkeypatch):
+        # [-540, 540] every 90 degrees wraps onto 180, -90, +0 and 90 three or
+        # four times each, and -0 is +0. An omni end's boresight is no part of
+        # a point, so an omni-receiver rx sweep has one.
+        import multiell.stats
+        spreads = []
+        real = multiell.stats._spread_in_place
+
+        def recording_spread(phi, power, deviation):
+            spreads.append(phi)
+            return real(phi, power, deviation)
+
+        monkeypatch.setattr(multiell.stats, "_spread_in_place", recording_spread)
+        cfg = scenario("B", rx, alpha_t_deg=150.0, alpha_r_deg=20.0, seed=7,
+                       paths_per_cluster=40)
+        angles = [*np.arange(-540.0, 541.0, 90.0), -0.0]
+        result = sweep_as(cfg, axis, angles, trials=3)
+        monkeypatch.undo()
+        assert len(spreads) == 3 * points
+        assert_same_sweep(result, reference_sweep(cfg, axis, angles, 3))
 
     def test_narrow_tx_sweep_wraps_no_departure(self, monkeypatch):
         # The half-angle tangent has period 360 degrees in the departure, so
@@ -777,7 +823,7 @@ class TestSweepEquivalence:
         angles = np.arange(-180.0, 181.0, 5.0)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=2)
         monkeypatch.undo()
-        assert aims == [0] * (2 * angles.size)
+        assert aims == [0] * (2 * len(first_of_each_point(cfg, SweepAxis.TX_ORIENTATION, angles)))
         assert_same_sweep(result, reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 2))
 
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
