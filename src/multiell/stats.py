@@ -80,18 +80,15 @@ class SweepResult:
 def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
     # The powers and their total, which must be positive. A total outside
     # [_MIN_TOTAL_POWER, _MAX_TOTAL_POWER] is taken again over the powers
-    # divided by the largest (a copy), which sum to between 1 and the path
-    # count. Inside the range the spread's weighted sums, at most 360**2
-    # times the total, and the PAS norm, the total times a bin width of at
-    # least 1e-4, neither overflow nor underflow.
+    # divided by the largest (a copy): finite and >= 0 (_require_path_powers),
+    # they sum to between 1 and the path count, so none is rescaled twice.
+    # Inside the range the spread's weighted sums, at most 360**2 times the
+    # total, and the PAS norm, the total times a bin width of at least 1e-4,
+    # neither overflow nor underflow.
     total = power_lin.sum()
     if _in_range(total):
         return power_lin, total
-    peak = power_lin.max()
-    if peak == math.inf:
-        raise _infinite_power(int(power_lin.argmax()))
-    power_lin = power_lin / peak
-    return power_lin, power_lin.sum()
+    return _total_power(power_lin / power_lin.max())
 
 
 def _in_range(total: float) -> bool:
@@ -102,19 +99,15 @@ def _in_range(total: float) -> bool:
     return _MIN_TOTAL_POWER <= total <= _MAX_TOTAL_POWER
 
 
-def _infinite_power(path: int) -> NoPower:
-    # The error for a total out of range whose largest power, first at
-    # ``path``, is inf, so that no rescaling helps.
-    return NoPower(f"path {path} has power inf, not a finite number")
-
-
-def _require_path_powers(power_lin: np.ndarray, start: int = 0) -> None:
-    # A negative power would pass a positive total and give a garbage
-    # result. The sweep's weights, gain times raw power, need no check.
-    # ``power_lin`` holds the powers of the paths from ``start`` on.
-    if power_lin.size and not power_lin.min() >= 0.0:  # NaN fails this too
-        i = int(np.flatnonzero(~(power_lin >= 0.0))[0])
-        raise NoPower(f"path {start + i} has power {power_lin[i]}, not a number >= 0")
+def _require_path_powers(power_lin: np.ndarray) -> None:
+    # Made where user paths enter: a negative power would pass a positive
+    # total and give a garbage result, and an inf leaves no finite largest
+    # power to rescale by. The engine's weights, a gain in [0, 1] times a raw
+    # power >= 0, need no check.
+    if power_lin.size and not (power_lin.min() >= 0.0  # NaN fails this too
+                               and power_lin.max() < math.inf):
+        i = int(np.flatnonzero(~((power_lin >= 0.0) & (power_lin < math.inf)))[0])
+        raise NoPower(f"path {i} has power {power_lin[i]}, not a finite number >= 0")
 
 
 def angular_spread(paths: PathSet) -> float:
@@ -162,6 +155,7 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     """
     edges = _pas_edges(bin_width_deg)
     pieces = _source_pieces(paths)
+    _require_path_powers(paths.power_lin)
     return _pas(lambda: pieces, edges, bin_width_deg)
 
 
@@ -187,8 +181,9 @@ def realization_pas(config: ScenarioConfig,
     holding no path-sized array where that holds two or three: each source
     row of the realization is drawn, aimed and weighted in two reused row
     buffers, and binned and summed as it comes, the row being the source
-    that ``estimate_pas`` reduces. Raises as ``estimate_pas`` does,
-    ``BadBinWidth`` before any draw.
+    that ``estimate_pas`` reduces. Raises ``BadBinWidth`` as
+    ``estimate_pas`` does, before any draw, and ``NoPower`` for a total
+    that is not positive.
     """
     edges = _pas_edges(bin_width_deg)
     return _pas(lambda: _realization_rows(config), edges, bin_width_deg)
@@ -197,36 +192,26 @@ def realization_pas(config: ScenarioConfig,
 def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
     # The spectrum of estimate_pas for the paths of ``stream()``, which
     # gives afresh at each call an iterable of (angles, powers) pieces in
-    # path order, one per source, each read before the next is asked for.
-    # Each piece is binned into the per-bin sums and its ndarray.sum added to
-    # the total as it passes; its largest power is kept, and NoPower names
-    # the first negative or NaN power. A total out of range (_total_power) is
-    # taken again over the powers divided by the largest, with the paths
-    # binned again from a second stream() that gives the same pieces.
+    # path order, one per source, each read before the next is asked for,
+    # with finite powers >= 0 (see _require_path_powers). Each piece is
+    # binned into the per-bin sums and its ndarray.sum added to the total as
+    # it passes; its largest power is kept. A total out of range
+    # (_total_power) is reduced again from a second stream() over the powers
+    # divided by the largest, which total between 1 and the path count, so
+    # once; this pass's sums and last row go first, to hold no more than it.
     sums = np.zeros(edges.size - 1)
     total = peak = 0.0
-    start, inf_at = 0, None
     with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
         for angles, powers in stream():
-            _require_path_powers(powers, start)
-            top = float(powers.max(initial=0.0))
-            if top > peak:
-                if top == math.inf:
-                    inf_at = start + int(powers.argmax())
-                peak = top
-            start += powers.size
+            peak = max(peak, float(powers.max(initial=0.0)))
             total += float(powers.sum())
             _bin_power(angles, powers, edges, width, sums)
-        if not _in_range(total):
-            if peak == math.inf:
-                raise _infinite_power(inf_at)
-            sums.fill(0.0)
-            total = 0.0
-            for angles, powers in stream():
-                powers = powers / peak
-                total += float(powers.sum())
-                _bin_power(angles, powers, edges, width, sums)
-    return _spectrum(sums, total, edges, width)
+    if not _in_range(total):
+        del sums, angles, powers
+        return _pas(lambda: ((a, p / peak) for a, p in stream()), edges, width)
+    sums /= total * width
+    return AngularSpectrum(bin_centers_deg=edges[:-1] + width / 2.0, density_per_deg=sums,
+                           bin_width_deg=float(width))
 
 
 def _pas_edges(bin_width_deg: float) -> np.ndarray:
@@ -239,14 +224,6 @@ def _pas_edges(bin_width_deg: float) -> np.ndarray:
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")
     return -180.0 + bin_width_deg * np.arange(int(round(n_bins)) + 1)
-
-
-def _spectrum(sums: np.ndarray, total: float, edges: np.ndarray,
-              bin_width_deg: float) -> AngularSpectrum:
-    # The spectrum of per-bin power ``sums`` (used up) out of ``total``.
-    sums /= total * bin_width_deg
-    return AngularSpectrum(bin_centers_deg=edges[:-1] + bin_width_deg / 2.0,
-                           density_per_deg=sums, bin_width_deg=float(bin_width_deg))
 
 
 def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width: float,

@@ -690,6 +690,63 @@ class TestPinnedTxSweeps:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.WIDE_TX_SWEEP_SHA256
 
 
+class TestPresetBytes:
+    # sha256 of every preset's sweep (15-degree steps, 2 trials) and default
+    # pas file at seed 5, so that a change moving any preset's bytes shows
+    # here; a change that moves them on purpose re-records them. Recorded
+    # with numpy 2.4.6 on an AVX-512 host; NPY_DISABLE_CPU_FEATURES=X86_V4
+    # gives the same 36.
+    DIGESTS = {
+        ("fig1-A", "sweep"): "a4a830f7db02593e3acd31ca5fddd80994ce6a1550ecaf82bee309330e835692",
+        ("fig1-A", "pas"): "873e30acb7db094caee25966e250b21503629ae1d3c646604c7a908356299f87",
+        ("fig1-A-omni", "sweep"): "a016316c6c6a0eadba313003b0eb0437f0f21814aa6b169c4405a55d3b130d3f",
+        ("fig1-A-omni", "pas"): "7b80f52eddbaa8bf69adacd46f62130fe362d2006647f873953d455a341d090d",
+        ("fig1-B", "sweep"): "785f8a9e27fde203a8d8b31f55cca14a98e2c318631698fa9a910838b39ee228",
+        ("fig1-B", "pas"): "5ef6a69f77a1f535f93f38f90a576574a44be26c476c148460ddc7e3bbe54b33",
+        ("fig1-B-omni", "sweep"): "fa23159e8ab3767158c078bd1ee578cf99949baf43cf53beb007799026339cc2",
+        ("fig1-B-omni", "pas"): "a1bf268dd36849fd2b36523b51ace60ed81a3c152eb1afcb343e3f1985da518f",
+        ("fig2-C", "sweep"): "a80ca67231e7e69dd618c7b4a4c79153aebe1a04443ee062f64a721298a27a94",
+        ("fig2-C", "pas"): "08c805ba505b62fcd547f8f6903634af14d818f955a0c7fdef3e22e3fdef8219",
+        ("fig2-C-omni", "sweep"): "228fa2b7b2c2b3d63364216d52c070b45801a1d47544774a94b77ea31aa86d08",
+        ("fig2-C-omni", "pas"): "ab6e55ffcfd5f9b5078001d24d281c3935da686bcf604365f465fe243af50981",
+        ("fig2-D", "sweep"): "e76368e7baaafea8a3b34f9dd80f8be948626c234c1a3d3c14f0eff71c270045",
+        ("fig2-D", "pas"): "761c2a17380201b686c614aa8a953d70064c84286a131b8745b9f1d32f63c1c8",
+        ("fig2-D-omni", "sweep"): "aab79a8df4b5a0cbb32ef388b75522dd98b603b48c4ca7b0708ebd3317f602ff",
+        ("fig2-D-omni", "pas"): "021d922d686e41af4254828a3482b2d01d67da2fa453791895f5835ca6d40daa",
+        ("fig4-A", "sweep"): "718c8a3d752162f7a48e4e5d8e8703f7fa3ce68c2ab16345c705122d78360343",
+        ("fig4-A", "pas"): "f9803e9d7d9808809a072411be244c8b0ff5e9a80f5d425fce900fb3daa9796f",
+        ("fig4-A-omni", "sweep"): "b5144d3627f0c40ca2941c3ed7ee19e2869c9194ea13c982ca6617e585b61e5f",
+        ("fig4-A-omni", "pas"): "873c950f1755f8d4709b246e5c45dc903eda7320887a2fead109bb49e0ae10b4",
+        ("fig4-B", "sweep"): "d78c1a82d268d0a3eb330434113956e69508b5b0185b81aef27cc37e50ce03a7",
+        ("fig4-B", "pas"): "a84ad06feab26e115a0cafb47630271b754ff3bbc80e760195ca36163373a21e",
+        ("fig4-B-omni", "sweep"): "2402cbadce7cafbe282305ccc9db68200a7b8c87ff948fcd6f8569e08de2b0b4",
+        ("fig4-B-omni", "pas"): "08ab533739a64790fcc4cd1044bd8eb3c84e10bdf9ee4a95bcadce6aa822ee98",
+        ("fig5-C", "sweep"): "33727b13f4fb3ee04740d79ed3f9ccde6cd094e0466dc31471b1ce761a2aab04",
+        ("fig5-C", "pas"): "00072c09686674fddcbc3a67bc7d863ad600654b5090ba5a76ff9959fd06fbbd",
+        ("fig5-C-omni", "sweep"): "ff275dca354e752aaa60fbb30e420ccffb749d28475bba25cd2cbcad185ceef5",
+        ("fig5-C-omni", "pas"): "4f63bc05e6ab36efa4c9c8cdffd4f0ccb4f1d49c8e8b39c3d52f95d9534c8823",
+        ("fig5-D", "sweep"): "ddeedbc53ea369eb02db41ea6d2a4431ed2b6c1a612ccf62127b2756e1e6026a",
+        ("fig5-D", "pas"): "4f1fb10ad404c411c2169fa7af6a08cc0dda4435179e4db1cb05b9555bf5d868",
+        ("fig5-D-omni", "sweep"): "dc995e1d4fcbd6dbeee92cd97c1d18139ac48a4348b49b790d426e90a474e64c",
+        ("fig5-D-omni", "pas"): "ae502834019a906fcbb8704c21d25711f11bc67ad97d54ebde3cee38d0a9426a",
+        ("fig7-A", "sweep"): "0cfe7c57a54f99b669cdb9d2fb749989cd371f663e127ca90acc74273b05944e",
+        ("fig7-A", "pas"): "11b5de107deac9add781dfec2b1585bb69ed791771a239319580f02260910f80",
+        ("fig8-A", "sweep"): "4099ba16ead672447e67b8113e932f295598d8feccdd26bd5554f3d0b1c1dc1d",
+        ("fig8-A", "pas"): "a75f708edc627e15642ad13f588d2ee0c2791339f421b5cde7c6c8b123b51c52",
+    }
+
+    def test_every_preset_is_pinned(self):
+        assert sorted(self.DIGESTS) == [(name, command) for name in sorted(fig_presets())
+                                        for command in ("pas", "sweep")]
+
+    @pytest.mark.parametrize("name, command", sorted(DIGESTS))
+    def test_seed_5_bytes(self, tmp_path, name, command):
+        extra = ["--step", "15", "--trials", "2"] if command == "sweep" else []
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--preset", name, *extra, "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[name, command]
+
+
 class TestZeroShareTwins:
     # sha256 of each pinned command above with a zero local-scattering share,
     # recorded while the von Mises sampler was still hand-written (the two

@@ -728,6 +728,28 @@ class TestRealizationMemory:
         assert spectrum.density_per_deg.size == bins
         assert peak < bound
 
+    def test_rescaled_pas_route_at_the_finest_bins_holds_three_bin_arrays(self):
+        # fig2-D under a 6-degree receive beam at 150 degrees totals 2.76e-307
+        # at seed 1, below the range, so the paths are binned again divided
+        # by the largest power. Traced at 1e-4-degree bins: 86.4 MB, three
+        # bin-count arrays, as without the rescale. Holding the first pass's
+        # per-bin sums across the second made four: 115.2 MB.
+        cfg = fig_presets()["fig2-D"].config
+        cfg = replace(cfg, rx_pattern=replace(cfg.rx_pattern, hpbw_deg=6.0,
+                                              boresight_deg=150.0))
+        assert 0.0 < run_realization(cfg).power_lin.sum() < 1e-300
+        bins = 3_600_000
+        bound = 3 * 8 * (bins + 1) + 7 * 8 * cfg.paths_per_cluster
+        realization_pas(cfg, 1e-4)  # first call outside the trace: caches and imports
+        tracemalloc.start()
+        try:
+            spectrum = realization_pas(cfg, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.density_per_deg.size == bins
+        assert peak < bound
+
     @pytest.mark.parametrize("name, bound", [("fig4-A", 4.5), ("fig2-D", 5.5)])
     def test_sweep_holds_the_draws_and_at_most_three_buffers(self, name, bound):
         # An rx sweep (fig4-A) aims each trial once, in the draws' own

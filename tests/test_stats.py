@@ -97,6 +97,18 @@ class TestAngularSpread:
             with pytest.raises(NoPower, match=rf"^path {index} has power "):
                 statistic(paths)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_an_infinite_power_is_named_before_a_later_bad_one(self, bad):
+        # Two sources, [1, inf | bad, 2]: an inf was named only once the total
+        # came out of range, so the bad power at path 2 was named instead.
+        power = np.array([1.0, np.inf, bad, 2.0])
+        paths = PathSet(np.array([0.0, 90.0, 45.0, 10.0]), power, power,
+                        ((SourceKind.CLUSTER, 1, slice(0, 2)),
+                         (SourceKind.CLUSTER, 2, slice(2, 4))))
+        for statistic in (angular_spread, lambda p: estimate_pas(p, bin_width_deg=90.0)):
+            with pytest.raises(NoPower, match=r"^path 1 has power inf, not a finite number >= 0$"):
+                statistic(paths)
+
     @pytest.mark.parametrize("power", [1e-320, 1e308])
     def test_extreme_totals_give_the_spread_and_spectrum_of_unit_powers(self, power):
         # Two paths of 1e-320 at 1e-4-degree bins underflowed the PAS norm to
@@ -429,6 +441,25 @@ class TestRealizationPas:
         paths = run_realization(cfg)
         assert 0.0 < paths.power_lin.sum() < 1e-300  # 2.76e-307 at seed 1
         assert same_spectrum(realization_pas(cfg), estimate_pas(paths))
+
+    def test_only_user_paths_are_checked(self, monkeypatch):
+        # The engine's weights are finite and >= 0 as made, so neither the
+        # streamed PAS nor the sweep checks them; the streamed PAS checked
+        # each of its 23 rows here.
+        import multiell.stats
+        calls = []
+        check = multiell.stats._require_path_powers
+        monkeypatch.setattr(multiell.stats, "_require_path_powers",
+                            lambda *args: calls.append(args) or check(*args))
+        cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
+        realization_pas(cfg)
+        sweep_as(cfg, SweepAxis.RX_ORIENTATION, [0.0, 30.0], trials=2)
+        assert len(calls) == 0
+        paths = run_realization(cfg)
+        angular_spread(paths)
+        assert len(calls) == 1
+        estimate_pas(paths)
+        assert len(calls) == 2
 
     def test_zero_total_raises(self):
         cfg = self.fig2_d(7.0, 180.0)
