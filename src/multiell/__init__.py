@@ -3,9 +3,9 @@ on confocal-ellipse link geometry (see README.md)."""
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain, sigma_from_hpbw
 from .engine import PathSet, ScenarioConfig, SourceKind, reweight, run_realization
-from .errors import (BadBinWidth, ConfigError, EmptyProfile, InvalidDs, InvalidGeometry,
-                     InvalidHpbw, KappaOutOfRange, MultiellError, NoPower, ParseError,
-                     UnsortedDelays)
+from .errors import (BadAngle, BadBinWidth, ConfigError, EmptyProfile, InvalidDs,
+                     InvalidGeometry, InvalidHpbw, KappaOutOfRange, MultiellError, NoPower,
+                     ParseError, UnsortedDelays)
 from .geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
                        eccentricity_from_delay, wrap_degrees)
 from .pdp import (BUILTIN_NLOS, NormalizedPdp, ScaledPdp, builtin_nlos_profile,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaPattern", "PatternKind", "draw_aod_offsets", "power_gain", "sigma_from_hpbw",
     "PathSet", "ScenarioConfig", "SourceKind", "reweight", "run_realization",
-    "BadBinWidth", "ConfigError", "EmptyProfile", "InvalidDs", "InvalidGeometry",
+    "BadAngle", "BadBinWidth", "ConfigError", "EmptyProfile", "InvalidDs", "InvalidGeometry",
     "InvalidHpbw", "KappaOutOfRange", "MultiellError", "NoPower", "ParseError",
     "UnsortedDelays",
     "DEGENERATE_DELAY_S", "SPEED_OF_LIGHT_M_S", "aoa_from_aod", "eccentricity_from_delay",

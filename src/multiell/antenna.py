@@ -84,7 +84,8 @@ def power_gain(pattern: AntennaPattern, phi_deg):
 
     Omni: 1 everywhere. Gaussian: ``exp(d**2 * (-1 / (2 sigma**2)))`` with
     ``d`` the wrapped difference ``wrap_degrees(phi - boresight)``, bit for
-    bit (the shortest-arc argument is at ``_gain_in_place``). The square is
+    bit, so ``d`` carries the difference's one rounding only, the wrap being
+    exact (the shortest-arc argument is at ``_gain_in_place``). The square is
     multiplied by one reciprocal rather than divided, so the exponent takes
     one rounding more than the quotient ``-d**2 / (2 sigma**2)``, and a gain
     can differ from the quotient's by about ``|exponent| * 2**-52``.
@@ -113,34 +114,23 @@ def _gain_in_place(pattern: AntennaPattern, phi: np.ndarray, span: tuple[float, 
     # The shortest arc, with the wrapped difference's bits, selecting no
     # paths. With the boresight b in (-180, 180], d = phi - b can leave
     # (-180, 180] on one side only: below -180 if b >= 0, above 180 if b < 0.
-    # Where it can, the smaller of two signed candidates is squared, once.
-    # For b >= 0 they are -d, computed as b - phi (rounding is symmetric), and
-    # s = (540 - (b - phi)) - 180. Where d < -180, d + 180 and the last - 180
-    # of the wrap ((d + 180) + 360) - 180 are exact (Sterbenz), so that wrap
-    # equals s, in [0, 180) and below -d; elsewhere s >= 180 >= -d, and the
-    # minimum keeps -d, whose square is that of d. For b < 0 they are d and
-    # c = 540 - (d + 180), an exact subtraction: where d > 180, c is the
-    # magnitude of the wrap ((d + 180) - 360) - 180, in [0, 180) and below d;
-    # elsewhere c >= 180 >= d. (The bounds hold through rounding, which is
-    # monotonic.) So the square is the wrapped difference's, bit for bit, a
-    # NaN passes through, and where both candidates are 180 (the wrap sends
-    # -180 to 180) the squares are equal. Rounding keeps every d between the
-    # differences of the ends of ``span``: when those stay in [-180, 180] no
-    # d wraps and no candidate is computed, and a candidate computed where
-    # none is needed is never the smaller one. At b = +-0 no candidate is
-    # needed, and d = phi - b is phi up to the sign of a zero, which the
-    # square drops (a NaN passes either way): so phi is squared as it is.
+    # Where it can, x = -d (as b - phi; rounding is symmetric) or x = d,
+    # which can pass 180 only, and the smaller of x and 360 - x is squared.
+    # Where x > 180, 360 - x is exact (Sterbenz: x <= 360) and is the
+    # magnitude of the exact wrap of d; elsewhere 360 - x >= 180 >= x, through
+    # the monotonic rounding too, and x is kept. So the square is the wrapped
+    # difference's, bit for bit, and a NaN passes through. Rounding keeps
+    # every d between the differences of the ends of ``span``: when those stay
+    # in [-180, 180] no d wraps and no candidate is computed. At b = +-0, d is
+    # phi up to the sign of a zero, which the square drops: phi is squared.
     if lo - boresight < -180.0 or hi - boresight > 180.0:
         if scratch is None:
             scratch = np.empty_like(out)
         if boresight >= 0.0:
             np.subtract(boresight, phi, out=out)  # -d
-            np.subtract(540.0, out, out=scratch)
-            scratch -= 180.0
         else:
             np.subtract(phi, boresight, out=out)  # d
-            np.add(out, 180.0, out=scratch)
-            np.subtract(540.0, scratch, out=scratch)
+        np.subtract(360.0, out, out=scratch)
         d = np.minimum(out, scratch, out=out)
     elif boresight == 0.0:
         d = phi

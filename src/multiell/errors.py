@@ -47,5 +47,10 @@ class NoPower(MultiellError):
     """All path weights are zero; statistics are undefined."""
 
 
+class BadAngle(MultiellError):
+    """A path's arrival angle is not a finite number in [-180, 180] degrees,
+    or the paths hold a different count of angles than of powers."""
+
+
 class BadBinWidth(MultiellError):
     """Histogram bin width must be positive and divide 360 evenly."""

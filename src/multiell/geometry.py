@@ -32,29 +32,29 @@ DEGENERATE_DELAY_S = 1e-10
 
 
 def wrap_in_place(angles: np.ndarray) -> np.ndarray:
-    """Wrap a C-contiguous float array into (-180, 180] in place and return it.
-
-    Values already inside the interval are not written, so they keep every
-    bit; the others become ``(a + 180) % 360 - 180``, with -180 sent to 180.
-    Raises ``ValueError`` for an array that is not C-contiguous.
-    """
+    """Wrap a C-contiguous float array into (-180, 180] in place, exactly,
+    and return it. A value outside becomes ``fmod(a, 360)`` (exact), moved
+    by 360 where still outside (exact by Sterbenz); a wrapped zero is +0.0
+    and +-inf gives NaN. Values inside (-0.0 too) and NaN keep every bit,
+    and an array inside the interval is only read. Raises ``ValueError``
+    for an array that is not C-contiguous."""
     if not angles.flags.c_contiguous:
         raise ValueError("wrap_in_place needs a C-contiguous array")
     flat = angles.reshape(-1)  # a view, since the array is contiguous
-    # Integer indices gather and scatter several times faster than the mask.
-    out_of_range = np.flatnonzero((flat <= -180.0) | (flat > 180.0))
-    if out_of_range.size:
-        t = flat[out_of_range] + 180.0
-        t %= 360.0
-        t -= 180.0
-        t[t == -180.0] = 180.0
+    if not (flat.min(initial=0.0) > -180.0 and flat.max(initial=0.0) <= 180.0):  # NaN fails
+        # Integer indices gather and scatter several times faster than the mask.
+        out_of_range = np.flatnonzero((flat <= -180.0) | (flat > 180.0))
+        t = np.fmod(flat[out_of_range], 360.0)
+        t -= 360.0 * (t > 180.0)
+        t += 360.0 * (t <= -180.0)  # adding +0.0 turns fmod's -0.0 into +0.0
         flat[out_of_range] = t
     return angles
 
 
 def wrap_degrees(angle_deg):
-    """Wrap angles into (-180, 180], as :func:`wrap_in_place` does, into a new
-    array. Accepts scalars or arrays; a scalar or 0-d input gives a float."""
+    """:func:`wrap_in_place` into a new array: the angles wrapped into
+    (-180, 180], exactly. Accepts scalars or arrays; a scalar or 0-d input
+    gives a float."""
     a = wrap_in_place(np.array(angle_deg, dtype=float))
     return float(a) if a.ndim == 0 else a
 

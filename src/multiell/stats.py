@@ -11,7 +11,7 @@ import numpy as np
 
 from .antenna import PatternKind, _gain_in_place
 from .engine import PathSet, ScenarioConfig, _aim, _as_int, _realization_rows, draw_realization
-from .errors import BadBinWidth, ConfigError, NoPower
+from .errors import BadAngle, BadBinWidth, ConfigError, NoPower
 
 
 class SweepAxis(enum.Enum):
@@ -110,14 +110,30 @@ def _require_path_powers(power_lin: np.ndarray) -> None:
         raise NoPower(f"path {i} has power {power_lin[i]}, not a finite number >= 0")
 
 
+def _require_path_angles(paths: PathSet) -> None:
+    # Made where user paths enter, with _require_path_powers: an angle that
+    # is NaN, infinite or outside [-180, 180] would give a spread beyond
+    # 180 or NaN, and fall outside every PAS bin. The engine's angles lie in
+    # [-180, 180] as made, and need no check.
+    aoa = paths.aoa_deg
+    if aoa.size != paths.power_lin.size:
+        raise BadAngle(f"{aoa.size} arrival angles for {paths.power_lin.size} path powers")
+    if aoa.size and not (aoa.min() >= -180.0 and aoa.max() <= 180.0):  # NaN fails this too
+        i = int(np.flatnonzero(~((aoa >= -180.0) & (aoa <= 180.0)))[0])
+        raise BadAngle(f"path {i} has arrival angle {aoa[i]}, not in [-180, 180]")
+
+
 def angular_spread(paths: PathSet) -> float:
     """rms angle spread in degrees: the square root of the power-weighted
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
     of the definition). Takes one path-sized temporary; the precision
     arguments are at ``_spread_in_place`` and ``_total_power``. Raises
+    ``BadAngle``, naming the path, for an angle that is NaN, infinite or
+    outside [-180, 180], and for angles and powers of different counts;
     ``NoPower``, naming the path, for a negative, NaN or infinite power, and
     for a total that is not positive."""
+    _require_path_angles(paths)
     _require_path_powers(paths.power_lin)
     with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
         return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
@@ -143,17 +159,19 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     ``bin_width_deg`` must be finite and divide 360 evenly, into at most
     3,600,000 bins, or ``BadBinWidth`` is raised. The bins are
     ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``, exactly
-    (see ``_EDGE_BAND``); angles outside the edges and NaN count in the
-    total power only. The paths are reduced source by source, in
-    ``paths.sources`` order: each bin's power is the sum of the sources'
-    ``np.bincount`` partials, and the total is 0.0 plus the sum of the
-    sources' ``ndarray.sum``, so neither the thread count nor the SIMD target
-    sets an order. Raises ``NoPower``, naming the path, for a negative, NaN
-    or infinite power, and for a total that is not positive (see
-    ``_total_power`` for totals near the limits); ``ValueError`` if the
-    source slices do not tile the paths in order.
+    (see ``_EDGE_BAND``), and every path falls in one: an arrival angle
+    that is NaN, infinite or outside [-180, 180] raises ``BadAngle``, naming
+    the path, as do angles and powers of different counts. The paths are
+    reduced source by source, in ``paths.sources`` order: each bin's power
+    is the sum of the sources' ``np.bincount`` partials, and the total is
+    0.0 plus the sum of the sources' ``ndarray.sum``, so neither the thread
+    count nor the SIMD target sets an order. Raises ``NoPower``, naming the
+    path, for a negative, NaN or infinite power, and for a total that is not
+    positive (see ``_total_power`` for totals near the limits);
+    ``ValueError`` if the source slices do not tile the paths in order.
     """
     edges = _pas_edges(bin_width_deg)
+    _require_path_angles(paths)
     pieces = _source_pieces(paths)
     _require_path_powers(paths.power_lin)
     return _pas(lambda: pieces, edges, bin_width_deg)
@@ -229,22 +247,20 @@ def _pas_edges(bin_width_deg: float) -> np.ndarray:
 def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width: float,
                sums: np.ndarray) -> None:
     # Adds to ``sums`` the powers per bin of estimate_pas of one piece of
-    # paths: the floor of q = (x - lo) * (1 / width), settled against
-    # ``edges`` near an edge. The piece is cut into blocks from its start,
-    # each max(_PAS_BLOCK, bin count) paths but the last, and each block's
+    # paths, whose angles lie in [-180, 180] (_require_path_angles): the
+    # floor of q = (x - lo) * (1 / width), settled against ``edges`` near an
+    # edge. The piece is cut into blocks from its start, each
+    # max(_PAS_BLOCK, bin count) paths but the last, and each block's
     # np.bincount is added in turn. The buffers are as long as the piece or
     # a block, whichever is shorter.
     n_bins = sums.size
-    lo, hi = edges[0], edges[-1]
+    lo = edges[0]
     block = max(_PAS_BLOCK, n_bins)
     scale = 1.0 / width
     q, k = np.empty((2, min(block, angles.size)))
     idx = np.empty(q.size, dtype=np.intp)
     for start in range(0, angles.size, block):
         x, w = angles[start:start + block], powers[start:start + block]
-        if not (x.min() >= lo and x.max() <= hi):  # NaN fails this too
-            inside = (x >= lo) & (x <= hi)
-            x, w = x[inside], w[inside]
         qb, kb, ib = q[:x.size], k[:x.size], idx[:x.size]
         np.subtract(x, lo, out=qb)
         qb *= scale

@@ -312,8 +312,8 @@ class TestGainAccuracy:
     def test_within_the_rounding_bound_of_the_reference(self, rng):
         # The kernel's d' is the wrapped difference as computed: the
         # difference phi - b rounds once, by at most u |phi - b| (u = 2**-53),
-        # and a wrap rounds once more, a sum below 540 in magnitude, so
-        # |d' - d| <= u (|phi - b| + 540) (at b = +-0, d' = phi exactly). The
+        # and the wrap, a whole turn taken off exactly, adds no rounding, so
+        # |d' - d| <= u |phi - b| (at b = +-0, d' = phi exactly). The
         # exponent is fl(fl(d'**2) * fl(-1 / (2 fl(sigma**2)))): three
         # roundings of u and sigma**2 by C pow, within one ulp (2u), so it is
         # -d'**2 / (2 sigma**2) times (1 + r), |r| <= rho. numpy's float64
@@ -337,7 +337,7 @@ class TestGainAccuracy:
                         diff = mp.mpf(float(x)) - mp.mpf(b)
                         d = diff - 360 if diff > 180 else diff + 360 if diff <= -180 else diff
                         exponent = -d**2 / two_var
-                        slack = u * (abs(diff) + 540)
+                        slack = u * abs(diff)
                         # |d'**2 - d**2| <= (2 |d| + slack) slack
                         dx = (rho * abs(exponent)
                               + (2 * abs(d) + slack) * slack / two_var * (1 + rho))

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -362,19 +364,37 @@ class TestWrapDegrees:
         assert out.tolist() == [0.0, -1.0, 179.0]
 
 
-def wrap_oracle(angle_deg):
-    """(a + 180) % 360 - 180 with -180 sent to 180; in-range values pass through."""
-    a = np.asarray(angle_deg, dtype=float)
-    out_of_range = (a <= -180.0) | (a > 180.0)
-    with np.errstate(invalid="ignore"):
-        wrapped = (a + 180.0) % 360.0 - 180.0
-    wrapped = np.where(wrapped == -180.0, 180.0, wrapped)
-    return np.where(out_of_range, wrapped, a)
+def wrap_oracle(x):
+    """The exact wrap of one float into (-180, 180], taken in rationals: NaN
+    for NaN and +-inf; x itself, bit for bit, inside the interval (-0.0
+    included); otherwise the one value of the interval that differs from x
+    by a whole number of turns, which a float holds exactly, +0.0 for a
+    zero."""
+    if not math.isfinite(x):
+        return math.nan
+    if -180.0 < x <= 180.0:
+        return x
+    r = Fraction(x) % 360  # in [0, 360), a whole number of turns from x
+    if r > 180:
+        r -= 360
+    assert float(r) == r
+    return float(r)  # +0.0 for Fraction(0)
 
 
-def wrap_bits(angle_deg):
-    with np.errstate(invalid="ignore"):
-        return np.asarray(wrap_degrees(angle_deg), dtype=float).view(np.int64)
+def assert_equals_oracle(values, results):
+    # Bit for bit against wrap_oracle, where any NaN stands for a NaN.
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    results = np.atleast_1d(np.asarray(results, dtype=float))
+    assert results.shape == values.shape
+    for x, got in zip(values.tolist(), results.tolist()):
+        expected = wrap_oracle(x)
+        assert (math.isnan(got) if math.isnan(expected)
+                else np.float64(got).tobytes() == np.float64(expected).tobytes()), x
+
+
+def wrapped(angle_deg):
+    with np.errstate(invalid="ignore"):  # +-inf
+        return wrap_degrees(angle_deg)
 
 
 _EDGES = np.array([0.0, 180.0, 360.0, 540.0])
@@ -383,40 +403,57 @@ WRAP_EDGES = np.concatenate([
     np.nextafter(_EDGES, np.inf), np.nextafter(_EDGES, -np.inf),
     np.nextafter(-_EDGES, np.inf), np.nextafter(-_EDGES, -np.inf),
     [1e300, -1e300, np.inf, -np.inf, np.nan],
+    # a + 180 rounds here, so (a + 180) % 360 - 180 gives 160.0, not 159.99999999999997
+    [-200.00000000000003],
 ])
+
+FLOATS = st.lists(st.one_of(st.floats(), st.floats(min_value=-900.0, max_value=900.0)),
+                  min_size=1, max_size=40)
 
 
 class TestWrapDegreesOracle:
-    @given(st.lists(st.one_of(st.floats(), st.floats(min_value=-900.0, max_value=900.0)),
-                    min_size=1, max_size=40))
+    @given(FLOATS)
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_oracle(self, values):
-        a = np.array(values, dtype=float)
-        assert np.array_equal(wrap_bits(a), wrap_oracle(a).view(np.int64))
+        assert_equals_oracle(values, wrapped(np.array(values, dtype=float)))
         for x in values:
-            assert np.array_equal(wrap_bits(x), wrap_oracle(x).view(np.int64)), x
+            assert_equals_oracle(x, wrapped(x))
 
     def test_edges_bitwise_equal_to_oracle(self):
-        assert np.array_equal(wrap_bits(WRAP_EDGES), wrap_oracle(WRAP_EDGES).view(np.int64))
+        assert_equals_oracle(WRAP_EDGES, wrapped(WRAP_EDGES))
         for x in WRAP_EDGES:
-            assert np.array_equal(wrap_bits(float(x)), wrap_oracle(x).view(np.int64)), x
+            assert_equals_oracle(x, wrapped(float(x)))
+        assert wrap_degrees(-200.00000000000003) == 159.99999999999997
         assert math.copysign(1.0, wrap_degrees(-0.0)) == -1.0
+        assert math.copysign(1.0, wrap_degrees(-720.0)) == 1.0
 
-    @given(st.lists(st.one_of(st.floats(), st.floats(min_value=-900.0, max_value=900.0)),
-                    min_size=1, max_size=40))
+    @given(FLOATS)
     @settings(max_examples=200, deadline=None)
     def test_in_place_bitwise_equal_to_oracle(self, values):
         a = np.array(values, dtype=float)
         with np.errstate(invalid="ignore"):
             out = wrap_in_place(a)
         assert out is a
-        assert np.array_equal(a.view(np.int64), wrap_oracle(values).view(np.int64))
+        assert_equals_oracle(values, a)
+
+    def test_in_range_array_is_only_read(self, rng):
+        # Two reductions settle it: no mask or index is built, nothing written.
+        a = np.concatenate([rng.uniform(-180.0, 180.0, 100_000), [180.0, -0.0, 5e-324]])
+        a.flags.writeable = False
+        tracemalloc.start()
+        try:
+            assert wrap_in_place(a) is a
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000  # a mask alone takes 100 kB
 
     def test_in_place_on_two_d_and_rejects_strided(self):
         a = np.array([[190.0, 0.0, -540.0], [360.0, -180.0, 5.0]])
-        expected = wrap_oracle(a.ravel()).reshape(a.shape)
+        values = a.copy()
         assert wrap_in_place(a) is a
-        assert a.tobytes() == expected.tobytes()
+        assert a.tolist() == [[-170.0, 0.0, 180.0], [0.0, 180.0, 5.0]]
+        assert_equals_oracle(values.ravel(), a.ravel())
         strided = np.array([[190.0, 0.0], [360.0, 5.0]])[:, 0]
         with pytest.raises(ValueError):
             wrap_in_place(strided)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from multiell.antenna import AntennaPattern, PatternKind, _gain_in_place
 from multiell.cli import _fmt
 from multiell.engine import PathSet, SourceKind, _aim, reweight, run_realization
-from multiell.errors import BadBinWidth, ConfigError, MultiellError, NoPower
+from multiell.errors import BadAngle, BadBinWidth, ConfigError, MultiellError, NoPower
 from multiell.geometry import wrap_degrees
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
@@ -107,6 +108,26 @@ class TestAngularSpread:
                          (SourceKind.CLUSTER, 2, slice(2, 4))))
         for statistic in (angular_spread, lambda p: estimate_pas(p, bin_width_deg=90.0)):
             with pytest.raises(NoPower, match=r"^path 1 has power inf, not a finite number >= 0$"):
+                statistic(paths)
+
+    @pytest.mark.parametrize("angle", [400.0, 181.0, np.nextafter(180.0, np.inf),
+                                       np.nextafter(-180.0, -np.inf), -1e300, 1e300,
+                                       np.inf, -np.inf, np.nan])
+    def test_a_bad_angle_raises_naming_the_path(self, angle):
+        # [400, 0] gave a spread of 200.0 and a PAS of mass 0.5, [nan, 0] a
+        # spread of nan, [1e300, 0] one of inf, and [inf, 0] a RuntimeWarning.
+        paths = make_pathset([10.0, -180.0, angle, 180.0], [1.0, 1.0, 1.0, 1.0])
+        for statistic in (angular_spread, estimate_pas):
+            with pytest.raises(BadAngle, match=rf"^path 2 has arrival angle {re.escape(str(angle))}, not in "):
+                statistic(paths)
+
+    @pytest.mark.parametrize("aoa", [[0.0, 10.0, 20.0], [0.0]])
+    def test_an_angle_count_other_than_the_power_count_raises(self, aoa):
+        power = np.ones(2)
+        paths = PathSet(np.array(aoa), power, power,
+                        ((SourceKind.CLUSTER, 1, slice(0, len(aoa))),))
+        for statistic in (angular_spread, estimate_pas):
+            with pytest.raises(BadAngle, match=rf"^{len(aoa)} arrival angles for 2 path powers$"):
                 statistic(paths)
 
     @pytest.mark.parametrize("power", [1e-320, 1e308])
@@ -237,9 +258,9 @@ class TestPasBins:
             edges_in = edges
         x = np.concatenate([edges_in, np.nextafter(edges_in, -np.inf),
                             np.nextafter(edges_in, np.inf),
-                            [180.0, -180.0, 0.0, -0.0, 1e-300, -1e-300, 181.0, -181.0,
-                             np.nan, np.inf, -np.inf],
+                            [180.0, -180.0, 0.0, -0.0, 1e-300, -1e-300],
                             rng.uniform(-180.0, 180.0, 10_000)])
+        x = x[(x >= -180.0) & (x <= 180.0)]  # the neighbours beyond the ends raise BadAngle
         density = estimate_pas(make_pathset(x, np.ones(x.size)), width).density_per_deg
         expected = np.histogram(x, bins=edges)[0] / (x.size * width)
         assert density.tobytes() == expected.tobytes()
@@ -300,17 +321,18 @@ def _bin_power_by_gathers(angles, power, edges, width):
     return sums
 
 
-SPECIAL_ANGLES = [0.0, -0.0, 180.0, -180.0, 1e-300, -1e-300, 181.0, -181.0,
-                  np.nan, np.inf, -np.inf]
+SPECIAL_ANGLES = [0.0, -0.0, 180.0, -180.0, 1e-300, -1e-300]
 
 
 def _edge_angles(width):
     # Bin edges and their float neighbours on both sides, all within the band
     # that binning by floor checks; at 1e-4-degree bins every 200th edge.
+    # None lies beyond +-180: the binner's angles are checked where they enter.
     edges = _bin_edges(width)
     if edges.size > 100_000:
         edges = np.concatenate([edges[:200], edges[200:-200:200], edges[-200:]])
-    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.concatenate([edges, np.nextafter(edges[:-1], np.inf),
+                           np.nextafter(edges[1:], -np.inf)])
 
 
 def _binned(x, w, edges, width):
