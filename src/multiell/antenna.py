@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidHpbw, MultiellError
-from .geometry import wrap_degrees
+from .geometry import _floats, wrap_degrees
 
 _HALF_POWER_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # ~2.3548
 
@@ -42,9 +42,10 @@ class AntennaPattern:
             if self.hpbw_deg is None:
                 raise ConfigError("Gaussian pattern requires hpbw_deg")
             sigma_from_hpbw(self.hpbw_deg)
-        if not math.isfinite(self.boresight_deg):
-            raise ConfigError(f"boresight_deg must be finite, got {self.boresight_deg}")
-        object.__setattr__(self, "boresight_deg", wrap_degrees(self.boresight_deg))
+        boresight = float(_floats("boresight_deg", self.boresight_deg, ConfigError, "finite"))
+        if not math.isfinite(boresight):
+            raise ConfigError(f"boresight_deg must be finite, got {boresight}")
+        object.__setattr__(self, "boresight_deg", wrap_degrees(boresight))
 
     # The parameter defaults below are the field defaults above, read from
     # the class body while it runs.
@@ -63,12 +64,14 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
     """Standard deviation of the Gaussian power shape exp(-phi^2 / (2 sigma^2))
     that reaches one half at phi = hpbw/2, i.e. hpbw / (2 sqrt(2 ln 2)).
 
-    Raises ``InvalidHpbw`` outside (0, 360), and for a beam so narrow (below
+    Raises ``InvalidHpbw`` outside (0, 360) (an int beyond the float range
+    too), and for a beam so narrow (below
     about 2.2e-152 degrees) that 2 sigma^2 underflows to 0 or the exponent
     overflows at 180 degrees off boresight, taken as ``_gain_in_place``
     takes it: the square times the reciprocal of 2 sigma^2.
     """
     if not 0.0 < hpbw_deg < 360.0:
+        hpbw_deg = float(_floats("hpbw_deg", hpbw_deg, InvalidHpbw, "in (0, 360)"))
         raise InvalidHpbw(f"hpbw_deg must be in (0, 360), got {hpbw_deg}")
     sigma = hpbw_deg / _HALF_POWER_FACTOR
     two_var = 2.0 * sigma**2
@@ -88,9 +91,11 @@ def power_gain(pattern: AntennaPattern, phi_deg):
     exact (the shortest-arc argument is at ``_gain_in_place``). The square is
     multiplied by one reciprocal rather than divided, so the exponent takes
     one rounding more than the quotient ``-d**2 / (2 sigma**2)``, and a gain
-    can differ from the quotient's by about ``|exponent| * 2**-52``.
+    can differ from the quotient's by about ``|exponent| * 2**-52``. Under
+    it, a NaN or +-inf angle gives NaN (omni: 1), and an int beyond the
+    float range raises ``MultiellError``.
     """
-    phi = np.asarray(phi_deg, dtype=float)
+    phi = _floats("phi_deg", phi_deg)
     if pattern.kind is PatternKind.OMNI:
         gain = np.ones_like(phi)
     else:

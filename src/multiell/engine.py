@@ -21,8 +21,8 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import (DEGENERATE_DELAY_S, _half_angle_ratio, _require_finite_positive,
-                       eccentricity_from_delay)
+from .geometry import (DEGENERATE_DELAY_S, _floats, _half_angle_ratio,
+                       _require_finite_positive, eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -53,6 +53,15 @@ class PathSet:
 
     ``power_lin`` holds powers after receive-pattern weighting;
     ``raw_power_lin`` holds the pre-weighting powers, which sum to one.
+
+    The engine's paths meet this contract as made; user paths given to
+    ``angular_spread`` or ``estimate_pas`` are checked against it once, in
+    this order, and the first fault raises, naming the array or first path:
+    ``aoa_deg`` and ``power_lin`` are 1-D arrays of float64 or a narrower
+    float (taken as float64), else ``BadPaths``; of one size, else
+    ``BadAngle``; every angle lies in [-180, 180], else ``BadAngle``; every
+    power is finite and >= 0, else ``NoPower``; and ``sources`` is a tuple
+    whose slices tile the paths in order, else ``BadPaths``.
     """
 
     aoa_deg: np.ndarray
@@ -85,7 +94,8 @@ class ScenarioConfig:
                               f" got {self.paths_per_cluster}")
         if not 0 <= _as_int("seed", self.seed) < _MAX_SEED:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.rice_factor_db is not None and math.isnan(self.rice_factor_db):
+        if self.rice_factor_db is not None and math.isnan(
+                _floats("rice_factor_db", self.rice_factor_db, ConfigError, "a float or None")):
             raise ConfigError("rice_factor_db must be a number or None")
 
 
@@ -343,7 +353,8 @@ def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
     under another receive pattern. The angle and raw-power arrays and the
     ``sources`` are shared with ``paths``; nothing in ``paths`` is modified.
     An omni pattern weights nothing: its ``power_lin`` is
-    ``paths.raw_power_lin`` itself (see :func:`run_realization`)."""
+    ``paths.raw_power_lin`` itself (see :func:`run_realization`). Under a
+    directional pattern, a NaN or +-inf angle gives a NaN power."""
     raw = weighted = paths.raw_power_lin
     if rx_pattern.kind is not PatternKind.OMNI:
         weighted = power_gain(rx_pattern, paths.aoa_deg)

@@ -44,12 +44,16 @@ class ConfigError(MultiellError):
 
 
 class NoPower(MultiellError):
-    """All path weights are zero; statistics are undefined."""
+    """A path power is not finite and >= 0, or the total is not positive."""
 
 
 class BadAngle(MultiellError):
-    """A path's arrival angle is not a finite number in [-180, 180] degrees,
-    or the paths hold a different count of angles than of powers."""
+    """A path's arrival angle is not in [-180, 180], or the angle and power
+    counts differ."""
+
+
+class BadPaths(MultiellError, ValueError):
+    """User paths are not 1-D float arrays whose sources tile them."""
 
 
 class BadBinWidth(MultiellError):

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidGeometry
+from .errors import InvalidGeometry, MultiellError
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -44,7 +44,8 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     if not (flat.min(initial=0.0) > -180.0 and flat.max(initial=0.0) <= 180.0):  # NaN fails
         # Integer indices gather and scatter several times faster than the mask.
         out_of_range = np.flatnonzero((flat <= -180.0) | (flat > 180.0))
-        t = np.fmod(flat[out_of_range], 360.0)
+        with np.errstate(invalid="ignore"):  # +-inf gives NaN, as stated
+            t = np.fmod(flat[out_of_range], 360.0)
         t -= 360.0 * (t > 180.0)
         t += 360.0 * (t <= -180.0)  # adding +0.0 turns fmod's -0.0 into +0.0
         flat[out_of_range] = t
@@ -54,16 +55,26 @@ def wrap_in_place(angles: np.ndarray) -> np.ndarray:
 def wrap_degrees(angle_deg):
     """:func:`wrap_in_place` into a new array: the angles wrapped into
     (-180, 180], exactly. Accepts scalars or arrays; a scalar or 0-d input
-    gives a float."""
-    a = wrap_in_place(np.array(angle_deg, dtype=float))
+    gives a float, a NaN or +-inf angle gives NaN, and an int beyond the
+    float range raises ``MultiellError``."""
+    a = wrap_in_place(_floats("angle_deg", angle_deg, copy=True))
     return float(a) if a.ndim == 0 else a
 
 
-def _require_finite_positive(name: str, value, error: type[Exception]) -> None:
+def _floats(name: str, value, error: type[Exception] = MultiellError, must: str = "a float",
+            copy: bool | None = None) -> np.ndarray:
+    # ``value`` as a float array, 0-d for a scalar, copied if ``copy`` and
+    # otherwise only where needed. Raises ``error``, saying that ``name``
+    # must be ``must``, for an int beyond the float range: its hundreds of
+    # digits would bury the message.
     try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range, too long to print
-        raise error(f"{name} must be finite and > 0, got an int beyond the float range") from None
+        return np.array(value, dtype=float, copy=copy)
+    except OverflowError:
+        raise error(f"{name} must be {must}, got an int beyond the float range") from None
+
+
+def _require_finite_positive(name: str, value, error: type[Exception]) -> None:
+    number = float(_floats(name, value, error, "finite and > 0"))
     if not (number > 0.0 and math.isfinite(number)):
         raise error(f"{name} must be finite and > 0, got {number}")
 
@@ -107,13 +118,14 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     but numerically stable near 0 and 180 degrees. e = 0 reduces to the
     identity; e -> 1 compresses every arrival toward the transmitter
     direction. |aod| = 180 maps to itself. Accepts scalar or array
-    ``phi_t_deg``.
+    ``phi_t_deg``; a NaN or +-inf angle gives NaN, and an int beyond the
+    float range raises ``MultiellError``.
 
     ``eccentricity`` is a scalar, or an array that broadcasts against the
     angles without enlarging them: shape (rows, 1) gives each row of a 2-D
     angle array its own ellipse.
     """
-    phi = np.asarray(phi_t_deg, dtype=float)
+    phi = _floats("phi_t_deg", phi_t_deg)
     # A wrapped C-ordered copy. Every step of the map is odd bit for bit
     # (numpy's tan and arctan included), so an angle maps to sgn(aod) times
     # the map of |aod|, with sgn(0) = +1 as long as no -0.0 enters. None

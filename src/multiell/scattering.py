@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KappaOutOfRange
-from .geometry import wrap_degrees, wrap_in_place
+from .geometry import _floats, wrap_degrees, wrap_in_place
 
 _KAPPA_MAX = 500.0
 
@@ -28,22 +28,28 @@ class VonMisesParams:
     power_share: float | None = None
 
     def __post_init__(self):
-        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise ConfigError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if self.kappa > _KAPPA_MAX:
+        kappa = float(_floats("kappa", self.kappa, ConfigError, "finite and >= 0"))
+        if not (kappa >= 0.0 and math.isfinite(kappa)):
+            raise ConfigError(f"kappa must be finite and >= 0, got {kappa}")
+        if kappa > _KAPPA_MAX:
             # the density's I0(kappa) overflows a double just past 700
-            raise KappaOutOfRange(f"kappa {self.kappa} exceeds {_KAPPA_MAX}")
-        if not math.isfinite(self.mu_deg):
-            raise ConfigError(f"mu_deg must be finite, got {self.mu_deg}")
-        if self.power_share is not None and not 0.0 <= self.power_share <= 1.0:
-            raise ConfigError(f"power_share must be in [0, 1], got {self.power_share}")
-        object.__setattr__(self, "mu_deg", wrap_degrees(self.mu_deg))
+            raise KappaOutOfRange(f"kappa {kappa} exceeds {_KAPPA_MAX}")
+        mu = float(_floats("mu_deg", self.mu_deg, ConfigError, "finite"))
+        if not math.isfinite(mu):
+            raise ConfigError(f"mu_deg must be finite, got {mu}")
+        if self.power_share is not None:
+            share = float(_floats("power_share", self.power_share, ConfigError, "in [0, 1]"))
+            if not 0.0 <= share <= 1.0:
+                raise ConfigError(f"power_share must be in [0, 1], got {share}")
+        object.__setattr__(self, "mu_deg", wrap_degrees(mu))
 
 
 def von_mises_pdf(phi_deg, params: VonMisesParams):
     """Density per radian at azimuth ``phi_deg``:
-    exp(kappa cos(phi - mu)) / (2 pi I0(kappa)). Accepts scalars or arrays."""
-    phi = np.asarray(phi_deg, dtype=float)
+    exp(kappa cos(phi - mu)) / (2 pi I0(kappa)). Accepts scalars or arrays;
+    a NaN or +-inf angle gives NaN, and an int beyond the float range raises
+    ``MultiellError``."""
+    phi = _floats("phi_deg", phi_deg)
     scalar = phi.ndim == 0
     delta = np.radians(wrap_degrees(phi - params.mu_deg))
     out = np.exp(params.kappa * np.cos(delta)) / (2.0 * math.pi * np.i0(params.kappa))

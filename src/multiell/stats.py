@@ -11,7 +11,7 @@ import numpy as np
 
 from .antenna import PatternKind, _gain_in_place
 from .engine import PathSet, ScenarioConfig, _aim, _as_int, _realization_rows, draw_realization
-from .errors import BadAngle, BadBinWidth, ConfigError, NoPower
+from .errors import BadAngle, BadBinWidth, BadPaths, ConfigError, NoPower
 
 
 class SweepAxis(enum.Enum):
@@ -80,7 +80,7 @@ class SweepResult:
 def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
     # The powers and their total, which must be positive. A total outside
     # [_MIN_TOTAL_POWER, _MAX_TOTAL_POWER] is taken again over the powers
-    # divided by the largest (a copy): finite and >= 0 (_require_path_powers),
+    # divided by the largest (a copy): finite and >= 0 (_require_paths),
     # they sum to between 1 and the path count, so none is rescaled twice.
     # Inside the range the spread's weighted sums, at most 360**2 times the
     # total, and the PAS norm, the total times a bin width of at least 1e-4,
@@ -99,28 +99,42 @@ def _in_range(total: float) -> bool:
     return _MIN_TOTAL_POWER <= total <= _MAX_TOTAL_POWER
 
 
-def _require_path_powers(power_lin: np.ndarray) -> None:
-    # Made where user paths enter: a negative power would pass a positive
-    # total and give a garbage result, and an inf leaves no finite largest
-    # power to rescale by. The engine's weights, a gain in [0, 1] times a raw
-    # power >= 0, need no check.
-    if power_lin.size and not (power_lin.min() >= 0.0  # NaN fails this too
-                               and power_lin.max() < math.inf):
-        i = int(np.flatnonzero(~((power_lin >= 0.0) & (power_lin < math.inf)))[0])
-        raise NoPower(f"path {i} has power {power_lin[i]}, not a finite number >= 0")
-
-
-def _require_path_angles(paths: PathSet) -> None:
-    # Made where user paths enter, with _require_path_powers: an angle that
-    # is NaN, infinite or outside [-180, 180] would give a spread beyond
-    # 180 or NaN, and fall outside every PAS bin. The engine's angles lie in
-    # [-180, 180] as made, and need no check.
-    aoa = paths.aoa_deg
-    if aoa.size != paths.power_lin.size:
-        raise BadAngle(f"{aoa.size} arrival angles for {paths.power_lin.size} path powers")
+def _require_paths(paths: PathSet) -> tuple[np.ndarray, np.ndarray, list]:
+    # The one check of user paths: PathSet's contract, in its order. Returns
+    # the angles and powers as float64 (a narrower float is copied, so that
+    # no sum overflows it) and each source's (angles, powers), views of them.
+    # A bad angle or power would give a garbage statistic, or an inf power no
+    # finite largest to rescale by. The engine's paths meet the contract as
+    # made; its routes check none.
+    for name in ("aoa_deg", "power_lin"):
+        a = getattr(paths, name)
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "f"
+                and a.itemsize <= 8):
+            got = f"a {a.ndim}-D {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+            raise BadPaths(f"{name} must be a 1-D array of float64 or narrower, got {got}")
+    aoa, power = paths.aoa_deg.astype(float, copy=False), paths.power_lin.astype(float, copy=False)
+    if aoa.size != power.size:
+        raise BadAngle(f"{aoa.size} arrival angles for {power.size} path powers")
     if aoa.size and not (aoa.min() >= -180.0 and aoa.max() <= 180.0):  # NaN fails this too
         i = int(np.flatnonzero(~((aoa >= -180.0) & (aoa <= 180.0)))[0])
         raise BadAngle(f"path {i} has arrival angle {aoa[i]}, not in [-180, 180]")
+    if power.size and not (power.min() >= 0.0 and power.max() < math.inf):
+        i = int(np.flatnonzero(~((power >= 0.0) & (power < math.inf)))[0])
+        raise NoPower(f"path {i} has power {power[i]}, not a finite number >= 0")
+    if not isinstance(paths.sources, tuple):
+        raise BadPaths(f"sources must be a tuple, got {type(paths.sources).__name__}")
+    pieces, start = [], 0
+    for source in paths.sources:
+        block = source[-1] if isinstance(source, tuple) and source else None
+        if not (isinstance(block, slice) and block.step is None
+                and all(isinstance(i, (int, np.integer)) for i in (block.start, block.stop))
+                and block.start == start <= block.stop <= aoa.size):
+            raise BadPaths(f"source {source!r} does not continue the sources at path {start}")
+        pieces.append((aoa[block], power[block]))
+        start = int(block.stop)
+    if start != aoa.size:
+        raise BadPaths(f"the sources cover {start} of {aoa.size} paths")
+    return aoa, power, pieces
 
 
 def angular_spread(paths: PathSet) -> float:
@@ -128,15 +142,13 @@ def angular_spread(paths: PathSet) -> float:
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
     of the definition). Takes one path-sized temporary; the precision
-    arguments are at ``_spread_in_place`` and ``_total_power``. Raises
-    ``BadAngle``, naming the path, for an angle that is NaN, infinite or
-    outside [-180, 180], and for angles and powers of different counts;
-    ``NoPower``, naming the path, for a negative, NaN or infinite power, and
-    for a total that is not positive."""
-    _require_path_angles(paths)
-    _require_path_powers(paths.power_lin)
+    arguments are at ``_spread_in_place`` and ``_total_power``. Paths that
+    break :class:`~multiell.engine.PathSet`'s contract for user paths raise
+    as it states; so does a total power that is not positive (``NoPower``).
+    """
+    aoa, power, _ = _require_paths(paths)
     with np.errstate(over="ignore"):  # a total beyond the float range is rescaled
-        return _spread_in_place(paths.aoa_deg, paths.power_lin, np.empty_like(paths.aoa_deg))
+        return _spread_in_place(aoa, power, np.empty_like(aoa))
 
 
 def _spread_in_place(phi: np.ndarray, power: np.ndarray, deviation: np.ndarray) -> float:
@@ -157,40 +169,20 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     """Power-weighted histogram of arrival angles, normalized to unit mass.
 
     ``bin_width_deg`` must be finite and divide 360 evenly, into at most
-    3,600,000 bins, or ``BadBinWidth`` is raised. The bins are
+    3,600,000 bins, or ``BadBinWidth`` is raised; then paths that break
+    :class:`~multiell.engine.PathSet`'s contract for user paths raise as it
+    states, and a total power that is not positive raises ``NoPower`` (see
+    ``_total_power`` for totals near the limits). The bins are
     ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``, exactly
-    (see ``_EDGE_BAND``), and every path falls in one: an arrival angle
-    that is NaN, infinite or outside [-180, 180] raises ``BadAngle``, naming
-    the path, as do angles and powers of different counts. The paths are
+    (see ``_EDGE_BAND``), and every path falls in one. The paths are
     reduced source by source, in ``paths.sources`` order: each bin's power
     is the sum of the sources' ``np.bincount`` partials, and the total is
     0.0 plus the sum of the sources' ``ndarray.sum``, so neither the thread
-    count nor the SIMD target sets an order. Raises ``NoPower``, naming the
-    path, for a negative, NaN or infinite power, and for a total that is not
-    positive (see ``_total_power`` for totals near the limits);
-    ``ValueError`` if the source slices do not tile the paths in order.
+    count nor the SIMD target sets an order.
     """
     edges = _pas_edges(bin_width_deg)
-    _require_path_angles(paths)
-    pieces = _source_pieces(paths)
-    _require_path_powers(paths.power_lin)
+    pieces = _require_paths(paths)[2]
     return _pas(lambda: pieces, edges, bin_width_deg)
-
-
-def _source_pieces(paths: PathSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Each source's (angles, powers) of ``paths``, in order; ValueError
-    # unless the sources' slices tile the paths, so that none is left out.
-    size = paths.aoa_deg.size
-    pieces, start = [], 0
-    for _, _, block in paths.sources:
-        if not (block.step is None and block.start == start and block.stop is not None
-                and start <= block.stop <= size):
-            raise ValueError(f"source slice {block} does not continue the sources at path {start}")
-        pieces.append((paths.aoa_deg[block], paths.power_lin[block]))
-        start = block.stop
-    if start != size:
-        raise ValueError(f"the sources cover {start} of {size} paths")
-    return pieces
 
 
 def realization_pas(config: ScenarioConfig,
@@ -211,7 +203,7 @@ def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
     # The spectrum of estimate_pas for the paths of ``stream()``, which
     # gives afresh at each call an iterable of (angles, powers) pieces in
     # path order, one per source, each read before the next is asked for,
-    # with finite powers >= 0 (see _require_path_powers). Each piece is
+    # with finite powers >= 0 (see _require_paths). Each piece is
     # binned into the per-bin sums and its ndarray.sum added to the total as
     # it passes; its largest power is kept. A total out of range
     # (_total_power) is reduced again from a second stream() over the powers
@@ -247,7 +239,7 @@ def _pas_edges(bin_width_deg: float) -> np.ndarray:
 def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width: float,
                sums: np.ndarray) -> None:
     # Adds to ``sums`` the powers per bin of estimate_pas of one piece of
-    # paths, whose angles lie in [-180, 180] (_require_path_angles): the
+    # paths, whose angles lie in [-180, 180] (_require_paths): the
     # floor of q = (x - lo) * (1 / width), settled against ``edges`` near an
     # edge. The piece is cut into blocks from its start, each
     # max(_PAS_BLOCK, bin count) paths but the last, and each block's

@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiell.errors import InvalidGeometry
+from multiell.antenna import AntennaPattern, PatternKind, power_gain, sigma_from_hpbw
+from multiell.engine import reweight
+from multiell.errors import InvalidGeometry, MultiellError
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
                                eccentricity_from_delay, wrap_degrees, wrap_in_place)
 from multiell.pdp import builtin_nlos_profile, scale_pdp
-from multiell.presets import DS_BY_BAND, TXRX_DISTANCE_M
+from multiell.presets import DS_BY_BAND, TXRX_DISTANCE_M, scenario
+from multiell.scattering import VonMisesParams, von_mises_pdf
+
+from conftest import make_pathset
 
 ECC = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 ANGLE = st.floats(min_value=-179.9999, max_value=180.0, allow_nan=False)
@@ -392,11 +397,6 @@ def assert_equals_oracle(values, results):
                 else np.float64(got).tobytes() == np.float64(expected).tobytes()), x
 
 
-def wrapped(angle_deg):
-    with np.errstate(invalid="ignore"):  # +-inf
-        return wrap_degrees(angle_deg)
-
-
 _EDGES = np.array([0.0, 180.0, 360.0, 540.0])
 WRAP_EDGES = np.concatenate([
     _EDGES, -_EDGES,
@@ -415,14 +415,14 @@ class TestWrapDegreesOracle:
     @given(FLOATS)
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_oracle(self, values):
-        assert_equals_oracle(values, wrapped(np.array(values, dtype=float)))
+        assert_equals_oracle(values, wrap_degrees(np.array(values, dtype=float)))
         for x in values:
-            assert_equals_oracle(x, wrapped(x))
+            assert_equals_oracle(x, wrap_degrees(x))
 
     def test_edges_bitwise_equal_to_oracle(self):
-        assert_equals_oracle(WRAP_EDGES, wrapped(WRAP_EDGES))
+        assert_equals_oracle(WRAP_EDGES, wrap_degrees(WRAP_EDGES))
         for x in WRAP_EDGES:
-            assert_equals_oracle(x, wrapped(float(x)))
+            assert_equals_oracle(x, wrap_degrees(float(x)))
         assert wrap_degrees(-200.00000000000003) == 159.99999999999997
         assert math.copysign(1.0, wrap_degrees(-0.0)) == -1.0
         assert math.copysign(1.0, wrap_degrees(-720.0)) == 1.0
@@ -431,8 +431,7 @@ class TestWrapDegreesOracle:
     @settings(max_examples=200, deadline=None)
     def test_in_place_bitwise_equal_to_oracle(self, values):
         a = np.array(values, dtype=float)
-        with np.errstate(invalid="ignore"):
-            out = wrap_in_place(a)
+        out = wrap_in_place(a)
         assert out is a
         assert_equals_oracle(values, a)
 
@@ -470,6 +469,51 @@ class TestWrapDegreesOracle:
         assert not np.shares_memory(out, a)
         out[...] = 1.0
         assert np.array_equal(a, before)
+
+
+BEAM = AntennaPattern.gaussian(20.0, boresight_deg=30.0)
+
+
+@pytest.mark.parametrize("documented, call", [
+    (wrap_degrees, wrap_degrees),
+    (power_gain, lambda a: power_gain(BEAM, a)),
+    (reweight, lambda a: reweight(make_pathset(a, np.ones(a.size)), BEAM).power_lin),
+    (aoa_from_aod, lambda a: aoa_from_aod(a, 0.5)),
+    (von_mises_pdf, lambda a: von_mises_pdf(a, VonMisesParams(mu_deg=-20.0))),
+], ids=["wrap_degrees", "power_gain", "reweight", "aoa_from_aod", "von_mises_pdf"])
+def test_a_nan_or_infinite_angle_gives_nan_as_documented(documented, call):
+    # Each passes such an angle through as NaN by design, and says so; the
+    # wrap's fmod warned on +-inf, which the suite turns into an error.
+    out = call(np.array([np.inf, 10.0, -np.inf, np.nan]))
+    assert np.isnan(out[[0, 2, 3]]).all() and np.isfinite(out[1])
+    assert "a NaN or +-inf angle gives" in " ".join(documented.__doc__.split())
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AntennaPattern.gaussian(20.0, boresight_deg=BIG),
+    lambda: AntennaPattern(PatternKind.OMNI, boresight_deg=-BIG),
+    lambda: AntennaPattern.gaussian(BIG),
+    lambda: sigma_from_hpbw(BIG),
+    lambda: VonMisesParams(mu_deg=BIG),
+    lambda: VonMisesParams(kappa=BIG),
+    lambda: VonMisesParams(power_share=-BIG),
+    lambda: wrap_degrees(BIG),
+    lambda: wrap_degrees([0.0, -BIG]),
+    lambda: power_gain(BEAM, BIG),
+    lambda: aoa_from_aod(-BIG, 0.5),
+    lambda: von_mises_pdf(BIG, VonMisesParams()),
+    lambda: scenario("A", "same", rice_factor_db=BIG),
+], ids=["boresight", "omni-boresight", "hpbw", "sigma_from_hpbw", "mu_deg", "kappa",
+        "power_share", "wrap_degrees", "wrap_degrees-list", "power_gain", "aoa_from_aod",
+        "von_mises_pdf", "rice_factor_db"])
+def test_an_int_beyond_the_float_range_raises_naming_the_field(make):
+    # Each raised a bare OverflowError, or printed all 401 digits.
+    with pytest.raises(MultiellError, match="got an int beyond the float range$") as caught:
+        make()
+    assert len(str(caught.value)) < 100
 
 
 class TestBoresightFrame:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from multiell.antenna import AntennaPattern, PatternKind, _gain_in_place
 from multiell.cli import _fmt
 from multiell.engine import PathSet, SourceKind, _aim, reweight, run_realization
-from multiell.errors import BadAngle, BadBinWidth, ConfigError, MultiellError, NoPower
+from multiell.errors import BadAngle, BadBinWidth, BadPaths, ConfigError, MultiellError, NoPower
 from multiell.geometry import wrap_degrees
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
@@ -142,6 +142,15 @@ class TestAngularSpread:
         assert density.tobytes() == estimate_pas(unit, 1e-4).density_per_deg.tobytes()
         assert density.sum() * 1e-4 == pytest.approx(1.0, rel=1e-12)
 
+    def test_float32_paths_are_taken_as_float64(self):
+        # Two float32 powers of 1e38 overflowed the float32 weighted sums,
+        # giving a spread of NaN.
+        aoa, power = np.array([-90.0, 90.0], np.float32), np.full(2, 1e38, np.float32)
+        narrow = PathSet(aoa, power, power, ((SourceKind.CLUSTER, 1, slice(0, 2)),))
+        wide = make_pathset(aoa, power)  # as float64
+        assert angular_spread(narrow) == angular_spread(wide) == 90.0
+        assert same_spectrum(estimate_pas(narrow, 0.1), estimate_pas(wide, 0.1))
+
     def test_zero_and_negative_zero_powers_are_accepted(self):
         paths = make_pathset([0.0, 90.0, 10.0], [-0.0, 1.0, 0.0])
         assert angular_spread(paths) == 0.0
@@ -231,6 +240,114 @@ class TestEstimatePas:
         paths = PathSet(aoa, power, power, tuple((SourceKind.CLUSTER, 1, b) for b in blocks))
         with pytest.raises(ValueError, match="source"):
             estimate_pas(paths)
+
+
+# Entries of user path arrays: in-range angles or powers, or now and then a
+# special float that the contract names.
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
+                           2.2e-308, 0.0, -0.0, 180.0, -180.0, np.nextafter(180.0, math.inf)])
+ANGLES = st.integers(0, 7).flatmap(lambda k: SPECIAL if k == 0 else st.floats(-180.0, 180.0))
+POWERS = st.integers(0, 7).flatmap(lambda k: SPECIAL if k == 0 else st.floats(0.0, 1e308)
+                                   if k < 4 else st.floats(0.0, 1.0))
+
+
+@st.composite
+def user_array(draw, n, entries):
+    # n entries as a user might pass them: a float64 array mostly, else
+    # float32, ints, a list, or a 0-d or 2-D array.
+    values = draw(st.lists(entries, min_size=n, max_size=n))
+    form = draw(st.sampled_from(["float64"] * 12 + ["float32", "int", "list", "0-d", "2-D"]))
+    if form == "int":
+        return np.array(draw(st.lists(st.integers(-200, 200), min_size=n, max_size=n)), dtype=int)
+    if form == "list":
+        return values
+    if form == "0-d":
+        return np.array(values[0] if values else 1.0)
+    if form == "2-D":
+        return np.array(values, dtype=float).reshape(1, -1)
+    with np.errstate(over="ignore"):  # 1e308 is inf in float32
+        return np.array(values, dtype=form)
+
+
+@st.composite
+def user_paths(draw):
+    # Paths of up to 6 entries per array, perhaps of other counts, whose
+    # sources tile them or gap, overlap, overrun or reorder, or are not a
+    # tuple of (kind, tap, slice) with whole-number bounds.
+    n = draw(st.integers(0, 6))
+    aoa = draw(user_array(n, ANGLES))
+    power = draw(user_array(draw(st.sampled_from([n] * 8 + [n + 1, max(n - 1, 0)])), POWERS))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    fault = draw(st.sampled_from([None] * 4 + ["gap", "overlap", "overrun", "reorder", "list",
+                                                "bare", "float"]))
+    k = draw(st.integers(0, len(blocks) - 1))
+    if fault == "gap":
+        blocks[k] = slice(blocks[k].start + 1, blocks[k].stop)
+    elif fault == "overlap":
+        blocks[k] = slice(blocks[k].start - 1, blocks[k].stop)
+    elif fault == "overrun":
+        blocks[-1] = slice(blocks[-1].start, blocks[-1].stop + 1)
+    elif fault == "reorder":
+        blocks.insert(0, blocks.pop(k))
+    elif fault == "float":
+        blocks[k] = slice(blocks[k].start, float(blocks[k].stop))
+    sources = [(SourceKind.CLUSTER, 1, b) for b in blocks]
+    if fault == "bare":
+        sources[k] = blocks[k]
+    return PathSet(aoa, power, power, sources if fault == "list" else tuple(sources))
+
+
+def first_fault(paths):
+    """The error and message that PathSet's contract gives ``paths``, in its
+    order, naming the first bad array or path; None if there is none."""
+    for name in ("aoa_deg", "power_lin"):
+        a = getattr(paths, name)
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype in (np.float32, np.float64)):
+            return BadPaths, f"^{name} must be a 1-D array"
+    aoa, power = paths.aoa_deg.tolist(), paths.power_lin.tolist()
+    if len(aoa) != len(power):
+        return BadAngle, f"^{len(aoa)} arrival angles for {len(power)} path powers$"
+    for i, x in enumerate(aoa):
+        if not -180.0 <= x <= 180.0:
+            return BadAngle, f"^path {i} has arrival angle "
+    for i, x in enumerate(power):
+        if not 0.0 <= x < math.inf:
+            return NoPower, f"^path {i} has power "
+    if not isinstance(paths.sources, tuple):
+        return BadPaths, "^sources must be a tuple, got list$"
+    # Tiling in order: each slice starts where the one before stops.
+    stops = [0]
+    for source in paths.sources:
+        b = source[2] if isinstance(source, tuple) else None
+        if not (isinstance(b, slice) and type(b.start) is type(b.stop) is int
+                and stops[-1] == b.start <= b.stop <= len(aoa)):
+            return BadPaths, f"^source .* does not continue the sources at path {stops[-1]}$"
+        stops.append(b.stop)
+    if stops[-1] != len(aoa):
+        return BadPaths, f"^the sources cover {stops[-1]} of {len(aoa)} paths$"
+    if not any(power):
+        return NoPower, "^total path power is 0.0$"
+    return None
+
+
+class TestUserPathContract:
+    @given(paths=user_paths(), width=st.sampled_from([1.0, 7.2, 90.0, 360.0]))
+    @settings(max_examples=200, deadline=1000)  # ms: the contract's bounded time
+    def test_every_input_gives_a_statistic_or_names_its_first_fault(self, paths, width):
+        # Under the suite's error::RuntimeWarning. An int array raised
+        # UFuncTypeError, a list AttributeError, a 2-D array einsum's
+        # ValueError, and sources that do not tile a plain ValueError.
+        fault = first_fault(paths)
+        for statistic in (angular_spread, lambda p: estimate_pas(p, width)):
+            if fault is not None:
+                with pytest.raises(fault[0], match=fault[1]):
+                    statistic(paths)
+        if fault is None:
+            assert 0.0 <= angular_spread(paths) <= 180.0
+            density = estimate_pas(paths, width).density_per_deg
+            assert density.min() >= 0.0
+            assert math.fsum(density) * width == pytest.approx(1.0, abs=1e-9)
 
 
 def _bin_edges(width):
@@ -470,8 +587,8 @@ class TestRealizationPas:
         # each of its 23 rows here.
         import multiell.stats
         calls = []
-        check = multiell.stats._require_path_powers
-        monkeypatch.setattr(multiell.stats, "_require_path_powers",
+        check = multiell.stats._require_paths
+        monkeypatch.setattr(multiell.stats, "_require_paths",
                             lambda *args: calls.append(args) or check(*args))
         cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
         realization_pas(cfg)
