@@ -38,6 +38,10 @@ class AntennaPattern:
     boresight_deg: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, PatternKind):
+            raise ConfigError(f"kind must be a PatternKind, got {self.kind!r}")
+        if not math.isfinite(float(_floats("gain_dbi", self.gain_dbi, ConfigError, "finite"))):
+            raise ConfigError(f"gain_dbi must be finite, got {self.gain_dbi}")
         if self.kind is PatternKind.GAUSSIAN:
             if self.hpbw_deg is None:
                 raise ConfigError("Gaussian pattern requires hpbw_deg")
@@ -64,13 +68,17 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
     """Standard deviation of the Gaussian power shape exp(-phi^2 / (2 sigma^2))
     that reaches one half at phi = hpbw/2, i.e. hpbw / (2 sqrt(2 ln 2)).
 
-    Raises ``InvalidHpbw`` outside (0, 360) (an int beyond the float range
-    too), and for a beam so narrow (below
+    Raises ``InvalidHpbw`` outside (0, 360) (a value that is not a number,
+    or an int beyond the float range, too), and for a beam so narrow (below
     about 2.2e-152 degrees) that 2 sigma^2 underflows to 0 or the exponent
     overflows at 180 degrees off boresight, taken as ``_gain_in_place``
     takes it: the square times the reciprocal of 2 sigma^2.
     """
-    if not 0.0 < hpbw_deg < 360.0:
+    try:
+        inside = 0.0 < hpbw_deg < 360.0
+    except TypeError:  # not a number, which _floats reports just below
+        inside = False
+    if not inside:
         hpbw_deg = float(_floats("hpbw_deg", hpbw_deg, InvalidHpbw, "in (0, 360)"))
         raise InvalidHpbw(f"hpbw_deg must be in (0, 360), got {hpbw_deg}")
     sigma = hpbw_deg / _HALF_POWER_FACTOR

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antenna import AntennaPattern, PatternKind, draw_aod_offsets, power_gain
+from .antenna import AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets, power_gain
 from .errors import ConfigError
 from .geometry import (DEGENERATE_DELAY_S, _floats, _half_angle_ratio,
                        _require_finite_positive, eccentricity_from_delay)
@@ -29,7 +29,8 @@ from .scattering import VonMisesParams, sample_von_mises
 _MAX_SEED = 2**64
 # 5x the densest benchmark run; with the bundled profile that is 23M paths,
 # 184 MB per float array. run_realization holds two such arrays, three aimed
-# off 0 or under a directional rx; a `pas` run (stats.realization_pas) holds
+# off 0 or under a directional rx, four while that rx's gain takes a wrap
+# candidate; a `pas` run (stats.realization_pas) holds
 # none: it reduces one source row at a time, in two row buffers of 8 MB each,
 # with the binner's few row-sized temporaries.
 _MAX_PATHS_PER_CLUSTER = 1_000_000
@@ -87,6 +88,11 @@ class ScenarioConfig:
     frequency_label: str = ""
 
     def __post_init__(self):
+        for name, kind in (("pdp", NormalizedPdp), ("tx_pattern", AntennaPattern),
+                           ("rx_pattern", AntennaPattern), ("local_scattering", VonMisesParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__},"
+                                  f" got {type(getattr(self, name)).__name__}")
         _require_finite_positive("txrx_distance_m", self.txrx_distance_m, ConfigError)
         _require_delay_spread(self.pdp, self.ds_s, ConfigError)
         if not 1 <= _as_int("paths_per_cluster", self.paths_per_cluster) <= _MAX_PATHS_PER_CLUSTER:
@@ -262,23 +268,6 @@ def _stream_key_entries(stream_key) -> list[int]:
     return entries
 
 
-def aim_realization(draws: Draws, boresight_deg: float, out: np.ndarray) -> np.ndarray:
-    """Write into ``out``, a float array with one entry per path, the arrival
-    angles that ``draws`` give with the transmit beam turned to
-    ``boresight_deg`` (a wrapped angle, as ``AntennaPattern`` holds it; an
-    omni transmitter ignores it), and return ``out``: those of
-    :func:`run_realization` at that boresight, from the same stream, bit
-    for bit, each in (-180, 180]. ``out=draws.angles`` aims in the draws'
-    own buffer and uses them up. A beam turned off +-0 holds one more array
-    of the tangents' size while it is aimed (see ``_aim``).
-    """
-    tangents = draws.tangents
-    _aim(tangents, draws.ratios, draws.relative, boresight_deg,
-         out[:tangents.size].reshape(tangents.shape))
-    out[tangents.size:] = draws.tail_aoa
-    return out
-
-
 def _aim(tangents: np.ndarray, ratios: np.ndarray, relative: bool, boresight_deg: float,
          out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     # Writes into ``out`` (shaped like ``tangents``, which may be ``out``
@@ -310,8 +299,9 @@ def _aim(tangents: np.ndarray, ratios: np.ndarray, relative: bool, boresight_deg
 def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> PathSet:
     """Generate one set of propagation paths for the scenario: the draws of
     :func:`draw_realization` (``stream_key`` as there), aimed at the transmit
-    boresight (:func:`aim_realization`), then weighted by the receive
-    pattern (:func:`reweight`).
+    boresight, then weighted by the receive pattern as :func:`reweight`
+    weights them. It is the one-key, one-point case of the loop that runs
+    every trial of :func:`~multiell.stats.sweep_as`.
 
     The paths hold one float array of angles and one of raw powers, plus
     the weighted powers of a directional receiver: the draws are aimed in
@@ -320,10 +310,58 @@ def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) ->
     element, so every output reads only its own input, and a gain of
     exactly 1 would change no power.
     """
-    draws = draw_realization(config, stream_key)
-    aoa = aim_realization(draws, config.tx_pattern.boresight_deg, draws.angles)
-    raw = draws.raw_power_lin
-    return reweight(PathSet(aoa, raw, raw, draws.sources), config.rx_pattern)
+    return _grid(config, [stream_key], [(config.tx_pattern, config.rx_pattern)],
+                 lambda d, aoa, power, _: PathSet(aoa, d.raw_power_lin, power, d.sources))[0][0]
+
+
+def _grid(config: ScenarioConfig, stream_keys, points, reduce, spare: bool = False) -> list:
+    # The one aim-and-weight loop: per stream key, draws once, then aims and
+    # weights at each (tx, rx) pattern pair of ``points`` (config's patterns
+    # up to their boresights) and keeps reduce(draws, aoa, power, free), one
+    # list per key. The draws are aimed in their own buffer where the tx
+    # boresight never changes, else again at each new one into one buffer of
+    # arrival angles; ``power`` is the raw-power array itself under an omni
+    # receiver; ``free`` is a spare path-sized buffer if ``spare``, else None.
+    # The buffers are allocated at the first key and overwritten at the next
+    # point or key; a key's draws are released before the next draw.
+    directional = config.rx_pattern.kind is not PatternKind.OMNI
+    relative = config.tx_pattern.kind is not PatternKind.OMNI
+    # The gain kernel needs a span bounding the aimed angles, which lie in
+    # [-180, 180]. At a receive boresight of +-0 neither (-180, 180) nor a
+    # scanned span calls for a wrap candidate, so both give the same bits:
+    # only a directional receiver turned off 0 somewhere scans, once per aim.
+    ranged = directional and any(rx.boresight_deg for _, rx in points)
+    span = (-180.0, 180.0)
+    # The beam turns only where a directional transmitter takes more than
+    # one boresight: omni draws are the departures themselves.
+    turns = relative and len({tx.boresight_deg for tx, _ in points}) > 1
+    results = []
+    for key in stream_keys:
+        draws = draw_realization(config, key)
+        raw, tangents = draws.raw_power_lin, draws.tangents
+        if not results:
+            weighted = np.empty(raw.size) if directional or spare else None
+            free = (np.empty(raw.size) if directional else weighted) if spare else None
+            turned = np.empty(raw.size) if turns else None
+        aoa = turned if turns else draws.angles
+        aoa[tangents.size:] = draws.tail_aoa  # onto itself where the beam never turns
+        aimed, row = None, []
+        for tx, rx in points:
+            if aimed is None or turns and tx.boresight_deg != aimed:
+                aimed = tx.boresight_deg
+                _aim(tangents, draws.ratios, relative, aimed,
+                     aoa[:tangents.size].reshape(tangents.shape),
+                     None if weighted is None else weighted[:tangents.size].reshape(tangents.shape))
+                if ranged:
+                    span = (float(aoa.min()), float(aoa.max()))
+            power = raw
+            if directional:
+                power = _gain_in_place(rx, aoa, span, weighted, free)
+                power *= raw
+            row.append(reduce(draws, aoa, power, free))
+        results.append(row)
+        del draws, raw, tangents, aoa, power  # the next key's draws replace these
+    return results
 
 
 def _realization_rows(config: ScenarioConfig):

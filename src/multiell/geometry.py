@@ -19,6 +19,8 @@ the transmitter. Both angles are positive on the same side of the axis.
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -65,10 +67,20 @@ def _floats(name: str, value, error: type[Exception] = MultiellError, must: str 
             copy: bool | None = None) -> np.ndarray:
     # ``value`` as a float array, 0-d for a scalar, copied if ``copy`` and
     # otherwise only where needed. Raises ``error``, saying that ``name``
-    # must be ``must``, for an int beyond the float range: its hundreds of
-    # digits would bury the message.
+    # must be ``must``, for a value that is not made of real numbers (numpy
+    # would read None as NaN, and a string as the number it spells, if any),
+    # and for an int beyond the float range: its hundreds of digits would
+    # bury the message.
     try:
-        return np.array(value, dtype=float, copy=copy)
+        held = np.asarray(value)
+        real = held.dtype.kind in "biuf" or held.dtype.kind == "O" and all(
+            isinstance(x, numbers.Real) for x in held.flat)
+    except ValueError:  # a ragged nesting
+        real = False
+    if not real:
+        raise error(f"{name} must be {must}, got {reprlib.repr(value)}")
+    try:
+        return np.array(held, dtype=float, copy=copy)
     except OverflowError:
         raise error(f"{name} must be {must}, got an int beyond the float range") from None
 

@@ -67,6 +67,8 @@ def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
     sampler (uniform for kappa below 1e-8, a series for its constant below
     1e-5); they are then turned into degrees and shifted by the mean.
     """
-    np.degrees(rng.vonmises(0.0, params.kappa, out.size), out=out)
+    # + 0.0 makes a kappa of -0.0 (which passes the check >= 0) +0.0:
+    # numpy rejects a negative sign bit, and changes no other kappa.
+    np.degrees(rng.vonmises(0.0, params.kappa + 0.0, out.size), out=out)
     out += params.mu_deg
     wrap_in_place(out)

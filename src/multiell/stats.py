@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import enum
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .antenna import PatternKind, _gain_in_place
-from .engine import PathSet, ScenarioConfig, _aim, _as_int, _realization_rows, draw_realization
+from .antenna import PatternKind
+from .engine import PathSet, ScenarioConfig, _as_int, _grid, _realization_rows
 from .errors import BadAngle, BadBinWidth, BadPaths, ConfigError, NoPower
+from .geometry import _floats
 
 
 class SweepAxis(enum.Enum):
@@ -226,14 +228,15 @@ def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
 
 def _pas_edges(bin_width_deg: float) -> np.ndarray:
     # The PAS bin edges -180 + k * bin_width_deg; BadBinWidth as estimate_pas states.
-    if not (bin_width_deg > 0.0 and math.isfinite(bin_width_deg)):
-        raise BadBinWidth(f"bin width must be finite and > 0, got {bin_width_deg}")
-    if bin_width_deg < 360.0 / _MAX_PAS_BINS:
-        raise BadBinWidth(f"bin width {bin_width_deg} gives more than {_MAX_PAS_BINS} bins")
-    n_bins = 360.0 / bin_width_deg
+    width = float(_floats("bin_width_deg", bin_width_deg, BadBinWidth, "finite and > 0"))
+    if not (width > 0.0 and math.isfinite(width)):
+        raise BadBinWidth(f"bin width must be finite and > 0, got {width}")
+    if width < 360.0 / _MAX_PAS_BINS:
+        raise BadBinWidth(f"bin width {width} gives more than {_MAX_PAS_BINS} bins")
+    n_bins = 360.0 / width
     if abs(n_bins - round(n_bins)) > 1e-9:
-        raise BadBinWidth(f"bin width {bin_width_deg} does not divide 360 evenly")
-    return -180.0 + bin_width_deg * np.arange(int(round(n_bins)) + 1)
+        raise BadBinWidth(f"bin width {width} does not divide 360 evenly")
+    return -180.0 + width * np.arange(int(round(n_bins)) + 1)
 
 
 def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width: float,
@@ -285,8 +288,8 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     For each angle the corresponding boresight is overridden and
     ``trials`` independent realizations are run, one row of
     ``SweepResult.as_deg`` per angle. Raises ``ConfigError`` for an ``axis``
-    that is not a ``SweepAxis``, no angles, and ``trials`` that is not an
-    integer in [1, 10,000].
+    that is not a ``SweepAxis``, angles that are not a sequence of numbers
+    or are none, and ``trials`` that is not an integer in [1, 10,000].
 
     Trial t's spread at an angle equals
     ``angular_spread(run_realization(point_config, (code, t)))`` bit for bit,
@@ -298,16 +301,22 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     wrapping, with an omni end's boresight left out, since nothing reads it.
     So -180 and 180 are one point, and so are +0 and -0 (which the aim and
     the gain treat alike), and an omni-receiver rx sweep computes one spread
-    per trial. A trial is aimed once, in the draws' own buffer, where the
-    transmit boresight never changes, and otherwise again at each new
-    boresight into a buffer of arrival angles. Besides the draws, a sweep
+    per trial. The trials run the engine's one aim-and-weight loop, which
+    :func:`~multiell.engine.run_realization` runs at one key and one point:
+    a trial is aimed once, in the draws' own buffer, where the transmit
+    boresight never changes, and otherwise again at each new boresight into
+    a buffer of arrival angles. Besides the draws, a sweep
     holds at most three path-sized buffers, allocated once: that one, the
     weighted powers and the deviations, which share one buffer under an
     omni receiver.
     """
     if not isinstance(axis, SweepAxis):
         raise ConfigError(f"axis must be a SweepAxis, got {axis!r}")
-    angles = [float(a) for a in angles_deg]
+    angles = _floats("angles_deg", angles_deg, ConfigError, "a sequence of numbers")
+    if angles.ndim != 1:
+        raise ConfigError("angles_deg must be a sequence of numbers,"
+                          f" got {reprlib.repr(angles_deg)}")
+    angles = angles.tolist()
     if _as_int("trials", trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trials > _MAX_SWEEP_TRIALS:
@@ -329,47 +338,11 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     for key, point in zip(keys, points):
         distinct.setdefault(key, point)
     slot = {key: k for k, key in enumerate(distinct)}
-    rows = [slot[key] for key in keys]
-    computed = np.empty((len(distinct), trials))
-    # The gain kernel needs a span bounding the aimed angles, which lie in
-    # [-180, 180]. At a receive boresight of +-0 neither (-180, 180) nor a
-    # scanned span calls for a wrap candidate, so both give the same bits:
-    # only a directional receiver turned off 0 somewhere scans, once per aim
-    # (an omni receiver's None, like +-0, is false).
-    directional = rx.kind is not PatternKind.OMNI
-    ranged = any(rx_b for _, rx_b in distinct)
-    span = (-180.0, 180.0)
-    # The beam turns only where a directional transmitter takes more than
-    # one boresight: omni draws are the departures themselves (and an omni
-    # transmitter's key is None at every point).
-    turns = len({tx_b for tx_b, _ in distinct}) > 1
-    weighted = None
-    for trial in range(trials):
-        draws = draw_realization(config, (_AXIS_CODE[axis], trial))
-        raw, tangents = draws.raw_power_lin, draws.tangents
-        if weighted is None:
-            weighted = np.empty(raw.size)
-            scratch = np.empty(raw.size) if directional else weighted
-            turned = np.empty(raw.size) if turns else None
-        aoa = turned if turns else draws.angles
-        aoa[tangents.size:] = draws.tail_aoa  # onto itself where the beam never turns
-        aimed = None
-        for j, (tx_j, rx_j) in enumerate(distinct.values()):
-            if aimed is None or turns and tx_j.boresight_deg != aimed:
-                aimed = tx_j.boresight_deg
-                _aim(tangents, draws.ratios, draws.relative, aimed,
-                     aoa[:tangents.size].reshape(tangents.shape),
-                     weighted[:tangents.size].reshape(tangents.shape))
-                if ranged:
-                    span = (float(aoa.min()), float(aoa.max()))
-            power = raw
-            if directional:
-                power = _gain_in_place(rx_j, aoa, span, weighted, scratch)
-                power *= raw
-            computed[j, trial] = _spread_in_place(aoa, power, scratch)
-        del draws, raw, tangents, aoa, power  # the next trial's draws replace these
-
-    spreads = computed[rows]
+    computed = _grid(config, [(_AXIS_CODE[axis], t) for t in range(trials)],
+                     list(distinct.values()),
+                     lambda draws, aoa, power, free: _spread_in_place(aoa, power, free),
+                     spare=True)
+    spreads = np.array([[trial[slot[key]] for trial in computed] for key in keys])
     std = spreads.std(axis=1, ddof=1) if trials > 1 else np.zeros(len(angles))
     return SweepResult(axis=axis, angles_deg=np.array(angles),
                        tx_boresight_deg=np.array([tx_j.boresight_deg for tx_j, _ in points]),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import multiell
-from multiell.engine import PathSet, SourceKind
+from multiell.engine import PathSet, SourceKind, _aim
 
 
 # The suite's filterwarnings entries, read from pytest's configuration.
@@ -35,3 +35,16 @@ def make_pathset(aoa_deg, power_lin):
     aoa = np.asarray(aoa_deg, dtype=float)
     p = np.asarray(power_lin, dtype=float)
     return PathSet(aoa, p, p, ((SourceKind.CLUSTER, 1, slice(0, aoa.size)),))
+
+
+def aim_draws(draws, boresight_deg, out):
+    """Write into ``out``, a float array with one entry per path, the arrival
+    angles that ``draws`` give with the transmit beam turned to
+    ``boresight_deg``, and return ``out``: the aim alone, apart from the
+    engine's loop, for an independent reference. ``out=draws.angles`` aims
+    in the draws' own buffer and uses them up."""
+    tangents = draws.tangents
+    _aim(tangents, draws.ratios, draws.relative, boresight_deg,
+         out[:tangents.size].reshape(tangents.shape))
+    out[tangents.size:] = draws.tail_aoa
+    return out

@@ -11,9 +11,11 @@ import multiell.antenna
 from multiell import presets
 from multiell.antenna import (AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets,
                               power_gain, sigma_from_hpbw)
-from multiell.engine import aim_realization, draw_realization
+from multiell.engine import draw_realization
 from multiell.errors import ConfigError, InvalidHpbw, MultiellError
 from multiell.geometry import aoa_from_aod, wrap_degrees
+
+from conftest import aim_draws
 
 
 class TestSigmaFromHpbw:
@@ -288,7 +290,7 @@ class TestKnownAngleRange:
         cfg = presets.scenario("A", "same", seed=3, paths_per_cluster=300)
         draws = draw_realization(cfg)
         b = AntennaPattern.gaussian(20.0, boresight_deg=boresight).boresight_deg
-        aoa = aim_realization(draws, b, np.empty_like(draws.angles))
+        aoa = aim_draws(draws, b, np.empty_like(draws.angles))
         assert np.all((aoa >= -180.0) & (aoa <= 180.0))
 
 

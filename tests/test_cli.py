@@ -360,6 +360,14 @@ class TestNonFiniteInputs:
                      "--set", "rx.boresight_deg=180", "--out", str(out)]) == 1
         assert "total path power is 0.0" in capsys.readouterr().err
 
+    def test_nan_gain_exits_1(self, tmp_path, capsys):
+        # gain_dbi was never checked: a NaN ran, and the header printed it.
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", "tx.gain_dbi=nan",
+                     "--out", str(out)]) == 1
+        assert "gain_dbi" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_delay_spread_exits_1(self, tmp_path, capsys):
         out = tmp_path / "pas.csv"
         assert main([*self.PAS, "--set", "scenario.ds_s=nan", "--out", str(out)]) == 1

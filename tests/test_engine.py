@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, sigma_from_hpbw
-from multiell.engine import (PathSet, ScenarioConfig, SourceKind, aim_realization,
-                             draw_realization, reweight, run_realization)
+from multiell.engine import (PathSet, ScenarioConfig, SourceKind, draw_realization, reweight,
+                             run_realization)
 from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
                                eccentricity_from_delay, wrap_degrees)
@@ -17,6 +17,8 @@ from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, sample_von_mises
 from multiell.stats import _PAS_BLOCK, realization_pas, sweep_as
+
+from conftest import aim_draws
 
 TAP1_SHARE = 0.14098344168360796  # zero-delay tap's linear share of the builtin profile
 
@@ -327,6 +329,19 @@ class TestValidation:
                 replace(good, **bad)
             assert len(str(caught.value)) < 100  # the field, not 401 digits
 
+    @pytest.mark.parametrize("make", [
+        lambda: replace(scenario("A"), tx_pattern=None),
+        lambda: replace(scenario("A"), rx_pattern="omni"),
+        lambda: replace(scenario("A"), local_scattering=None),
+        lambda: replace(scenario("A"), pdp=None),
+        lambda: AntennaPattern("omni"),
+        lambda: AntennaPattern(None),
+    ], ids=["tx_pattern", "rx_pattern", "local_scattering", "pdp", "kind-str", "kind-None"])
+    def test_object_fields_of_another_type_raise(self, make):
+        # Each was built, then raised AttributeError or TypeError at its first use.
+        with pytest.raises(ConfigError):
+            make()
+
     def test_path_count_ceiling_is_inclusive(self):
         from dataclasses import replace
         replace(scenario("A", "same"), paths_per_cluster=1_000_000)
@@ -435,7 +450,7 @@ class TestAimStage:
             aoa, raw = np.empty(draws.angles.size), draws.raw_power_lin
             for alpha_t in (-180.0, -95.5, -60.0, 0.0, 10.0, 120.0, 179.0):
                 aimed = replace(cfg, tx_pattern=replace(cfg.tx_pattern, boresight_deg=alpha_t))
-                assert aim_realization(draws, aimed.tx_pattern.boresight_deg, aoa) is aoa
+                assert aim_draws(draws, aimed.tx_pattern.boresight_deg, aoa) is aoa
                 got = reweight(PathSet(aoa, raw, raw, draws.sources), aimed.rx_pattern)
                 expected = run_realization(aimed)
                 for name in ("aoa_deg", "raw_power_lin", "power_lin"):
@@ -453,9 +468,9 @@ class TestAimStage:
     def test_in_place_equals_new_array(self, cfg):
         fresh_draws = draw_realization(cfg)
         fresh = np.empty(fresh_draws.angles.size)
-        expected = aim_realization(fresh_draws, cfg.tx_pattern.boresight_deg, fresh)
+        expected = aim_draws(fresh_draws, cfg.tx_pattern.boresight_deg, fresh)
         draws = draw_realization(cfg)
-        got = aim_realization(draws, cfg.tx_pattern.boresight_deg, draws.angles)
+        got = aim_draws(draws, cfg.tx_pattern.boresight_deg, draws.angles)
         assert expected is fresh and got is draws.angles
         assert got.tobytes() == expected.tobytes()
         assert got.tobytes() == run_realization(cfg).aoa_deg.tobytes()
@@ -470,7 +485,7 @@ class TestAimStage:
         drawn, other = replace(base, ds_s=50e-9), replace(base, ds_s=700e-9)
         draws = replace(draw_realization(drawn), ratios=draw_realization(other).ratios)
         expected = run_realization(other)
-        got = aim_realization(draws, tx.boresight_deg, np.empty(draws.angles.size))
+        got = aim_draws(draws, tx.boresight_deg, np.empty(draws.angles.size))
         assert got.tobytes() == expected.aoa_deg.tobytes()
         assert draws.raw_power_lin.tobytes() == expected.raw_power_lin.tobytes()
 
@@ -514,7 +529,7 @@ EDGE_BORESIGHTS = [0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0, np.nextafter(180.0
 
 
 class TestAimSkips:
-    """aim_realization skips the quotient of the tangent addition where the
+    """The aim skips the quotient of the tangent addition where the
     boresight's half-angle tangent is +-0, wraps no departure, and sends an
     arrival of -180 to 180 only where one occurs; the angles keep every bit
     of the aim that always runs every pass."""
@@ -552,7 +567,7 @@ class TestAimSkips:
         draws = draw_realization(cfg)
         expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
         out = np.full(draws.angles.size, np.nan)
-        assert aim_realization(draws, boresight, out).tobytes() == expected.tobytes()
+        assert aim_draws(draws, boresight, out).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("boresight", EDGE_BORESIGHTS)
     def test_departures_on_the_half_turn(self, boresight):
@@ -564,7 +579,7 @@ class TestAimSkips:
         assert abs(offset + boresight) == 180.0
         draws.tangents[0, 0] = np.tan(offset * (np.pi / 360.0))
         expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
-        got = aim_realization(draws, boresight, np.full(draws.angles.size, np.nan))
+        got = aim_draws(draws, boresight, np.full(draws.angles.size, np.nan))
         assert got.tobytes() == expected.tobytes()
         assert -180.0 < got[0] <= 180.0 and circle_error_deg(got[0], 180.0) < 1e-12
 
@@ -573,7 +588,7 @@ class TestAimSkips:
         draws = draw_realization(cfg)
         draws.tangents[0, 0] = np.tan(-180.0 * (np.pi / 360.0))  # a uniform draw of 0
         expected = always_wrapping_aim(draws, 0.0, cluster_eccentricities(cfg))
-        got = aim_realization(draws, 0.0, np.full(draws.angles.size, np.nan))
+        got = aim_draws(draws, 0.0, np.full(draws.angles.size, np.nan))
         assert got.tobytes() == expected.tobytes()
         assert -180.0 < got[0] <= 180.0 and circle_error_deg(got[0], 180.0) < 1e-12
 
@@ -588,8 +603,8 @@ class TestAimSkips:
         draws = draw_realization(cfg)
         draws.tangents[:, 0] = np.tan(-0.0)
         draws.tangents[:, 1] = np.tan(0.0)
-        got = aim_realization(draws, boresight, np.full(draws.angles.size, np.nan))
-        assert aim_realization(draws, boresight, draws.angles).tobytes() == got.tobytes()
+        got = aim_draws(draws, boresight, np.full(draws.angles.size, np.nan))
+        assert aim_draws(draws, boresight, draws.angles).tobytes() == got.tobytes()
         zeros = got[:draws.tangents.size].reshape(draws.tangents.shape)[:, :2]
         assert (zeros == 0.0).all()
         assert np.signbit(zeros[:, 0]).all() and not np.signbit(zeros[:, 1]).any()
@@ -626,7 +641,7 @@ class TestAimAccuracy:
         with mp.workdps(40):
             ratios = [mp.mpf(float(r)) for r in draws.ratios[:, 0]]
             for boresight in self.BORESIGHTS if draws.relative else [0.0]:
-                got = aim_realization(draws, boresight, out)[:offsets.size].reshape(offsets.shape)
+                got = aim_draws(draws, boresight, out)[:offsets.size].reshape(offsets.shape)
                 assert np.all((got > -180.0) & (got <= 180.0)), boresight
                 for r, row, arrivals in zip(ratios, offsets, got):
                     for o, aoa in zip(row, arrivals):
@@ -680,6 +695,27 @@ class TestRealizationMemory:
             tracemalloc.stop()
         assert result.aoa_deg.size == paths
         assert peak < bound
+
+    @pytest.mark.parametrize("cfg, bound", [
+        (replace(fig_presets()["fig4-A"].config, paths_per_cluster=20_000), 3.5),
+        (scenario("A", alpha_t_deg=30.0, alpha_r_deg=30.0, paths_per_cluster=20_000), 3.5),
+        (scenario("A", alpha_t_deg=90.0, alpha_r_deg=150.0, paths_per_cluster=20_000), 4.5),
+    ], ids=["fig4-A-rx-at-0", "A-at-30", "A-rx-wraps"])
+    def test_directional_realization_holds_the_weighted_powers(self, cfg, bound):
+        # The drawn angles aimed in place, the raw powers and the weighted
+        # powers: 3.0 float arrays traced at rx 0 (fig4-A) and with tx and rx
+        # at 30, where the weighted powers' buffer is the aim's scratch. At
+        # rx 150 some differences pass 180, so the gain takes the wrap
+        # candidate in one more array while it runs: 4.0.
+        run_realization(cfg)  # first call outside the trace: caches and imports
+        tracemalloc.start()
+        try:
+            result = run_realization(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.power_lin is not result.raw_power_lin
+        assert peak < bound * 8 * result.aoa_deg.size
 
     @pytest.mark.parametrize("paths_per_cluster", [20_000, 200_000])
     @pytest.mark.parametrize("name, changes", [("fig2-C-omni", {"rice_factor_db": 6.0}),

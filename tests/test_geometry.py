@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, PatternKind, power_gain, sigma_from_hpbw
 from multiell.engine import reweight
-from multiell.errors import InvalidGeometry, MultiellError
+from multiell.errors import (BadBinWidth, ConfigError, InvalidGeometry, InvalidHpbw,
+                             MultiellError)
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
                                eccentricity_from_delay, wrap_degrees, wrap_in_place)
 from multiell.pdp import builtin_nlos_profile, scale_pdp
 from multiell.presets import DS_BY_BAND, TXRX_DISTANCE_M, scenario
 from multiell.scattering import VonMisesParams, von_mises_pdf
+from multiell.stats import SweepAxis, estimate_pas, realization_pas, sweep_as
 
 from conftest import make_pathset
 
@@ -514,6 +516,35 @@ def test_an_int_beyond_the_float_range_raises_naming_the_field(make):
     with pytest.raises(MultiellError, match="got an int beyond the float range$") as caught:
         make()
     assert len(str(caught.value)) < 100
+
+
+SMALL = scenario("A", "same", paths_per_cluster=20)
+
+
+@pytest.mark.parametrize("make, error, name", [
+    (lambda: wrap_degrees(None), MultiellError, "angle_deg"),
+    (lambda: aoa_from_aod(None, 0.5), MultiellError, "phi_t_deg"),
+    (lambda: power_gain(BEAM, None), MultiellError, "phi_deg"),
+    (lambda: wrap_degrees("abc"), MultiellError, "angle_deg"),
+    (lambda: scenario("A", "same", rice_factor_db="x"), ConfigError, "rice_factor_db"),
+    (lambda: AntennaPattern.gaussian("x"), InvalidHpbw, "hpbw_deg"),
+    *[(lambda a=a: sweep_as(SMALL, SweepAxis.RX_ORIENTATION, a, trials=1), ConfigError,
+       "angles_deg") for a in ([None], 5, ["a"], [BIG])],
+    *[(lambda w=w: estimate(w), BadBinWidth, "bin_width_deg")
+      for w in (None, "1", BIG)
+      for estimate in (lambda w: estimate_pas(make_pathset([0.0], [1.0]), w),
+                       lambda w: realization_pas(SMALL, w))],
+    (lambda: AntennaPattern.gaussian(20.0, gain_dbi=math.nan), ConfigError, "gain_dbi"),
+], ids=["wrap_degrees-None", "aoa_from_aod-None", "power_gain-None", "wrap_degrees-str",
+        "rice_factor_db-str", "hpbw-str", "sweep-[None]", "sweep-int", "sweep-[str]",
+        "sweep-[big]", *(f"{f}-{w}" for w in ("None", "str", "big")
+                         for f in ("estimate_pas", "realization_pas")), "gain_dbi-nan"])
+def test_a_value_that_is_not_a_number_raises_naming_the_field(make, error, name):
+    # None became NaN, a string or a non-sequence raised a bare ValueError or
+    # TypeError, and a NaN gain in dBi was taken as it was.
+    with pytest.raises(MultiellError, match=f"^{name} ") as caught:
+        make()
+    assert type(caught.value) is error
 
 
 class TestBoresightFrame:

@@ -89,6 +89,12 @@ class TestSampleVonMises:
             frac = np.mean((draws > lo) & (draws <= lo + 36.0))
             assert frac == pytest.approx(0.1, abs=0.01)
 
+    def test_kappa_of_minus_zero_draws_as_zero(self):
+        # -0.0 passes the check >= 0, and numpy's sampler rejected its sign bit.
+        expected = draw(VonMisesParams(kappa=0.0), np.random.default_rng(5), 1000)
+        got = draw(VonMisesParams(kappa=-0.0), np.random.default_rng(5), 1000)
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("kappa", [1e-8, 1.2e-8, 1.5e-8, 1e-6, 9.9e-6])
     def test_near_uniform_at_tiny_kappa(self, rng, kappa):
         # the closed form of the Best-Fisher constants cancels here

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, PatternKind, _gain_in_place
 from multiell.cli import _fmt
-from multiell.engine import PathSet, SourceKind, _aim, reweight, run_realization
+from multiell.engine import (PathSet, SourceKind, _aim, draw_realization, reweight,
+                             run_realization)
 from multiell.errors import BadAngle, BadBinWidth, BadPaths, ConfigError, MultiellError, NoPower
 from multiell.geometry import wrap_degrees
 from multiell.presets import fig_presets, scenario
@@ -19,7 +20,7 @@ from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
 from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
                             estimate_pas, realization_pas, sweep_as)
 
-from conftest import make_pathset
+from conftest import aim_draws, make_pathset
 
 UNIFORM_AS = 103.92304845413264  # 360 / sqrt(12)
 
@@ -791,10 +792,11 @@ def first_of_each_point(config, axis, angles_deg):
 
 
 def reference_sweep(config, axis, angles_deg, trials):
-    """One full realization per (angle, trial), each from that trial's
-    stream key (1, trial) on the tx axis and (2, trial) on the rx axis, and
-    each angle's mean and standard deviation taken over its own row, as a
-    SweepResult."""
+    """One realization per (angle, trial), each drawn from that trial's
+    stream key (1, trial) on the tx axis and (2, trial) on the rx axis, aimed
+    into a fresh array and weighted by reweight, apart from the engine's
+    loop; and each angle's mean and standard deviation taken over its own
+    row, as a SweepResult."""
     angles = [float(a) for a in angles_deg]
     end, code = ("tx_pattern", 1) if axis is SweepAxis.TX_ORIENTATION else ("rx_pattern", 2)
     spreads = np.empty((len(angles), trials))
@@ -802,7 +804,11 @@ def reference_sweep(config, axis, angles_deg, trials):
     for row, angle in zip(spreads, angles):
         cfg = replace(config, **{end: replace(getattr(config, end), boresight_deg=angle)})
         for trial in range(trials):
-            row[trial] = angular_spread(run_realization(cfg, (code, trial)))
+            draws = draw_realization(cfg, (code, trial))
+            aoa = aim_draws(draws, cfg.tx_pattern.boresight_deg, np.empty(draws.angles.size))
+            raw = draws.raw_power_lin
+            paths = reweight(PathSet(aoa, raw, raw, draws.sources), cfg.rx_pattern)
+            row[trial] = angular_spread(paths)
         tx.append(cfg.tx_pattern.boresight_deg)
         rx.append(cfg.rx_pattern.boresight_deg)
         mean.append(float(row.mean()))
@@ -871,7 +877,7 @@ class TestSweepEquivalence:
         # trial cost peak memory. The aim's scratch is the weighted powers'
         # buffer, and where the beam never turns (the rx sweep) each trial is
         # aimed in its draws' own buffer.
-        import multiell.stats
+        import multiell.engine
         weighted, aimed = [], []
 
         def recording_gain(pattern, phi, span, out, scratch=None):
@@ -882,8 +888,8 @@ class TestSweepEquivalence:
             aimed.append((boresight_deg, tangents, out, scratch))
             return _aim(tangents, ratios, relative, boresight_deg, out, scratch)
 
-        monkeypatch.setattr(multiell.stats, "_gain_in_place", recording_gain)
-        monkeypatch.setattr(multiell.stats, "_aim", recording_aim)
+        monkeypatch.setattr(multiell.engine, "_gain_in_place", recording_gain)
+        monkeypatch.setattr(multiell.engine, "_aim", recording_aim)
         cfg = scenario("A", "same", alpha_t_deg=30.0, paths_per_cluster=30, seed=4)
         sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
         assert [b for b, *_ in aimed] == boresights * 2
@@ -924,14 +930,14 @@ class TestSweepEquivalence:
         # scanned range. Every other directional sweep passes (-180, 180),
         # which bounds every aimed angle and, at boresight +-0, calls for no
         # wrap candidate; an omni receiver computes no gain at all.
-        import multiell.stats
+        import multiell.engine
         ranges = []
 
         def recording_gain(pattern, phi, span, out, scratch=None):
             ranges.append((span, (float(phi.min()), float(phi.max()))))
             return _gain_in_place(pattern, phi, span, out, scratch)
 
-        monkeypatch.setattr(multiell.stats, "_gain_in_place", recording_gain)
+        monkeypatch.setattr(multiell.engine, "_gain_in_place", recording_gain)
         cfg = scenario("A", rx, alpha_t_deg=170.0, alpha_r_deg=alpha_r, paths_per_cluster=30,
                        seed=4)
         result = sweep_as(cfg, axis, angles, trials=2)
@@ -971,8 +977,8 @@ class TestSweepEquivalence:
     def test_narrow_tx_sweep_wraps_no_departure(self, monkeypatch):
         # The half-angle tangent has period 360 degrees in the departure, so
         # no aim wraps one, even where the beam straddles the half turn.
+        import multiell.engine
         import multiell.geometry
-        import multiell.stats
         aims, wrapped = [], []
         real_wrap = multiell.geometry.wrap_in_place
 
@@ -986,7 +992,7 @@ class TestSweepEquivalence:
             wrapped.append(angles.shape)
             return real_wrap(angles)
 
-        monkeypatch.setattr(multiell.stats, "_aim", recording_aim)
+        monkeypatch.setattr(multiell.engine, "_aim", recording_aim)
         monkeypatch.setattr(multiell.geometry, "wrap_in_place", recording_wrap)
         cfg = replace(scenario("D", "same", seed=2, paths_per_cluster=200),
                       tx_pattern=AntennaPattern.gaussian(9.0))
@@ -998,14 +1004,14 @@ class TestSweepEquivalence:
 
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
         # An omni transmitter's draws are the departures themselves.
-        import multiell.stats
+        import multiell.engine
         aimed = []
 
         def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
             aimed.append(boresight_deg)
             return _aim(tangents, ratios, relative, boresight_deg, out, scratch)
 
-        monkeypatch.setattr(multiell.stats, "_aim", recording_aim)
+        monkeypatch.setattr(multiell.engine, "_aim", recording_aim)
         cfg = replace(fig_presets()["fig4-A"].config, tx_pattern=AntennaPattern.omni(),
                       paths_per_cluster=40, seed=6)
         angles = [-180.0, -90.0, 0.0, 45.0, 180.0, 400.0]
