@@ -163,12 +163,7 @@ def config_to_mapping(cfg: ScenarioConfig) -> dict[str, str]:
 
 def _pattern(m: dict[str, str], end: str) -> AntennaPattern:
     fields = _section(m, end)
-    kind = fields.pop("kind", PatternKind.OMNI)
-    if kind is PatternKind.OMNI:
-        # an omni pattern has no beam to shape or point
-        fields.pop("hpbw_deg", None)
-        fields.pop("boresight_deg", None)
-    return AntennaPattern(kind, **fields)
+    return AntennaPattern(fields.pop("kind", PatternKind.OMNI), **fields)
 
 
 def mapping_to_config(m: dict[str, str]) -> ScenarioConfig:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import (DEGENERATE_DELAY_S, _floats, _half_angle_ratio,
-                       _require_finite_positive, eccentricity_from_delay)
+from .geometry import (DEGENERATE_DELAY_S, _as_int, _half_angle_ratio, _number, _positive,
+                       eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -93,24 +93,16 @@ class ScenarioConfig:
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be of type {kind.__name__},"
                                   f" got {type(getattr(self, name)).__name__}")
-        _require_finite_positive("txrx_distance_m", self.txrx_distance_m, ConfigError)
+        _number("txrx_distance_m", self.txrx_distance_m, ConfigError, "finite and > 0", _positive)
         _require_delay_spread(self.pdp, self.ds_s, ConfigError)
         if not 1 <= _as_int("paths_per_cluster", self.paths_per_cluster) <= _MAX_PATHS_PER_CLUSTER:
             raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
                               f" got {self.paths_per_cluster}")
         if not 0 <= _as_int("seed", self.seed) < _MAX_SEED:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.rice_factor_db is not None and math.isnan(
-                _floats("rice_factor_db", self.rice_factor_db, ConfigError, "a float or None")):
-            raise ConfigError("rice_factor_db must be a number or None")
-
-
-def _as_int(name: str, value) -> int:
-    # ``value`` as a Python int if it is an integer, Python or numpy.
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if self.rice_factor_db is not None:  # +-inf dB is legal
+            _number("rice_factor_db", self.rice_factor_db, ConfigError, "a number or None",
+                    lambda k: not math.isnan(k))
 
 
 def _rice_split(rice_factor_db: float) -> tuple[float, float]:

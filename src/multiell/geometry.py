@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import reprlib
 
 import numpy as np
 
-from .errors import InvalidGeometry, MultiellError
+from .errors import ConfigError, InvalidGeometry, MultiellError
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -85,10 +86,27 @@ def _floats(name: str, value, error: type[Exception] = MultiellError, must: str 
         raise error(f"{name} must be {must}, got an int beyond the float range") from None
 
 
-def _require_finite_positive(name: str, value, error: type[Exception]) -> None:
-    number = float(_floats(name, value, error, "finite and > 0"))
-    if not (number > 0.0 and math.isfinite(number)):
-        raise error(f"{name} must be finite and > 0, got {number}")
+def _number(name: str, value, error: type[Exception], must: str = "finite",
+            ok=math.isfinite) -> float:
+    # ``value`` as a float: one real number (Python, numpy or 0-d) for which
+    # ``ok`` holds. Otherwise raises ``error``, saying that ``name`` must be
+    # ``must``, as _floats does for a value that is not made of real numbers.
+    held = _floats(name, value, error, must)
+    if held.ndim or not ok(float(held)):
+        raise error(f"{name} must be {must}, got {held}")
+    return float(held)
+
+
+def _positive(number: float) -> bool:
+    return 0.0 < number < math.inf
+
+
+def _as_int(name: str, value) -> int:
+    # ``value`` as a Python int if it is an integer, Python or numpy.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
@@ -96,24 +114,25 @@ def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     the total reflection path D + c * delay. Accepts a scalar or an array
     (empty included) and returns the same shape; a scalar gives a float.
 
-    Raises ``InvalidGeometry`` for a distance that is not finite and
-    positive, for a delay that is not above ``DEGENERATE_DELAY_S`` (NaN
-    included; such a tap belongs to local scattering), and for a distance
-    so long against a delay that the eccentricity rounds to 1. A delay so
-    long that c * delay overflows gives the limit, e = 0.
+    Raises ``InvalidGeometry`` for a distance that is not one finite number
+    > 0, for delays that are not real numbers, for a delay that is not
+    above ``DEGENERATE_DELAY_S`` (NaN included; such a tap belongs to local
+    scattering), and for a distance so long against a delay that the
+    eccentricity rounds to 1. A delay so long that c * delay overflows gives
+    the limit, e = 0.
     """
-    _require_finite_positive("txrx_distance_m", txrx_distance_m, InvalidGeometry)
-    delays = np.asarray(excess_delays_s, dtype=float)
+    distance = _number("txrx_distance_m", txrx_distance_m, InvalidGeometry, "finite and > 0",
+                       _positive)
+    delays = _floats("excess_delays_s", excess_delays_s, InvalidGeometry, "real numbers")
     degenerate = ~(delays > DEGENERATE_DELAY_S)
     if degenerate.any():
         raise InvalidGeometry(f"excess delay {delays[degenerate].flat[0]} s is not above"
                               f" {DEGENERATE_DELAY_S} s")
     with np.errstate(over="ignore"):  # D / inf is the limit 0
-        eccentricity = txrx_distance_m / (txrx_distance_m + SPEED_OF_LIGHT_M_S * delays)
+        eccentricity = distance / (distance + SPEED_OF_LIGHT_M_S * delays)
     rounds_to_one = eccentricity >= 1.0
     if rounds_to_one.any():
-        # As a float: an int distance would print every digit.
-        raise InvalidGeometry(f"txrx_distance_m {float(txrx_distance_m)} is too long for an"
+        raise InvalidGeometry(f"txrx_distance_m {distance} is too long for an"
                               f" excess delay of {delays[rounds_to_one].flat[0]} s: the"
                               " eccentricity rounds to 1")
     return float(eccentricity) if delays.ndim == 0 else eccentricity
@@ -135,7 +154,8 @@ def aoa_from_aod(phi_t_deg, eccentricity):
 
     ``eccentricity`` is a scalar, or an array that broadcasts against the
     angles without enlarging them: shape (rows, 1) gives each row of a 2-D
-    angle array its own ellipse.
+    angle array its own ellipse. One that is not made of real numbers in
+    [0, 1) raises ``InvalidGeometry``.
     """
     phi = _floats("phi_t_deg", phi_t_deg)
     # A wrapped C-ordered copy. Every step of the map is odd bit for bit
@@ -160,7 +180,7 @@ def aoa_from_aod(phi_t_deg, eccentricity):
 def _half_angle_ratio(eccentricity):
     # The ratio r = (1 - e) / (1 + e) of the half-angle map, the only form
     # of the eccentricity that the map reads, for e in [0, 1).
-    e = np.asarray(eccentricity, dtype=float)
+    e = _floats("eccentricity", eccentricity, InvalidGeometry, "in [0, 1)")
     if not np.all((e >= 0.0) & (e < 1.0)):
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
     return (1.0 - e) / (1.0 + e)

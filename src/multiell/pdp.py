@@ -11,6 +11,7 @@ carries power.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyProfile, InvalidDs, MultiellError, ParseError, UnsortedDelays
-from .geometry import _require_finite_positive
+from .geometry import _floats, _number, _positive
 
 BUILTIN_NLOS = "builtin:nlos3gpp"
 
@@ -32,15 +33,21 @@ class NormalizedPdp:
     taps: tuple[tuple[float, float], ...]  # (normalized_delay, power_db)
 
     def __post_init__(self):
-        if not self.taps:
+        must = "(normalized_delay, power_db) pairs of numbers"
+        taps = _floats("taps", self.taps, MultiellError, must)
+        if not taps.size:
             raise EmptyProfile("profile has no taps")
-        delays = [t[0] for t in self.taps]
-        for i, delay in enumerate(delays, start=1):
+        if taps.ndim != 2 or taps.shape[1] != 2:
+            raise MultiellError(f"taps must be {must}, got {reprlib.repr(self.taps)}")
+        for i, (delay, power_db) in enumerate(taps.tolist(), start=1):
             if not math.isfinite(delay):  # a NaN passes both order checks below
                 raise MultiellError(f"tap {i} delay must be finite, got {delay}")
+            if not power_db < math.inf:  # NaN fails this too; -inf dB is zero power
+                raise MultiellError(f"tap {i} power must be finite or -inf dB, got {power_db}")
+        delays = taps[:, 0]
         if delays[0] < 0.0:
             raise UnsortedDelays("first tap delay must be >= 0")
-        if any(b < a for a, b in zip(delays, delays[1:])):
+        if (delays[1:] < delays[:-1]).any():
             raise UnsortedDelays("tap delays must be sorted ascending")
 
 
@@ -114,8 +121,8 @@ def resolve_pdp(source: str) -> NormalizedPdp:
 
 
 def _require_delay_spread(pdp: NormalizedPdp, ds_s, error: type[Exception]) -> None:
-    _require_finite_positive("ds_s", ds_s, error)
-    if not math.isfinite(float(ds_s) * pdp.taps[-1][0]):
+    ds_s = _number("ds_s", ds_s, error, "finite and > 0", _positive)
+    if not math.isfinite(ds_s * pdp.taps[-1][0]):
         raise error(f"ds_s {ds_s} makes the last tap's delay overflow")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KappaOutOfRange
-from .geometry import _floats, wrap_degrees, wrap_in_place
+from .geometry import _floats, _number, wrap_degrees, wrap_in_place
 
 _KAPPA_MAX = 500.0
 
@@ -28,19 +28,15 @@ class VonMisesParams:
     power_share: float | None = None
 
     def __post_init__(self):
-        kappa = float(_floats("kappa", self.kappa, ConfigError, "finite and >= 0"))
-        if not (kappa >= 0.0 and math.isfinite(kappa)):
-            raise ConfigError(f"kappa must be finite and >= 0, got {kappa}")
+        kappa = _number("kappa", self.kappa, ConfigError, "finite and >= 0",
+                        lambda k: 0.0 <= k < math.inf)
         if kappa > _KAPPA_MAX:
             # the density's I0(kappa) overflows a double just past 700
             raise KappaOutOfRange(f"kappa {kappa} exceeds {_KAPPA_MAX}")
-        mu = float(_floats("mu_deg", self.mu_deg, ConfigError, "finite"))
-        if not math.isfinite(mu):
-            raise ConfigError(f"mu_deg must be finite, got {mu}")
+        mu = _number("mu_deg", self.mu_deg, ConfigError)
         if self.power_share is not None:
-            share = float(_floats("power_share", self.power_share, ConfigError, "in [0, 1]"))
-            if not 0.0 <= share <= 1.0:
-                raise ConfigError(f"power_share must be in [0, 1], got {share}")
+            _number("power_share", self.power_share, ConfigError, "in [0, 1]",
+                    lambda share: 0.0 <= share <= 1.0)
         object.__setattr__(self, "mu_deg", wrap_degrees(mu))
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import PatternKind
-from .engine import PathSet, ScenarioConfig, _as_int, _grid, _realization_rows
+from .engine import PathSet, ScenarioConfig, _grid, _realization_rows
 from .errors import BadAngle, BadBinWidth, BadPaths, ConfigError, NoPower
-from .geometry import _floats
+from .geometry import _as_int, _floats, _number, _positive
 
 
 class SweepAxis(enum.Enum):
@@ -228,9 +228,7 @@ def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
 
 def _pas_edges(bin_width_deg: float) -> np.ndarray:
     # The PAS bin edges -180 + k * bin_width_deg; BadBinWidth as estimate_pas states.
-    width = float(_floats("bin_width_deg", bin_width_deg, BadBinWidth, "finite and > 0"))
-    if not (width > 0.0 and math.isfinite(width)):
-        raise BadBinWidth(f"bin width must be finite and > 0, got {width}")
+    width = _number("bin_width_deg", bin_width_deg, BadBinWidth, "finite and > 0", _positive)
     if width < 360.0 / _MAX_PAS_BINS:
         raise BadBinWidth(f"bin width {width} gives more than {_MAX_PAS_BINS} bins")
     n_bins = 360.0 / width

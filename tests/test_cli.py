@@ -368,6 +368,14 @@ class TestNonFiniteInputs:
         assert "gain_dbi" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_omni_hpbw_exits_1(self, tmp_path, capsys):
+        # An omni end's hpbw_deg was dropped unchecked, and the header printed it.
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--preset", "fig4-A", "--set", "rx.kind=omni",
+                     "--set", "rx.hpbw_deg=nan", "--out", str(out)]) == 1
+        assert "hpbw_deg" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_delay_spread_exits_1(self, tmp_path, capsys):
         out = tmp_path / "pas.csv"
         assert main([*self.PAS, "--set", "scenario.ds_s=nan", "--out", str(out)]) == 1

@@ -1,7 +1,9 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, PatternKind, power_gain, sigma_from_hpbw
-from multiell.engine import reweight
-from multiell.errors import (BadBinWidth, ConfigError, InvalidGeometry, InvalidHpbw,
+from multiell.engine import ScenarioConfig, reweight, run_realization
+from multiell.errors import (BadBinWidth, ConfigError, InvalidDs, InvalidGeometry, InvalidHpbw,
                              MultiellError)
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
                                eccentricity_from_delay, wrap_degrees, wrap_in_place)
@@ -199,7 +201,9 @@ class TestAoaFromAod:
         assert phi.tobytes() == before.tobytes()
 
     def test_rejects_any_bad_eccentricity(self):
-        for bad in (np.array([[0.5], [1.0]]), np.array([[-0.1], [0.5]]), np.nan):
+        # A numeric string was read as its number, and "x" and an int beyond
+        # the float range raised a bare ValueError and OverflowError.
+        for bad in (np.array([[0.5], [1.0]]), np.array([[-0.1], [0.5]]), np.nan, "0.5", "x", BIG):
             with pytest.raises(InvalidGeometry):
                 aoa_from_aod(np.zeros((2, 3)), bad)
 
@@ -545,6 +549,98 @@ def test_a_value_that_is_not_a_number_raises_naming_the_field(make, error, name)
     with pytest.raises(MultiellError, match=f"^{name} ") as caught:
         make()
     assert type(caught.value) is error
+
+
+def realized(cfg):
+    """Every array of one realization of ``cfg``, as bytes."""
+    paths = run_realization(cfg)
+    return b"".join(a.tobytes() for a in (paths.aoa_deg, paths.raw_power_lin, paths.power_lin))
+
+
+def with_rx(pattern):
+    return realized(replace(SMALL, rx_pattern=pattern))
+
+
+def with_local(**fields):
+    return realized(replace(SMALL, local_scattering=VonMisesParams(**fields)))
+
+
+# Every scalar entry point: its id, the field, a call that gives the field a
+# value and returns a result to compare, the field's error, a good value that
+# is an integer (None for an integer field), and whether None stands for
+# something in the field (NLOS, auto, or no width), and so is no bad number.
+SCALAR_FIELDS = [
+    ("gain_dbi", "gain_dbi", lambda v: with_rx(AntennaPattern.gaussian(20.0, gain_dbi=v)),
+     ConfigError, 3, False),
+    ("boresight_deg", "boresight_deg",
+     lambda v: with_rx(AntennaPattern.gaussian(20.0, boresight_deg=v)), ConfigError, 30, False),
+    ("hpbw_deg", "hpbw_deg", lambda v: with_rx(AntennaPattern.gaussian(v)), InvalidHpbw, 20,
+     True),
+    ("omni-hpbw_deg", "hpbw_deg", lambda v: AntennaPattern(PatternKind.OMNI, hpbw_deg=v),
+     InvalidHpbw, 20, True),
+    ("sigma_from_hpbw", "hpbw_deg", sigma_from_hpbw, InvalidHpbw, 20, False),
+    ("kappa", "kappa", lambda v: with_local(kappa=v), ConfigError, 3, False),
+    ("mu_deg", "mu_deg", lambda v: with_local(mu_deg=v), ConfigError, 10, False),
+    ("power_share", "power_share", lambda v: with_local(power_share=v), ConfigError, 0, True),
+    ("ds_s", "ds_s", lambda v: realized(replace(SMALL, ds_s=v)), ConfigError, 1, False),
+    ("txrx_distance_m", "txrx_distance_m",
+     lambda v: realized(replace(SMALL, txrx_distance_m=v)), ConfigError, 200, False),
+    ("rice_factor_db", "rice_factor_db", lambda v: realized(replace(SMALL, rice_factor_db=v)),
+     ConfigError, 6, True),
+    ("paths_per_cluster", "paths_per_cluster", lambda v: replace(SMALL, paths_per_cluster=v),
+     ConfigError, None, False),
+    ("seed", "seed", lambda v: replace(SMALL, seed=v), ConfigError, None, False),
+    ("estimate_pas", "bin_width_deg",
+     lambda v: estimate_pas(make_pathset([0.0, 10.0], [1.0, 2.0]), v).density_per_deg.tobytes(),
+     BadBinWidth, 5, False),
+    ("realization_pas", "bin_width_deg",
+     lambda v: realization_pas(SMALL, v).density_per_deg.tobytes(), BadBinWidth, 5, False),
+    ("eccentricity_from_delay", "txrx_distance_m", lambda v: eccentricity_from_delay(1e-7, v),
+     InvalidGeometry, 200, False),
+    ("scale_pdp", "ds_s", lambda v: scale_pdp(builtin_nlos_profile(), v).excess_delays_s.tobytes(),
+     InvalidDs, 1, False),
+]
+BAD_SCALARS = {"list": [1.0, 2.0], "array": np.array([1.0, 2.0]), "array-1": np.array([20.0]),
+               "empty": (), "None": None, "str": "x", "big": BIG, "nan": math.nan}
+
+
+@pytest.mark.parametrize("field, make, error, bad", [
+    pytest.param(field, make, error, bad, id=f"{name}-{kind}")
+    for name, field, make, error, _, none_ok in SCALAR_FIELDS
+    for kind, bad in BAD_SCALARS.items() if not (bad is None and none_ok)])
+def test_a_bad_scalar_raises_its_fields_error(field, make, error, bad):
+    # A sequence raised a bare TypeError in most of these, or a bare
+    # ValueError (sigma_from_hpbw), or was taken (an omni hpbw_deg, a
+    # one-entry array of widths).
+    with pytest.raises(MultiellError, match=f"^{field} ") as caught:
+        make(bad)
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("make, value", [
+    pytest.param(make, value, id=name)
+    for name, _, make, _, value, _ in SCALAR_FIELDS if value is not None])
+def test_an_int_a_numpy_float_and_a_0d_array_give_the_floats_result(make, value):
+    expected = make(float(value))
+    for good in (value, np.float64(value), np.array(float(value))):
+        assert make(good) == expected
+
+
+def test_every_numeric_field_is_in_the_scalar_table():
+    # So a numeric field cannot be added without a row above.
+    numeric = {f.name for cls in (ScenarioConfig, AntennaPattern, VonMisesParams)
+               for f in dataclasses.fields(cls)
+               if {"float", "int"} & set(re.findall(r"\w+", f.type))}
+    assert len(numeric) == 11
+    assert numeric <= {row[1] for row in SCALAR_FIELDS}
+
+
+@pytest.mark.parametrize("delays", ["1e-7", ["a"], None], ids=["numeric-str", "[str]", "None"])
+def test_delays_that_are_not_numbers_raise_invalid_geometry(delays):
+    # A numeric string was read as its number, and the others raised a bare
+    # ValueError or the degenerate-delay message.
+    with pytest.raises(InvalidGeometry, match="^excess_delays_s must be real numbers"):
+        eccentricity_from_delay(delays, 200.0)
 
 
 class TestBoresightFrame:

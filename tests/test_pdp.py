@@ -43,6 +43,27 @@ def test_non_finite_delay_rejected_in_code(at, delay):
         NormalizedPdp(name="built", taps=tuple(taps))
 
 
+@pytest.mark.parametrize("taps", [
+    (("a", 0.0),), ((None, 0.0),), ((0.0, None),), ((0.0, "-3"),), ((0.0,),),
+    ((0.0, 0.0, 1.0),), ((0.0, 0.0), (1.0,)), 5.0, None,
+], ids=["str-delay", "None-delay", "None-power", "numeric-str-power", "one-entry",
+        "three-entries", "ragged", "scalar", "None"])
+def test_taps_that_are_not_pairs_of_numbers_rejected_in_code(taps):
+    # A string or None raised a bare TypeError, "-3" was read as -3 dB, and
+    # taps of 1 or 3 entries were built.
+    with pytest.raises(MultiellError, match=r"^taps must be \(normalized_delay, power_db\) pairs"):
+        NormalizedPdp(name="built", taps=taps)
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_nan_or_infinite_power_rejected_in_code(power):
+    # Built, then refused only at the first draw, as loads_pdp refuses it per line.
+    taps = list(builtin_nlos_profile().taps)
+    taps[3] = (taps[3][0], power)
+    with pytest.raises(MultiellError, match=f"^tap 4 power must be finite or -inf dB, got {power}$"):
+        NormalizedPdp(name="built", taps=tuple(taps))
+
+
 def test_empty_profile_rejected():
     with pytest.raises(EmptyProfile):
         loads_pdp("# nothing here\n")
