@@ -22,7 +22,7 @@ import numpy as np
 from .antenna import AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets, power_gain
 from .errors import ConfigError
 from .geometry import (DEGENERATE_DELAY_S, _as_int, _half_angle_ratio, _number, _positive,
-                       eccentricity_from_delay)
+                       _shown, eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -97,9 +97,10 @@ class ScenarioConfig:
         _require_delay_spread(self.pdp, self.ds_s, ConfigError)
         if not 1 <= _as_int("paths_per_cluster", self.paths_per_cluster) <= _MAX_PATHS_PER_CLUSTER:
             raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
-                              f" got {self.paths_per_cluster}")
+                              f" got {_shown(int(self.paths_per_cluster))}")
         if not 0 <= _as_int("seed", self.seed) < _MAX_SEED:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ConfigError("seed must be a 64-bit unsigned integer,"
+                              f" got {_shown(int(self.seed))}")
         if self.rice_factor_db is not None:  # +-inf dB is legal
             _number("rice_factor_db", self.rice_factor_db, ConfigError, "a number or None",
                     lambda k: not math.isnan(k))
@@ -165,7 +166,7 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
     raw, angles, ratios = next(rows)
     sources = tuple((kind, tap, paths) for kind, tap, paths, _, _ in rows)
     n = config.paths_per_cluster
-    return Draws(relative=config.tx_pattern.kind is not PatternKind.OMNI, angles=angles,
+    return Draws(relative=_steer(config.tx_pattern) is not None, angles=angles,
                  tangents=angles[:ratios.size * n].reshape(ratios.size, n), ratios=ratios,
                  raw_power_lin=raw, sources=sources)
 
@@ -256,21 +257,23 @@ def _stream_key_entries(stream_key) -> list[int]:
     except TypeError:  # not iterable, or an entry that is not an integer
         entries = None
     if entries is None or min(entries, default=0) < 0:
-        raise ConfigError(f"stream_key must be a sequence of integers >= 0, got {stream_key!r}")
+        raise ConfigError("stream_key must be a sequence of integers >= 0,"
+                          f" got {_shown(stream_key)}")
     return entries
 
 
-def _aim(tangents: np.ndarray, ratios: np.ndarray, relative: bool, boresight_deg: float,
-         out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _aim(tangents: np.ndarray, ratios: np.ndarray, turn_deg: float, out: np.ndarray,
+         scratch: np.ndarray | None = None) -> np.ndarray:
     # Writes into ``out`` (shaped like ``tangents``, which may be ``out``
     # itself) the arrival angles of departures b + o, where ``tangents``
-    # holds t = tan(o / 2) and b is the boresight if ``relative``, else 0;
-    # ``ratios`` broadcasts against them. By tangent addition tan((b + o) / 2)
-    # = (t + t_b) / (1 - t_b * t) with t_b = tan(b / 2), and tan(aoa / 2) is r
-    # times that: both have period 360 degrees in b + o, so no departure is
-    # wrapped. At t_b = +-0 the quotient is t. ``scratch``, shaped like ``out``
-    # and apart from ``tangents``, takes its denominator; or one is made.
-    t_b = math.tan(boresight_deg * (math.pi / 360.0)) if relative else 0.0
+    # holds t = tan(o / 2) and b = ``turn_deg``, the angle the draws turn by
+    # (``_steer(tx) or 0.0``); ``ratios`` broadcasts against them. By tangent
+    # addition tan((b + o) / 2) = (t + t_b) / (1 - t_b * t) with t_b =
+    # tan(b / 2), and tan(aoa / 2) is r times that: both have period 360
+    # degrees in b + o, so no departure is wrapped. At t_b = +-0 the quotient
+    # is t. ``scratch``, shaped like ``out`` and apart from ``tangents``,
+    # takes its denominator; or one is made.
+    t_b = math.tan(turn_deg * (math.pi / 360.0))
     quotient = tangents
     if t_b:
         denominator = np.multiply(tangents, -t_b, out=scratch)
@@ -306,30 +309,46 @@ def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) ->
                  lambda d, aoa, power, _: PathSet(aoa, d.raw_power_lin, power, d.sources))[0][0]
 
 
+def _steer(pattern: AntennaPattern) -> float | None:
+    # What a pattern's orientation adds to a point: its boresight, or None
+    # for an omni pattern, whose boresight nothing reads. An omni
+    # transmitter's draws are the departures themselves, turned by no angle,
+    # and an omni receiver weights nothing.
+    return None if pattern.kind is PatternKind.OMNI else pattern.boresight_deg
+
+
 def _grid(config: ScenarioConfig, stream_keys, points, reduce, spare: bool = False) -> list:
     # The one aim-and-weight loop: per stream key, draws once, then aims and
-    # weights at each (tx, rx) pattern pair of ``points`` (config's patterns
-    # up to their boresights) and keeps reduce(draws, aoa, power, free), one
-    # list per key. The draws are aimed in their own buffer where the tx
-    # boresight never changes, else again at each new one into one buffer of
-    # arrival angles; ``power`` is the raw-power array itself under an omni
-    # receiver; ``free`` is a spare path-sized buffer if ``spare``, else None.
-    # The buffers are allocated at the first key and overwritten at the next
-    # point or key; a key's draws are released before the next draw.
-    directional = config.rx_pattern.kind is not PatternKind.OMNI
-    relative = config.tx_pattern.kind is not PatternKind.OMNI
+    # weights at the (tx, rx) pattern pairs of ``points`` (config's patterns
+    # up to their boresights) and keeps reduce(draws, aoa, power, free), in
+    # one list per key with one entry per point. A point's key is its pair
+    # of _steer parts, so -180 and 180 are one point, and so are +0 and -0,
+    # which compare and hash alike and which the aim and the gain treat
+    # alike. Each distinct point is computed once per stream key, first as
+    # it comes, and its entry serves every point with its key. The draws are
+    # aimed in their own buffer where the tx part never changes, else again
+    # at each new one into one buffer of arrival angles; ``power`` is the
+    # raw-power array itself under an omni receiver; ``free`` is a spare
+    # path-sized buffer if ``spare``, else None. The buffers are allocated
+    # at the first key and overwritten at the next point or key; a key's
+    # draws are released before the next draw.
+    keys = [(_steer(tx), _steer(rx)) for tx, rx in points]
+    distinct = {}
+    for key, point in zip(keys, points):
+        distinct.setdefault(key, point)
+    directional = _steer(config.rx_pattern) is not None
     # The gain kernel needs a span bounding the aimed angles, which lie in
     # [-180, 180]. At a receive boresight of +-0 neither (-180, 180) nor a
     # scanned span calls for a wrap candidate, so both give the same bits:
     # only a directional receiver turned off 0 somewhere scans, once per aim.
-    ranged = directional and any(rx.boresight_deg for _, rx in points)
+    ranged = any(rx for _, rx in distinct)
     span = (-180.0, 180.0)
-    # The beam turns only where a directional transmitter takes more than
-    # one boresight: omni draws are the departures themselves.
-    turns = relative and len({tx.boresight_deg for tx, _ in points}) > 1
+    # The beam turns only where the points hold more than one tx part; an
+    # omni transmitter's is None at every point.
+    turns = len({tx for tx, _ in distinct}) > 1
     results = []
-    for key in stream_keys:
-        draws = draw_realization(config, key)
+    for stream_key in stream_keys:
+        draws = draw_realization(config, stream_key)
         raw, tangents = draws.raw_power_lin, draws.tangents
         if not results:
             weighted = np.empty(raw.size) if directional or spare else None
@@ -337,11 +356,12 @@ def _grid(config: ScenarioConfig, stream_keys, points, reduce, spare: bool = Fal
             turned = np.empty(raw.size) if turns else None
         aoa = turned if turns else draws.angles
         aoa[tangents.size:] = draws.tail_aoa  # onto itself where the beam never turns
-        aimed, row = None, []
-        for tx, rx in points:
-            if aimed is None or turns and tx.boresight_deg != aimed:
-                aimed = tx.boresight_deg
-                _aim(tangents, draws.ratios, relative, aimed,
+        done = {}
+        for key, (_, rx) in distinct.items():
+            # The first point aims whatever its tx part: an omni one is None.
+            if not done or key[0] != aimed:
+                aimed = key[0]
+                _aim(tangents, draws.ratios, aimed or 0.0,
                      aoa[:tangents.size].reshape(tangents.shape),
                      None if weighted is None else weighted[:tangents.size].reshape(tangents.shape))
                 if ranged:
@@ -350,8 +370,8 @@ def _grid(config: ScenarioConfig, stream_keys, points, reduce, spare: bool = Fal
             if directional:
                 power = _gain_in_place(rx, aoa, span, weighted, free)
                 power *= raw
-            row.append(reduce(draws, aoa, power, free))
-        results.append(row)
+            done[key] = reduce(draws, aoa, power, free)
+        results.append([done[key] for key in keys])
         del draws, raw, tangents, aoa, power  # the next key's draws replace these
     return results
 
@@ -366,13 +386,11 @@ def _realization_rows(config: ScenarioConfig):
     # that would change no bit (see antenna._gain_in_place).
     rows = _draw_rows(config, (), stacked=False)
     _, _, ratios = next(rows)
-    tx, rx = config.tx_pattern, config.rx_pattern
-    relative = tx.kind is not PatternKind.OMNI
-    directional = rx.kind is not PatternKind.OMNI
+    turn, rx = _steer(config.tx_pattern) or 0.0, config.rx_pattern
     for r, (kind, _, _, angles, powers) in enumerate(rows):
         if kind is SourceKind.CLUSTER:
-            _aim(angles, ratios[r], relative, tx.boresight_deg, angles)
-        if directional:
+            _aim(angles, ratios[r], turn, angles)
+        if _steer(rx) is not None:
             # The gain times the raw power, as reweight multiplies them.
             np.multiply(power_gain(rx, angles), powers, out=powers)
         yield angles, powers
@@ -386,7 +404,7 @@ def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
     ``paths.raw_power_lin`` itself (see :func:`run_realization`). Under a
     directional pattern, a NaN or +-inf angle gives a NaN power."""
     raw = weighted = paths.raw_power_lin
-    if rx_pattern.kind is not PatternKind.OMNI:
+    if _steer(rx_pattern) is not None:
         weighted = power_gain(rx_pattern, paths.aoa_deg)
         weighted *= raw
     return PathSet(paths.aoa_deg, raw, weighted, paths.sources)

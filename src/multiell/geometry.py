@@ -109,6 +109,19 @@ def _as_int(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _shown(value) -> str:
+    # repr(value), but words for an int of more than 40 digits, and for a
+    # tuple or list that holds one: hundreds of digits would bury the
+    # message, and past 4,300 the repr raises.
+    def long(x):
+        return isinstance(x, int) and abs(x) >= 10**40
+    if long(value):
+        return "an int of more than 40 digits"
+    if isinstance(value, (tuple, list)) and any(map(long, value)):
+        return f"a {type(value).__name__} holding an int of more than 40 digits"
+    return repr(value)
+
+
 def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
     """Eccentricity of the ellipse of each excess delay: the distance D over
     the total reflection path D + c * delay. Accepts a scalar or an array

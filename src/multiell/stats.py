@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .antenna import PatternKind
 from .engine import PathSet, ScenarioConfig, _grid, _realization_rows
 from .errors import BadAngle, BadBinWidth, BadPaths, ConfigError, NoPower
 from .geometry import _as_int, _floats, _number, _positive
@@ -295,18 +294,13 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
     1 for the tx axis and 2 for the rx axis. Every angle shares the trial's
     stream, so each trial is drawn once (``antenna.draw_aod_offsets``). Each
     distinct point is computed once per trial and its spread copied to the
-    rows that repeat it: a point is its (tx, rx) boresight pair after
-    wrapping, with an omni end's boresight left out, since nothing reads it.
-    So -180 and 180 are one point, and so are +0 and -0 (which the aim and
-    the gain treat alike), and an omni-receiver rx sweep computes one spread
-    per trial. The trials run the engine's one aim-and-weight loop, which
-    :func:`~multiell.engine.run_realization` runs at one key and one point:
-    a trial is aimed once, in the draws' own buffer, where the transmit
-    boresight never changes, and otherwise again at each new boresight into
-    a buffer of arrival angles. Besides the draws, a sweep
-    holds at most three path-sized buffers, allocated once: that one, the
-    weighted powers and the deviations, which share one buffer under an
-    omni receiver.
+    rows that repeat it, a point being what the engine's one aim-and-weight
+    loop (``engine._grid``) takes it to be: -180 and 180 are one point, and
+    an omni end's boresight is no part of one, so an omni-receiver rx sweep
+    computes one spread per trial. Besides the draws, a sweep holds at most
+    three path-sized buffers, allocated once: the arrival angles of a
+    turning beam, the weighted powers and the deviations, which share one
+    buffer under an omni receiver.
     """
     if not isinstance(axis, SweepAxis):
         raise ConfigError(f"axis must be a SweepAxis, got {axis!r}")
@@ -327,20 +321,12 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         points = [(replace(tx, boresight_deg=a), rx) for a in angles]
     else:
         points = [(tx, replace(rx, boresight_deg=a)) for a in angles]
-    # Each distinct point, first as it comes, and each angle's row among them.
-    # A point's key is its (tx, rx) boresights as the patterns hold them,
-    # wrapped, with None for an omni end; +0 and -0 compare and hash alike.
-    keys = [tuple(None if p.kind is PatternKind.OMNI else p.boresight_deg for p in point)
-            for point in points]
-    distinct = {}
-    for key, point in zip(keys, points):
-        distinct.setdefault(key, point)
-    slot = {key: k for k, key in enumerate(distinct)}
-    computed = _grid(config, [(_AXIS_CODE[axis], t) for t in range(trials)],
-                     list(distinct.values()),
+    computed = _grid(config, [(_AXIS_CODE[axis], t) for t in range(trials)], points,
                      lambda draws, aoa, power, free: _spread_in_place(aoa, power, free),
                      spare=True)
-    spreads = np.array([[trial[slot[key]] for trial in computed] for key in keys])
+    # Angle-major and C-contiguous: numpy sums the rows of a transposed table
+    # in another order, which would move the bits of the mean and std.
+    spreads = np.array(computed).T.copy()
     std = spreads.std(axis=1, ddof=1) if trials > 1 else np.zeros(len(angles))
     return SweepResult(axis=axis, angles_deg=np.array(angles),
                        tx_boresight_deg=np.array([tx_j.boresight_deg for tx_j, _ in points]),

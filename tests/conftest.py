@@ -1,3 +1,4 @@
+import inspect
 import os
 from pathlib import Path
 
@@ -44,7 +45,32 @@ def aim_draws(draws, boresight_deg, out):
     engine's loop, for an independent reference. ``out=draws.angles`` aims
     in the draws' own buffer and uses them up."""
     tangents = draws.tangents
-    _aim(tangents, draws.ratios, draws.relative, boresight_deg,
+    _aim(tangents, draws.ratios, boresight_deg if draws.relative else 0.0,
          out[:tangents.size].reshape(tangents.shape))
     out[tangents.size:] = draws.tail_aoa
     return out
+
+
+def spy(monkeypatch, module, name, note=None):
+    """Replace the function ``name`` of ``module``, for the test, with one
+    that forwards each call, and return the list of its calls in the order
+    they were made. Each entry is the call's arguments bound by name, with
+    the defaults filled in (a dict), appended as the call is made; given
+    ``note``, it is replaced once the call returns by ``note(arguments,
+    result)``, which can read buffers that the next call would overwrite."""
+    real = getattr(module, name)
+    signature = inspect.signature(real)
+    calls = []
+
+    def forward(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        k = len(calls)
+        calls.append(bound.arguments)
+        result = real(*args, **kwargs)
+        if note is not None:
+            calls[k] = note(bound.arguments, result)
+        return result
+
+    monkeypatch.setattr(module, name, forward)
+    return calls

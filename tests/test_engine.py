@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, sigma_from_hpbw
-from multiell.engine import (PathSet, ScenarioConfig, SourceKind, draw_realization, reweight,
-                             run_realization)
+from multiell.engine import (PathSet, ScenarioConfig, SourceKind, _grid, draw_realization,
+                             reweight, run_realization)
 from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
                                eccentricity_from_delay, wrap_degrees)
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
 from multiell.scattering import VonMisesParams, sample_von_mises
-from multiell.stats import _PAS_BLOCK, realization_pas, sweep_as
+from multiell.stats import _PAS_BLOCK, angular_spread, realization_pas, sweep_as
 
 from conftest import aim_draws
 
@@ -356,6 +356,24 @@ class TestValidation:
                 draw(scenario("A", "same", paths_per_cluster=20), key)
             assert f"got {key!r}" in str(caught.value)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: replace(scenario("A"), seed=10**400), "seed"),
+        (lambda: replace(scenario("A"), seed=10**300), "seed"),
+        (lambda: replace(scenario("A"), seed=-10**5000), "seed"),
+        (lambda: replace(scenario("A"), paths_per_cluster=10**400), "paths_per_cluster"),
+        (lambda: run_realization(scenario("A", "same", paths_per_cluster=20), (-10**400,)),
+         "stream_key"),
+        (lambda: draw_realization(scenario("A", "same", paths_per_cluster=20), [1, -10**400]),
+         "stream_key"),
+    ], ids=["seed", "seed-301-digits", "seed-5001-digits", "paths_per_cluster", "stream_key",
+            "stream_key-list"])
+    def test_a_long_int_is_named_in_short(self, make, name):
+        # Each printed every digit; past 4,300 digits the message itself
+        # raised a bare ValueError.
+        with pytest.raises(ConfigError, match=f"^{name} .*an int of more than 40 digits$") as caught:
+            make()
+        assert len(str(caught.value)) < 200
+
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.uint32(5)])
     def test_numpy_integer_seed_is_the_python_int(self, seed):
         cfg = scenario("A", "same", seed=5, paths_per_cluster=50)
@@ -672,6 +690,51 @@ class TestOmniReweight:
         with pytest.raises(TypeError):
             reweight(paths, rx, **{keyword: value})
         assert list(inspect.signature(reweight).parameters) == ["paths", "rx_pattern"]
+
+
+def with_boresights(cfg, tx_deg, rx_deg):
+    """The (tx, rx) point of ``cfg``'s patterns turned to these boresights."""
+    return (replace(cfg.tx_pattern, boresight_deg=tx_deg),
+            replace(cfg.rx_pattern, boresight_deg=rx_deg))
+
+
+class TestGridPoints:
+    # Points in sweep order with repeats: -180 and 180 are one boresight, +0
+    # and -0 are one, and an omni end's boresight is no part of a point.
+    KEYS = [(2, 0), (2, 1)]
+    BEAM = AntennaPattern.gaussian(30.0)
+    OMNI = AntennaPattern.omni()
+    CASES = {
+        "both-directional": (BEAM, BEAM, [(-180.0, 0.0), (180.0, -0.0), (0.0, 30.0),
+                                          (-0.0, 30.0), (180.0, 30.0), (-180.0, 0.0)], 3),
+        # the aim must run at the first point although its tx part is None
+        "omni-tx": (OMNI, BEAM, [(0.0, 20.0), (90.0, -180.0), (-90.0, 180.0), (45.0, 20.0),
+                                 (0.0, -60.0)], 3),
+        "omni-rx": (BEAM, OMNI, [(10.0, 0.0), (10.0, 45.0), (-170.0, 90.0), (190.0, 0.0)], 2),
+        "both-omni": (OMNI, OMNI, [(0.0, 0.0), (90.0, -90.0), (180.0, 45.0)], 1),
+    }
+
+    @pytest.mark.parametrize("spare", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_each_distinct_point_once_per_key_and_one_entry_per_point(self, case, spare):
+        tx, rx, boresights, distinct = self.CASES[case]
+        cfg = replace(scenario("A", seed=8, paths_per_cluster=30, rice_factor_db=3.0),
+                      tx_pattern=tx, rx_pattern=rx)
+        points = [with_boresights(cfg, t, r) for t, r in boresights]
+        reduced = []
+
+        def spread(draws, aoa, power, free):
+            reduced.append(1)
+            return angular_spread(PathSet(aoa, draws.raw_power_lin, power, draws.sources))
+
+        got = _grid(cfg, self.KEYS, points, spread, spare)
+        assert len(reduced) == distinct * len(self.KEYS)
+        assert [len(row) for row in got] == [len(points)] * len(self.KEYS)
+        for key, row in zip(self.KEYS, got):
+            for (point_tx, point_rx), value in zip(points, row):
+                expected = angular_spread(run_realization(
+                    replace(cfg, tx_pattern=point_tx, rx_pattern=point_rx), key))
+                assert value.hex() == expected.hex(), (key, point_tx, point_rx)
 
 
 class TestRealizationMemory:

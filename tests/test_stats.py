@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiell.antenna import AntennaPattern, PatternKind, _gain_in_place
+from multiell.antenna import AntennaPattern, PatternKind
 from multiell.cli import _fmt
-from multiell.engine import (PathSet, SourceKind, _aim, draw_realization, reweight,
-                             run_realization)
+from multiell.engine import PathSet, SourceKind, draw_realization, reweight, run_realization
 from multiell.errors import BadAngle, BadBinWidth, BadPaths, ConfigError, MultiellError, NoPower
 from multiell.geometry import wrap_degrees
 from multiell.presets import fig_presets, scenario
@@ -20,7 +19,7 @@ from multiell.scattering import VonMisesParams, von_mises_pdf, sample_von_mises
 from multiell.stats import (_PAS_BLOCK, SweepAxis, SweepResult, _bin_power, angular_spread,
                             estimate_pas, realization_pas, sweep_as)
 
-from conftest import aim_draws, make_pathset
+from conftest import aim_draws, make_pathset, spy
 
 UNIFORM_AS = 103.92304845413264  # 360 / sqrt(12)
 
@@ -744,16 +743,10 @@ class TestSpreadPrecision:
 
     def test_printed_spreads_equal_a_long_double_reference(self, monkeypatch):
         import multiell.stats
-        spread = multiell.stats._spread_in_place
-        points = []
-
-        def recording_spread(phi, power, deviation):
-            value = spread(phi, power, deviation)
-            points.append((value, one_pass_spread(phi, power),
-                           float(long_double_spread(phi, power))))
-            return value
-
-        monkeypatch.setattr(multiell.stats, "_spread_in_place", recording_spread)
+        points = spy(monkeypatch, multiell.stats, "_spread_in_place",
+                     note=lambda call, value: (
+                         value, one_pass_spread(call["phi"], call["power"]),
+                         float(long_double_spread(call["phi"], call["power"]))))
         n = self.ANGLES.size
         one_pass_misprints = 0
         for name, preset in sorted(fig_presets().items()):
@@ -851,6 +844,16 @@ class TestSweepEquivalence:
         result = sweep_as(cfg, axis, angles, trials=trials)
         assert_same_sweep(result, reference_sweep(cfg, axis, angles, trials))
 
+    def test_ten_trials_keep_the_row_means_and_deviations(self):
+        # From 8 trials up numpy sums a contiguous row in another order than
+        # the rows of a transposed table, so the mean and std have the bits
+        # of an angle-major, C-contiguous as_deg only.
+        cfg = scenario("A", "omni", alpha_t_deg=150.0, seed=11, paths_per_cluster=20)
+        angles = [-90.0, 0.0, 45.0, 180.0]
+        result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=10)
+        assert result.as_deg.flags.c_contiguous
+        assert_same_sweep(result, reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 10))
+
     @pytest.mark.parametrize("rx_b", [AntennaPattern.gaussian(12.0, boresight_deg=-75.0),
                                       AntennaPattern.omni()])
     def test_reweight_equals_realization(self, rx_b):
@@ -878,42 +881,32 @@ class TestSweepEquivalence:
         # buffer, and where the beam never turns (the rx sweep) each trial is
         # aimed in its draws' own buffer.
         import multiell.engine
-        weighted, aimed = [], []
-
-        def recording_gain(pattern, phi, span, out, scratch=None):
-            weighted.append((phi, out, scratch))
-            return _gain_in_place(pattern, phi, span, out, scratch)
-
-        def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
-            aimed.append((boresight_deg, tangents, out, scratch))
-            return _aim(tangents, ratios, relative, boresight_deg, out, scratch)
-
-        monkeypatch.setattr(multiell.engine, "_gain_in_place", recording_gain)
-        monkeypatch.setattr(multiell.engine, "_aim", recording_aim)
+        weighted = spy(monkeypatch, multiell.engine, "_gain_in_place")
+        aimed = spy(monkeypatch, multiell.engine, "_aim")
         cfg = scenario("A", "same", alpha_t_deg=30.0, paths_per_cluster=30, seed=4)
         sweep_as(cfg, axis, [-180.0, 180.0, 0.0], trials=2)
-        assert [b for b, *_ in aimed] == boresights * 2
+        assert [a["turn_deg"] for a in aimed] == boresights * 2
         assert len(weighted) == 4  # two points per trial: -180 is 180
-        _, out, scratch = weighted[0]
+        out, scratch = weighted[0]["out"], weighted[0]["scratch"]
         assert out is not None and scratch is not None and out is not scratch
-        assert all(o is out and s is scratch for _, o, s in weighted)
-        assert all(np.shares_memory(s, out) for *_, s in aimed)
+        assert all(w["out"] is out and w["scratch"] is scratch for w in weighted)
+        assert all(np.shares_memory(a["scratch"], out) for a in aimed)
         # the gain reads the angles the last aim wrote
         per_trial = len(weighted) // 2
-        for trial, (_, tangents, departures, _) in enumerate(aimed[::len(boresights)]):
-            angles = weighted[trial * per_trial][0]
-            assert all(p is angles for p, _, _ in weighted[trial * per_trial:][:per_trial])
-            assert np.shares_memory(departures, angles)
-            assert np.shares_memory(tangents, angles) == (axis is SweepAxis.RX_ORIENTATION)
+        for trial, a in enumerate(aimed[::len(boresights)]):
+            angles = weighted[trial * per_trial]["phi"]
+            assert all(w["phi"] is angles for w in weighted[trial * per_trial:][:per_trial])
+            assert np.shares_memory(a["out"], angles)
+            assert np.shares_memory(a["tangents"], angles) == (axis is SweepAxis.RX_ORIENTATION)
             assert not np.shares_memory(angles, out) and not np.shares_memory(angles, scratch)
         if axis is SweepAxis.TX_ORIENTATION:  # one buffer of arrival angles serves the sweep
-            assert weighted[0][0] is weighted[-1][0]
+            assert weighted[0]["phi"] is weighted[-1]["phi"]
         # An omni receiver weights nothing: no gain is computed.
         weighted.clear()
         aimed.clear()
         sweep_as(replace(cfg, rx_pattern=AntennaPattern.omni()), axis, [-180.0, 180.0, 0.0],
                  trials=2)
-        assert [b for b, *_ in aimed] == boresights * 2
+        assert [a["turn_deg"] for a in aimed] == boresights * 2
         assert weighted == []
 
     @pytest.mark.parametrize("axis, rx, alpha_r, angles, scans", [
@@ -931,13 +924,9 @@ class TestSweepEquivalence:
         # which bounds every aimed angle and, at boresight +-0, calls for no
         # wrap candidate; an omni receiver computes no gain at all.
         import multiell.engine
-        ranges = []
-
-        def recording_gain(pattern, phi, span, out, scratch=None):
-            ranges.append((span, (float(phi.min()), float(phi.max()))))
-            return _gain_in_place(pattern, phi, span, out, scratch)
-
-        monkeypatch.setattr(multiell.engine, "_gain_in_place", recording_gain)
+        ranges = spy(monkeypatch, multiell.engine, "_gain_in_place",
+                     note=lambda call, _: (call["span"], (float(call["phi"].min()),
+                                                          float(call["phi"].max()))))
         cfg = scenario("A", rx, alpha_t_deg=170.0, alpha_r_deg=alpha_r, paths_per_cluster=30,
                        seed=4)
         result = sweep_as(cfg, axis, angles, trials=2)
@@ -958,14 +947,7 @@ class TestSweepEquivalence:
         # four times each, and -0 is +0. An omni end's boresight is no part of
         # a point, so an omni-receiver rx sweep has one.
         import multiell.stats
-        spreads = []
-        real = multiell.stats._spread_in_place
-
-        def recording_spread(phi, power, deviation):
-            spreads.append(phi)
-            return real(phi, power, deviation)
-
-        monkeypatch.setattr(multiell.stats, "_spread_in_place", recording_spread)
+        spreads = spy(monkeypatch, multiell.stats, "_spread_in_place")
         cfg = scenario("B", rx, alpha_t_deg=150.0, alpha_r_deg=20.0, seed=7,
                        paths_per_cluster=40)
         angles = [*np.arange(-540.0, 541.0, 90.0), -0.0]
@@ -979,39 +961,23 @@ class TestSweepEquivalence:
         # no aim wraps one, even where the beam straddles the half turn.
         import multiell.engine
         import multiell.geometry
-        aims, wrapped = [], []
-        real_wrap = multiell.geometry.wrap_in_place
-
-        def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
-            before = len(wrapped)
-            _aim(tangents, ratios, relative, boresight_deg, out, scratch)
-            aims.append(len(wrapped) - before)
-            return out
-
-        def recording_wrap(angles):
-            wrapped.append(angles.shape)
-            return real_wrap(angles)
-
-        monkeypatch.setattr(multiell.engine, "_aim", recording_aim)
-        monkeypatch.setattr(multiell.geometry, "wrap_in_place", recording_wrap)
+        begun = spy(monkeypatch, multiell.engine, "_aim")
+        # each wrap notes how many aims had begun when it was made
+        wrapped = spy(monkeypatch, multiell.geometry, "wrap_in_place", note=lambda *_: len(begun))
         cfg = replace(scenario("D", "same", seed=2, paths_per_cluster=200),
                       tx_pattern=AntennaPattern.gaussian(9.0))
         angles = np.arange(-180.0, 181.0, 5.0)
         result = sweep_as(cfg, SweepAxis.TX_ORIENTATION, angles, trials=2)
         monkeypatch.undo()
+        # the wraps from the start of each aim to the start of the next
+        aims = [wrapped.count(k) for k in range(1, len(begun) + 1)]
         assert aims == [0] * (2 * len(first_of_each_point(cfg, SweepAxis.TX_ORIENTATION, angles)))
         assert_same_sweep(result, reference_sweep(cfg, SweepAxis.TX_ORIENTATION, angles, 2))
 
     def test_omni_tx_aims_once_per_trial(self, monkeypatch):
         # An omni transmitter's draws are the departures themselves.
         import multiell.engine
-        aimed = []
-
-        def recording_aim(tangents, ratios, relative, boresight_deg, out, scratch=None):
-            aimed.append(boresight_deg)
-            return _aim(tangents, ratios, relative, boresight_deg, out, scratch)
-
-        monkeypatch.setattr(multiell.engine, "_aim", recording_aim)
+        aimed = spy(monkeypatch, multiell.engine, "_aim")
         cfg = replace(fig_presets()["fig4-A"].config, tx_pattern=AntennaPattern.omni(),
                       paths_per_cluster=40, seed=6)
         angles = [-180.0, -90.0, 0.0, 45.0, 180.0, 400.0]
