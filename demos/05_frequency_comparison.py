@@ -1,11 +1,15 @@
-"""6 vs 60 GHz angular dispersion.
+"""6 vs 60 GHz angular dispersion, as the bundled presets pair them.
 
-The carrier band enters only through the delay spread (363 ns at 6 GHz,
-228 ns at 60 GHz): longer delay spread means rounder ellipses and wider
-arrival fans. With an omnidirectional receiver every matched 6 GHz pairing
-comes out above its 60 GHz counterpart; once a directional receiver filters
-the field, its beamwidth dominates and the frequency effect all but
-disappears.
+Each preset band sets two inputs at once: the delay spread (363 ns at 6 GHz,
+228 ns at 60 GHz; a longer one means rounder ellipses and wider arrival
+fans) and the antenna (A and B at 60 GHz, C and D at 6 GHz, whose
+beamwidths are printed last). So every column mixes beam width with delay
+spread, and a gap between a 6 GHz and a 60 GHz column measures the two
+together, not the band's delay spread alone. With an omnidirectional
+receiver each 6 GHz antenna reads above its 60 GHz counterpart (C above A,
+D above B); with the antenna at both ends the 6 GHz columns read below,
+where their beams are also the narrower ones. Telling the two causes apart
+takes configs that differ in one of them only.
 """
 
 from multiell.presets import ANTENNAS, scenario

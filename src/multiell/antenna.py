@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidHpbw, MultiellError
-from .geometry import _floats, _number, wrap_degrees
+from .geometry import _PAS_BLOCK, _floats, _number, wrap_degrees
 
 _HALF_POWER_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # ~2.3548
 
@@ -179,5 +179,14 @@ def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
             raise MultiellError(f"departure draws still beyond 180 degrees after"
                                 f" {_MAX_REDRAW_ROUNDS} redraw rounds")
         rounds += 1
-        bad = np.abs(out) > 180.0
-        out[bad] = sigma * rng.standard_normal(int(bad.sum()))
+        # Each offset beyond +-180, found by two comparisons (no float
+        # temporary of |out|), is drawn again, a block at a time in path
+        # order: numpy draws each normal in turn from the stream, so the
+        # blocks take the doubles of one pass over the whole array, and no
+        # temporary is longer than a block.
+        for start in range(0, out.size, _PAS_BLOCK):
+            block = out[start:start + _PAS_BLOCK]
+            bad = np.flatnonzero((block > 180.0) | (block < -180.0))
+            redrawn = rng.standard_normal(bad.size)
+            redrawn *= sigma
+            block[bad] = redrawn

@@ -21,8 +21,8 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import (DEGENERATE_DELAY_S, _as_int, _half_angle_ratio, _number, _positive,
-                       _shown, eccentricity_from_delay)
+from .geometry import (DEGENERATE_DELAY_S, _PAS_BLOCK, _as_int, _half_angle_ratio, _number,
+                       _positive, _shown, eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -30,9 +30,9 @@ _MAX_SEED = 2**64
 # 5x the densest benchmark run; with the bundled profile that is 23M paths,
 # 184 MB per float array. run_realization holds two such arrays, three aimed
 # off 0 or under a directional rx, four while that rx's gain takes a wrap
-# candidate; a `pas` run (stats.realization_pas) holds
-# none: it reduces one source row at a time, in two row buffers of 8 MB each,
-# with the binner's few row-sized temporaries.
+# candidate; a `pas` run (stats.realization_pas) holds none: it reduces one
+# source row at a time, in two row buffers of 8 MB each, and its other
+# temporaries are a block of paths long (see _realization_rows).
 _MAX_PATHS_PER_CLUSTER = 1_000_000
 
 
@@ -126,15 +126,15 @@ class Draws:
     ``angles`` has an entry per path. Its head, ``tangents``, is a view with
     one row of ``paths_per_cluster`` entries per geometric cluster: the
     half-angle tangent tan(o / 2) of each departure draw o, taken one
-    ``tan`` per path when drawn; o is relative to the boresight if
-    ``relative`` (an omni transmitter's o is the departure itself). Its
-    tail, ``tail_aoa``, holds the arrival angles of local scattering, then
-    of the direct path under a Rice factor. ``ratios`` has one row per
-    cluster, (1 - e) / (1 + e) for its eccentricity e. ``raw_power_lin``
-    and ``sources`` are laid out as in :class:`PathSet`.
+    ``tan`` per path when drawn; o is relative to the boresight of a
+    directional transmitter and is the departure itself under an omni one,
+    so the draws turn by ``_steer(tx) or 0.0``. Its tail, ``tail_aoa``,
+    holds the arrival angles of local scattering, then of the direct path
+    under a Rice factor. ``ratios`` has one row per cluster, (1 - e) /
+    (1 + e) for its eccentricity e. ``raw_power_lin`` and ``sources`` are
+    laid out as in :class:`PathSet`.
     """
 
-    relative: bool
     angles: np.ndarray
     tangents: np.ndarray
     ratios: np.ndarray
@@ -166,9 +166,8 @@ def draw_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -
     raw, angles, ratios = next(rows)
     sources = tuple((kind, tap, paths) for kind, tap, paths, _, _ in rows)
     n = config.paths_per_cluster
-    return Draws(relative=_steer(config.tx_pattern) is not None, angles=angles,
-                 tangents=angles[:ratios.size * n].reshape(ratios.size, n), ratios=ratios,
-                 raw_power_lin=raw, sources=sources)
+    return Draws(angles=angles, tangents=angles[:ratios.size * n].reshape(ratios.size, n),
+                 ratios=ratios, raw_power_lin=raw, sources=sources)
 
 
 def _draw_rows(config: ScenarioConfig, stream_key, stacked: bool):
@@ -380,19 +379,32 @@ def _realization_rows(config: ScenarioConfig):
     # run_realization(config) a source row at a time, in two reused row
     # buffers: yields each row's (angles, powers) in path order, one per
     # entry of PathSet.sources, as views of the buffers that the next row
-    # overwrites: its arrival angles and its power_lin. The bits are
-    # run_realization's: the aim and the gain act element by element, and a
-    # row's own angle span, within the whole realization's, skips only work
-    # that would change no bit (see antenna._gain_in_place).
+    # overwrites: its arrival angles and its power_lin. Each row is aimed and
+    # weighted _PAS_BLOCK paths at a time, in two block-sized buffers, the
+    # gain (which first takes the aim's denominator) and the gain's wrap
+    # candidate, freed before the row is yielded so that neither is held
+    # while the row is binned. The bits are run_realization's: the aim and
+    # the gain act element by element, and a block's own angle span, within
+    # the whole realization's, skips only work that would change no bit (see
+    # antenna._gain_in_place). The gain times the raw power, as reweight
+    # multiplies them.
     rows = _draw_rows(config, (), stacked=False)
     _, _, ratios = next(rows)
     turn, rx = _steer(config.tx_pattern) or 0.0, config.rx_pattern
+    directional = _steer(rx) is not None
     for r, (kind, _, _, angles, powers) in enumerate(rows):
-        if kind is SourceKind.CLUSTER:
-            _aim(angles, ratios[r], turn, angles)
-        if _steer(rx) is not None:
-            # The gain times the raw power, as reweight multiplies them.
-            np.multiply(power_gain(rx, angles), powers, out=powers)
+        aimed = kind is SourceKind.CLUSTER
+        if aimed or directional:
+            gain, scratch = np.empty((2, min(angles.size, _PAS_BLOCK)))
+            for start in range(0, angles.size, _PAS_BLOCK):
+                a = angles[start:start + _PAS_BLOCK]
+                g, s = gain[:a.size], scratch[:a.size]
+                if aimed:
+                    _aim(a, ratios[r], turn, a, g)
+                if directional:
+                    _gain_in_place(rx, a, (float(a.min()), float(a.max())), g, s)
+                    powers[start:start + _PAS_BLOCK] *= g
+            del gain, scratch, g, s
         yield angles, powers
 
 

@@ -33,6 +33,13 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 # (eccentricity -> 1); such clusters belong to the local-scattering component.
 DEGENERATE_DELAY_S = 1e-10
 
+# Paths per block wherever a row of paths is worked one block at a time (the
+# departure redraw rounds, the von Mises draws, the streamed PAS route's aim
+# and gain, and the PAS binner, which raises it to the bin count where that
+# is larger): each block's temporaries stay a few hundred kB, whatever the
+# row's length.
+_PAS_BLOCK = 2**15
+
 
 def wrap_in_place(angles: np.ndarray) -> np.ndarray:
     """Wrap a C-contiguous float array into (-180, 180] in place, exactly,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KappaOutOfRange
-from .geometry import _floats, _number, wrap_degrees, wrap_in_place
+from .geometry import _PAS_BLOCK, _floats, _number, wrap_degrees, wrap_in_place
 
 _KAPPA_MAX = 500.0
 
@@ -54,17 +54,23 @@ def von_mises_pdf(phi_deg, params: VonMisesParams):
 
 def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
                      out: np.ndarray) -> None:
-    """Fill ``out``, a C-contiguous float array, with azimuths in degrees,
+    """Fill ``out``, a C-contiguous 1-D float array, with azimuths in degrees,
     wrapped to (-180, 180], drawn from the von Mises distribution about
     ``params.mu_deg`` (degrees).
 
     numpy's :meth:`~numpy.random.Generator.vonmises` draws the offsets in
     radians about 0 with Best and Fisher's (1979) wrapped-Cauchy rejection
     sampler (uniform for kappa below 1e-8, a series for its constant below
-    1e-5); they are then turned into degrees and shifted by the mean.
+    1e-5); they are then turned into degrees and shifted by the mean. They
+    are drawn ``_PAS_BLOCK`` at a time: numpy draws each one in turn from the
+    stream, so the blocks give the doubles, and leave the generator in the
+    state, of one call for them all, and no temporary is longer than a block.
     """
     # + 0.0 makes a kappa of -0.0 (which passes the check >= 0) +0.0:
     # numpy rejects a negative sign bit, and changes no other kappa.
-    np.degrees(rng.vonmises(0.0, params.kappa + 0.0, out.size), out=out)
+    kappa = params.kappa + 0.0
+    for start in range(0, out.size, _PAS_BLOCK):
+        block = out[start:start + _PAS_BLOCK]
+        np.degrees(rng.vonmises(0.0, kappa, block.size), out=block)
     out += params.mu_deg
     wrap_in_place(out)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .engine import PathSet, ScenarioConfig, _grid, _realization_rows
 from .errors import BadAngle, BadBinWidth, BadPaths, ConfigError, NoPower
-from .geometry import _as_int, _floats, _number, _positive
+from .geometry import _PAS_BLOCK, _as_int, _floats, _number, _positive
 
 
 class SweepAxis(enum.Enum):
@@ -28,10 +28,6 @@ DEFAULT_BIN_WIDTH_DEG = 1.0
 
 # 0.0001-degree bins; the bin edges alone then take 29 MB.
 _MAX_PAS_BINS = 3_600_000
-
-# Paths per block of the PAS reduction, raised to the bin count where that is
-# larger: each block's temporaries stay a few hundred kB at 0.1-degree bins.
-_PAS_BLOCK = 2**15
 
 # Half the band, in bins, around each PAS bin edge inside which
 # numpy.histogram's two comparisons against the edges settle an angle's bin.
@@ -191,10 +187,10 @@ def realization_pas(config: ScenarioConfig,
     """``estimate_pas(run_realization(config), bin_width_deg)``, bit for bit,
     holding no path-sized array where that holds two or three: each source
     row of the realization is drawn, aimed and weighted in two reused row
-    buffers, and binned and summed as it comes, the row being the source
-    that ``estimate_pas`` reduces. Raises ``BadBinWidth`` as
-    ``estimate_pas`` does, before any draw, and ``NoPower`` for a total
-    that is not positive.
+    buffers, with temporaries a block of paths long, and binned and summed
+    as it comes, the row being the source that ``estimate_pas`` reduces.
+    Raises ``BadBinWidth`` as ``estimate_pas`` does, before any draw, and
+    ``NoPower`` for a total that is not positive.
     """
     edges = _pas_edges(bin_width_deg)
     return _pas(lambda: _realization_rows(config), edges, bin_width_deg)
@@ -249,16 +245,17 @@ def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width:
     lo = edges[0]
     block = max(_PAS_BLOCK, n_bins)
     scale = 1.0 / width
-    q, k = np.empty((2, min(block, angles.size)))
+    q = np.empty(min(block, angles.size))
     idx = np.empty(q.size, dtype=np.intp)
     for start in range(0, angles.size, block):
         x, w = angles[start:start + block], powers[start:start + block]
-        qb, kb, ib = q[:x.size], k[:x.size], idx[:x.size]
+        qb, ib = q[:x.size], idx[:x.size]
         np.subtract(x, lo, out=qb)
         qb *= scale
-        np.floor(qb, out=kb)
-        np.copyto(ib, kb, casting="unsafe")
-        qb -= kb  # the fractional part, exactly
+        # q >= 0, as x >= lo: the cast truncates it to its floor, and taking
+        # that back leaves the fractional part, exactly.
+        np.copyto(ib, qb, casting="unsafe")
+        qb -= ib
         near = np.flatnonzero((qb < _EDGE_BAND) | (qb > 1.0 - _EDGE_BAND))
         if near.size:
             # Only here can the floor be a bin off, or be n_bins at x == hi.

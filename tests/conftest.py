@@ -38,15 +38,16 @@ def make_pathset(aoa_deg, power_lin):
     return PathSet(aoa, p, p, ((SourceKind.CLUSTER, 1, slice(0, aoa.size)),))
 
 
-def aim_draws(draws, boresight_deg, out):
+def aim_draws(draws, turn_deg, out):
     """Write into ``out``, a float array with one entry per path, the arrival
-    angles that ``draws`` give with the transmit beam turned to
-    ``boresight_deg``, and return ``out``: the aim alone, apart from the
-    engine's loop, for an independent reference. ``out=draws.angles`` aims
-    in the draws' own buffer and uses them up."""
+    angles that ``draws`` give turned by ``turn_deg``, and return ``out``:
+    the aim alone, apart from the engine's loop, for an independent
+    reference. The turn is taken as ``_aim`` takes it: a directional
+    transmitter's boresight, and 0.0 under an omni one (``_steer(tx) or
+    0.0``). ``out=draws.angles`` aims in the draws' own buffer and uses them
+    up."""
     tangents = draws.tangents
-    _aim(tangents, draws.ratios, boresight_deg if draws.relative else 0.0,
-         out[:tangents.size].reshape(tangents.shape))
+    _aim(tangents, draws.ratios, turn_deg, out[:tangents.size].reshape(tangents.shape))
     out[tangents.size:] = draws.tail_aoa
     return out
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, sigma_from_hpbw
-from multiell.engine import (PathSet, ScenarioConfig, SourceKind, _grid, draw_realization,
-                             reweight, run_realization)
+from multiell.engine import (PathSet, ScenarioConfig, SourceKind, _grid, _steer,
+                             draw_realization, reweight, run_realization)
 from multiell.errors import ConfigError, MultiellError
 from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
                                eccentricity_from_delay, wrap_degrees)
@@ -452,7 +452,6 @@ class TestDrawStage:
         u = local.random(n)
         share = float(taps[0])  # the auto share is the routed tap's power
         assert draws.raw_power_lin[-n:].tobytes() == (u * (share / u.sum())).tobytes()
-        assert draws.relative == (cfg.tx_pattern.hpbw_deg is not None)
         assert redrawn == (cfg.tx_pattern.hpbw_deg == 330.0)
 
 
@@ -486,9 +485,10 @@ class TestAimStage:
     def test_in_place_equals_new_array(self, cfg):
         fresh_draws = draw_realization(cfg)
         fresh = np.empty(fresh_draws.angles.size)
-        expected = aim_draws(fresh_draws, cfg.tx_pattern.boresight_deg, fresh)
+        turn = _steer(cfg.tx_pattern) or 0.0
+        expected = aim_draws(fresh_draws, turn, fresh)
         draws = draw_realization(cfg)
-        got = aim_draws(draws, cfg.tx_pattern.boresight_deg, draws.angles)
+        got = aim_draws(draws, turn, draws.angles)
         assert expected is fresh and got is draws.angles
         assert got.tobytes() == expected.tobytes()
         assert got.tobytes() == run_realization(cfg).aoa_deg.tobytes()
@@ -503,7 +503,7 @@ class TestAimStage:
         drawn, other = replace(base, ds_s=50e-9), replace(base, ds_s=700e-9)
         draws = replace(draw_realization(drawn), ratios=draw_realization(other).ratios)
         expected = run_realization(other)
-        got = aim_draws(draws, tx.boresight_deg, np.empty(draws.angles.size))
+        got = aim_draws(draws, _steer(tx) or 0.0, np.empty(draws.angles.size))
         assert got.tobytes() == expected.aoa_deg.tobytes()
         assert draws.raw_power_lin.tobytes() == expected.raw_power_lin.tobytes()
 
@@ -523,13 +523,14 @@ def cluster_eccentricities(cfg):
     return eccentricity_from_delay(geometric, cfg.txrx_distance_m).reshape(-1, 1)
 
 
-def always_wrapping_aim(draws, boresight_deg, eccentricities):
-    """The arrival angles of ``draws`` at ``boresight_deg`` by tangent
-    addition with every pass always run: the quotient even where the
-    boresight's half-angle tangent is 0, and the wrap of every arrival into
-    (-180, 180]; the ratio is taken from the eccentricities."""
+def always_wrapping_aim(draws, turn_deg, eccentricities):
+    """The arrival angles of ``draws`` turned by ``turn_deg`` (as
+    ``aim_draws`` takes it) by tangent addition with every pass always run:
+    the quotient even where the turn's half-angle tangent is 0, and the wrap
+    of every arrival into (-180, 180]; the ratio is taken from the
+    eccentricities."""
     t = draws.tangents
-    t_b = math.tan(boresight_deg * (math.pi / 360.0)) if draws.relative else 0.0
+    t_b = math.tan(turn_deg * (math.pi / 360.0))
     ratio = (1.0 - eccentricities) / (1.0 + eccentricities)
     with np.errstate(divide="ignore"):
         out = np.arctan(ratio * ((t + t_b) / (1.0 - t_b * t))) * (360.0 / math.pi)
@@ -583,9 +584,10 @@ class TestAimSkips:
     def test_bitwise_equal_to_always_wrapping_aim(self, name, boresight):
         cfg = self.CONFIGS[name]
         draws = draw_realization(cfg)
-        expected = always_wrapping_aim(draws, boresight, cluster_eccentricities(cfg))
+        turn = boresight if _steer(cfg.tx_pattern) is not None else 0.0
+        expected = always_wrapping_aim(draws, turn, cluster_eccentricities(cfg))
         out = np.full(draws.angles.size, np.nan)
-        assert aim_draws(draws, boresight, out).tobytes() == expected.tobytes()
+        assert aim_draws(draws, turn, out).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("boresight", EDGE_BORESIGHTS)
     def test_departures_on_the_half_turn(self, boresight):
@@ -621,8 +623,9 @@ class TestAimSkips:
         draws = draw_realization(cfg)
         draws.tangents[:, 0] = np.tan(-0.0)
         draws.tangents[:, 1] = np.tan(0.0)
-        got = aim_draws(draws, boresight, np.full(draws.angles.size, np.nan))
-        assert aim_draws(draws, boresight, draws.angles).tobytes() == got.tobytes()
+        turn = boresight if _steer(cfg.tx_pattern) is not None else 0.0
+        got = aim_draws(draws, turn, np.full(draws.angles.size, np.nan))
+        assert aim_draws(draws, turn, draws.angles).tobytes() == got.tobytes()
         zeros = got[:draws.tangents.size].reshape(draws.tangents.shape)[:, :2]
         assert (zeros == 0.0).all()
         assert np.signbit(zeros[:, 0]).all() and not np.signbit(zeros[:, 1]).any()
@@ -658,7 +661,7 @@ class TestAimAccuracy:
         worst = 0.0
         with mp.workdps(40):
             ratios = [mp.mpf(float(r)) for r in draws.ratios[:, 0]]
-            for boresight in self.BORESIGHTS if draws.relative else [0.0]:
+            for boresight in self.BORESIGHTS if _steer(tx) is not None else [0.0]:
                 got = aim_draws(draws, boresight, out)[:offsets.size].reshape(offsets.shape)
                 assert np.all((got > -180.0) & (got <= 180.0)), boresight
                 for r, row, arrivals in zip(ratios, offsets, got):
@@ -795,6 +798,34 @@ class TestRealizationMemory:
         # row, not with the cluster count: 4 rows and the binner's 3 buffers.
         cfg = replace(fig_presets()[name].config, paths_per_cluster=paths_per_cluster, **changes)
         bound = 4 * 8 * paths_per_cluster + 3 * 8 * min(paths_per_cluster, _PAS_BLOCK)
+        realization_pas(cfg, 0.1)  # first call outside the trace: caches and imports
+        tracemalloc.start()
+        try:
+            realization_pas(cfg, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    WIDE_TX = replace(fig_presets()["fig4-A"].config,
+                      tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0))
+
+    @pytest.mark.parametrize("paths_per_cluster", [20_000, 70_000, 200_000])
+    @pytest.mark.parametrize("cfg", [
+        replace(fig_presets()["fig2-C-omni"].config, rice_factor_db=6.0),
+        fig_presets()["fig4-A"].config, fig_presets()["fig8-A"].config, WIDE_TX,
+    ], ids=["fig2-C-omni-rice-6", "fig4-A", "fig8-A", "wide-tx"])
+    def test_pas_route_holds_two_rows_and_block_sized_temporaries(self, cfg, paths_per_cluster):
+        # Beside its row of angles and row of powers, the streamed PAS holds
+        # only temporaries a block of _PAS_BLOCK paths long, or the row where
+        # that is shorter: the von Mises draws', the aim's and the gain's
+        # (freed before the row is binned), and the binner's. At 0.1-degree
+        # bins, 2.75-2.94 blocks traced above the two rows. A row-sized aim
+        # denominator, von Mises draw, gain array and |offset| temporary,
+        # with a third binner buffer for the floor, gave 3.75-7.95 (7.95: the
+        # 330-degree beam's redraw rounds at 200,000 paths).
+        cfg = replace(cfg, paths_per_cluster=paths_per_cluster)
+        bound = 8 * (2 * paths_per_cluster + 3.5 * min(paths_per_cluster, _PAS_BLOCK))
         realization_pas(cfg, 0.1)  # first call outside the trace: caches and imports
         tracemalloc.start()
         try:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from multiell.errors import ConfigError, KappaOutOfRange
-from multiell.geometry import wrap_degrees
+from multiell.geometry import _PAS_BLOCK, wrap_degrees
 from multiell.scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 
 
@@ -136,6 +136,18 @@ class TestSampleVonMises:
     def test_wrapped_interval(self, rng):
         draws = draw(VonMisesParams(mu_deg=179.0, kappa=5.0), rng, 20_000)
         assert np.all(draws > -180.0) and np.all(draws <= 180.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-6, 10.0, 500.0])
+    def test_blocks_give_the_one_call_bits_and_state(self, kappa):
+        # Two blocks of _PAS_BLOCK draws and one more: the doubles of one
+        # vonmises call for them all, and the generator left in its state.
+        params = VonMisesParams(mu_deg=170.0, kappa=kappa)
+        n = 2 * _PAS_BLOCK + 1
+        rng, reference = np.random.default_rng(21), np.random.default_rng(21)
+        got = draw(params, rng, n)
+        offsets = np.degrees(reference.vonmises(0.0, kappa, n))
+        assert got.tobytes() == wrap_degrees(params.mu_deg + offsets).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_deterministic_under_seed(self):
         params = VonMisesParams(mu_deg=-20.0, kappa=7.0)

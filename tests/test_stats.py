@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from multiell.antenna import AntennaPattern, PatternKind
 from multiell.cli import _fmt
-from multiell.engine import PathSet, SourceKind, draw_realization, reweight, run_realization
+from multiell.engine import (PathSet, SourceKind, _steer, draw_realization, reweight,
+                             run_realization)
 from multiell.errors import BadAngle, BadBinWidth, BadPaths, ConfigError, MultiellError, NoPower
 from multiell.geometry import wrap_degrees
 from multiell.presets import fig_presets, scenario
@@ -570,6 +571,28 @@ class TestRealizationPas:
                       rice_factor_db=6.0)
         assert same_spectrum(realization_pas(cfg, 0.1), estimate_pas(run_realization(cfg), 0.1))
 
+    @pytest.mark.parametrize("cfg, wraps", [
+        (fig_presets()["fig4-A"].config, {False}),
+        (replace(fig_presets()["fig8-A"].config, rx_pattern=replace(
+            fig_presets()["fig8-A"].config.rx_pattern, boresight_deg=150.0)), {False, True}),
+        (replace(fig_presets()["fig4-A"].config,
+                 tx_pattern=AntennaPattern.gaussian(330.0, boresight_deg=120.0)), {False}),
+    ], ids=["fig4-A", "fig8-A-rx-150", "wide-tx-120"])
+    def test_rows_of_three_blocks(self, monkeypatch, cfg, wraps):
+        # 70,000-path rows: two whole blocks of _PAS_BLOCK paths and a part,
+        # each aimed and weighted over its own angle span. With the rx at
+        # 150 degrees the gain takes the wrap candidate in some blocks only;
+        # the 330-degree tx beam draws offsets again in redraw rounds.
+        import multiell.engine
+        cfg = replace(cfg, paths_per_cluster=70_000)
+        expected = estimate_pas(run_realization(cfg), 0.1)
+        spans = spy(monkeypatch, multiell.engine, "_gain_in_place",
+                    note=lambda arguments, _: arguments["span"])
+        assert same_spectrum(realization_pas(cfg, 0.1), expected)
+        assert len(spans) == 23 * 3  # 22 geometric taps and local scattering
+        b = cfg.rx_pattern.boresight_deg
+        assert {lo - b < -180.0 or hi - b > 180.0 for lo, hi in spans} == wraps
+
     def fig2_d(self, hpbw, boresight):
         cfg = fig_presets()["fig2-D"].config
         return replace(cfg, rx_pattern=replace(cfg.rx_pattern, hpbw_deg=hpbw,
@@ -798,7 +821,7 @@ def reference_sweep(config, axis, angles_deg, trials):
         cfg = replace(config, **{end: replace(getattr(config, end), boresight_deg=angle)})
         for trial in range(trials):
             draws = draw_realization(cfg, (code, trial))
-            aoa = aim_draws(draws, cfg.tx_pattern.boresight_deg, np.empty(draws.angles.size))
+            aoa = aim_draws(draws, _steer(cfg.tx_pattern) or 0.0, np.empty(draws.angles.size))
             raw = draws.raw_power_lin
             paths = reweight(PathSet(aoa, raw, raw, draws.sources), cfg.rx_pattern)
             row[trial] = angular_spread(paths)
