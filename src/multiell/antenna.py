@@ -32,7 +32,7 @@ class PatternKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AntennaPattern:
-    kind: PatternKind
+    kind: PatternKind = PatternKind.OMNI
     gain_dbi: float = 0.0
     hpbw_deg: float | None = None
     boresight_deg: float = 0.0

@@ -161,25 +161,17 @@ def config_to_mapping(cfg: ScenarioConfig) -> dict[str, str]:
     return out
 
 
-def _pattern(m: dict[str, str], end: str) -> AntennaPattern:
-    fields = _section(m, end)
-    return AntennaPattern(fields.pop("kind", PatternKind.OMNI), **fields)
-
-
 def mapping_to_config(m: dict[str, str]) -> ScenarioConfig:
     unknown = sorted(set(m) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     scenario = _section(m, "scenario")
     if "ds_s" not in scenario:
-        band = scenario.get("frequency_label", "")
-        if band not in DS_BY_BAND:
-            raise ConfigError("scenario.ds_s is required")
-        scenario["ds_s"] = DS_BY_BAND[band]
+        raise ConfigError("scenario.ds_s is required")
     return ScenarioConfig(
         pdp=resolve_pdp(m.get("pdp.source", BUILTIN_NLOS)),
-        tx_pattern=_pattern(m, "tx"),
-        rx_pattern=_pattern(m, "rx"),
+        tx_pattern=AntennaPattern(**_section(m, "tx")),
+        rx_pattern=AntennaPattern(**_section(m, "rx")),
         local_scattering=VonMisesParams(**_section(m, "local_scattering")),
         **scenario,
     )

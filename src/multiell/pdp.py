@@ -110,7 +110,7 @@ def load_pdp(path: str | Path) -> NormalizedPdp:
 def builtin_nlos_profile() -> NormalizedPdp:
     """The bundled NLOS profile (3GPP TR 38.901 Table 7.7.2-2 transcription)."""
     text = resources.files("multiell.data").joinpath("nlos_3gpp.pdp").read_text("utf-8")
-    return loads_pdp(text, default_name="nlos3gpp")
+    return loads_pdp(text)
 
 
 def resolve_pdp(source: str) -> NormalizedPdp:

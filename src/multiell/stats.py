@@ -40,7 +40,7 @@ _MAX_PAS_BINS = 3_600_000
 # margin above 100x. So every bin holds exactly numpy.histogram's angles.
 _EDGE_BAND = 1e-6
 
-# Path-power totals taken as they are; see _total_power.
+# Path-power totals taken as they are; see _in_range.
 _MIN_TOTAL_POWER = 1e-300
 _MAX_TOTAL_POWER = 1e300
 
@@ -74,23 +74,14 @@ class SweepResult:
     as_deg: np.ndarray
 
 
-def _total_power(power_lin: np.ndarray) -> tuple[np.ndarray, float]:
-    # The powers and their total, which must be positive. A total outside
-    # [_MIN_TOTAL_POWER, _MAX_TOTAL_POWER] is taken again over the powers
-    # divided by the largest (a copy): finite and >= 0 (_require_paths),
-    # they sum to between 1 and the path count, so none is rescaled twice.
-    # Inside the range the spread's weighted sums, at most 360**2 times the
-    # total, and the PAS norm, the total times a bin width of at least 1e-4,
-    # neither overflow nor underflow.
-    total = power_lin.sum()
-    if _in_range(total):
-        return power_lin, total
-    return _total_power(power_lin / power_lin.max())
-
-
 def _in_range(total: float) -> bool:
-    # Whether a path-power total is taken as it is (see _total_power);
-    # NoPower if it is not positive.
+    # Whether a path-power total is taken as it is; NoPower if it is not
+    # positive. A total outside [_MIN_TOTAL_POWER, _MAX_TOTAL_POWER] is taken
+    # again over the powers divided by the largest: finite and >= 0
+    # (_require_paths), they sum to between 1 and the path count, so none is
+    # rescaled twice. Inside the range the spread's weighted sums, at most
+    # 360**2 times the total, and the PAS norm, the total times a bin width
+    # of at least 1e-4, neither overflow nor underflow.
     if not total > 0.0:  # NaN fails this too
         raise NoPower(f"total path power is {total}")
     return _MIN_TOTAL_POWER <= total <= _MAX_TOTAL_POWER
@@ -139,7 +130,7 @@ def angular_spread(paths: PathSet) -> float:
     second central moment of the arrival angles, taken linearly on
     (-180, 180] (no circular statistics; the wrap artifact at +-180 is part
     of the definition). Takes one path-sized temporary; the precision
-    arguments are at ``_spread_in_place`` and ``_total_power``. Paths that
+    arguments are at ``_spread_in_place`` and ``_in_range``. Paths that
     break :class:`~multiell.engine.PathSet`'s contract for user paths raise
     as it states; so does a total power that is not positive (``NoPower``).
     """
@@ -155,7 +146,11 @@ def _spread_in_place(phi: np.ndarray, power: np.ndarray, deviation: np.ndarray) 
     # second moment against the squared mean, and its second sum adds
     # products of non-negative weights and squares, so it is never negative.
     # np.einsum calls no BLAS, so no thread count sets its summation order.
-    power, total = _total_power(power)
+    # A total out of range (_in_range) runs it again over the powers divided
+    # by the largest (a copy).
+    total = power.sum()
+    if not _in_range(total):
+        return _spread_in_place(phi, power / power.max(), deviation)
     mean = np.einsum("i,i->", power, phi) / total
     np.subtract(phi, mean, out=deviation)
     np.square(deviation, out=deviation)
@@ -169,7 +164,7 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     3,600,000 bins, or ``BadBinWidth`` is raised; then paths that break
     :class:`~multiell.engine.PathSet`'s contract for user paths raise as it
     states, and a total power that is not positive raises ``NoPower`` (see
-    ``_total_power`` for totals near the limits). The bins are
+    ``_in_range`` for totals near the limits). The bins are
     ``numpy.histogram``'s for the edges ``-180 + k * bin_width_deg``, exactly
     (see ``_EDGE_BAND``), and every path falls in one. The paths are
     reduced source by source, in ``paths.sources`` order: each bin's power
@@ -203,7 +198,7 @@ def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
     # with finite powers >= 0 (see _require_paths). Each piece is
     # binned into the per-bin sums and its ndarray.sum added to the total as
     # it passes; its largest power is kept. A total out of range
-    # (_total_power) is reduced again from a second stream() over the powers
+    # (_in_range) is reduced again from a second stream() over the powers
     # divided by the largest, which total between 1 and the path count, so
     # once; this pass's sums and last row go first, to hold no more than it.
     sums = np.zeros(edges.size - 1)

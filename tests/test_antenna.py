@@ -362,6 +362,15 @@ def test_parameter_default_is_the_field_default(function, parameter, field):
     assert inspect.signature(function).parameters[parameter].default == defaults[field]
 
 
+def test_default_pattern_is_omni_at_0_dbi():
+    # The record holds the kind's default; a config file's end without a
+    # kind key takes it from here.
+    pattern = AntennaPattern()
+    assert pattern == AntennaPattern.omni() == AntennaPattern(PatternKind.OMNI)
+    assert (pattern.kind, pattern.gain_dbi, pattern.hpbw_deg, pattern.boresight_deg) == \
+        (PatternKind.OMNI, 0.0, None, 0.0)
+
+
 def departures(pattern, rng, size):
     """Departure angles: the engine's offsets turned to the boresight and
     wrapped into (-180, 180]."""

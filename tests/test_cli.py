@@ -529,6 +529,50 @@ class TestConfigKeys:
         assert "scenario.ds_s: cannot parse 'abc'" in capsys.readouterr().err
 
 
+class TestConfigInputs:
+    def test_line_without_equals_exits_1_naming_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("scenario.ds_s = 1e-7\nbogus line\n", encoding="utf-8")
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{cfg}:2: expected 'key = value', got 'bogus line'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_neither_config_nor_preset_exits_2(self, tmp_path, capsys):
+        assert main(["pas", "--out", str(tmp_path / "pas.csv")]) == 2
+        assert "one of --config or --preset is required" in capsys.readouterr().err
+
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        assert main(["pas", "--preset", "fig4-A", "--set", "foo",
+                     "--out", str(tmp_path / "pas.csv")]) == 2
+        assert "--set expects key=value, got 'foo'" in capsys.readouterr().err
+
+    def test_axis_without_a_range_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"sweep.axis": "tx"})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep range incomplete: missing 'sweep.from_deg'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("band", ["6GHz", "60GHz", "28GHz"])
+    def test_band_label_sets_no_delay_spread(self, tmp_path, capsys, band):
+        # A band label names the run; only a preset pairs a band with a delay
+        # spread, so a config file without scenario.ds_s runs nothing.
+        cfg = write_config(tmp_path, **{"scenario.frequency_label": band})
+        cfg.write_text(read(cfg).replace("scenario.ds_s = 1e-4\n", ""), encoding="utf-8")
+        out = tmp_path / "pas.csv"
+        assert main(["pas", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "scenario.ds_s is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_end_without_a_kind_is_omni(self, tmp_path):
+        cfg = write_config(tmp_path, **{"tx.gain_dbi": "3"})
+        cfg.write_text(read(cfg).replace("tx.kind = omni\n", ""), encoding="utf-8")
+        args = build_parser().parse_args(["pas", "--config", str(cfg), "--out", "x.csv"])
+        config = mapping_to_config(_resolve_mapping(args))
+        assert config.tx_pattern == AntennaPattern(gain_dbi=3.0) == AntennaPattern.omni(3.0)
+
+
 class TestHeaderLineBreaks:
     # every character str.splitlines breaks a line on; each resolved entry
     # must stay one '#' line of the header
@@ -826,6 +870,23 @@ class TestBenchmarkCommandBytes:
         out = tmp_path / f"{name}.csv"
         assert main([*args, "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # The config each command runs: its preset's, with its --set overrides.
+    RUNS = {
+        "rx-sweep": ("fig4-A", {"paths_per_cluster": 2000}),
+        "tx-sweep": ("fig2-D", {}),
+        "pas-dense": ("fig2-C-omni", {"rice_factor_db": 6.0, "paths_per_cluster": 200000}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_setup_calls_resolve_the_config_that_runs(self, name):
+        # The benchmark times its set-up as these three calls, so a rename or
+        # a new signature of any of them fails here first.
+        args, _ = self.COMMANDS[name]
+        parsed = build_parser().parse_args([*args, "--seed", "1", "--out", "x.csv"])
+        preset, changes = self.RUNS[name]
+        expected = dataclasses.replace(fig_presets()[preset].config, seed=1, **changes)
+        assert mapping_to_config(_resolve_mapping(parsed)) == expected
 
     # The same commands at the benchmark's held-out seed, recorded before the
     # PAS bins were found by floor and the Rice scale moved into the draw.

@@ -789,13 +789,14 @@ class TestRealizationMemory:
     def test_pas_route_holds_row_sized_buffers(self, name, changes, paths_per_cluster):
         # The streamed PAS draws, aims and weights each source row in a row
         # of angles and a row of powers, bins them and sums the powers as the
-        # row passes: at 0.1-degree bins, 3.05 rows traced at 200,000 paths
-        # per cluster and 5.90 at 20,000, with the draws' and the gain's row
-        # temporaries and the binner's q, k and bin index, each as long as the
+        # row passes: at 0.1-degree bins, 2.45-2.46 rows traced at 200,000
+        # paths per cluster and 4.94 at 20,000, with the draws' and the gain's
+        # temporaries and the binner's q and bin index, each as long as the
         # row or a block, whichever is shorter. Keeping the path powers whole
         # for their total measured 27.1 rows at 200,000; two more gather
         # buffers a block long, 11.8 rows at 20,000. The bound grows with the
-        # row, not with the cluster count: 4 rows and the binner's 3 buffers.
+        # row, not with the cluster count: 4 rows and 3 buffers as long as
+        # the row or a block.
         cfg = replace(fig_presets()[name].config, paths_per_cluster=paths_per_cluster, **changes)
         bound = 4 * 8 * paths_per_cluster + 3 * 8 * min(paths_per_cluster, _PAS_BLOCK)
         realization_pas(cfg, 0.1)  # first call outside the trace: caches and imports
@@ -836,8 +837,8 @@ class TestRealizationMemory:
         assert peak < bound
 
     def test_pas_route_at_the_finest_bins_holds_three_bin_arrays(self):
-        # At 1e-4-degree bins (3.6M, more than a row) the binner's q, k and
-        # bin index are a row long, not a block of the bin count, and a row's
+        # At 1e-4-degree bins (3.6M, more than a row) the binner's q and bin
+        # index are a row long, not a block of the bin count, and a row's
         # np.bincount covers only its own span of bins. Traced at 200,000
         # paths per cluster: 89.6 MB, three bin-count arrays (86.4 MB: the
         # edges, the per-bin sums and the bin centers) and 2.00 rows. The

@@ -30,6 +30,9 @@ def test_comments_and_blank_lines_ignored():
 def test_unsorted_delays_rejected():
     with pytest.raises(UnsortedDelays):
         loads_pdp("0.5 0\n0.2 -3\n")
+    # loads_pdp refuses a negative delay per line; built in code, it reaches this check
+    with pytest.raises(UnsortedDelays, match="first tap delay must be >= 0"):
+        NormalizedPdp("x", ((-1.0, 0.0), (1.0, -3.0)))
 
 
 @pytest.mark.parametrize("delay", [math.nan, math.inf])
@@ -67,6 +70,8 @@ def test_nan_or_infinite_power_rejected_in_code(power):
 def test_empty_profile_rejected():
     with pytest.raises(EmptyProfile):
         loads_pdp("# nothing here\n")
+    with pytest.raises(EmptyProfile):
+        NormalizedPdp("x", ())
 
 
 def test_parse_error_carries_line_number():
@@ -75,6 +80,9 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 2
     with pytest.raises(ParseError) as err:
         loads_pdp("0.0 0\n1.0\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="negative delay") as err:
+        loads_pdp("0 0\n-1 -3\n")
     assert err.value.line == 2
 
 
@@ -177,7 +185,8 @@ def test_builtin_profile_shape():
 
 
 def test_resolve_builtin_tag():
-    assert resolve_pdp(BUILTIN_NLOS).name == "3gpp-nlos-tdl"
+    # The name comes from the bundled file's own "# name:" line.
+    assert resolve_pdp(BUILTIN_NLOS).name == builtin_nlos_profile().name == "3gpp-nlos-tdl"
 
 
 def test_presets_and_config_files_share_one_builtin_profile():

@@ -719,6 +719,20 @@ class TestSweepAs:
         assert result.as_deg.shape == (361, 20)
         assert kept < 4 * result.as_deg.nbytes
 
+    def test_total_below_the_range_spreads_the_rescaled_powers(self):
+        # The sweep's twin of TestRealizationPas's rescale test: trial 0
+        # totals 6.22e-307 at seed 1, below the range, so its spread is taken
+        # again over the powers divided by the largest.
+        cfg = fig_presets()["fig2-D"].config
+        cfg = replace(cfg, rx_pattern=replace(cfg.rx_pattern, hpbw_deg=7.0,
+                                              boresight_deg=153.0))
+        spread = sweep_as(cfg, SweepAxis.RX_ORIENTATION, [153.0], trials=3).as_deg[0, 0]
+        paths = run_realization(cfg, (2, 0))
+        assert 0.0 < paths.power_lin.sum() < 1e-300
+        rescaled = make_pathset(paths.aoa_deg, paths.power_lin / paths.power_lin.max())
+        assert same_bits(spread, angular_spread(paths))
+        assert same_bits(spread, angular_spread(rescaled))
+
     def test_boresight_minimum_scenario(self):
         # antenna A at both ends, both pointing along the axis: spread within
         # a couple degrees (the documented minimum for this geometry)
