@@ -49,6 +49,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _text(x) -> str:
+    # x as a value of the resolved mapping, which the run reads back: _fmt's
+    # text where a float reads back from it as itself, else its repr.
+    text = _fmt(x)
+    return repr(float(x)) if isinstance(x, float) and float(text) != x else text
+
+
 # ---------------------------------------------------------------- config ---
 
 # A '#' that opens a value or follows whitespace starts a comment; one inside
@@ -83,7 +90,7 @@ class _Field:
         return self.parse(text)
 
     def write(self, value) -> str:
-        return self.none if value is None else _fmt(value)
+        return self.none if value is None else _text(value)
 
 
 _PATTERN_FIELDS = {
@@ -193,8 +200,8 @@ def _resolve_mapping(args) -> dict[str, str]:
         sp = presets[args.preset]
         mapping = config_to_mapping(sp.config)
         mapping["sweep.axis"] = sp.axis.value
-        mapping.update(zip(_RANGE_KEYS, map(_fmt, FIG_SWEEP_DEG)))
-        mapping["sweep.trials"] = _fmt(DEFAULT_TRIALS)
+        mapping.update(zip(_RANGE_KEYS, map(_text, FIG_SWEEP_DEG)))
+        mapping["sweep.trials"] = _text(DEFAULT_TRIALS)
     elif args.config:
         path = Path(args.config)
         if not path.exists():
@@ -215,7 +222,7 @@ def _resolve_mapping(args) -> dict[str, str]:
     # A flag that sets a config key has that key as its dest.
     for key, value in vars(args).items():
         if key in _KNOWN_KEYS and value is not None:
-            mapping[key] = _fmt(value)
+            mapping[key] = _text(value)
 
     # A named antenna sets its end's kind, width and gain over any given, so
     # the header echoes the beam that runs.
@@ -226,7 +233,7 @@ def _resolve_mapping(args) -> dict[str, str]:
                 raise ConfigError(f"unknown antenna preset {name!r}")
             pattern = antenna_pattern(name)
             for field in ("kind", "hpbw_deg", "gain_dbi"):
-                mapping[f"{end}.{field}"] = _fmt(getattr(pattern, field))
+                mapping[f"{end}.{field}"] = _text(getattr(pattern, field))
 
     # Each entry becomes one '#' line of the output header.
     for key, value in mapping.items():

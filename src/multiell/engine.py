@@ -21,8 +21,8 @@ import numpy as np
 
 from .antenna import AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets, power_gain
 from .errors import ConfigError
-from .geometry import (DEGENERATE_DELAY_S, _PAS_BLOCK, _as_int, _half_angle_ratio, _number,
-                       _positive, _shown, eccentricity_from_delay)
+from .geometry import (DEGENERATE_DELAY_S, _PAS_BLOCK, _aim, _as_int, _half_angle_ratio,
+                       _number, _positive, _shown, eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -259,35 +259,6 @@ def _stream_key_entries(stream_key) -> list[int]:
         raise ConfigError("stream_key must be a sequence of integers >= 0,"
                           f" got {_shown(stream_key)}")
     return entries
-
-
-def _aim(tangents: np.ndarray, ratios: np.ndarray, turn_deg: float, out: np.ndarray,
-         scratch: np.ndarray | None = None) -> np.ndarray:
-    # Writes into ``out`` (shaped like ``tangents``, which may be ``out``
-    # itself) the arrival angles of departures b + o, where ``tangents``
-    # holds t = tan(o / 2) and b = ``turn_deg``, the angle the draws turn by
-    # (``_steer(tx) or 0.0``); ``ratios`` broadcasts against them. By tangent
-    # addition tan((b + o) / 2) = (t + t_b) / (1 - t_b * t) with t_b =
-    # tan(b / 2), and tan(aoa / 2) is r times that: both have period 360
-    # degrees in b + o, so no departure is wrapped. At t_b = +-0 the quotient
-    # is t. ``scratch``, shaped like ``out`` and apart from ``tangents``,
-    # takes its denominator; or one is made.
-    t_b = math.tan(turn_deg * (math.pi / 360.0))
-    quotient = tangents
-    if t_b:
-        denominator = np.multiply(tangents, -t_b, out=scratch)
-        denominator += 1.0
-        quotient = np.add(tangents, t_b, out=out)
-        with np.errstate(divide="ignore"):  # a zero denominator: +-inf, a half turn
-            quotient /= denominator
-    np.multiply(quotient, ratios, out=out)
-    np.arctan(out, out=out)
-    out *= 360.0 / math.pi
-    # arctan is at most pi / 2 as rounded, which scales to 180 exactly: the
-    # half turn arrives as 180 or -180, and -180 is sent to 180.
-    if out.min(initial=0.0) == -180.0:
-        out[out == -180.0] = 180.0
-    return out
 
 
 def run_realization(config: ScenarioConfig, stream_key: tuple[int, ...] = ()) -> PathSet:

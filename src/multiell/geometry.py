@@ -161,7 +161,8 @@ def eccentricity_from_delay(excess_delays_s, txrx_distance_m: float):
 def aoa_from_aod(phi_t_deg, eccentricity):
     """Arrival angle at the receiver for a departure angle on one ellipse.
 
-    Implemented as the half-angle form tan(aoa/2) = r * tan(aod/2) with
+    It runs the engine's aim kernel, ``_aim``, at a turn of 0 on the
+    wrapped departure: the half-angle form tan(aoa/2) = r * tan(aod/2) with
     r = (1 - e) / (1 + e), which is algebraically identical to
 
         aoa = sgn(aod) * arccos[(2e + (1+e^2) cos aod) / (1 + e^2 + 2e cos aod)]
@@ -184,13 +185,9 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     # does: adding +0.0 turns -0.0 into +0.0, and the wrap makes none.
     out = wrap_in_place(np.add(np.atleast_1d(phi), 0.0, order="C"))
     back = out == 180.0
-    out *= 0.5  # the same rounding of the same real as out /= 2.0
-    out *= np.pi / 180.0  # np.radians, bit for bit
+    out *= math.pi / 360.0  # the half-angle tangent, as the draws take it
     np.tan(out, out=out)
-    out *= _half_angle_ratio(eccentricity)
-    np.arctan(out, out=out)
-    out *= 180.0 / np.pi  # np.degrees, bit for bit
-    out *= 2.0
+    _aim(out, _half_angle_ratio(eccentricity), 0.0, out)
     # tan(pi / 2) is finite in floating point, so a small ratio pulls 180
     # below itself.
     out[back] = 180.0
@@ -204,3 +201,32 @@ def _half_angle_ratio(eccentricity):
     if not np.all((e >= 0.0) & (e < 1.0)):
         raise InvalidGeometry(f"eccentricity must be in [0, 1), got {eccentricity}")
     return (1.0 - e) / (1.0 + e)
+
+
+def _aim(tangents: np.ndarray, ratios: np.ndarray, turn_deg: float, out: np.ndarray,
+         scratch: np.ndarray | None = None) -> np.ndarray:
+    # Writes into ``out`` (shaped like ``tangents``, which may be ``out``
+    # itself) the arrival angles of departures b + o, where ``tangents``
+    # holds t = tan(o / 2) and b = ``turn_deg``, the angle the draws turn by
+    # (``_steer(tx) or 0.0``); ``ratios`` broadcasts against them. By tangent
+    # addition tan((b + o) / 2) = (t + t_b) / (1 - t_b * t) with t_b =
+    # tan(b / 2), and tan(aoa / 2) is r times that: both have period 360
+    # degrees in b + o, so no departure is wrapped. At t_b = +-0 the quotient
+    # is t. ``scratch``, shaped like ``out`` and apart from ``tangents``,
+    # takes its denominator; or one is made.
+    t_b = math.tan(turn_deg * (math.pi / 360.0))
+    quotient = tangents
+    if t_b:
+        denominator = np.multiply(tangents, -t_b, out=scratch)
+        denominator += 1.0
+        quotient = np.add(tangents, t_b, out=out)
+        with np.errstate(divide="ignore"):  # a zero denominator: +-inf, a half turn
+            quotient /= denominator
+    np.multiply(quotient, ratios, out=out)
+    np.arctan(out, out=out)
+    out *= 360.0 / math.pi
+    # arctan is at most pi / 2 as rounded, which scales to 180 exactly: the
+    # half turn arrives as 180 or -180, and -180 is sent to 180.
+    if out.min(initial=0.0) == -180.0:
+        out[out == -180.0] = 180.0
+    return out

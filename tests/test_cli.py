@@ -125,6 +125,17 @@ class TestSweepCommand:
         assert "# scenario.paths_per_cluster = 64" in text
         assert "# scenario.seed = 3" in text
 
+    def test_number_flag_echoes_the_number_given(self, tmp_path):
+        # The flag's float was echoed to 12 digits, and the run read that back.
+        common = ["sweep", "--preset", "fig4-A", "--to", "5", "--step", "5", "--trials", "1",
+                  "--seed", "3", "--set", "scenario.paths_per_cluster=64"]
+        flag, key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main(common + ["--from", "0.1234567890123456", "--out", str(flag)]) == 0
+        assert main(common + ["--set", "sweep.from_deg=0.1234567890123456",
+                              "--out", str(key)]) == 0
+        assert "# sweep.from_deg = 0.1234567890123456\n" in read(flag)
+        assert flag.read_bytes() == key.read_bytes()
+
     def test_missing_config_file_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         code = main(["sweep", "--config", str(missing), "--sweep", "tx",
@@ -619,6 +630,19 @@ class TestConfigComments:
         assert "# pdp.source = builtin:nlos3gpp\n" in text
         assert "# local_scattering.power_share = 0.22\n" in text
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = write_config(tmp_path)
+        lines = read(cfg).splitlines(keepends=True)
+        commented = tmp_path / "commented.cfg"
+        commented.write_text("# first note\n\n" + "".join(lines[:3]) + "   \n"
+                             + "  # second note\n" + "".join(lines[3:]),
+                             encoding="utf-8")
+        plain, out = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        assert main(["pas", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert main(["pas", "--config", str(commented), "--out", str(out)]) == 0
+        assert "note" not in read(out)
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_hash_inside_a_word_is_kept(self, tmp_path):
         pdp = tmp_path / "run#2.pdp"
         pdp.write_text(SINGLE_FAR_TAP, encoding="utf-8")
@@ -642,30 +666,25 @@ def assert_round_trip(cfg):
     assert config_to_mapping(back) == mapping
 
 
-def written_exactly(lo, hi):
-    # values that survive the header's 12 significant digits unchanged
-    return st.floats(lo, hi).map(lambda x: float(format(x, ".12g")))
-
-
 PATTERNS = st.one_of(
-    st.builds(AntennaPattern.omni, gain_dbi=written_exactly(-30.0, 40.0)),
-    st.builds(AntennaPattern.gaussian, hpbw_deg=written_exactly(0.5, 359.0),
-              boresight_deg=written_exactly(-179.9, 180.0),
-              gain_dbi=written_exactly(-30.0, 40.0)))
+    st.builds(AntennaPattern.omni, gain_dbi=st.floats(-30.0, 40.0)),
+    st.builds(AntennaPattern.gaussian, hpbw_deg=st.floats(0.5, 359.0),
+              boresight_deg=st.floats(-179.9, 180.0),
+              gain_dbi=st.floats(-30.0, 40.0)))
 
 CONFIGS = st.builds(
     ScenarioConfig,
     pdp=st.just(builtin_nlos_profile()),
-    ds_s=written_exactly(1e-9, 1e-5),
+    ds_s=st.floats(1e-9, 1e-5),
     tx_pattern=PATTERNS,
     rx_pattern=PATTERNS,
-    txrx_distance_m=written_exactly(1.0, 1e4),
+    txrx_distance_m=st.floats(1.0, 1e4),
     paths_per_cluster=st.integers(1, 10**6),
     local_scattering=st.builds(
-        VonMisesParams, mu_deg=written_exactly(-179.9, 180.0),
-        kappa=written_exactly(0.0, 500.0),
-        power_share=st.none() | written_exactly(0.0, 1.0)),
-    rice_factor_db=st.none() | written_exactly(-40.0, 40.0),
+        VonMisesParams, mu_deg=st.floats(-179.9, 180.0),
+        kappa=st.floats(0.0, 500.0),
+        power_share=st.none() | st.floats(0.0, 1.0)),
+    rice_factor_db=st.none() | st.floats(-40.0, 40.0),
     seed=st.integers(0, 2**64 - 1),
     frequency_label=st.sampled_from(["", "6GHz", "60GHz", "28GHz"]),
 )

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiell.antenna import AntennaPattern, sigma_from_hpbw
+from multiell.antenna import AntennaPattern, draw_aod_offsets, sigma_from_hpbw
 from multiell.engine import (PathSet, ScenarioConfig, SourceKind, _grid, _steer,
                              draw_realization, reweight, run_realization)
 from multiell.errors import ConfigError, MultiellError
-from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S,
+from multiell.geometry import (DEGENERATE_DELAY_S, SPEED_OF_LIGHT_M_S, aoa_from_aod,
                                eccentricity_from_delay, wrap_degrees)
 from multiell.pdp import builtin_nlos_profile, loads_pdp, scale_pdp
 from multiell.presets import fig_presets, scenario
@@ -673,6 +673,36 @@ class TestAimAccuracy:
         # The aim that added the boresight, wrapped and took the tangent of
         # each departure measured 1.8e-12 here; this one 7.1e-13.
         assert worst < 1e-12
+
+
+
+class TestPublicMapIsTheEnginesMap:
+    """``aoa_from_aod`` on a cluster's departures, rebuilt from the
+    realization's own streams, gives that cluster's arrival angles bit for
+    bit: the public map runs the engine's aim."""
+
+    # A 330-degree beam draws offsets beyond 180, which take redraw rounds.
+    @pytest.mark.parametrize("tx", [AntennaPattern.omni(), AntennaPattern.gaussian(20.0, 0.0),
+                                    AntennaPattern.gaussian(330.0, 0.0)],
+                             ids=["omni-tx", "gaussian-20-tx", "gaussian-330-tx"])
+    def test_cluster_arrivals_are_aoa_from_aod_of_the_departures(self, tx):
+        n = 2000
+        cfg = replace(scenario("A", "omni", seed=5, paths_per_cluster=n), tx_pattern=tx)
+        paths = run_realization(cfg)
+        delays = scale_pdp(cfg.pdp, cfg.ds_s).excess_delays_s
+        streams = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            (cfg.seed,)))).spawn(len(delays) + 1)
+        clusters = [(tap - 1, rows) for kind, tap, rows in paths.sources
+                    if kind is SourceKind.CLUSTER]
+        assert clusters
+        for i, rows in clusters:
+            departures = np.empty(n)
+            draw_aod_offsets(tx, streams[i], departures)
+            e = eccentricity_from_delay(delays[i], cfg.txrx_distance_m)
+            assert aoa_from_aod(departures, e).tobytes() == paths.aoa_deg[rows].tobytes()
+        _, _, redrawn = per_cluster_draws(cfg, np.random.default_rng(
+            np.random.SeedSequence(cfg.seed)))
+        assert redrawn == (tx.hpbw_deg == 330.0)
 
 
 class TestOmniReweight:

@@ -232,7 +232,7 @@ class TestAoaFromAod:
 
 
 def masked_aoa(phi_t_deg, e):
-    """The angle map on |aod| through numpy's radians and degrees, negated
+    """The angle map on |aod| through numpy's radians and one 360 / pi, negated
     where the wrapped departure is below 0 (sgn(0) = +1)."""
     out = wrap_degrees(np.array(phi_t_deg, dtype=float))
     ratio = (1.0 - e) / (1.0 + e)
@@ -244,8 +244,7 @@ def masked_aoa(phi_t_deg, e):
     np.tan(out, out=out)
     out *= ratio
     np.arctan(out, out=out)
-    np.degrees(out, out=out)
-    out *= 2.0
+    out *= 360.0 / np.pi
     out[back] = 180.0
     np.negative(out, out=out, where=negative)
     return out
