@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidHpbw, MultiellError
-from .geometry import _PAS_BLOCK, _floats, _number, wrap_degrees
+from .geometry import _PAS_BLOCK, _floats, _number, _require_out, _require_type, wrap_degrees
 
 _HALF_POWER_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))  # ~2.3548
 
@@ -40,9 +40,9 @@ class AntennaPattern:
     def __post_init__(self):
         if not isinstance(self.kind, PatternKind):
             raise ConfigError(f"kind must be a PatternKind, got {self.kind!r}")
-        _number("gain_dbi", self.gain_dbi, ConfigError)
+        object.__setattr__(self, "gain_dbi", _number("gain_dbi", self.gain_dbi, ConfigError))
         if self.hpbw_deg is not None:
-            sigma_from_hpbw(self.hpbw_deg)
+            object.__setattr__(self, "hpbw_deg", _hpbw(self.hpbw_deg))
         elif self.kind is PatternKind.GAUSSIAN:
             raise ConfigError("Gaussian pattern requires hpbw_deg")
         object.__setattr__(self, "boresight_deg",
@@ -71,17 +71,22 @@ def sigma_from_hpbw(hpbw_deg: float) -> float:
     overflows at 180 degrees off boresight, taken as ``_gain_in_place``
     takes it: the square times the reciprocal of 2 sigma^2.
     """
-    # A float in range skips _number, which costs about four times this test:
-    # the gain and the departure draws call this at every use.
-    if not (isinstance(hpbw_deg, float) and 0.0 < hpbw_deg < 360.0):
+    return _hpbw(hpbw_deg) / _HALF_POWER_FACTOR
+
+
+def _hpbw(hpbw_deg) -> float:
+    # ``hpbw_deg`` as a Python float, checked as sigma_from_hpbw states. A
+    # Python float in range skips _number, which costs about four times this
+    # test: the gain and the departure draws check a pattern's width at
+    # every use.
+    if not (type(hpbw_deg) is float and 0.0 < hpbw_deg < 360.0):
         hpbw_deg = _number("hpbw_deg", hpbw_deg, InvalidHpbw, "in (0, 360)",
                            lambda width: 0.0 < width < 360.0)
-    sigma = hpbw_deg / _HALF_POWER_FACTOR
-    two_var = 2.0 * sigma**2
+    two_var = 2.0 * (hpbw_deg / _HALF_POWER_FACTOR)**2
     if two_var == 0.0 or math.isinf(180.0**2 * (1.0 / two_var)):
         raise InvalidHpbw(f"hpbw_deg {hpbw_deg} is too narrow for the Gaussian gain to be"
                           " computed")
-    return sigma
+    return hpbw_deg
 
 
 def power_gain(pattern: AntennaPattern, phi_deg):
@@ -96,8 +101,10 @@ def power_gain(pattern: AntennaPattern, phi_deg):
     one rounding more than the quotient ``-d**2 / (2 sigma**2)``, and a gain
     can differ from the quotient's by about ``|exponent| * 2**-52``. Under
     it, a NaN or +-inf angle gives NaN (omni: 1), and an int beyond the
-    float range raises ``MultiellError``.
+    float range raises ``MultiellError``. A ``pattern`` that is not an
+    ``AntennaPattern`` raises ``ConfigError``.
     """
+    _require_type("pattern", pattern, AntennaPattern)
     phi = _floats("phi_deg", phi_deg)
     if pattern.kind is PatternKind.OMNI:
         gain = np.ones_like(phi)
@@ -164,7 +171,13 @@ def draw_aod_offsets(pattern: AntennaPattern, rng: np.random.Generator,
     +-180), and ``MultiellError`` is raised after ``_MAX_REDRAW_ROUNDS``
     rounds. The rule reads only the offset, never the boresight, so the
     draws hold at every boresight.
+
+    Before any draw, raises ``ConfigError`` for a ``pattern`` that is not an
+    ``AntennaPattern`` and for an ``out`` that is not a writable, aligned,
+    C-contiguous, 1-D float64 array.
     """
+    _require_type("pattern", pattern, AntennaPattern)
+    _require_out(out)
     if pattern.kind is PatternKind.OMNI:
         rng.random(out=out)
         out *= 360.0

@@ -22,7 +22,7 @@ import numpy as np
 from .antenna import AntennaPattern, PatternKind, _gain_in_place, draw_aod_offsets, power_gain
 from .errors import ConfigError
 from .geometry import (DEGENERATE_DELAY_S, _PAS_BLOCK, _aim, _as_int, _half_angle_ratio,
-                       _number, _positive, _shown, eccentricity_from_delay)
+                       _number, _positive, _require_type, _shown, eccentricity_from_delay)
 from .pdp import NormalizedPdp, _require_delay_spread, scale_pdp
 from .scattering import VonMisesParams, sample_von_mises
 
@@ -74,7 +74,8 @@ class PathSet:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for one link; building one with a field
-    out of range raises ``ConfigError``."""
+    out of range raises ``ConfigError``. Each numeric field holds the Python
+    float or int that its check returns."""
 
     pdp: NormalizedPdp
     ds_s: float
@@ -90,20 +91,19 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, kind in (("pdp", NormalizedPdp), ("tx_pattern", AntennaPattern),
                            ("rx_pattern", AntennaPattern), ("local_scattering", VonMisesParams)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name} must be of type {kind.__name__},"
-                                  f" got {type(getattr(self, name)).__name__}")
-        _number("txrx_distance_m", self.txrx_distance_m, ConfigError, "finite and > 0", _positive)
-        _require_delay_spread(self.pdp, self.ds_s, ConfigError)
-        if not 1 <= _as_int("paths_per_cluster", self.paths_per_cluster) <= _MAX_PATHS_PER_CLUSTER:
-            raise ConfigError(f"paths_per_cluster must be in [1, {_MAX_PATHS_PER_CLUSTER}],"
-                              f" got {_shown(int(self.paths_per_cluster))}")
-        if not 0 <= _as_int("seed", self.seed) < _MAX_SEED:
-            raise ConfigError("seed must be a 64-bit unsigned integer,"
-                              f" got {_shown(int(self.seed))}")
+            _require_type(name, getattr(self, name), kind)
+        object.__setattr__(self, "txrx_distance_m", _number(
+            "txrx_distance_m", self.txrx_distance_m, ConfigError, "finite and > 0", _positive))
+        object.__setattr__(self, "ds_s", _require_delay_spread(self.pdp, self.ds_s, ConfigError))
+        object.__setattr__(self, "paths_per_cluster", _as_int(
+            "paths_per_cluster", self.paths_per_cluster,
+            lambda n: 1 <= n <= _MAX_PATHS_PER_CLUSTER, f"in [1, {_MAX_PATHS_PER_CLUSTER}]"))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed, lambda s: 0 <= s < _MAX_SEED,
+                                                 "a 64-bit unsigned integer"))
         if self.rice_factor_db is not None:  # +-inf dB is legal
-            _number("rice_factor_db", self.rice_factor_db, ConfigError, "a number or None",
-                    lambda k: not math.isnan(k))
+            object.__setattr__(self, "rice_factor_db", _number(
+                "rice_factor_db", self.rice_factor_db, ConfigError, "a number or None",
+                lambda k: not math.isnan(k)))
 
 
 def _rice_split(rice_factor_db: float) -> tuple[float, float]:
@@ -385,7 +385,9 @@ def reweight(paths: PathSet, rx_pattern: AntennaPattern) -> PathSet:
     ``sources`` are shared with ``paths``; nothing in ``paths`` is modified.
     An omni pattern weights nothing: its ``power_lin`` is
     ``paths.raw_power_lin`` itself (see :func:`run_realization`). Under a
-    directional pattern, a NaN or +-inf angle gives a NaN power."""
+    directional pattern, a NaN or +-inf angle gives a NaN power. An
+    ``rx_pattern`` that is not an ``AntennaPattern`` raises ``ConfigError``."""
+    _require_type("rx_pattern", rx_pattern, AntennaPattern)
     raw = weighted = paths.raw_power_lin
     if _steer(rx_pattern) is not None:
         weighted = power_gain(rx_pattern, paths.aoa_deg)

@@ -108,12 +108,33 @@ def _positive(number: float) -> bool:
     return 0.0 < number < math.inf
 
 
-def _as_int(name: str, value) -> int:
-    # ``value`` as a Python int if it is an integer, Python or numpy.
+def _as_int(name: str, value, ok, must: str) -> int:
+    # ``value`` as a Python int: an integer, Python or numpy, for which
+    # ``ok`` holds. Otherwise raises ConfigError, saying that ``name`` must be
+    # an integer, or ``must``.
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if not ok(number):
+        raise ConfigError(f"{name} must be {must}, got {_shown(number)}")
+    return number
+
+
+def _require_type(name: str, value, kind: type) -> None:
+    # ConfigError, naming ``name``, unless ``value`` is a ``kind``.
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
+def _require_out(out) -> None:
+    # ConfigError unless ``out`` is an array that a draw can fill in place
+    # (flags.carray: C-contiguous, aligned and writable, as numpy's out=
+    # asks). Callers check it before any draw, so that a bad buffer leaves
+    # the generator as it was.
+    if not (isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == np.float64
+            and out.flags.carray):
+        raise ConfigError("out must be a writable, aligned, C-contiguous, 1-D float64 array")
 
 
 def _shown(value) -> str:
@@ -176,9 +197,15 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     ``eccentricity`` is a scalar, or an array that broadcasts against the
     angles without enlarging them: shape (rows, 1) gives each row of a 2-D
     angle array its own ellipse. One that is not made of real numbers in
-    [0, 1) raises ``InvalidGeometry``.
+    [0, 1), or that would enlarge the angles, raises ``InvalidGeometry``.
     """
     phi = _floats("phi_t_deg", phi_t_deg)
+    ratio = _half_angle_ratio(eccentricity)
+    try:
+        ratio = np.broadcast_to(ratio, phi.shape or (1,))
+    except ValueError:
+        raise InvalidGeometry(f"eccentricity of shape {ratio.shape} does not broadcast against"
+                              f" angles of shape {phi.shape} without enlarging them") from None
     # A wrapped C-ordered copy. Every step of the map is odd bit for bit
     # (numpy's tan and arctan included), so an angle maps to sgn(aod) times
     # the map of |aod|, with sgn(0) = +1 as long as no -0.0 enters. None
@@ -187,7 +214,7 @@ def aoa_from_aod(phi_t_deg, eccentricity):
     back = out == 180.0
     out *= math.pi / 360.0  # the half-angle tangent, as the draws take it
     np.tan(out, out=out)
-    _aim(out, _half_angle_ratio(eccentricity), 0.0, out)
+    _aim(out, ratio, 0.0, out)
     # tan(pi / 2) is finite in floating point, so a small ratio pulls 180
     # below itself.
     out[back] = 180.0

@@ -27,7 +27,10 @@ BUILTIN_NLOS = "builtin:nlos3gpp"
 
 @dataclass(frozen=True)
 class NormalizedPdp:
-    """Delay profile with dimensionless delays and relative powers in dB."""
+    """Delay profile with dimensionless delays and relative powers in dB.
+    ``taps`` may be (delay, power in dB) pairs of real numbers, Python or
+    numpy, as lists, tuples or an array; they are kept as a tuple of pairs
+    of floats."""
 
     name: str
     taps: tuple[tuple[float, float], ...]  # (normalized_delay, power_db)
@@ -49,6 +52,7 @@ class NormalizedPdp:
             raise UnsortedDelays("first tap delay must be >= 0")
         if (delays[1:] < delays[:-1]).any():
             raise UnsortedDelays("tap delays must be sorted ascending")
+        object.__setattr__(self, "taps", tuple(map(tuple, taps.tolist())))
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,13 @@ def resolve_pdp(source: str) -> NormalizedPdp:
     return load_pdp(source)
 
 
-def _require_delay_spread(pdp: NormalizedPdp, ds_s, error: type[Exception]) -> None:
+def _require_delay_spread(pdp: NormalizedPdp, ds_s, error: type[Exception]) -> float:
+    # ``ds_s`` as a float, finite and > 0, that keeps ``pdp``'s last tap
+    # delay finite; otherwise raises ``error``.
     ds_s = _number("ds_s", ds_s, error, "finite and > 0", _positive)
     if not math.isfinite(ds_s * pdp.taps[-1][0]):
         raise error(f"ds_s {ds_s} makes the last tap's delay overflow")
+    return ds_s
 
 
 def scale_pdp(pdp: NormalizedPdp, ds_s: float) -> ScaledPdp:
@@ -135,7 +142,7 @@ def scale_pdp(pdp: NormalizedPdp, ds_s: float) -> ScaledPdp:
     delay overflow, and ``MultiellError`` when the linear total is zero or
     overflows.
     """
-    _require_delay_spread(pdp, ds_s, InvalidDs)
+    ds_s = _require_delay_spread(pdp, ds_s, InvalidDs)
     delays = np.array([t[0] for t in pdp.taps], dtype=float) * ds_s
     with np.errstate(over="ignore"):  # an overflow is reported just below
         powers = 10.0 ** (np.array([t[1] for t in pdp.taps], dtype=float) / 10.0)

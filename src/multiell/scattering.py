@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, KappaOutOfRange
-from .geometry import _PAS_BLOCK, _floats, _number, wrap_degrees, wrap_in_place
+from .geometry import (_PAS_BLOCK, _floats, _number, _require_out, _require_type, wrap_degrees,
+                       wrap_in_place)
 
 _KAPPA_MAX = 500.0
 
@@ -28,15 +29,20 @@ class VonMisesParams:
     power_share: float | None = None
 
     def __post_init__(self):
+        # + 0.0 makes a kappa of -0.0 (which passes the check >= 0) +0.0:
+        # numpy's sampler rejects a negative sign bit, and no other kappa
+        # changes.
         kappa = _number("kappa", self.kappa, ConfigError, "finite and >= 0",
-                        lambda k: 0.0 <= k < math.inf)
+                        lambda k: 0.0 <= k < math.inf) + 0.0
         if kappa > _KAPPA_MAX:
             # the density's I0(kappa) overflows a double just past 700
             raise KappaOutOfRange(f"kappa {kappa} exceeds {_KAPPA_MAX}")
         mu = _number("mu_deg", self.mu_deg, ConfigError)
         if self.power_share is not None:
-            _number("power_share", self.power_share, ConfigError, "in [0, 1]",
-                    lambda share: 0.0 <= share <= 1.0)
+            object.__setattr__(self, "power_share", _number(
+                "power_share", self.power_share, ConfigError, "in [0, 1]",
+                lambda share: 0.0 <= share <= 1.0))
+        object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "mu_deg", wrap_degrees(mu))
 
 
@@ -54,7 +60,7 @@ def von_mises_pdf(phi_deg, params: VonMisesParams):
 
 def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
                      out: np.ndarray) -> None:
-    """Fill ``out``, a C-contiguous 1-D float array, with azimuths in degrees,
+    """Fill ``out``, a C-contiguous 1-D float64 array, with azimuths in degrees,
     wrapped to (-180, 180], drawn from the von Mises distribution about
     ``params.mu_deg`` (degrees).
 
@@ -65,12 +71,15 @@ def sample_von_mises(params: VonMisesParams, rng: np.random.Generator,
     are drawn ``_PAS_BLOCK`` at a time: numpy draws each one in turn from the
     stream, so the blocks give the doubles, and leave the generator in the
     state, of one call for them all, and no temporary is longer than a block.
+
+    Before any draw, raises ``ConfigError`` for ``params`` that are not
+    ``VonMisesParams`` and for an ``out`` that is not a writable, aligned,
+    C-contiguous, 1-D float64 array.
     """
-    # + 0.0 makes a kappa of -0.0 (which passes the check >= 0) +0.0:
-    # numpy rejects a negative sign bit, and changes no other kappa.
-    kappa = params.kappa + 0.0
+    _require_type("params", params, VonMisesParams)
+    _require_out(out)
     for start in range(0, out.size, _PAS_BLOCK):
         block = out[start:start + _PAS_BLOCK]
-        np.degrees(rng.vonmises(0.0, kappa, block.size), out=block)
+        np.degrees(rng.vonmises(0.0, params.kappa, block.size), out=block)
     out += params.mu_deg
     wrap_in_place(out)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .engine import PathSet, ScenarioConfig, _grid, _realization_rows
 from .errors import BadAngle, BadBinWidth, BadPaths, ConfigError, NoPower
-from .geometry import _PAS_BLOCK, _as_int, _floats, _number, _positive
+from .geometry import _PAS_BLOCK, _as_int, _floats, _number, _positive, _shown
 
 
 class SweepAxis(enum.Enum):
@@ -172,9 +172,9 @@ def estimate_pas(paths: PathSet, bin_width_deg: float = DEFAULT_BIN_WIDTH_DEG) -
     0.0 plus the sum of the sources' ``ndarray.sum``, so neither the thread
     count nor the SIMD target sets an order.
     """
-    edges = _pas_edges(bin_width_deg)
+    edges, width = _pas_edges(bin_width_deg)
     pieces = _require_paths(paths)[2]
-    return _pas(lambda: pieces, edges, bin_width_deg)
+    return _pas(lambda: pieces, edges, width)
 
 
 def realization_pas(config: ScenarioConfig,
@@ -187,8 +187,8 @@ def realization_pas(config: ScenarioConfig,
     Raises ``BadBinWidth`` as ``estimate_pas`` does, before any draw, and
     ``NoPower`` for a total that is not positive.
     """
-    edges = _pas_edges(bin_width_deg)
-    return _pas(lambda: _realization_rows(config), edges, bin_width_deg)
+    edges, width = _pas_edges(bin_width_deg)
+    return _pas(lambda: _realization_rows(config), edges, width)
 
 
 def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
@@ -213,18 +213,19 @@ def _pas(stream, edges: np.ndarray, width: float) -> AngularSpectrum:
         return _pas(lambda: ((a, p / peak) for a, p in stream()), edges, width)
     sums /= total * width
     return AngularSpectrum(bin_centers_deg=edges[:-1] + width / 2.0, density_per_deg=sums,
-                           bin_width_deg=float(width))
+                           bin_width_deg=width)
 
 
-def _pas_edges(bin_width_deg: float) -> np.ndarray:
-    # The PAS bin edges -180 + k * bin_width_deg; BadBinWidth as estimate_pas states.
+def _pas_edges(bin_width_deg: float) -> tuple[np.ndarray, float]:
+    # The PAS bin edges -180 + k * bin_width_deg, and the width as a float;
+    # BadBinWidth as estimate_pas states.
     width = _number("bin_width_deg", bin_width_deg, BadBinWidth, "finite and > 0", _positive)
     if width < 360.0 / _MAX_PAS_BINS:
         raise BadBinWidth(f"bin width {width} gives more than {_MAX_PAS_BINS} bins")
     n_bins = 360.0 / width
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise BadBinWidth(f"bin width {width} does not divide 360 evenly")
-    return -180.0 + width * np.arange(int(round(n_bins)) + 1)
+    return -180.0 + width * np.arange(int(round(n_bins)) + 1), width
 
 
 def _bin_power(angles: np.ndarray, powers: np.ndarray, edges: np.ndarray, width: float,
@@ -301,10 +302,9 @@ def sweep_as(config: ScenarioConfig, axis: SweepAxis, angles_deg,
         raise ConfigError("angles_deg must be a sequence of numbers,"
                           f" got {reprlib.repr(angles_deg)}")
     angles = angles.tolist()
-    if _as_int("trials", trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = _as_int("trials", trials, lambda t: t >= 1, ">= 1")
     if trials > _MAX_SWEEP_TRIALS:
-        raise ConfigError(f"trials {trials} exceeds the limit of {_MAX_SWEEP_TRIALS}")
+        raise ConfigError(f"trials {_shown(trials)} exceeds the limit of {_MAX_SWEEP_TRIALS}")
     if not angles:
         raise ConfigError("angles must be non-empty")
 

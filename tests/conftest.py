@@ -31,6 +31,18 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# Buffers that a draw cannot fill in place, by name: each breaks one of 1-D,
+# float64, C-contiguous and writable, or is not an array.
+BAD_OUTS = {"2-D": np.zeros((2, 4)), "strided": np.zeros(8)[::2],
+            "read-only": _read_only(np.zeros(4)), "float32": np.zeros(4, dtype=np.float32),
+            "list": [0.0] * 4}
+
+
 def make_pathset(aoa_deg, power_lin):
     """PathSet with the given weighted powers (raw == weighted, all from tap 1)."""
     aoa = np.asarray(aoa_deg, dtype=float)

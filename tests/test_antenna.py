@@ -15,7 +15,7 @@ from multiell.engine import draw_realization
 from multiell.errors import ConfigError, InvalidHpbw, MultiellError
 from multiell.geometry import _PAS_BLOCK, aoa_from_aod, wrap_degrees
 
-from conftest import aim_draws
+from conftest import BAD_OUTS, aim_draws
 
 
 class TestSigmaFromHpbw:
@@ -75,6 +75,11 @@ class TestSigmaFromHpbw:
 
 
 class TestPowerGain:
+    def test_a_pattern_that_is_not_an_antenna_pattern_raises(self):
+        # An AttributeError escaped.
+        with pytest.raises(ConfigError, match="^pattern must be of type AntennaPattern, got str"):
+            power_gain("x", 0.0)
+
     def test_boresight_is_one(self):
         p = AntennaPattern.gaussian(20.0, boresight_deg=30.0)
         assert power_gain(p, 30.0) == 1.0
@@ -381,6 +386,24 @@ def departures(pattern, rng, size):
 
 class TestSampleAod:
     """Departure draws of ``draw_aod_offsets``, as absolute angles."""
+
+    @pytest.mark.parametrize("pattern", [AntennaPattern.omni(), AntennaPattern.gaussian(330.0)],
+                             ids=["omni", "gaussian-330"])
+    @pytest.mark.parametrize("out", BAD_OUTS.values(), ids=BAD_OUTS)
+    def test_a_bad_out_raises_before_any_draw(self, rng, pattern, out):
+        # numpy's bare ValueError or TypeError escaped.
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="^out must be a writable, aligned, C-contiguous,"
+                                              " 1-D float64 array"):
+            draw_aod_offsets(pattern, rng, out)
+        assert rng.bit_generator.state == state
+
+    def test_a_pattern_that_is_not_an_antenna_pattern_raises(self, rng):
+        # An AttributeError escaped.
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="^pattern must be of type AntennaPattern, got str"):
+            draw_aod_offsets("x", rng, np.empty(4))
+        assert rng.bit_generator.state == state
 
     def test_omni_uniform_windows(self, rng):
         draws = departures(AntennaPattern.omni(), rng, size=100_000)

@@ -700,6 +700,17 @@ class TestConfigRoundTrip:
     def test_generated_configs(self, cfg):
         assert_round_trip(cfg)
 
+    @pytest.mark.parametrize("end", ["tx_pattern", "rx_pattern"])
+    def test_a_float32_beam_width_keeps_its_run(self, end):
+        # The width was kept as np.float32(20.3) and echoed as "20.3", which
+        # reads back as another float: the mapping named another beam.
+        cfg = dataclasses.replace(fig_presets()["fig4-A"].config, paths_per_cluster=20,
+                                  **{end: AntennaPattern.gaussian(np.float32(20.3), 30.0)})
+        assert_round_trip(cfg)
+        ran = [run_realization(c) for c in (cfg, mapping_to_config(config_to_mapping(cfg)))]
+        for name in ("aoa_deg", "raw_power_lin", "power_lin"):
+            assert getattr(ran[0], name).tobytes() == getattr(ran[1], name).tobytes()
+
 
 class TestPinnedOutputs:
     # sha256 of these files as written before the config keys moved into one

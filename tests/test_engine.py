@@ -724,6 +724,14 @@ class TestOmniReweight:
             reweight(paths, rx, **{keyword: value})
         assert list(inspect.signature(reweight).parameters) == ["paths", "rx_pattern"]
 
+    def test_a_pattern_that_is_not_an_antenna_pattern_raises(self):
+        # An AttributeError escaped.
+        raw = np.array([1.0])
+        paths = PathSet(np.array([0.0]), raw, raw, ((SourceKind.CLUSTER, 1, slice(0, 1)),))
+        with pytest.raises(ConfigError,
+                           match="^rx_pattern must be of type AntennaPattern, got str"):
+            reweight(paths, "x")
+
 
 def with_boresights(cfg, tx_deg, rx_deg):
     """The (tx, rx) point of ``cfg``'s patterns turned to these boresights."""

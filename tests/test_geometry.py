@@ -621,8 +621,65 @@ def test_a_bad_scalar_raises_its_fields_error(field, make, error, bad):
     for name, _, make, _, value, _ in SCALAR_FIELDS if value is not None])
 def test_an_int_a_numpy_float_and_a_0d_array_give_the_floats_result(make, value):
     expected = make(float(value))
-    for good in (value, np.float64(value), np.array(float(value))):
+    for good in (value, np.float32(value), np.float64(value), np.array(float(value))):
         assert make(good) == expected
+
+
+# Every stored scalar field: its id, a call that builds its dataclass from a
+# value, the field, a value that every form below holds exactly, and the
+# stored type.
+STORED_FIELDS = [
+    ("gain_dbi", lambda v: AntennaPattern.gaussian(20.0, gain_dbi=v), "gain_dbi", 3, float),
+    ("hpbw_deg", lambda v: AntennaPattern.gaussian(v), "hpbw_deg", 20, float),
+    ("omni-hpbw_deg", lambda v: AntennaPattern(PatternKind.OMNI, hpbw_deg=v), "hpbw_deg", 20,
+     float),
+    ("boresight_deg", lambda v: AntennaPattern.gaussian(20.0, boresight_deg=v),
+     "boresight_deg", 30, float),
+    ("kappa", lambda v: VonMisesParams(kappa=v), "kappa", 3, float),
+    ("mu_deg", lambda v: VonMisesParams(mu_deg=v), "mu_deg", 10, float),
+    ("power_share", lambda v: VonMisesParams(power_share=v), "power_share", 1, float),
+    ("txrx_distance_m", lambda v: replace(SMALL, txrx_distance_m=v), "txrx_distance_m", 200,
+     float),
+    ("ds_s", lambda v: replace(SMALL, ds_s=v), "ds_s", 1, float),
+    ("rice_factor_db", lambda v: replace(SMALL, rice_factor_db=v), "rice_factor_db", 6, float),
+    ("paths_per_cluster", lambda v: replace(SMALL, paths_per_cluster=v), "paths_per_cluster",
+     20, int),
+    ("seed", lambda v: replace(SMALL, seed=v), "seed", 5, int),
+]
+
+
+@pytest.mark.parametrize("make, field, value, kind", [
+    pytest.param(*row[1:], id=row[0]) for row in STORED_FIELDS])
+def test_each_field_stores_the_python_number_its_check_returns(make, field, value, kind):
+    # A numpy number or 0-d array was stored as given: a 0-d array made the
+    # object unhashable, and a float32 gave other bits downstream.
+    forms = [value, np.int64(value), np.array(value)]
+    if kind is float:
+        forms += [np.float32(value), np.float64(value), np.array(float(value))]
+    expected = make(kind(value))
+    for form in forms:
+        built = make(form)
+        assert type(getattr(built, field)) is kind
+        assert built == expected and hash(built) == hash(expected)
+
+
+def test_a_kappa_of_minus_zero_is_stored_as_zero():
+    kappa = VonMisesParams(kappa=-0.0).kappa
+    assert kappa == 0.0 and math.copysign(1.0, kappa) == 1.0
+
+
+@pytest.mark.parametrize("phi, e", [
+    (10.0, np.array([[0.5], [0.2]])),
+    (10.0, np.array([0.5, 0.2])),
+    (np.array([10.0, 20.0]), np.array([[0.5], [0.2]])),
+    (np.array([10.0, 20.0]), np.array([0.5, 0.2, 0.1])),
+], ids=["scalar-rows", "scalar-pair", "row-rows", "mismatch"])
+def test_an_eccentricity_that_enlarges_the_angles_raises_invalid_geometry(phi, e):
+    # numpy's bare ValueError ("non-broadcastable output operand") escaped.
+    with pytest.raises(InvalidGeometry, match=re.escape(
+            f"eccentricity of shape {e.shape} does not broadcast against angles of shape"
+            f" {np.shape(phi)}")):
+        aoa_from_aod(phi, e)
 
 
 def test_every_numeric_field_is_in_the_scalar_table():

@@ -194,3 +194,20 @@ def test_presets_and_config_files_share_one_builtin_profile():
     # hold the same frozen profile object.
     from multiell.presets import scenario
     assert scenario("A").pdp is resolve_pdp(BUILTIN_NLOS) is builtin_nlos_profile()
+
+
+@pytest.mark.parametrize("taps", [
+    [[0, 0], [1.5, -3]],
+    np.array([[0.0, 0.0], [1.5, -3.0]]),
+    np.array([[0, 0], [1, -3]]),
+    ((np.float32(0.0), np.int64(0)), (np.float64(1.5), np.array(-3.0))),
+], ids=["lists", "float-array", "int-array", "numpy-numbers"])
+def test_taps_are_kept_as_a_tuple_of_float_pairs(taps):
+    # Taps given as lists or an array were kept as given, so the profile,
+    # and every config holding it, could not be hashed.
+    pdp = NormalizedPdp("x", taps)
+    assert type(pdp.taps) is tuple
+    assert all(type(tap) is tuple and len(tap) == 2 for tap in pdp.taps)
+    assert all(type(x) is float for tap in pdp.taps for x in tap)
+    assert pdp.taps == tuple((float(d), float(p)) for d, p in np.asarray(taps, dtype=float))
+    assert hash(pdp) == hash(NormalizedPdp("x", pdp.taps))

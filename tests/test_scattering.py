@@ -9,6 +9,8 @@ from multiell.errors import ConfigError, KappaOutOfRange
 from multiell.geometry import _PAS_BLOCK, wrap_degrees
 from multiell.scattering import VonMisesParams, sample_von_mises, von_mises_pdf
 
+from conftest import BAD_OUTS
+
 
 def draw(params, rng, size):
     out = np.empty(size)
@@ -88,6 +90,23 @@ class TestSampleVonMises:
         for lo in (-180.0, -36.0, 100.0):
             frac = np.mean((draws > lo) & (draws <= lo + 36.0))
             assert frac == pytest.approx(0.1, abs=0.01)
+
+    @pytest.mark.parametrize("out", BAD_OUTS.values(), ids=BAD_OUTS)
+    def test_a_bad_out_raises_before_any_draw(self, rng, out):
+        # A 2-D out raised numpy's ValueError after the first block was
+        # drawn, and a strided one raised in the wrap after every draw.
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="^out must be a writable, aligned, C-contiguous,"
+                                              " 1-D float64 array"):
+            sample_von_mises(VonMisesParams(), rng, out)
+        assert rng.bit_generator.state == state
+
+    def test_params_that_are_not_von_mises_params_raise(self, rng):
+        # An AttributeError escaped.
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="^params must be of type VonMisesParams, got str"):
+            sample_von_mises("x", rng, np.empty(4))
+        assert rng.bit_generator.state == state
 
     def test_kappa_of_minus_zero_draws_as_zero(self):
         # -0.0 passes the check >= 0, and numpy's sampler rejected its sign bit.

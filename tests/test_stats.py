@@ -704,6 +704,13 @@ class TestSweepAs:
         with pytest.raises(ConfigError, match=f"trials {trials} exceeds the limit of 10000"):
             sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=trials)
 
+    def test_a_trial_count_of_thousands_of_digits_is_named_in_short(self):
+        # Python's 4,300-digit limit on int-to-text raised a bare ValueError.
+        cfg = scenario("A", "same", seed=1, paths_per_cluster=20)
+        with pytest.raises(ConfigError, match="^trials an int of more than 40 digits exceeds"
+                                              " the limit of 10000$"):
+            sweep_as(cfg, SweepAxis.TX_ORIENTATION, [0.0], trials=10**5000)
+
     def test_result_keeps_only_its_arrays(self):
         # One Python tuple per (angle, trial) and per angle once kept 14x the
         # spread matrix: 832 kB against 57.8 kB here.
